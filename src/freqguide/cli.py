@@ -160,13 +160,9 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
     else:
         scales = (1.0,) * transform.band_count
     weights = cfg.get_floats("guidance.parallel_weights", None)
-    interval_raw = cfg.get_str("guidance.interval", None)
-    interval = None
-    if interval_raw is not None:
-        pieces = interval_raw.split(":")
-        if len(pieces) != 2:
-            raise ConfigError("guidance.interval must look like t_start:t_end")
-        interval = (float(pieces[0]), float(pieces[1]))
+    interval = cfg.get_floats("guidance.interval", None, sep=":")
+    if interval is not None and len(interval) != 2:
+        raise ConfigError("guidance.interval must look like t_start:t_end")
     try:
         return GuidanceConfig(
             transform=transform, scales=scales, parallel_weights=weights, interval=interval
@@ -270,6 +266,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _flag_floats(raw: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{flag} {raw!r} is not a comma list of numbers") from exc
+
+
 def _combine_guidance(args) -> GuidanceConfig:
     if args.transform == "haar":
         transform = TransformKind.haar()
@@ -279,7 +282,7 @@ def _combine_guidance(args) -> GuidanceConfig:
     if args.scales is not None and has_pair:
         raise UsageError("give either --scales or --w-low/--w-high, not both")
     if args.scales is not None:
-        scales = tuple(float(v) for v in args.scales.split(","))
+        scales = _flag_floats(args.scales, "--scales")
     elif has_pair:
         if transform.band_count != 2:
             raise UsageError("--w-low/--w-high need a 2-band transform (--levels 1)")
@@ -291,7 +294,7 @@ def _combine_guidance(args) -> GuidanceConfig:
         raise UsageError("give --scales or --w-low/--w-high")
     weights = None
     if args.parallel_weights is not None:
-        weights = tuple(float(v) for v in args.parallel_weights.split(","))
+        weights = _flag_floats(args.parallel_weights, "--parallel-weights")
     return GuidanceConfig(transform=transform, scales=scales, parallel_weights=weights)
 
 

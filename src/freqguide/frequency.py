@@ -1,14 +1,25 @@
 """Frequency transforms: binomial blur, Laplacian pyramid, single-level Haar DWT.
 
-Both transforms are linear and exactly invertible, which is what lets a
-per-band guidance update commute with decomposition/reconstruction.
-Boundary handling is reflect padding (border pixel not repeated) so band
-norms are not contaminated by edge energy.
+Both transforms are linear, separable and exactly invertible, which is what
+lets a per-band guidance update commute with decomposition/reconstruction.
+Every step is one engine, ``A_h @ x @ A_wᵀ`` on each (batch, channel) plane,
+with read-only per-axis matrices built once per size (``lru_cache``):
+
+* blur ``B_n``: the 5-tap binomial kernel with the reflect boundary (border
+  pixel not repeated) built in, so band norms carry no edge energy;
+* pyramid down ``D_n = B_n[::2]`` and up ``U_{n,m} = (2·B_{2m})[:n, ::2]``,
+  a gain-2 blur of the zero-stuffed 2m grid cropped to n, so odd sizes keep
+  that grid's boundary;
+* Haar ``[L; H]``: pair sums over pair differences, so one call yields the
+  four subbands as quadrants.
+
+``analyze``/``synthesize`` are ``transform_bands``/``inverse_bands`` on raw
+arrays; ``low_pass_chain`` and ``up_step`` are the down/up steps alone.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +29,6 @@ from .tensor import Tensor4
 
 # Burt-Adelson binomial kernel; sums to 1.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,37 +80,63 @@ class TransformKind:
         return self.levels + 1 if self.kind == "pyramid" else 2
 
 
-def _conv_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (2, 2)
-    padded = np.pad(arr, pad, mode="reflect")
-    out = np.zeros_like(arr)
-    index = [slice(None)] * arr.ndim
-    n = arr.shape[axis]
-    for j in range(kernel.shape[0]):  # fixed order keeps reductions deterministic
-        index[axis] = slice(j, j + n)
-        out += kernel[j] * padded[tuple(index)]
-    return out
+# ---------------------------------------------------------------------------
+# the engine
 
 
-def _blur(arr: np.ndarray, gain: float = 1.0) -> np.ndarray:
-    h, w = arr.shape[2], arr.shape[3]
-    if h < 5 or w < 5:
-        raise ShapeError(f"blur needs spatial dims >= 5, got {h}x{w}")
-    kernel = BLUR_KERNEL * gain
-    return _conv_axis(_conv_axis(arr, kernel, 2), kernel, 3)
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat = np.ascontiguousarray(mat)
+    mat.flags.writeable = False
+    return mat
+
+
+@functools.lru_cache(maxsize=None)
+def _blur_matrix(n: int) -> np.ndarray:
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for tap, weight in zip(range(-2, 3), BLUR_KERNEL):
+            j = abs(i + tap)  # reflect about both border pixels
+            mat[i, j if j < n else 2 * (n - 1) - j] += weight
+    return _frozen(mat)
+
+
+@functools.lru_cache(maxsize=None)
+def _down_matrix(n: int) -> np.ndarray:
+    return _frozen(_blur_matrix(n)[::2])
+
+
+@functools.lru_cache(maxsize=None)
+def _up_matrix(n: int, m: int) -> np.ndarray:
+    return _frozen(2.0 * _blur_matrix(2 * m)[:n, ::2])
+
+
+@functools.lru_cache(maxsize=None)
+def _haar(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # the orthonormal 2-D gain (1/sqrt2)^2 = 1/2 rides on the row matrix, so
+    # every product is exact and flat 2x2 blocks give exactly zero details
+    if h % 2 or w % 2:
+        raise ShapeError(f"haar transform needs even spatial dims, got {h}x{w}")
+    rows, cols = ([np.kron(np.eye(n // 2), [1.0, sign]) for sign in (1.0, -1.0)] for n in (h, w))
+    return _frozen(0.5 * np.vstack(rows)), _frozen(np.vstack(cols))
+
+
+def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray) -> np.ndarray:
+    return a_h @ arr @ a_w.T
 
 
 def gaussian_blur(x: Tensor4) -> Tensor4:
     """Separable 5-tap binomial blur with reflect padding."""
-    return Tensor4(_blur(x.data))
+    h, w = x.dims[2:]
+    if h < 5 or w < 5:
+        raise ShapeError(f"blur needs spatial dims >= 5, got {h}x{w}")
+    return Tensor4(_apply(x.data, _blur_matrix(h), _blur_matrix(w)))
 
 
 def _down(arr: np.ndarray) -> np.ndarray:
-    h, w = arr.shape[2], arr.shape[3]
+    h, w = arr.shape[2:]
     if h < 8 or w < 8:
         raise ShapeError(f"pyr_down needs spatial dims >= 8, got {h}x{w}")
-    return _blur(arr)[:, :, ::2, ::2]
+    return _apply(arr, _down_matrix(h), _down_matrix(w))
 
 
 def pyr_down(x: Tensor4) -> Tensor4:
@@ -109,21 +144,19 @@ def pyr_down(x: Tensor4) -> Tensor4:
     return Tensor4(_down(x.data))
 
 
-def _up(arr: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:
-    b, c, h, w = arr.shape
-    th, tw = target_hw
+def _up(arr: np.ndarray, target_hw) -> np.ndarray:
+    h, w = arr.shape[2:]
+    th, tw = int(target_hw[0]), int(target_hw[1])
     if th not in (2 * h, 2 * h - 1) or tw not in (2 * w, 2 * w - 1):
         raise ShapeError(f"pyr_up target {th}x{tw} incompatible with input {h}x{w}")
-    stuffed = np.zeros((b, c, 2 * h, 2 * w), dtype=arr.dtype)
-    stuffed[:, :, ::2, ::2] = arr
-    # per-axis gain 2 (x4 total) restores unit DC gain over the zero-stuffed grid
-    return _blur(stuffed, gain=2.0)[:, :, :th, :tw]
+    if h < 3 or w < 3:
+        raise ShapeError(f"blur needs spatial dims >= 5, got {2 * h}x{2 * w}")
+    return _apply(arr, _up_matrix(th, h), _up_matrix(tw, w))
 
 
 def pyr_up(x: Tensor4, target_dims) -> Tensor4:
     """Zero-insert to double size, blur with x4-scaled kernel, crop to target."""
-    th, tw = int(target_dims[-2]), int(target_dims[-1])
-    return Tensor4(_up(x.data, (th, tw)))
+    return Tensor4(_up(x.data, target_dims[-2:]))
 
 
 def max_pyramid_levels(height: int, width: int) -> int:
@@ -134,87 +167,104 @@ def max_pyramid_levels(height: int, width: int) -> int:
     return levels
 
 
+def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
+    """[x, D x, ..., D^N x]: the N down-steps of ``kind`` on a raw array.
+
+    D is ``pyr_down`` for the pyramid and the ll analysis for Haar.  Raises
+    the same ``ShapeError`` as ``transform_bands`` for infeasible sizes.
+    """
+    h, w = arr.shape[2:]
+    if kind.kind == "haar":
+        a_h, a_w = _haar(h, w)
+        return [arr, _apply(arr, a_h[: h // 2], a_w[: w // 2])]
+    if min(h, w) / (2**kind.levels) < 4:
+        raise ShapeError(
+            f"{kind.levels} levels infeasible for {h}x{w}; max feasible is {max_pyramid_levels(h, w)}"
+        )
+    chain = [arr]
+    for _ in range(kind.levels):
+        chain.append(_down(chain[-1]))
+    return chain
+
+
+def up_step(arr: np.ndarray, target_hw, kind: TransformKind) -> np.ndarray:
+    """U, the synthesis partner of one down-step: ``pyr_up`` for the pyramid,
+    ll-only synthesis for Haar (whose U D is the 2x2 block mean)."""
+    if kind.kind == "pyramid":
+        return _up(arr, target_hw)
+    h, w = arr.shape[2:]
+    a_h, a_w = _haar(*target_hw)
+    return _apply(arr, a_h[:h].T, a_w[:w].T)
+
+
+def _split3(details: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    c = details.shape[1] // 3
+    return details[:, :c], details[:, c : 2 * c], details[:, 2 * c :]
+
+
+def analyze(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
+    """``transform_bands`` on a raw array."""
+    if kind.kind == "pyramid":
+        g = low_pass_chain(arr, kind)
+        return [g[i] - _up(g[i + 1], g[i].shape[2:]) for i in range(kind.levels)] + [g[-1]]
+    h, w = arr.shape[2:]
+    y = _apply(arr, *_haar(h, w))
+    h2, w2 = h // 2, w // 2
+    details = np.concatenate([y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]], axis=1)
+    return [details, y[:, :, :h2, :w2]]
+
+
+def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
+    """``inverse_bands`` on raw arrays."""
+    if len(bands) != kind.band_count:
+        raise ShapeError(f"expected {kind.band_count} bands, got {len(bands)}")
+    *details, g = bands
+    if kind.kind == "pyramid":
+        for band in reversed(details):
+            if band.shape[:2] != g.shape[:2]:
+                raise ShapeError(f"band dims {band.shape} inconsistent with residual chain {g.shape}")
+            g = band + _up(g, band.shape[2:])
+        return g
+    b, c, h, w = g.shape
+    if details[0].shape != (b, 3 * c, h, w):
+        raise ShapeError(f"haar detail stack {details[0].shape} does not fit ll {g.shape}")
+    lh, hl, hh = _split3(details[0])
+    a_h, a_w = _haar(2 * h, 2 * w)
+    return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T)
+
+
 def build_laplacian_pyramid(x: Tensor4, levels: int) -> Pyramid:
     """bands[i] = G_i - pyr_up(G_{i+1}); residual is the coarsest G_N."""
     if levels < 1:
         raise ShapeError("levels must be >= 1")
-    b, c, h, w = x.dims
-    if min(h, w) / (2**levels) < 4:
-        raise ShapeError(
-            f"{levels} levels infeasible for {h}x{w}; max feasible is {max_pyramid_levels(h, w)}"
-        )
-    bands = []
-    g = x.data
-    for _ in range(levels):
-        down = _down(g)
-        bands.append(Tensor4(g - _up(down, g.shape[2:])))
-        g = down
-    return Pyramid(bands=tuple(bands), residual=Tensor4(g))
+    *bands, residual = transform_bands(x, TransformKind.pyramid(levels))
+    return Pyramid(bands=tuple(bands), residual=residual)
 
 
 def reconstruct_from_pyramid(p: Pyramid) -> Tensor4:
     """Exact inverse of build: G_i = L_i + pyr_up(G_{i+1}), coarse to fine."""
-    g = p.residual.data
-    for band in reversed(p.bands):
-        tb, tc, th, tw = band.dims
-        if (tb, tc) != g.shape[:2]:
-            raise ShapeError(f"band dims {band.dims} inconsistent with residual chain {g.shape}")
-        g = band.data + _up(g, (th, tw))
-    return Tensor4(g)
+    return inverse_bands(list(p.bands) + [p.residual], TransformKind.pyramid(p.levels))
 
 
 def haar_dwt(x: Tensor4) -> WaveletBands:
     """Orthonormal single-level Haar analysis (L=(1,1)/sqrt2, H=(1,-1)/sqrt2), stride 2."""
-    _, _, h, w = x.dims
-    if h % 2 or w % 2:
-        raise ShapeError(f"haar transform needs even spatial dims, got {h}x{w}")
-    a = x.data[:, :, 0::2, 0::2]
-    b = x.data[:, :, 0::2, 1::2]
-    c = x.data[:, :, 1::2, 0::2]
-    d = x.data[:, :, 1::2, 1::2]
-    return WaveletBands(
-        ll=Tensor4((a + b + c + d) * 0.5),
-        lh=Tensor4((a - b + c - d) * 0.5),
-        hl=Tensor4((a + b - c - d) * 0.5),
-        hh=Tensor4((a - b - c + d) * 0.5),
-    )
+    details, ll = analyze(x.data, TransformKind.haar())
+    lh, hl, hh = _split3(details)
+    return WaveletBands(ll=Tensor4(ll), lh=Tensor4(lh), hl=Tensor4(hl), hh=Tensor4(hh))
 
 
 def haar_idwt(bands: WaveletBands) -> Tensor4:
-    ll, lh, hl, hh = bands.ll.data, bands.lh.data, bands.hl.data, bands.hh.data
-    for other in (lh, hl, hh):
-        if other.shape != ll.shape:
-            raise ShapeError("wavelet bands must share dims")
-    b, c, h, w = ll.shape
-    out = np.empty((b, c, 2 * h, 2 * w), dtype=np.float64)
-    out[:, :, 0::2, 0::2] = (ll + lh + hl + hh) * 0.5
-    out[:, :, 0::2, 1::2] = (ll - lh + hl - hh) * 0.5
-    out[:, :, 1::2, 0::2] = (ll + lh - hl - hh) * 0.5
-    out[:, :, 1::2, 1::2] = (ll - lh - hl + hh) * 0.5
-    return Tensor4(out)
+    if any(b.dims != bands.ll.dims for b in (bands.lh, bands.hl, bands.hh)):
+        raise ShapeError("wavelet bands must share dims")
+    details = np.concatenate([bands.lh.data, bands.hl.data, bands.hh.data], axis=1)
+    return Tensor4(synthesize([details, bands.ll.data], TransformKind.haar()))
 
 
 def transform_bands(x: Tensor4, kind: TransformKind) -> list[Tensor4]:
     """Decompose into bands ordered high to low frequency; last entry is the
     pyramid residual (or ll).  Haar detail bands are stacked along channels."""
-    if kind.kind == "pyramid":
-        p = build_laplacian_pyramid(x, kind.levels)
-        return list(p.bands) + [p.residual]
-    w = haar_dwt(x)
-    details = Tensor4(np.concatenate([w.lh.data, w.hl.data, w.hh.data], axis=1))
-    return [details, w.ll]
+    return [Tensor4(b) for b in analyze(x.data, kind)]
 
 
 def inverse_bands(bands: list[Tensor4], kind: TransformKind) -> Tensor4:
-    if len(bands) != kind.band_count:
-        raise ShapeError(f"expected {kind.band_count} bands, got {len(bands)}")
-    if kind.kind == "pyramid":
-        return reconstruct_from_pyramid(Pyramid(bands=tuple(bands[:-1]), residual=bands[-1]))
-    details, ll = bands
-    c = ll.dims[1]
-    if details.dims[1] != 3 * c:
-        raise ShapeError("haar detail stack must have 3x the ll channels")
-    lh = Tensor4(details.data[:, :c])
-    hl = Tensor4(details.data[:, c : 2 * c])
-    hh = Tensor4(details.data[:, 2 * c :])
-    return haar_idwt(WaveletBands(ll=ll, lh=lh, hl=hl, hh=hh))
+    return Tensor4(synthesize([b.data for b in bands], kind))

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import TransformKind, inverse_bands, transform_bands
+from .frequency import TransformKind, analyze, low_pass_chain, synthesize, transform_bands, up_step
 from .tensor import Tensor4, frobenius_norm
 
 
@@ -106,6 +106,15 @@ def cfg_combine(d_c: Tensor4, d_u: Tensor4, w: float) -> Tensor4:
     return Tensor4(d_u.data + float(w) * (d_c.data - d_u.data))
 
 
+def _parallel(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    a = v0.reshape(v0.shape[0], -1)
+    b = v1.reshape(v1.shape[0], -1)
+    dot = np.einsum("ij,ij->i", a, b)
+    sq = np.einsum("ij,ij->i", b, b)
+    coef = np.divide(dot, sq, out=np.zeros_like(dot), where=sq > 0.0)
+    return coef[:, None, None, None] * v1
+
+
 def project(v0: Tensor4, v1: Tensor4) -> tuple[Tensor4, Tensor4]:
     """Split v0 into components parallel and orthogonal to v1, per batch item.
 
@@ -113,12 +122,7 @@ def project(v0: Tensor4, v1: Tensor4) -> tuple[Tensor4, Tensor4]:
     """
     if v0.dims != v1.dims:
         raise ShapeError(f"dims mismatch: {v0.dims} vs {v1.dims}")
-    a = v0.data.reshape(v0.dims[0], -1)
-    b = v1.data.reshape(v1.dims[0], -1)
-    dot = np.einsum("ij,ij->i", a, b)
-    sq = np.einsum("ij,ij->i", b, b)
-    coef = np.divide(dot, sq, out=np.zeros_like(dot), where=sq > 0.0)
-    parallel = coef[:, None, None, None] * v1.data
+    parallel = _parallel(v0.data, v1.data)
     return Tensor4(parallel), Tensor4(v0.data - parallel)
 
 
@@ -130,24 +134,52 @@ def band_norms(x: Tensor4, kind: TransformKind) -> tuple[float, float]:
     return low, high
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise DomainError("guided output overflows float64; reduce the guidance scales")
+    return arr
+
+
 def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> list[Tensor4]:
     """Guided band coefficients: band_c + (scale - 1) * reweighted(band_c - band_u)."""
     if d_c.dims != d_u.dims:
         raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
-    bands_c = transform_bands(d_c, cfg.transform)
-    bands_u = transform_bands(d_u, cfg.transform)
+    bands_c = analyze(d_c.data, cfg.transform)
+    bands_u = analyze(d_u.data, cfg.transform)
     guided = []
-    for band_c, band_u, scale, weight in zip(bands_c, bands_u, cfg.scales, cfg.weights):
-        diff = Tensor4(band_c.data - band_u.data)
-        parallel, orthogonal = project(diff, band_c)
-        reweighted = weight * parallel.data + orthogonal.data
-        guided.append(Tensor4(band_c.data + (scale - 1.0) * reweighted))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for band_c, band_u, scale, weight in zip(bands_c, bands_u, cfg.scales, cfg.weights):
+            diff = band_c - band_u
+            reweighted = diff + (weight - 1.0) * _parallel(diff, band_c)
+            guided.append(Tensor4(_finite(band_c + (scale - 1.0) * reweighted)))
     return guided
 
 
 def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
-    """Per-band CFG: decompose, guide each band with its own scale, reconstruct."""
-    return inverse_bands(freqcfg_combine_bands(d_c, d_u, cfg), cfg.transform)
+    """Per-band CFG; raises ``DomainError`` when the guided output overflows.
+
+    With unit parallel weights, linearity gives a closed form in the
+    transform's down/up steps D and U.  With Δ = d_c - d_u, G_k = D^k Δ and
+    c_k = s_k - s_{k-1}:
+
+        out = d_c + (s_0 - 1) Δ + U(c_1 G_1 + U(c_2 G_2 + ... + U(c_N G_N)))
+
+    Only weights != 1 take the band-space path: decompose both inputs,
+    reweight each band difference (``freqcfg_combine_bands``), reconstruct.
+    """
+    if d_c.dims != d_u.dims:
+        raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
+    s, kind = cfg.scales, cfg.transform
+    with np.errstate(over="ignore", invalid="ignore"):
+        if any(w != 1.0 for w in cfg.weights):
+            bands = freqcfg_combine_bands(d_c, d_u, cfg)
+            return Tensor4(_finite(synthesize([b.data for b in bands], kind)))
+        delta = d_c.data - d_u.data
+        g = low_pass_chain(delta, kind)
+        correction = 0.0
+        for k in range(len(g) - 1, 0, -1):
+            correction = up_step(correction + (s[k] - s[k - 1]) * g[k], g[k - 1].shape[2:], kind)
+        return Tensor4(_finite(d_c.data + (s[0] - 1.0) * delta + correction))
 
 
 def guided_denoise(

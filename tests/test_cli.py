@@ -187,6 +187,27 @@ class TestCombineCommand:
                        "--w-low", "1", "--w-high", "2", "--out", str(tmp_path / "x.fqg"))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--scales", "3,abc"), ("--scales", "2,1", "--parallel-weights", "1,x")],
+    )
+    def test_malformed_numbers_are_usage_errors(self, tmp_path, capsys, flags):
+        _, _, pc, pu = self.make_dumps(tmp_path)
+        code = run_cli("combine", "--cond", pc, "--uncond", pu, *flags,
+                       "--out", str(tmp_path / "x.fqg"))
+        assert code == 2
+        assert "error [usage]" in capsys.readouterr().err
+        assert not (tmp_path / "x.fqg").exists()
+
+    @pytest.mark.parametrize("weights", [(), ("--parallel-weights", "0.5,0.5")])
+    def test_overflow_is_domain_error(self, tmp_path, capsys, weights):
+        _, _, pc, pu = self.make_dumps(tmp_path)
+        code = run_cli("combine", "--cond", pc, "--uncond", pu, "--scales", "1e308,1e308",
+                       *weights, "--out", str(tmp_path / "x.fqg"))
+        assert code == 6
+        assert "error [domain]" in capsys.readouterr().err
+        assert not (tmp_path / "x.fqg").exists()
+
     def test_haar_transform_flag(self, tmp_path):
         d_c, d_u, pc, pu = self.make_dumps(tmp_path)
         out = str(tmp_path / "g.fqg")
@@ -242,6 +263,16 @@ class TestAnalyzeNorms:
         ts = [float(r[1]) for r in rows]
         assert all(0.3 <= t <= 0.8 for t in ts)
         assert len(rows) < 10
+
+
+    @pytest.mark.parametrize("interval", ["0.8:abc", "0.8", "0.8:0.2:0.1"])
+    def test_malformed_interval_is_config_error(self, tmp_path, capsys, interval):
+        cfg = write_config(
+            tmp_path,
+            extra=f"guidance.transform = haar\nguidance.scales = 2,2\nguidance.interval = {interval}\n",
+        )
+        assert run_cli("analyze-norms", "--config", cfg, "--out", str(tmp_path / "n.csv")) == 3
+        assert "error [config]" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freqguide import frequency
 from freqguide import (
     ShapeError,
     Tensor4,
@@ -276,3 +279,94 @@ class TestTransformBands:
         bands = transform_bands(x, TransformKind.pyramid(2))
         with pytest.raises(ShapeError):
             inverse_bands(bands, TransformKind.pyramid(1))
+
+
+def loop_blur_1d(v):
+    """Literal reference: reflect-pad by 2, then sum the 5 taps one at a time."""
+    padded = np.pad(v, 2, mode="reflect")
+    return np.array([sum(BLUR_KERNEL[j] * padded[i + j] for j in range(5)) for i in range(len(v))])
+
+
+def loop_down_1d(v):
+    return loop_blur_1d(v)[::2]
+
+
+def loop_up_1d(v, n):
+    """Zero-stuff to twice the length, blur with gain 2, crop to n."""
+    stuffed = np.zeros(2 * len(v))
+    stuffed[::2] = v
+    return 2.0 * loop_blur_1d(stuffed)[:n]
+
+
+def operator_matrix(fn, m):
+    """Matrix of a linear map on length-m signals, built one unit vector at a time."""
+    return np.stack([fn(e) for e in np.eye(m)], axis=1)
+
+
+def loop_2d(img, fn_h, fn_w):
+    rows = np.stack([fn_w(r) for r in img])
+    return np.stack([fn_h(c) for c in rows.T], axis=1)
+
+
+class TestEngineMatrices:
+    @pytest.mark.parametrize("n", [5, 6, 8, 9, 15, 16, 17, 32])
+    def test_blur_and_down_match_loop_reference(self, n):
+        assert np.array_equal(frequency._blur_matrix(n), operator_matrix(loop_blur_1d, n))
+        assert np.array_equal(frequency._down_matrix(n), operator_matrix(loop_down_1d, n))
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 9, 16])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_up_matches_loop_reference_including_crop(self, m, odd):
+        n = 2 * m - odd
+        reference = operator_matrix(lambda v: loop_up_1d(v, n), m)
+        assert np.array_equal(frequency._up_matrix(n, m), reference)
+
+    def test_matrices_cached_and_read_only(self):
+        for build, args in ((frequency._blur_matrix, (9,)), (frequency._up_matrix, (17, 9))):
+            mat = build(*args)
+            assert build(*args) is mat
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    def test_odd_image_down_and_up_match_loop_reference(self):
+        img = rng.uniform(-2, 2, (15, 17))
+        down = pyr_down(Tensor4(img[None, None])).data[0, 0]
+        assert np.abs(down - loop_2d(img, loop_down_1d, loop_down_1d)).max() < 1e-14
+        up = pyr_up(Tensor4(down[None, None]), (15, 17)).data[0, 0]
+        expected = loop_2d(down, lambda v: loop_up_1d(v, 15), lambda v: loop_up_1d(v, 17))
+        assert np.abs(up - expected).max() < 1e-14
+
+
+@st.composite
+def transform_cases(draw):
+    """(kind, dims, seed) with sizes the kind accepts, odd pyramid sizes included."""
+    if draw(st.booleans()):
+        kind = TransformKind.haar()
+        h, w = (2 * draw(st.integers(1, 20)) for _ in range(2))
+    else:
+        kind = TransformKind.pyramid(draw(st.integers(1, 3)))
+        side = 4 * 2**kind.levels
+        h, w = (draw(st.integers(side, side + 9)) for _ in range(2))
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    return kind, dims, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEngineProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(transform_cases())
+    def test_perfect_reconstruction(self, case):
+        kind, dims, seed = case
+        x = np.random.default_rng(seed).uniform(-10, 10, dims)
+        rec = inverse_bands(transform_bands(Tensor4(x), kind), kind)
+        assert np.abs(rec.data - x).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(transform_cases(), st.floats(-4, 4), st.floats(-4, 4))
+    def test_linearity(self, case, a, b):
+        kind, dims, seed = case
+        gen = np.random.default_rng(seed)
+        x, y = gen.uniform(-10, 10, dims), gen.uniform(-10, 10, dims)
+        mixed = transform_bands(Tensor4(a * x + b * y), kind)
+        parts = zip(transform_bands(Tensor4(x), kind), transform_bands(Tensor4(y), kind))
+        for band, (bx, by) in zip(mixed, parts):
+            assert np.abs(band.data - (a * bx.data + b * by.data)).max() < 1e-12

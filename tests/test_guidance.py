@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqguide import (
     BandNormRecord,
     DenoiserPair,
+    DomainError,
     GuidanceConfig,
     NormRecorder,
     ShapeError,
@@ -16,6 +21,7 @@ from freqguide import (
     freqcfg_combine,
     freqcfg_combine_bands,
     guided_denoise,
+    inverse_bands,
     project,
     pyr_down,
     pyr_up,
@@ -183,6 +189,88 @@ class TestBandLocality:
         for w_high, delta in zip((1.0, 2.0, 4.0, 7.0), deltas):
             assert delta == pytest.approx(abs(w_high - 1.0) * base, rel=1e-10, abs=1e-12)
         assert deltas == sorted(deltas)
+
+
+def band_space_combine(d_c, d_u, cfg):
+    return inverse_bands(freqcfg_combine_bands(d_c, d_u, cfg), cfg.transform)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "dims,kind",
+        [
+            ((2, 3, 32, 32), TransformKind.pyramid(1)),
+            ((2, 3, 32, 32), TransformKind.pyramid(2)),
+            ((2, 3, 32, 32), TransformKind.pyramid(3)),
+            ((2, 3, 32, 32), TransformKind.haar()),
+            ((2, 3, 15, 17), TransformKind.pyramid(1)),
+            ((2, 3, 33, 35), TransformKind.pyramid(3)),
+        ],
+    )
+    def test_equals_band_space_path(self, dims, kind):
+        d_c, d_u = rand(dims), rand(dims)
+        cfg = GuidanceConfig(transform=kind, scales=tuple(rng.uniform(-1.0, 6.0, kind.band_count)))
+        closed = freqcfg_combine(d_c, d_u, cfg)
+        assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32 - 1)
+    )
+    def test_equals_band_space_path_property(self, levels, extra_h, extra_w, seed):
+        gen = np.random.default_rng(seed)
+        side = 4 * 2**levels
+        dims = (2, 2, side + extra_h, side + extra_w)
+        d_c, d_u = Tensor4(gen.uniform(-2, 2, dims)), Tensor4(gen.uniform(-2, 2, dims))
+        kind = TransformKind.pyramid(levels)
+        cfg = GuidanceConfig(transform=kind, scales=tuple(gen.uniform(-1.0, 6.0, levels + 1)))
+        closed = freqcfg_combine(d_c, d_u, cfg)
+        assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+
+    def test_haar_low_pass_is_block_mean(self):
+        d_c, d_u = rand((2, 3, 8, 10)), rand((2, 3, 8, 10))
+        delta = d_c.data - d_u.data
+        block_mean = delta.reshape(2, 3, 4, 2, 5, 2).mean(axis=(3, 5))
+        expected = d_c.data + np.repeat(np.repeat(block_mean, 2, axis=2), 2, axis=3)
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 2.0))
+        assert np.abs(freqcfg_combine(d_c, d_u, cfg).data - expected).max() < 1e-14
+
+    def test_infeasible_levels_raise_shape_error(self):
+        cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(2.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ShapeError, match="max feasible is 2"):
+            freqcfg_combine(rand((1, 1, 16, 16)), rand((1, 1, 16, 16)), cfg)
+        with pytest.raises(ShapeError):
+            haar = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 1.0))
+            freqcfg_combine(rand((1, 1, 8, 9)), rand((1, 1, 8, 9)), haar)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("kind", [TransformKind.pyramid(2), TransformKind.haar()])
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_overflow_is_domain_error_on_both_paths(self, kind, unit_weights):
+        n = kind.band_count
+        weights = None if unit_weights else (0.5,) * n
+        cfg = GuidanceConfig(transform=kind, scales=(1e308,) * n, parallel_weights=weights)
+        d_c, d_u = rand(), rand()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                freqcfg_combine(d_c, d_u, cfg)
+            with pytest.raises(DomainError):
+                freqcfg_combine_bands(d_c, d_u, cfg)
+
+    def test_reconstruction_overflow_is_domain_error(self):
+        # a checkerboard on a constant: both bands peak at 1, their sum at 2, so
+        # every guided band is finite and only the synthesis overflows
+        yy, xx = np.mgrid[0:16, 0:16]
+        d = (1.0 + (-1.0) ** (yy + xx))[None, None]
+        d_c, d_u = Tensor4(d), Tensor4(-d)
+        cfg = GuidanceConfig(
+            transform=TransformKind.pyramid(1), scales=(6.7e307, 6.7e307), parallel_weights=(0.9, 0.9)
+        )
+        assert all(np.isfinite(b.data).all() for b in freqcfg_combine_bands(d_c, d_u, cfg))
+        with pytest.raises(DomainError):
+            freqcfg_combine(d_c, d_u, cfg)
 
 
 class TestParallelWeights:
