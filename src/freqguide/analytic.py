@@ -10,7 +10,7 @@ claims can be tested without approximation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,23 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class IsotropicGaussianMixture:
-    """Components (weight, mean image, isotropic scale); weights sum to 1."""
+    """Components (weight, mean image, isotropic scale); weights sum to 1.
+
+    Construction also caches read-only per-component constants that every
+    denoiser call needs: ``flat`` (the (K, D) view of ``means``),
+    ``sq_norms`` (‖m_k‖²) and ``log_weights``.  A mixture made by
+    ``restricted`` records its ``parent`` and the ``indices`` it took, so
+    ``posterior_mean`` can evaluate it together with the parent.
+    """
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, C, H, W)
     scales: np.ndarray  # (K,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False, compare=False)
+    indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -45,11 +57,18 @@ class IsotropicGaussianMixture:
         if np.any(scales <= 0):
             raise DomainError("scales must be positive")
         weights = weights / weights.sum()
-        for arr in (weights, means, scales):
+        flat = means.reshape(k, -1)
+        cached = {
+            "weights": weights,
+            "means": means,
+            "scales": scales,
+            "flat": flat,
+            "sq_norms": np.einsum("kd,kd->k", flat, flat),
+            "log_weights": np.log(weights),
+        }
+        for name, arr in cached.items():
             arr.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "scales", scales)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_components(self) -> int:
@@ -65,53 +84,100 @@ class IsotropicGaussianMixture:
         return c * h * w
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
-        idx = np.asarray(indices, dtype=int)
+        idx = np.array(indices, dtype=int)  # a copy: the caller may reuse theirs
         if idx.size == 0:
             raise ConfigError("component subset is empty")
-        return IsotropicGaussianMixture(
+        sub = IsotropicGaussianMixture(
             weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
         )
+        idx.flags.writeable = False
+        object.__setattr__(sub, "parent", self)
+        object.__setattr__(sub, "indices", idx)
+        return sub
 
     def mixture_mean(self) -> np.ndarray:
         return np.tensordot(self.weights, self.means, axes=(0, 0))
 
 
-def posterior_mean(z: Tensor4, sigma: float, mix: IsotropicGaussianMixture) -> Tensor4:
-    """Exact E[x | z] under z = x + sigma * eps, x ~ mix.
-
-    Responsibilities are computed in log space with max subtraction so tiny
-    sigma against distant components stays finite.  At sigma = 0 returns z.
-    """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if z.dims[1:] != mix.image_shape:
-        raise ShapeError(f"z image shape {z.dims[1:]} != mixture shape {mix.image_shape}")
-    if sigma == 0.0:
-        return z
-    zf = z.data.reshape(z.dims[0], -1)  # (B, D)
-    mf = mix.means.reshape(mix.n_components, -1)  # (K, D)
+def _from_distances(
+    zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix: IsotropicGaussianMixture
+) -> np.ndarray:
+    """Posterior mean (B, D) under ``mix`` given ‖z_b - m_k‖² as (B, K)."""
     var = mix.scales**2 + sigma**2  # (K,)
-    sq_dist = (
-        np.einsum("bd,bd->b", zf, zf)[:, None]
-        - 2.0 * zf @ mf.T
-        + np.einsum("kd,kd->k", mf, mf)[None, :]
-    )  # (B, K)
-    logits = np.log(mix.weights)[None, :] - 0.5 * (
+    logits = mix.log_weights[None, :] - 0.5 * (
         mix.dim * (LOG_2PI + np.log(var))[None, :] + sq_dist / var[None, :]
     )
     logits -= logits.max(axis=1, keepdims=True)
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
     z_coef = resp @ (mix.scales**2 / var)  # (B,)
-    mean_part = (resp * (sigma**2 / var)[None, :]) @ mf  # (B, D)
-    out = z_coef[:, None] * zf + mean_part
-    return Tensor4(out.reshape(z.dims))
+    out = (resp * (sigma**2 / var)[None, :]) @ mix.flat  # (B, D)
+    out += z_coef[:, None] * zf
+    if not np.isfinite(out).all():
+        raise DomainError(f"posterior mean overflows float64 at sigma={sigma:g}")
+    return out
+
+
+def posterior_mean(
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None
+) -> Tensor4 | tuple[Tensor4, Tensor4]:
+    """Exact E[x | z] under z = x + sigma * eps, x ~ mix.
+
+    Responsibilities are computed in log space with max subtraction so tiny
+    sigma against distant components stays finite.  At sigma = 0 returns z.
+
+    ``subset``, a mixture made by ``mix.restricted(...)``, makes the call
+    return ``(E under subset, E under mix)`` from one distance pass: the
+    subset's distances are columns of the full (B, K) distance matrix, the
+    way a neural CFG step evaluates both predictions in one doubled batch.
+    Raises ``DomainError`` when ‖z‖² or the output overflows float64.
+    """
+    if sigma < 0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    if z.dims[1:] != mix.image_shape:
+        raise ShapeError(f"z image shape {z.dims[1:]} != mixture shape {mix.image_shape}")
+    if subset is not None and subset.parent is not mix:
+        raise UsageError("subset must be a mixture restricted from mix")
+    if sigma == 0.0:
+        return z if subset is None else (z, z)
+    zf = z.data.reshape(z.dims[0], -1)  # (B, D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_sq = np.einsum("bd,bd->b", zf, zf)
+        if not np.isfinite(z_sq).all():
+            raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
+        sq_dist = z_sq[:, None] - 2.0 * (zf @ mix.flat.T) + mix.sq_norms[None, :]  # (B, K)
+        full = Tensor4(_from_distances(zf, sq_dist, sigma, mix).reshape(z.dims))
+        if subset is None:
+            return full
+        part = _from_distances(zf, sq_dist[:, subset.indices], sigma, subset)
+    return Tensor4(part.reshape(z.dims)), full
+
+
+def _class_mixture(by_class: dict, condition) -> IsotropicGaussianMixture:
+    if condition not in by_class:
+        raise ConfigError(f"unknown class {condition}; have {sorted(by_class)}")
+    return by_class[condition]
+
+
+@dataclass(frozen=True, eq=False)
+class _MixturePair(DenoiserPair):
+    """Pair from one mixture whose ``both`` shares a single distance pass."""
+
+    mix: IsotropicGaussianMixture
+    by_class: dict
+
+    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+        if condition is None:
+            d_u = posterior_mean(z, sigma, self.mix)
+            return d_u, d_u
+        return posterior_mean(z, sigma, self.mix, subset=_class_mixture(self.by_class, condition))
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     """cond = posterior mean under the class-restricted renormalized mixture;
     uncond = posterior mean under the full mixture.  ``labels`` assigns one
-    class id per component; a null condition selects the full mixture."""
+    class id per component; a null condition selects the full mixture.
+    ``both`` evaluates cond and uncond from one shared distance pass."""
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (mix.n_components,):
         raise ConfigError(f"labels must cover all {mix.n_components} components")
@@ -125,14 +191,12 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     def cond(z: Tensor4, sigma: float, condition=None) -> Tensor4:
         if condition is None:
             return posterior_mean(z, sigma, mix)
-        if condition not in by_class:
-            raise ConfigError(f"unknown class {condition}; have {sorted(by_class)}")
-        return posterior_mean(z, sigma, by_class[condition])
+        return posterior_mean(z, sigma, _class_mixture(by_class, condition))
 
     def uncond(z: Tensor4, sigma: float) -> Tensor4:
         return posterior_mean(z, sigma, mix)
 
-    return DenoiserPair(cond=cond, uncond=uncond)
+    return _MixturePair(cond=cond, uncond=uncond, mix=mix, by_class=by_class)
 
 
 def degrade(
@@ -211,17 +275,20 @@ class BlobTextureSpec:
         return (self.channels, self.height, self.width)
 
     def blob_image(self, center) -> np.ndarray:
+        return np.broadcast_to(self._blob_planes([center])[0], self.image_shape).copy()
+
+    def _blob_planes(self, centers) -> np.ndarray:
+        """(len(centers), H, W) bumps, one per center, shared by all channels."""
         # blob_block > 1 evaluates the bump at block centers and duplicates
         # pixels, pinning the blob exactly inside the block-average subspace
-        cy, cx = center
+        cy, cx = np.asarray(centers, dtype=np.float64).T[:, :, None, None]
         block = self.blob_block
         yy = block * (np.arange(self.height // block, dtype=np.float64)[:, None] + 0.5) - 0.5
         xx = block * (np.arange(self.width // block, dtype=np.float64)[None, :] + 0.5) - 0.5
         bump = self.blob_amplitude * np.exp(
             -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * self.blob_radius**2)
         )
-        bump = np.kron(bump, np.ones((block, block)))
-        return np.broadcast_to(bump, self.image_shape).copy()
+        return bump.repeat(block, axis=1).repeat(block, axis=2)
 
     def texture_image(self, center_index: int, class_index: int) -> np.ndarray:
         phase = math.pi * (center_index % 2)
@@ -251,32 +318,26 @@ def class_labels(spec: BlobTextureSpec) -> np.ndarray:
     return np.tile(np.arange(spec.n_classes), len(spec.centers))
 
 
-def blob_mixture_from_spec(spec: BlobTextureSpec, centers=None) -> IsotropicGaussianMixture:
+def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     """Cartesian (center x class) mixture with deterministic means and the
-    spec noise scale on every component."""
-    if centers is not None:
-        spec = replace_centers(spec, centers)
-    means = []
-    weights = []
-    for j in range(len(spec.centers)):
-        for k in range(spec.n_classes):
-            means.append(spec.mean_image(j, k))
-            weights.append(spec.center_weights(k)[j] / spec.n_classes)
+    spec noise scale on every component.
+
+    Mean (j, k) is ``spec.mean_image(j, k)``; the blob depends only on the
+    center and the texture only on (center parity, class), so each is built
+    once and the sums are broadcast into place.
+    """
+    n_centers, n_classes = len(spec.centers), spec.n_classes
+    blobs = spec._blob_planes(spec.centers)[:, None, None]  # (J, 1, 1, H, W)
+    means = np.empty((n_centers, n_classes) + spec.image_shape)
+    for parity in range(min(2, n_centers)):
+        textures = np.stack([spec.texture_image(parity, k) for k in range(n_classes)])
+        np.add(blobs[parity::2], textures, out=means[parity::2])
+    weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
     return IsotropicGaussianMixture(
-        weights=np.array(weights),
-        means=np.stack(means),
-        scales=np.full(len(means), spec.noise_scale),
+        weights=weights.reshape(-1),
+        means=means.reshape((-1,) + spec.image_shape),
+        scales=np.full(n_centers * n_classes, spec.noise_scale),
     )
-
-
-def replace_centers(spec: BlobTextureSpec, centers) -> BlobTextureSpec:
-    from dataclasses import replace
-
-    centers = tuple((float(cy), float(cx)) for cy, cx in centers)
-    weights = spec.class_center_weights
-    if weights is not None and len(weights[0]) != len(centers):
-        weights = None
-    return replace(spec, centers=centers, class_center_weights=weights)
 
 
 def sample_blob_texture(spec: BlobTextureSpec, class_index: int, seed: int, n: int) -> Tensor4:

@@ -40,16 +40,24 @@ EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io
 # config -> objects
 
 
+def _floats(raw: str, sep: str, error: type[FreqGuideError], what: str) -> tuple[float, ...]:
+    """``raw`` split on ``sep`` as numbers; a malformed number raises ``error``."""
+    try:
+        return tuple(float(v) for v in raw.split(sep))
+    except ValueError as exc:
+        raise error(f"{what} {raw!r} is not a {sep!r}-separated list of numbers") from exc
+
+
 def _parse_centers(raw: str) -> tuple[tuple[float, float], ...]:
     centers = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
+        center = _floats(part, ":", ConfigError, "mixture.centers entry")
+        if len(center) != 2:
             raise ConfigError(f"center {part!r} must look like row:col")
-        centers.append((float(pieces[0]), float(pieces[1])))
+        centers.append(center)
     if not centers:
         raise ConfigError("mixture.centers is empty")
     return tuple(centers)
@@ -61,7 +69,7 @@ def _parse_class_center_weights(raw: str) -> tuple[tuple[float, ...], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        rows.append(tuple(float(v) for v in chunk.split(":")))
+        rows.append(_floats(chunk, ":", ConfigError, "mixture.class_center_weights row"))
     if not rows:
         raise ConfigError("mixture.class_center_weights is empty")
     return tuple(rows)
@@ -266,13 +274,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _flag_floats(raw: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag} {raw!r} is not a comma list of numbers") from exc
-
-
 def _combine_guidance(args) -> GuidanceConfig:
     if args.transform == "haar":
         transform = TransformKind.haar()
@@ -282,7 +283,7 @@ def _combine_guidance(args) -> GuidanceConfig:
     if args.scales is not None and has_pair:
         raise UsageError("give either --scales or --w-low/--w-high, not both")
     if args.scales is not None:
-        scales = _flag_floats(args.scales, "--scales")
+        scales = _floats(args.scales, ",", UsageError, "--scales")
     elif has_pair:
         if transform.band_count != 2:
             raise UsageError("--w-low/--w-high need a 2-band transform (--levels 1)")
@@ -294,7 +295,7 @@ def _combine_guidance(args) -> GuidanceConfig:
         raise UsageError("give --scales or --w-low/--w-high")
     weights = None
     if args.parallel_weights is not None:
-        weights = _flag_floats(args.parallel_weights, "--parallel-weights")
+        weights = _floats(args.parallel_weights, ",", UsageError, "--parallel-weights")
     return GuidanceConfig(transform=transform, scales=scales, parallel_weights=weights)
 
 
@@ -350,10 +351,10 @@ def _parse_grid(raw: str) -> list[tuple[float, float]]:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
+        point = _floats(part, ":", UsageError, "--grid point")
+        if len(point) != 2:
             raise UsageError(f"grid point {part!r} must look like w_low:w_high")
-        points.append((float(pieces[0]), float(pieces[1])))
+        points.append(point)
     if not points:
         raise UsageError("empty sweep grid")
     return points

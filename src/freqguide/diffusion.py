@@ -149,17 +149,24 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             return pair.cond(z, sigma, run.condition)
         return guided_denoise(z, sigma, t, pair, run.guidance, condition=run.condition, recorder=rec)
 
+    def finite(state: np.ndarray, sigma: float) -> np.ndarray:
+        if not np.isfinite(state).all():
+            raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
+        return state
+
     z = initial_noise(run.seed, run.batch, run.shape, float(sigmas[0])).data
     for i in range(run.steps):
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
         x0 = denoise(Tensor4(z), s_cur, float(ts[i]), recorder).data
-        drift = (z - x0) / s_cur
-        z_euler = z + (s_next - s_cur) * drift
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = (z - x0) / s_cur
+            z_euler = finite(z + (s_next - s_cur) * drift, s_next)
         if run.sampler == "euler" or s_next == 0.0:
             z = z_euler
         else:
             # corrector never records: one band-norm record per step
             x0_next = denoise(Tensor4(z_euler), s_next, float(ts[i + 1]), None).data
-            drift_next = (z_euler - x0_next) / s_next
-            z = z + (s_next - s_cur) * 0.5 * (drift + drift_next)
+            with np.errstate(over="ignore", invalid="ignore"):
+                drift_next = (z_euler - x0_next) / s_next
+                z = finite(z + (s_next - s_cur) * 0.5 * (drift + drift_next), s_next)
     return Tensor4(z)

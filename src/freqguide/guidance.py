@@ -75,6 +75,11 @@ class DenoiserPair:
     cond: object
     uncond: object
 
+    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+        """(cond, uncond) at one noise level; a pair whose two predictions
+        share work overrides this, as a neural model runs one doubled batch."""
+        return self.cond(z, sigma, condition), self.uncond(z, sigma)
+
 
 @dataclass(frozen=True)
 class BandNormRecord:
@@ -195,10 +200,9 @@ def guided_denoise(
     interval gate is closed.  Appends a band-norm record per guided step."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    d_c = pair.cond(z, sigma, condition)
     if not cfg.active_at(t):
-        return d_c
-    d_u = pair.uncond(z, sigma)
+        return pair.cond(z, sigma, condition)
+    d_c, d_u = pair.both(z, sigma, condition)
     if recorder is not None:
         low, high = band_norms(Tensor4(d_c.data - d_u.data), cfg.transform)
         recorder.observe(t=t, sigma=sigma, low_norm=low, high_norm=high)

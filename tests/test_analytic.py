@@ -1,5 +1,9 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import acceptance_spec
 
 from freqguide import (
     BlobTextureSpec,
@@ -193,6 +197,93 @@ class TestDenoiserPair:
             make_denoiser_pair(mix, [0])
 
 
+def many_modes_spec() -> BlobTextureSpec:
+    """The acceptance model with 16 x 16 centers and 4 classes: 1024 components."""
+    return replace(
+        acceptance_spec(),
+        centers=tuple((r + 0.5, c + 0.5) for r in range(0, 32, 2) for c in range(0, 32, 2)),
+        n_classes=4,
+        class_center_weights=None,
+    )
+
+
+@pytest.fixture(scope="module", params=["acceptance", "many_modes"])
+def model(request):
+    spec = acceptance_spec() if request.param == "acceptance" else many_modes_spec()
+    mix = blob_mixture_from_spec(spec)
+    labels = class_labels(spec)
+    return spec, mix, labels, make_denoiser_pair(mix, labels)
+
+
+class TestJointEvaluation:
+    @pytest.mark.parametrize("sigma", [80.0, 3.0, 0.3, 0.02])
+    def test_both_equals_separate_calls(self, model, sigma):
+        spec, mix, labels, pair = model
+        gen = np.random.default_rng(11)
+        for condition in [None] + list(range(spec.n_classes)):
+            x = sample_blob_texture(spec, condition or 0, seed=3, n=4).data
+            z = Tensor4(x + sigma * gen.standard_normal(x.shape))
+            d_c, d_u = pair.both(z, sigma, condition)
+            full = posterior_mean(z, sigma, mix).data
+            assert np.array_equal(d_u.data, full)
+            if condition is None:
+                assert np.array_equal(d_c.data, full)
+                continue
+            sub = mix.restricted(np.flatnonzero(labels == condition))
+            assert np.abs(d_c.data - posterior_mean(z, sigma, sub).data).max() <= 1e-12
+
+    def test_subset_must_come_from_mix(self):
+        a = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
+        b = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
+        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        with pytest.raises(UsageError):
+            posterior_mean(z, 1.0, a, subset=b.restricted([0]))
+        with pytest.raises(UsageError):
+            posterior_mean(z, 1.0, a, subset=a)
+
+    def test_sigma_zero_returns_input_twice(self):
+        mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
+        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        assert posterior_mean(z, 0.0, mix, subset=mix.restricted([1])) == (z, z)
+
+    @pytest.mark.parametrize("value", [1e200, 1e154])
+    def test_overflow_is_domain_error(self, value):
+        mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.ones(SHAPE)]), [0.5, 0.5])
+        pair = make_denoiser_pair(mix, [0, 1])
+        z = Tensor4(np.full((1,) + SHAPE, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                posterior_mean(z, 1.0, mix)
+            with pytest.raises(DomainError):
+                pair.both(z, 1.0, 0)
+
+
+class TestCachedConstants:
+    def test_values_and_read_only(self):
+        mix = blob_mixture_from_spec(BlobTextureSpec(centers=((8.0, 8.0), (24.0, 24.0)), n_classes=3))
+        sub = mix.restricted([1, 4])
+        for m in (mix, sub):
+            flat = m.means.reshape(m.n_components, -1)
+            assert np.shares_memory(m.flat, m.means) and m.flat.shape == flat.shape
+            assert np.array_equal(m.sq_norms, np.einsum("kd,kd->k", flat, flat))
+            assert np.array_equal(m.log_weights, np.log(m.weights))
+            for arr in (m.weights, m.means, m.scales, m.flat, m.sq_norms, m.log_weights):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        assert sub.parent is mix and list(sub.indices) == [1, 4]
+        assert not sub.indices.flags.writeable
+        assert mix.parent is None and mix.indices is None
+
+    def test_restricted_copies_caller_indices(self):
+        mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
+        idx = np.array([1])
+        sub = mix.restricted(idx)
+        idx[0] = 0
+        assert list(sub.indices) == [1]
+
+
 class TestDegrade:
     def test_identity_degradation(self):
         mix = mixture(
@@ -286,6 +377,51 @@ class TestBlobTextureSpec:
         mix = blob_mixture_from_spec(spec)
         # component order: (center0, class0), (center0, class1), (center1, ...)
         assert np.allclose(mix.weights, [0.45, 0.1, 0.05, 0.4])
+
+
+def loop_mixture(spec: BlobTextureSpec):
+    """Reference build: one literal blob per (center, class) component."""
+    block = spec.blob_block
+    yy = block * (np.arange(spec.height // block, dtype=np.float64)[:, None] + 0.5) - 0.5
+    xx = block * (np.arange(spec.width // block, dtype=np.float64)[None, :] + 0.5) - 0.5
+    means, weights = [], []
+    for j, (cy, cx) in enumerate(spec.centers):
+        bump = spec.blob_amplitude * np.exp(
+            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * spec.blob_radius**2)
+        )
+        blob = np.broadcast_to(np.kron(bump, np.ones((block, block))), spec.image_shape)
+        for k in range(spec.n_classes):
+            means.append(blob + spec.texture_image(j, k))
+            weights.append(spec.center_weights(k)[j] / spec.n_classes)
+    return np.array(weights), np.stack(means)
+
+
+class TestVectorizedBuild:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BlobTextureSpec(),
+            BlobTextureSpec(
+                height=15, width=17, channels=2,
+                centers=((3.0, 4.0), (11.5, 2.0), (7.0, 16.0)),
+                n_classes=3,
+                class_center_weights=((0.2, 0.3, 0.5), (0.6, 0.2, 0.2), (1 / 3, 1 / 3, 1 / 3)),
+            ),
+            BlobTextureSpec(height=16, width=20, centers=((5.0, 5.0),), n_classes=1, blob_block=2),
+            acceptance_spec(),
+            many_modes_spec(),
+        ],
+        ids=["default", "odd-3x3", "one-center-block2", "acceptance", "many-modes"],
+    )
+    def test_equals_per_component_loop(self, spec):
+        mix = blob_mixture_from_spec(spec)
+        weights, means = loop_mixture(spec)
+        assert mix.means.tobytes() == means.tobytes()
+        assert mix.weights.tobytes() == mixture(weights, means, mix.scales).weights.tobytes()
+        assert mix.scales.tobytes() == np.full(len(means), spec.noise_scale).tobytes()
+        for j in range(len(spec.centers)):
+            for k in range(spec.n_classes):
+                assert np.array_equal(mix.means[j * spec.n_classes + k], spec.mean_image(j, k))
 
 
 class TestSampleBlobTexture:

@@ -275,6 +275,23 @@ class TestAnalyzeNorms:
         assert "error [config]" in capsys.readouterr().err
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv, code, category",
+        [
+            (("sweep", "--grid", "1:x"), 2, "usage"),
+            (("sweep", "--grid", "1:1,x:3"), 2, "usage"),
+            (("sample", "--set", "mixture.centers=8:a"), 3, "config"),
+            (("sample", "--set", "mixture.class_center_weights=0.5:x;0.5:0.5"), 3, "config"),
+        ],
+    )
+    def test_categorized_not_traceback(self, tmp_path, capsys, argv, code, category):
+        out = str(tmp_path / "x.out")
+        assert run_cli(argv[0], "--config", write_config(tmp_path), *argv[1:], "--out", out) == code
+        assert f"error [{category}]" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestSweep:
     def test_baseline_point_and_duplicates(self, tmp_path):
         cfg = write_config(tmp_path, extra="sweep.samples = 8\n")
@@ -442,6 +459,19 @@ class TestProcessBoundary:
             d_c, d_u, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(4.0, 1.5))
         )
         assert read_tensor(out).data.tobytes() == lib.data.tobytes()
+
+    def test_overflow_mid_run_is_domain_error(self, tmp_path):
+        cfg = write_config(tmp_path, extra="guidance.transform = pyramid\nguidance.scales = 3,1.5\n")
+        for sampler in ("euler", "heun"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "freqguide", "sample", "--config", cfg, "--sampler", sampler,
+                 "--set", "guidance.scales=1e300,1e300", "--out", str(tmp_path / "x.fqg")],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 6, proc.stderr
+            assert "error [domain]" in proc.stderr
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+            assert not (tmp_path / "x.fqg").exists()
 
     def test_error_category_on_stderr(self, tmp_path):
         missing = str(tmp_path / "nope.cfg")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,45 @@ class TestSampler:
         )
         out = sample(pair, run)
         assert np.abs(out.data - c).max() < 1e-12
+
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_non_finite_state_is_domain_error(self, sampler):
+        huge = Tensor4.full((1, 1, 2, 2), 1e308)
+        pair = DenoiserPair(cond=lambda z, s, y=None: huge, uncond=lambda z, s: huge)
+        run = SampleRunConfig(
+            steps=2, schedule=NoiseSchedule.linear(0.5), seed=0, batch=1, shape=(1, 2, 2),
+            sampler=sampler,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sampler state"):
+                sample(pair, run)
+
+    def test_guided_sample_makes_one_pair_call_per_evaluation(self):
+        pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
+        log = []
+
+        class SpyPair(DenoiserPair):
+            def both(self, z, sigma, condition=None):
+                log.append("both")
+                return pair.both(z, sigma, condition)
+
+        def cond(z, sigma, condition=None):
+            log.append("cond")
+            return pair.cond(z, sigma, condition)
+
+        guidance = GuidanceConfig(
+            transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.7, 0.3)
+        )
+        run = SampleRunConfig(
+            steps=10, schedule=NoiseSchedule.linear(5.0), seed=1, batch=2, shape=(1, 4, 4),
+            guidance=guidance, condition=0, sampler="heun",
+        )
+        sample(SpyPair(cond=cond, uncond=None), run)
+        # heun: two evaluations per step, one on the last; each is one call
+        # of ``both`` (gate open) or of ``cond`` (gate closed), never uncond
+        assert len(log) == 19
+        assert log.count("both") > 0 and log.count("cond") > 0
 
     def test_closed_form_endpoint_heun(self):
         mu, s = 0.7, 2.0

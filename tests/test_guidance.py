@@ -353,6 +353,34 @@ class TestGuidedDenoise:
             guided_denoise(rand(), 1.0, t, fixture.pair(), cfg)
             assert (fixture.uncond_calls == 1) is active
 
+    def test_default_both_is_cond_then_uncond(self):
+        d_c, d_u = rand(), rand()
+        fixture = FixedPair(d_c, d_u)
+        assert fixture.pair().both(rand(), 1.0, 0) == (d_c, d_u)
+        assert (fixture.cond_calls, fixture.uncond_calls) == (1, 1)
+
+    def test_one_both_call_per_open_gate_and_cond_only_when_closed(self):
+        d_c, d_u = rand(), rand()
+        log = []
+
+        class SpyPair(DenoiserPair):
+            def both(self, z, sigma, condition=None):
+                log.append("both")
+                return d_c, d_u
+
+        pair = SpyPair(
+            cond=lambda z, sigma, condition=None: log.append("cond") or d_c,
+            uncond=lambda z, sigma: log.append("uncond") or d_u,
+        )
+        cfg = GuidanceConfig(
+            transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.8, 0.2)
+        )
+        ts = [1.0 - i / 10 for i in range(11)]
+        for t in ts:
+            log.clear()
+            guided_denoise(rand(), 1.0, t, pair, cfg)
+            assert log == (["both"] if cfg.active_at(t) else ["cond"])
+
     def test_sigma_must_be_positive(self):
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))
         with pytest.raises(Exception, match="sigma"):
