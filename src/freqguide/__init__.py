@@ -15,8 +15,6 @@ from .diffusion import (
     NoiseSchedule,
     SampleRunConfig,
     initial_noise,
-    karras_grid,
-    ode_rhs,
     sample,
 )
 from .errors import (
@@ -28,17 +26,10 @@ from .errors import (
     UsageError,
 )
 from .frequency import (
-    Pyramid,
     TransformKind,
-    WaveletBands,
-    build_laplacian_pyramid,
-    gaussian_blur,
-    haar_dwt,
-    haar_idwt,
     inverse_bands,
     pyr_down,
     pyr_up,
-    reconstruct_from_pyramid,
     transform_bands,
 )
 from .guidance import (
@@ -55,7 +46,7 @@ from .guidance import (
     project,
 )
 from .metrics import ModeReport, band_energy_fraction, default_tau, mode_report, saturation_proxy
-from .tensor import Tensor4, elementwise, frobenius_norm, read_tensor, scale_add, write_csv, write_tensor
+from .tensor import Tensor4, frobenius_norm, read_tensor, write_csv, write_tensor
 
 __version__ = "0.1.0"
 
@@ -72,46 +63,35 @@ __all__ = [
     "ModeReport",
     "NoiseSchedule",
     "NormRecorder",
-    "Pyramid",
     "SampleRunConfig",
     "ShapeError",
     "Tensor4",
     "TransformKind",
     "UsageError",
-    "WaveletBands",
     "band_energy_fraction",
     "band_norms",
     "blob_mixture_from_spec",
-    "build_laplacian_pyramid",
     "cfg_combine",
     "class_labels",
     "crossover_step",
     "default_tau",
     "degrade",
-    "elementwise",
     "freqcfg_combine",
     "freqcfg_combine_bands",
     "frobenius_norm",
-    "gaussian_blur",
     "guided_denoise",
-    "haar_dwt",
-    "haar_idwt",
     "initial_noise",
     "inverse_bands",
-    "karras_grid",
     "make_denoiser_pair",
     "mode_report",
-    "ode_rhs",
     "posterior_mean",
     "project",
     "pyr_down",
     "pyr_up",
     "read_tensor",
-    "reconstruct_from_pyramid",
     "sample",
     "sample_blob_texture",
     "saturation_proxy",
-    "scale_add",
     "transform_bands",
     "write_csv",
     "write_tensor",

@@ -95,9 +95,6 @@ class IsotropicGaussianMixture:
         object.__setattr__(sub, "indices", idx)
         return sub
 
-    def mixture_mean(self) -> np.ndarray:
-        return np.tensordot(self.weights, self.means, axes=(0, 0))
-
 
 def _from_distances(
     zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix: IsotropicGaussianMixture

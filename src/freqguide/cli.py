@@ -8,6 +8,8 @@ byte-identical artifacts.  Manifests therefore carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import difflib
 import json
 import os
 import sys
@@ -27,13 +29,28 @@ from .analytic import (
 )
 from .config import Config
 from .diffusion import NoiseSchedule, SampleRunConfig, sample
-from .errors import ConfigError, FreqGuideError, UsageError
-from .frequency import TransformKind, max_pyramid_levels
+from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
+from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
 from .tensor import Tensor4, atomic_write_bytes, read_tensor, write_csv, write_tensor
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
+
+# every key some command reads; any other key in a config is a typo
+CONFIG_KEYS = frozenset(
+    f"{section}.{name}"
+    for section, names in (
+        ("mixture", "kind height width channels centers blob_radius blob_amplitude texture_freq "
+         "texture_amplitude classes noise_scale class_center_weights blob_block mean_value"),
+        ("schedule", "kind sigma_min sigma_max rho"),
+        ("sample", "steps seed batch sampler condition"),
+        ("guidance", "transform levels scales w_low w_high parallel_weights interval"),
+        ("autoguide", "enabled jitter jitter_rel inflate seed"),
+        ("sweep", "samples tau"),
+    )
+    for name in names.split()
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +150,20 @@ def _build_transform(cfg: Config, image_shape) -> TransformKind | None:
     name = cfg.get_str("guidance.transform", "none")
     if name == "none":
         return None
-    if name == "pyramid":
-        levels = cfg.get_int("guidance.levels", 1)
-        _, h, w = image_shape
-        feasible = max_pyramid_levels(h, w)
-        if levels > feasible:
-            raise ConfigError(
-                f"guidance.levels={levels} infeasible for {h}x{w} images; max feasible is {feasible}"
-            )
-        return TransformKind.pyramid(levels)
     if name == "haar":
-        return TransformKind.haar()
-    raise ConfigError(f"guidance.transform must be pyramid, haar or none, got {name!r}")
+        kind = TransformKind.haar()
+    elif name == "pyramid":
+        levels = cfg.get_int("guidance.levels", 1)
+        if levels < 1:
+            raise ConfigError(f"guidance.levels must be >= 1, got {levels}")
+        kind = TransformKind.pyramid(levels)
+    else:
+        raise ConfigError(f"guidance.transform must be pyramid, haar or none, got {name!r}")
+    try:
+        check_fit(kind, *image_shape[1:])
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
+    return kind
 
 
 def build_guidance(cfg: Config, image_shape, required: bool = False) -> GuidanceConfig | None:
@@ -152,8 +171,9 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
     if transform is None:
         if required:
             raise ConfigError("this command needs guidance.transform = pyramid or haar")
-        if cfg.has("guidance.scales") or cfg.has("guidance.w_low") or cfg.has("guidance.w_high"):
-            raise ConfigError("guidance scales given but guidance.transform = none")
+        for name in ("scales", "w_low", "w_high", "parallel_weights", "interval"):
+            if cfg.has(f"guidance.{name}"):
+                raise ConfigError(f"guidance.{name} given but guidance.transform = none")
         return None
     has_scales = cfg.has("guidance.scales")
     has_pair = cfg.has("guidance.w_low") or cfg.has("guidance.w_high")
@@ -255,6 +275,10 @@ def _load_config(args) -> Config:
         value = getattr(args, flag, None)
         if value is not None:
             cfg.values[key] = str(value)
+    for key in sorted(set(cfg.values) - CONFIG_KEYS):
+        near = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        raise ConfigError(f"{cfg.source}: unknown config key {key!r}{hint}")
     return cfg
 
 
@@ -274,40 +298,24 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _combine_guidance(args) -> GuidanceConfig:
-    if args.transform == "haar":
-        transform = TransformKind.haar()
-    else:
-        transform = TransformKind.pyramid(args.levels)
-    has_pair = args.w_low is not None or args.w_high is not None
-    if args.scales is not None and has_pair:
-        raise UsageError("give either --scales or --w-low/--w-high, not both")
-    if args.scales is not None:
-        scales = _floats(args.scales, ",", UsageError, "--scales")
-    elif has_pair:
-        if transform.band_count != 2:
-            raise UsageError("--w-low/--w-high need a 2-band transform (--levels 1)")
-        scales = (
-            float(args.w_high) if args.w_high is not None else 1.0,
-            float(args.w_low) if args.w_low is not None else 1.0,
-        )
-    else:
-        raise UsageError("give --scales or --w-low/--w-high")
-    weights = None
-    if args.parallel_weights is not None:
-        weights = _floats(args.parallel_weights, ",", UsageError, "--parallel-weights")
-    return GuidanceConfig(transform=transform, scales=scales, parallel_weights=weights)
-
-
 def cmd_combine(args) -> int:
     d_c = read_tensor(args.cond)
     d_u = read_tensor(args.uncond)
-    guidance = _combine_guidance(args)
-    feasible = max_pyramid_levels(d_c.dims[2], d_c.dims[3])
-    if guidance.transform.kind == "pyramid" and guidance.transform.levels > feasible:
-        raise UsageError(
-            f"--levels {guidance.transform.levels} infeasible for {d_c.dims[2]}x{d_c.dims[3]}; max is {feasible}"
-        )
+    if args.scales is None and args.w_low is None and args.w_high is None:
+        raise UsageError("give --scales or --w-low/--w-high")
+    given = {
+        "guidance.transform": args.transform,
+        "guidance.levels": args.levels,
+        "guidance.scales": args.scales,
+        "guidance.w_low": args.w_low,
+        "guidance.w_high": args.w_high,
+        "guidance.parallel_weights": args.parallel_weights,
+    }
+    cfg = Config({k: str(v) for k, v in given.items() if v is not None}, source="combine flags")
+    try:
+        guidance = build_guidance(cfg, d_c.dims[1:])
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     result = freqcfg_combine(d_c, d_u, guidance)
     write_tensor(args.out, result)
     flags = {
@@ -374,36 +382,37 @@ def _sweep_workers(n_points: int) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     mix, labels, _ = build_model(cfg)
-    transform = _build_transform(cfg, mix.image_shape)
-    if transform is None:
-        transform = TransformKind.pyramid(1)
-    if transform.band_count != 2:
+    # without a transform, sweep guides a one-level pyramid
+    default = Config({"guidance.transform": "pyramid"})
+    base = build_guidance(cfg, mix.image_shape) or build_guidance(default, mix.image_shape)
+    if base.transform.band_count != 2:
         raise ConfigError("sweep needs a 2-band transform (guidance.levels = 1)")
+    run = build_run(cfg, mix.image_shape, base)
+    try:
+        run = dataclasses.replace(run, batch=cfg.get_int("sweep.samples", 500))
+    except UsageError as exc:
+        raise ConfigError(f"sweep.samples: {exc}") from exc
+    if run.condition is None and not cfg.get_bool("autoguide.enabled", False):
+        raise ConfigError(
+            "sweep needs a class in sample.condition: with a null condition and autoguide off, "
+            "d_c = d_u and every grid point gives the same row"
+        )
     pair = build_pair(cfg, mix, labels)
-    condition = _parse_condition(cfg.get_str("sample.condition", "0"))
-    target = mix if condition is None else mix.restricted(np.flatnonzero(np.asarray(labels) == condition))
+    if run.condition is None:
+        target = mix
+    else:
+        target = mix.restricted(np.flatnonzero(np.asarray(labels) == run.condition))
     tau = cfg.get_float("sweep.tau", None)
     if tau is None:
         tau = default_tau(mix)
-    n_samples = cfg.get_int("sweep.samples", 500)
     points = _parse_grid(args.grid)
 
     def run_point(point):
         w_low, w_high = point
-        guidance = GuidanceConfig(transform=transform, scales=(w_high, w_low))
-        run = SampleRunConfig(
-            steps=cfg.get_int("sample.steps", 40),
-            schedule=build_schedule(cfg),
-            seed=cfg.get_int("sample.seed", 0),
-            batch=n_samples,
-            shape=tuple(mix.image_shape),
-            guidance=guidance,
-            condition=condition,
-            sampler=cfg.get_str("sample.sampler", "euler"),
-        )
-        out = sample(pair, run)
+        guidance = dataclasses.replace(base, scales=(w_high, w_low))
+        out = sample(pair, dataclasses.replace(run, guidance=guidance))
         report = mode_report(out, target, tau)
-        low_frac, high_frac = band_energy_fraction(out, transform)
+        low_frac, high_frac = band_energy_fraction(out, base.transform)
         return (
             w_low,
             w_high,
@@ -425,7 +434,7 @@ def cmd_sweep(args) -> int:
         args.out + ".manifest.json",
         "sweep",
         cfg.resolved(),
-        cfg.get_int("sample.seed", 0),
+        run.seed,
         [args.out],
         extra={"grid": [[p[0], p[1]] for p in points]},
     )

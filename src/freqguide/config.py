@@ -31,6 +31,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
 class Config:
     def __init__(self, values: dict[str, str], source: str = "<config>"):
         self.values = dict(values)
@@ -55,50 +64,36 @@ class Config:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def get_str(self, key: str, default=_REQUIRED) -> str:
+    def _get(self, key: str, default, convert, what: str):
+        """``convert(value)`` of a present key, ``default`` of a missing one;
+        a missing required key or a value ``convert`` rejects is a ConfigError."""
         if key not in self.values:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.source}: missing required key {key!r}")
             return default
-        return self.values[key]
+        raw = self.values[key]
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not {what}") from exc
+
+    def get_str(self, key: str, default=_REQUIRED) -> str:
+        return self._get(key, default, str, "a string")
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
-        raw = self.get_str(key, default)
-        if raw is default and not isinstance(raw, str):
-            return raw
-        try:
-            return int(str(raw))
-        except ValueError as exc:
-            raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not an integer") from exc
+        return self._get(key, default, int, "an integer")
 
     def get_float(self, key: str, default=_REQUIRED) -> float:
-        raw = self.get_str(key, default)
-        if raw is default and not isinstance(raw, str):
-            return raw
-        try:
-            return float(str(raw))
-        except ValueError as exc:
-            raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not a number") from exc
+        return self._get(key, default, float, "a number")
 
     def get_bool(self, key: str, default=_REQUIRED) -> bool:
-        raw = self.get_str(key, "__missing__" if default is not _REQUIRED else _REQUIRED)
-        if raw == "__missing__":
-            return default
-        lowered = str(raw).lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not a boolean")
+        return self._get(key, default, _parse_bool, "a boolean")
 
     def get_floats(self, key: str, default=_REQUIRED, sep: str = ",") -> tuple[float, ...]:
-        raw = self.get_str(key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
+        def convert(raw: str) -> tuple[float, ...]:
             return tuple(float(part) for part in raw.split(sep) if part.strip() != "")
-        except ValueError as exc:
-            raise ConfigError(f"{self.source}: key {key!r}: {raw!r} is not a number list") from exc
+
+        return self._get(key, default, convert, "a number list")
 
     def resolved(self) -> dict[str, str]:
         return dict(sorted(self.values.items()))

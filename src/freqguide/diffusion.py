@@ -20,11 +20,15 @@ _MAX_SEED = 2**63
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """sigma(t) with sigma(0) = 0 and sigma(1) = sigma_max, plus a step grid.
+    """A step grid of noise levels from sigma_max down to an exact 0.
 
-    ``linear``: sigma(t) = sigma_max * t.
-    ``karras``: rho-spaced interpolation between sigma_max (t=1) and
-    sigma_min (t->0+), truncated to exactly 0 at t = 0.
+    ``linear``: evenly spaced, sigma_max * (1 - i/steps).
+    ``karras``: rho-spaced from sigma_max to sigma_min over the first
+    ``steps`` points, then 0.
+
+    The ``t`` that ``sample`` hands to guidance at step i (the interval gate,
+    the norm records) is the step fraction 1 - i/steps.  It is not an
+    argument of the schedule; the noise level of step i is ``grid(steps)[i]``.
     """
 
     kind: str
@@ -51,16 +55,6 @@ class NoiseSchedule:
     def karras(cls, sigma_min: float, sigma_max: float, rho: float = 7.0) -> "NoiseSchedule":
         return cls("karras", sigma_max, sigma_min, rho)
 
-    def sigma(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t must be in [0, 1], got {t}")
-        if t == 0.0:
-            return 0.0
-        if self.kind == "linear":
-            return self.sigma_max * t
-        lo, hi = self.sigma_min ** (1 / self.rho), self.sigma_max ** (1 / self.rho)
-        return float((hi + (1.0 - t) * (lo - hi)) ** self.rho)
-
     def grid(self, steps: int) -> np.ndarray:
         """Strictly decreasing sigma_0 > ... > sigma_{steps} with a final exact 0."""
         if steps < 1:
@@ -69,23 +63,11 @@ class NoiseSchedule:
             out = self.sigma_max * (1.0 - np.arange(steps + 1) / steps)
             out[-1] = 0.0
             return out
-        return karras_grid(self.sigma_min, self.sigma_max, self.rho, steps)
-
-
-def karras_grid(sigma_min: float, sigma_max: float, rho: float, steps: int) -> np.ndarray:
-    """rho-spaced descending noise levels, sigma_max..sigma_min, then 0."""
-    if not 0 < sigma_min < sigma_max:
-        raise DomainError("need 0 < sigma_min < sigma_max")
-    if rho < 1:
-        raise DomainError("rho must be >= 1")
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
-    if steps == 1:
-        return np.array([sigma_max, 0.0])
-    i = np.arange(steps)
-    lo, hi = sigma_min ** (1 / rho), sigma_max ** (1 / rho)
-    sigmas = (hi + i / (steps - 1) * (lo - hi)) ** rho
-    return np.concatenate([sigmas, [0.0]])
+        if steps == 1:
+            return np.array([self.sigma_max, 0.0])
+        lo, hi = self.sigma_min ** (1 / self.rho), self.sigma_max ** (1 / self.rho)
+        sigmas = (hi + np.arange(steps) / (steps - 1) * (lo - hi)) ** self.rho
+        return np.concatenate([sigmas, [0.0]])
 
 
 @dataclass(frozen=True)
@@ -110,15 +92,6 @@ class SampleRunConfig:
             raise UsageError(f"unknown sampler {self.sampler!r}")
         if len(self.shape) != 3 or min(self.shape) < 1:
             raise UsageError(f"shape must be (channels, height, width), got {self.shape}")
-
-
-def ode_rhs(z: Tensor4, sigma: float, x0hat: Tensor4) -> Tensor4:
-    """Probability-flow drift dz/dsigma = (z - x0hat) / sigma."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if z.dims != x0hat.dims:
-        raise UsageError(f"dims mismatch: {z.dims} vs {x0hat.dims}")
-    return Tensor4((z.data - x0hat.data) / sigma)
 
 
 def item_noise(seed: int, item: int, shape: tuple[int, int, int]) -> np.ndarray:

@@ -32,26 +32,6 @@ BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 @dataclass(frozen=True)
-class Pyramid:
-    """Detail bands L_0..L_{N-1} (fine to coarse) plus the low-pass residual G_N."""
-
-    bands: tuple[Tensor4, ...]
-    residual: Tensor4
-
-    @property
-    def levels(self) -> int:
-        return len(self.bands)
-
-
-@dataclass(frozen=True)
-class WaveletBands:
-    ll: Tensor4
-    lh: Tensor4
-    hl: Tensor4
-    hh: Tensor4
-
-
-@dataclass(frozen=True)
 class TransformKind:
     """Which decomposition a guidance config operates on."""
 
@@ -114,22 +94,12 @@ def _up_matrix(n: int, m: int) -> np.ndarray:
 def _haar(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     # the orthonormal 2-D gain (1/sqrt2)^2 = 1/2 rides on the row matrix, so
     # every product is exact and flat 2x2 blocks give exactly zero details
-    if h % 2 or w % 2:
-        raise ShapeError(f"haar transform needs even spatial dims, got {h}x{w}")
     rows, cols = ([np.kron(np.eye(n // 2), [1.0, sign]) for sign in (1.0, -1.0)] for n in (h, w))
     return _frozen(0.5 * np.vstack(rows)), _frozen(np.vstack(cols))
 
 
 def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray) -> np.ndarray:
     return a_h @ arr @ a_w.T
-
-
-def gaussian_blur(x: Tensor4) -> Tensor4:
-    """Separable 5-tap binomial blur with reflect padding."""
-    h, w = x.dims[2:]
-    if h < 5 or w < 5:
-        raise ShapeError(f"blur needs spatial dims >= 5, got {h}x{w}")
-    return Tensor4(_apply(x.data, _blur_matrix(h), _blur_matrix(w)))
 
 
 def _down(arr: np.ndarray) -> np.ndarray:
@@ -167,20 +137,30 @@ def max_pyramid_levels(height: int, width: int) -> int:
     return levels
 
 
+def check_fit(kind: TransformKind, height: int, width: int):
+    """Raise ``ShapeError`` unless ``kind`` can decompose height x width
+    images: Haar needs even sides, a pyramid a coarsest band of 4+ pixels."""
+    if kind.kind == "haar":
+        if height % 2 or width % 2:
+            raise ShapeError(f"haar transform needs even spatial dims, got {height}x{width}")
+    elif kind.levels > max_pyramid_levels(height, width):
+        raise ShapeError(
+            f"{kind.levels} levels infeasible for {height}x{width}; "
+            f"max feasible is {max_pyramid_levels(height, width)}"
+        )
+
+
 def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
     """[x, D x, ..., D^N x]: the N down-steps of ``kind`` on a raw array.
 
     D is ``pyr_down`` for the pyramid and the ll analysis for Haar.  Raises
-    the same ``ShapeError`` as ``transform_bands`` for infeasible sizes.
+    the ``check_fit`` error for sizes ``kind`` cannot decompose.
     """
     h, w = arr.shape[2:]
+    check_fit(kind, h, w)
     if kind.kind == "haar":
         a_h, a_w = _haar(h, w)
         return [arr, _apply(arr, a_h[: h // 2], a_w[: w // 2])]
-    if min(h, w) / (2**kind.levels) < 4:
-        raise ShapeError(
-            f"{kind.levels} levels infeasible for {h}x{w}; max feasible is {max_pyramid_levels(h, w)}"
-        )
     chain = [arr]
     for _ in range(kind.levels):
         chain.append(_down(chain[-1]))
@@ -208,6 +188,7 @@ def analyze(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
         g = low_pass_chain(arr, kind)
         return [g[i] - _up(g[i + 1], g[i].shape[2:]) for i in range(kind.levels)] + [g[-1]]
     h, w = arr.shape[2:]
+    check_fit(kind, h, w)
     y = _apply(arr, *_haar(h, w))
     h2, w2 = h // 2, w // 2
     details = np.concatenate([y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]], axis=1)
@@ -233,36 +214,11 @@ def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
     return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T)
 
 
-def build_laplacian_pyramid(x: Tensor4, levels: int) -> Pyramid:
-    """bands[i] = G_i - pyr_up(G_{i+1}); residual is the coarsest G_N."""
-    if levels < 1:
-        raise ShapeError("levels must be >= 1")
-    *bands, residual = transform_bands(x, TransformKind.pyramid(levels))
-    return Pyramid(bands=tuple(bands), residual=residual)
-
-
-def reconstruct_from_pyramid(p: Pyramid) -> Tensor4:
-    """Exact inverse of build: G_i = L_i + pyr_up(G_{i+1}), coarse to fine."""
-    return inverse_bands(list(p.bands) + [p.residual], TransformKind.pyramid(p.levels))
-
-
-def haar_dwt(x: Tensor4) -> WaveletBands:
-    """Orthonormal single-level Haar analysis (L=(1,1)/sqrt2, H=(1,-1)/sqrt2), stride 2."""
-    details, ll = analyze(x.data, TransformKind.haar())
-    lh, hl, hh = _split3(details)
-    return WaveletBands(ll=Tensor4(ll), lh=Tensor4(lh), hl=Tensor4(hl), hh=Tensor4(hh))
-
-
-def haar_idwt(bands: WaveletBands) -> Tensor4:
-    if any(b.dims != bands.ll.dims for b in (bands.lh, bands.hl, bands.hh)):
-        raise ShapeError("wavelet bands must share dims")
-    details = np.concatenate([bands.lh.data, bands.hl.data, bands.hh.data], axis=1)
-    return Tensor4(synthesize([details, bands.ll.data], TransformKind.haar()))
-
-
 def transform_bands(x: Tensor4, kind: TransformKind) -> list[Tensor4]:
     """Decompose into bands ordered high to low frequency; last entry is the
-    pyramid residual (or ll).  Haar detail bands are stacked along channels."""
+    pyramid residual (or ll).  Haar is orthonormal (L = (1, 1)/√2,
+    H = (1, -1)/√2, stride 2); its detail band stacks lh, hl, hh along
+    channels, C channels each."""
     return [Tensor4(b) for b in analyze(x.data, kind)]
 
 

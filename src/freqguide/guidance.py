@@ -21,7 +21,8 @@ class GuidanceConfig:
     residual for the pyramid; detail group then ll for haar).
     ``parallel_weights`` reweight the component of each band difference
     parallel to the conditional band; 1.0 leaves the difference untouched.
-    ``interval`` optionally gates guidance to t in [t_end, t_start].
+    ``interval`` optionally gates guidance to t in [t_end, t_start], where
+    ``sample`` passes the step fraction t = 1 - i/steps.
     """
 
     transform: TransformKind
@@ -209,15 +210,10 @@ def guided_denoise(
     return freqcfg_combine(d_c, d_u, cfg)
 
 
-def crossover_step(records: Sequence[BandNormRecord], first_crossing: bool = False) -> int:
+def crossover_step(records: Sequence[BandNormRecord]) -> int:
     """Step whose |low_norm - high_norm| is smallest (ties go to the earlier
-    step).  With ``first_crossing`` the first sign change wins instead."""
+    step)."""
     if len(records) < 2:
         raise UsageError(f"need at least 2 records, got {len(records)}")
     gaps = np.array([r.low_norm - r.high_norm for r in records])
-    if first_crossing:
-        lead = np.sign(gaps[0])
-        for i, g in enumerate(gaps):
-            if np.sign(g) != lead or g == 0.0:
-                return int(records[i].step)
     return int(records[int(np.argmin(np.abs(gaps)))].step)

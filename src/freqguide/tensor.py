@@ -47,54 +47,15 @@ class Tensor4:
     def dims(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, dims) -> "Tensor4":
-        return cls(np.zeros(dims, dtype=np.float64))
-
-    @classmethod
-    def full(cls, dims, value: float) -> "Tensor4":
-        return cls(np.full(dims, float(value), dtype=np.float64))
-
     def __repr__(self):
         return f"Tensor4(dims={self.dims})"
 
     def __eq__(self, other):
         return isinstance(other, Tensor4) and np.array_equal(self.data, other.data)
 
-    def __hash__(self):
-        return hash((self.dims, self.data.tobytes()))
 
-
-def _check_same_dims(a: Tensor4, b: Tensor4):
-    if a.dims != b.dims:
-        raise ShapeError(f"dims mismatch: {a.dims} vs {b.dims}")
-
-
-def elementwise(a: Tensor4, b: Tensor4, op: str) -> Tensor4:
-    """Pointwise add/sub/mul of two equally shaped tensors."""
-    _check_same_dims(a, b)
-    if op == "add":
-        return Tensor4(a.data + b.data)
-    if op == "sub":
-        return Tensor4(a.data - b.data)
-    if op == "mul":
-        return Tensor4(a.data * b.data)
-    raise UsageError(f"unknown elementwise op {op!r}")
-
-
-def scale_add(a: Tensor4, b: Tensor4, alpha: float) -> Tensor4:
-    """a + alpha * b."""
-    _check_same_dims(a, b)
-    if not np.isfinite(alpha):
-        raise UsageError("alpha must be finite")
-    return Tensor4(a.data + float(alpha) * b.data)
-
-
-def frobenius_norm(a: Tensor4, per_batch: bool = False):
-    """sqrt of the sum of squares, over everything or per batch item."""
-    if per_batch:
-        flat = a.data.reshape(a.dims[0], -1)
-        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def frobenius_norm(a: Tensor4) -> float:
+    """sqrt of the sum of squares over every entry."""
     return float(np.sqrt(np.einsum("i,i->", a.data.ravel(), a.data.ravel())))
 
 

@@ -1,8 +1,12 @@
+import argparse
 import csv
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,22 @@ from freqguide import (
     GuidanceConfig,
     Tensor4,
     TransformKind,
+    band_energy_fraction,
     cfg_combine,
+    default_tau,
     freqcfg_combine,
+    mode_report,
     read_tensor,
+    saturation_proxy,
     write_tensor,
 )
+from freqguide import cli
 from freqguide.cli import main
 from freqguide.config import Config, parse_config_text
 
 rng = np.random.default_rng(5)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """
 # desk-scale smoke model
@@ -84,11 +95,56 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.get_str("missing")
 
+    def test_typed_getter_defaults_and_malformed_bool(self):
+        cfg = Config({"x.b": "maybe"})
+        assert cfg.get_int("missing", 5) == 5
+        assert cfg.get_float("missing", None) is None
+        assert cfg.get_bool("missing", False) is False
+        assert cfg.get_floats("missing", None) is None
+        with pytest.raises(ConfigError, match="not a boolean"):
+            cfg.get_bool("x.b")
+        with pytest.raises(ConfigError, match="not a boolean"):
+            cfg.get_bool("x.b", True)
+
     def test_overrides(self):
         cfg = Config({"a.b": "1"})
         cfg.apply_overrides(["a.b=2", "c.d = 3"])
         assert cfg.values["a.b"] == "2"
         assert cfg.values["c.d"] == "3"
+
+
+def documented_keys():
+    """Keys named in README's "Config keys" block, the benchmark's sweep
+    config and BASE_CONFIG."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config keys", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    keys = set(re.findall(r"\b(?:mixture|schedule|sample|guidance|autoguide|sweep)\.[a-z_]+", block))
+    keys |= set(parse_config_text((ROOT / "perfbench" / "sweep.cfg").read_text(encoding="utf-8")))
+    return keys | set(parse_config_text(BASE_CONFIG))
+
+
+class TestConfigKeys:
+    def test_unknown_key_is_config_error_naming_nearest(self, tmp_path, capsys):
+        out = str(tmp_path / "x.fqg")
+        code = run_cli("sample", "--config", write_config(tmp_path), "--set", "guidance.scale=5,5",
+                       "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "'guidance.scale'" in err and "'guidance.scales'" in err
+        assert not os.path.exists(out)
+
+    def test_documented_keys_accepted(self, tmp_path):
+        keys = documented_keys()
+        assert {"guidance.interval", "autoguide.jitter_rel", "sweep.tau", "mixture.mean_value"} <= keys
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = 1\n" for key in sorted(keys)))
+        cfg = cli._load_config(argparse.Namespace(config=str(path), set=[]))
+        assert set(cfg.values) == keys
+
+    def test_known_keys_are_the_keys_commands_read(self):
+        source = inspect.getsource(cli)
+        read = set(re.findall(r'(?:get_\w+|has)\("([a-z_]+\.[a-z_]+)"', source))
+        assert read == cli.CONFIG_KEYS
 
 
 class TestSampleCommand:
@@ -328,6 +384,78 @@ class TestSweep:
             extra="guidance.transform = pyramid\nguidance.levels = 2\nsweep.samples = 4\n",
         )
         assert run_cli("sweep", "--config", cfg, "--grid", "1:1", "--out", str(tmp_path / "s.csv")) == 3
+
+    def test_null_condition_rejected_unless_autoguided(self, tmp_path, capsys):
+        # with a null condition d_c = d_u, so every grid point would give the same row
+        cfg = write_config(tmp_path, extra="sweep.samples = 2\n")
+        out = str(tmp_path / "s.csv")
+        argv = ("sweep", "--config", cfg, "--set", "sample.condition=null", "--grid", "1:1,3:3")
+        assert run_cli(*argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "sample.condition" in err
+        assert not os.path.exists(out)
+        assert run_cli(*argv, "--set", "autoguide.enabled=true", "--set", "autoguide.jitter_rel=0.1",
+                       "--out", out) == 0
+
+    def test_rows_match_sample_runs_with_weights_and_interval(self, tmp_path):
+        """A sweep row is the metrics of ``sample`` at that point's scales,
+        with the shared defaults (no sample.sampler here) and every guidance key."""
+        base = BASE_CONFIG.replace("sample.sampler = euler\n", "")
+        guided = "guidance.transform = pyramid\nguidance.levels = 1\nsweep.samples = 6\n"
+        keys = "guidance.parallel_weights = 0.5,0.5\nguidance.interval = 0.9:0.1\n"
+        cfg_path, plain_path = tmp_path / "run.cfg", tmp_path / "plain.cfg"
+        cfg_path.write_text(base + guided + keys)
+        plain_path.write_text(base + guided)
+        rows = {}
+        for name, path in (("run", cfg_path), ("plain", plain_path)):
+            out = str(tmp_path / f"{name}.csv")
+            assert run_cli("sweep", "--config", str(path), "--grid", "2:3", "--out", out) == 0
+            with open(out, newline="") as fh:
+                rows[name] = list(csv.reader(fh))[1]
+        assert rows["run"] != rows["plain"]
+
+        out = str(tmp_path / "point.fqg")
+        assert run_cli("sample", "--config", str(cfg_path), "--set", "guidance.scales=3,2",
+                       "--set", "sample.batch=6", "--out", out) == 0
+        samples = read_tensor(out)
+        mix, labels, _ = cli.build_model(Config.from_path(cfg_path))
+        target = mix.restricted(np.flatnonzero(labels == 0))
+        report = mode_report(samples, target, default_tau(mix))
+        expected = (2.0, 3.0, report.recall, report.precision, saturation_proxy(samples, target),
+                    *band_energy_fraction(samples, TransformKind.pyramid(1)))
+        assert [float(cell) for cell in rows["run"]] == list(expected)
+
+
+class TestTransformFit:
+    """A transform that cannot decompose the image size fails before any work."""
+
+    ODD = ("--set", "mixture.height=15", "--set", "mixture.width=17", "--set", "mixture.centers=5:5,10:12")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sample", ()), ("analyze-norms", ()), ("sweep", ("--grid", "1:1")),
+    ])
+    def test_haar_on_odd_image_is_config_error(self, tmp_path, capsys, monkeypatch, command, flags):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the transform was checked")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        cfg = write_config(tmp_path, extra="guidance.transform = haar\nsweep.samples = 2\n")
+        out = str(tmp_path / "x.out")
+        assert run_cli(command, "--config", cfg, *self.ODD, *flags, "--out", out) == 3
+        assert "haar transform needs even spatial dims, got 15x17" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_combine_haar_on_odd_image_is_usage_error(self, tmp_path, capsys):
+        paths = []
+        for name in ("c", "u"):
+            paths.append(str(tmp_path / f"{name}.fqg"))
+            write_tensor(paths[-1], Tensor4(rng.uniform(-1, 1, (1, 1, 15, 17))))
+        out = str(tmp_path / "x.fqg")
+        code = run_cli("combine", "--cond", paths[0], "--uncond", paths[1], "--transform", "haar",
+                       "--scales", "2,1", "--out", out)
+        assert code == 2
+        assert "error [usage]" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestSingleGaussianConfig:

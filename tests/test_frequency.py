@@ -8,17 +8,12 @@ from freqguide import (
     ShapeError,
     Tensor4,
     TransformKind,
-    build_laplacian_pyramid,
-    gaussian_blur,
-    haar_dwt,
-    haar_idwt,
     inverse_bands,
     pyr_down,
     pyr_up,
-    reconstruct_from_pyramid,
     transform_bands,
 )
-from freqguide.frequency import BLUR_KERNEL, WaveletBands, max_pyramid_levels
+from freqguide.frequency import BLUR_KERNEL, max_pyramid_levels
 
 rng = np.random.default_rng(11)
 
@@ -51,11 +46,33 @@ def direct_conv2d_oracle(img, kernel2d):
 KERNEL_2D = np.outer(BLUR_KERNEL, BLUR_KERNEL)
 
 
+def gaussian_blur(x):
+    """The engine's separable blur, B_h @ x @ B_wᵀ, on a raw array."""
+    h, w = x.shape[2:]
+    return frequency._blur_matrix(h) @ x @ frequency._blur_matrix(w).T
+
+
+def pyramid(x, levels):
+    """(detail bands fine to coarse, residual) of a ``levels``-level pyramid."""
+    *bands, residual = transform_bands(x, TransformKind.pyramid(levels))
+    return bands, residual
+
+
+def reconstruct(bands, residual):
+    return inverse_bands(list(bands) + [residual], TransformKind.pyramid(len(bands)))
+
+
+def haar_subbands(x):
+    """(ll, lh, hl, hh) sliced from the channel-stacked Haar detail band."""
+    details, ll = transform_bands(x, TransformKind.haar())
+    lh, hl, hh = np.split(details.data, 3, axis=1)
+    return ll.data, lh, hl, hh
+
+
 class TestGaussianBlur:
     def test_constant_preserved(self):
-        c = Tensor4.full((1, 2, 9, 9), 3.25)
-        out = gaussian_blur(c)
-        assert np.abs(out.data - 3.25).max() == 0.0
+        out = gaussian_blur(np.full((1, 2, 9, 9), 3.25))
+        assert np.abs(out - 3.25).max() == 0.0
         # oracle agrees: kernel sums to 1 under reflect padding
         oracle = direct_conv2d_oracle(np.full((9, 9), 3.25), KERNEL_2D)
         assert np.abs(oracle - 3.25).max() < 1e-15
@@ -63,30 +80,26 @@ class TestGaussianBlur:
     def test_centered_impulse_is_kernel_outer_product(self):
         img = np.zeros((1, 1, 9, 9))
         img[0, 0, 4, 4] = 1.0
-        out = gaussian_blur(Tensor4(img)).data[0, 0]
+        out = gaussian_blur(img)[0, 0]
         expected = np.zeros((9, 9))
         expected[2:7, 2:7] = KERNEL_2D
         assert np.abs(out - expected).max() < 1e-16
 
     def test_matches_direct_convolution_oracle(self):
         x = rng.uniform(-2, 2, (7, 11))
-        got = gaussian_blur(Tensor4(x[None, None])).data[0, 0]
+        got = gaussian_blur(x[None, None])[0, 0]
         assert np.abs(got - direct_conv2d_oracle(x, KERNEL_2D)).max() < 1e-14
 
     def test_linearity(self):
-        a, b = rand((1, 1, 8, 8)), rand((1, 1, 8, 8))
-        lhs = gaussian_blur(Tensor4(a.data + b.data)).data
-        rhs = gaussian_blur(a).data + gaussian_blur(b).data
+        a, b = rand((1, 1, 8, 8)).data, rand((1, 1, 8, 8)).data
+        lhs = gaussian_blur(a + b)
+        rhs = gaussian_blur(a) + gaussian_blur(b)
         assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_too_small_raises(self):
-        with pytest.raises(ShapeError):
-            gaussian_blur(rand((1, 1, 4, 9)))
 
 
 class TestPyrDown:
     def test_constant(self):
-        out = pyr_down(Tensor4.full((1, 1, 8, 8), 1.5))
+        out = pyr_down(Tensor4(np.full((1, 1, 8, 8), 1.5)))
         assert out.dims == (1, 1, 4, 4)
         assert np.abs(out.data - 1.5).max() == 0.0
 
@@ -107,7 +120,7 @@ class TestPyrDown:
 
 class TestPyrUp:
     def test_constant(self):
-        c = pyr_up(Tensor4.full((1, 1, 4, 4), 2.5), (8, 8))
+        c = pyr_up(Tensor4(np.full((1, 1, 4, 4), 2.5)), (8, 8))
         assert c.dims == (1, 1, 8, 8)
         assert np.abs(c.data - 2.5).max() < 1e-15
 
@@ -129,58 +142,51 @@ class TestPyrUp:
 class TestLaplacianPyramid:
     def test_single_level_definition_unrolled(self):
         x = rand((1, 2, 16, 16))
-        p = build_laplacian_pyramid(x, 1)
+        bands, residual = pyramid(x, 1)
         down = pyr_down(x)
         expected_band = x.data - pyr_up(down, (16, 16)).data
-        assert np.abs(p.bands[0].data - expected_band).max() == 0.0
-        assert np.array_equal(p.residual.data, down.data)
+        assert np.abs(bands[0].data - expected_band).max() == 0.0
+        assert np.array_equal(residual.data, down.data)
 
     def test_constant_image_concentrates_in_residual(self):
-        p = build_laplacian_pyramid(Tensor4.full((1, 1, 32, 32), -4.0), 2)
-        for band in p.bands:
+        bands, residual = pyramid(Tensor4(np.full((1, 1, 32, 32), -4.0)), 2)
+        for band in bands:
             assert np.abs(band.data).max() < 1e-12
-        assert np.abs(p.residual.data + 4.0).max() < 1e-12
+        assert np.abs(residual.data + 4.0).max() < 1e-12
 
     def test_linearity_bandwise(self):
         a, b = rand((1, 1, 32, 32)), rand((1, 1, 32, 32))
-        pa = build_laplacian_pyramid(a, 2)
-        pb = build_laplacian_pyramid(b, 2)
-        pab = build_laplacian_pyramid(Tensor4(a.data + b.data), 2)
-        for band_ab, band_a, band_b in zip(pab.bands, pa.bands, pb.bands):
+        kind = TransformKind.pyramid(2)
+        pa, pb = transform_bands(a, kind), transform_bands(b, kind)
+        pab = transform_bands(Tensor4(a.data + b.data), kind)
+        for band_ab, band_a, band_b in zip(pab, pa, pb):
             assert np.abs(band_ab.data - band_a.data - band_b.data).max() < 1e-12
-        assert np.abs(pab.residual.data - pa.residual.data - pb.residual.data).max() < 1e-12
 
     @pytest.mark.parametrize("size", [32, 48, 64])
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_perfect_reconstruction(self, size, levels):
         x = rand((1, 3, size, size), lo=-10.0, hi=10.0)
-        rec = reconstruct_from_pyramid(build_laplacian_pyramid(x, levels))
+        rec = reconstruct(*pyramid(x, levels))
         assert np.abs(rec.data - x.data).max() < 1e-9
 
     def test_reconstruct_zero_bands_is_up_chain(self):
-        x = rand((1, 1, 32, 32))
-        p = build_laplacian_pyramid(x, 2)
-        zeroed = type(p)(
-            bands=tuple(Tensor4.zeros(b.dims) for b in p.bands), residual=p.residual
-        )
-        rec = reconstruct_from_pyramid(zeroed)
-        chain = pyr_up(pyr_up(p.residual, (16, 16)), (32, 32))
+        bands, residual = pyramid(rand((1, 1, 32, 32)), 2)
+        rec = reconstruct([Tensor4(np.zeros(b.dims)) for b in bands], residual)
+        chain = pyr_up(pyr_up(residual, (16, 16)), (32, 32))
         assert np.abs(rec.data - chain.data).max() < 1e-12
 
     def test_reconstruct_linear(self):
         x, y = rand((1, 1, 32, 32)), rand((1, 1, 32, 32))
-        px, py = build_laplacian_pyramid(x, 2), build_laplacian_pyramid(y, 2)
-        summed = type(px)(
-            bands=tuple(Tensor4(a.data + b.data) for a, b in zip(px.bands, py.bands)),
-            residual=Tensor4(px.residual.data + py.residual.data),
+        (bx, rx), (by, ry) = pyramid(x, 2), pyramid(y, 2)
+        summed = reconstruct(
+            [Tensor4(a.data + b.data) for a, b in zip(bx, by)], Tensor4(rx.data + ry.data)
         )
-        lhs = reconstruct_from_pyramid(summed).data
-        rhs = reconstruct_from_pyramid(px).data + reconstruct_from_pyramid(py).data
-        assert np.abs(lhs - rhs).max() < 1e-12
+        rhs = reconstruct(bx, rx).data + reconstruct(by, ry).data
+        assert np.abs(summed.data - rhs).max() < 1e-12
 
     def test_too_many_levels_lists_max(self):
         with pytest.raises(ShapeError, match="max feasible is 3"):
-            build_laplacian_pyramid(rand((1, 1, 32, 32)), 4)
+            pyramid(rand((1, 1, 32, 32)), 4)
         assert max_pyramid_levels(32, 32) == 3
         assert max_pyramid_levels(64, 64) == 4
 
@@ -195,61 +201,60 @@ class TestHaar:
         )
         ll, lh, hl, hh = mat @ block
         assert ll == pytest.approx(2 * c)
-        got = haar_dwt(Tensor4.full((1, 1, 2, 2), c))
-        assert got.ll.data.item() == pytest.approx(2 * c)
-        for name in ("lh", "hl", "hh"):
-            assert abs(getattr(got, name).data.item()) < 1e-15
+        got_ll, *details = haar_subbands(Tensor4(np.full((1, 1, 2, 2), c)))
+        assert got_ll.item() == pytest.approx(2 * c)
+        for band in details:
+            assert abs(band.item()) < 1e-15
 
     def test_matches_matrix_oracle_on_random_input(self):
         x = rng.uniform(-3, 3, (1, 1, 6, 8))
-        got = haar_dwt(Tensor4(x))
+        ll, lh, hl, hh = haar_subbands(Tensor4(x))
         for i in range(3):
             for j in range(4):
                 a, b = x[0, 0, 2 * i, 2 * j], x[0, 0, 2 * i, 2 * j + 1]
                 c, d = x[0, 0, 2 * i + 1, 2 * j], x[0, 0, 2 * i + 1, 2 * j + 1]
-                assert got.ll.data[0, 0, i, j] == pytest.approx((a + b + c + d) / 2, abs=1e-14)
-                assert got.lh.data[0, 0, i, j] == pytest.approx((a - b + c - d) / 2, abs=1e-14)
-                assert got.hl.data[0, 0, i, j] == pytest.approx((a + b - c - d) / 2, abs=1e-14)
-                assert got.hh.data[0, 0, i, j] == pytest.approx((a - b - c + d) / 2, abs=1e-14)
+                assert ll[0, 0, i, j] == pytest.approx((a + b + c + d) / 2, abs=1e-14)
+                assert lh[0, 0, i, j] == pytest.approx((a - b + c - d) / 2, abs=1e-14)
+                assert hl[0, 0, i, j] == pytest.approx((a + b - c - d) / 2, abs=1e-14)
+                assert hh[0, 0, i, j] == pytest.approx((a - b - c + d) / 2, abs=1e-14)
 
     @pytest.mark.parametrize("size", [32, 48, 64])
     def test_inverse(self, size):
         x = rand((2, 3, size, size), lo=-10.0, hi=10.0)
-        rec = haar_idwt(haar_dwt(x))
+        rec = inverse_bands(transform_bands(x, TransformKind.haar()), TransformKind.haar())
         assert np.abs(rec.data - x.data).max() < 1e-9
 
     def test_energy_identity(self):
         x = rand((1, 2, 16, 16))
-        w = haar_dwt(x)
         e_in = np.sum(x.data**2)
-        e_out = sum(np.sum(getattr(w, k).data ** 2) for k in ("ll", "lh", "hl", "hh"))
+        e_out = sum(np.sum(band**2) for band in haar_subbands(x))
         assert abs(e_in - e_out) < 1e-9 * e_in
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            haar_dwt(rand((1, 1, 5, 6)))
+            transform_bands(rand((1, 1, 5, 6)), TransformKind.haar())
 
     def test_inconsistent_band_dims_rejected(self):
-        w = haar_dwt(rand((1, 1, 4, 4)))
+        details, ll = transform_bands(rand((1, 1, 4, 4)), TransformKind.haar())
         with pytest.raises(ShapeError):
-            haar_idwt(WaveletBands(ll=w.ll, lh=w.lh, hl=w.hl, hh=Tensor4.zeros((1, 1, 3, 3))))
+            inverse_bands([Tensor4(details.data[:, :, :, :1]), ll], TransformKind.haar())
 
 
 class TestBandSeparation:
     def test_smooth_blob_energy_stays_low(self):
         yy, xx = np.mgrid[0:64, 0:64].astype(float)
         blob = np.exp(-((yy - 32) ** 2 + (xx - 32) ** 2) / (2 * 8.0**2))
-        p = build_laplacian_pyramid(Tensor4(blob[None, None]), 2)
-        total = sum(np.sum(b.data**2) for b in p.bands) + np.sum(p.residual.data**2)
-        deep = np.sum(p.bands[-1].data ** 2) + np.sum(p.residual.data**2)
+        bands, residual = pyramid(Tensor4(blob[None, None]), 2)
+        total = sum(np.sum(b.data**2) for b in bands) + np.sum(residual.data**2)
+        deep = np.sum(bands[-1].data ** 2) + np.sum(residual.data**2)
         assert deep / total >= 0.9
 
     def test_checkerboard_energy_is_high_band(self):
         yy, xx = np.mgrid[0:64, 0:64]
         checker = ((-1.0) ** (yy + xx)).astype(float)
-        p = build_laplacian_pyramid(Tensor4(checker[None, None]), 2)
-        total = sum(np.sum(b.data**2) for b in p.bands) + np.sum(p.residual.data**2)
-        assert np.sum(p.bands[0].data ** 2) / total >= 0.9
+        bands, residual = pyramid(Tensor4(checker[None, None]), 2)
+        total = sum(np.sum(b.data**2) for b in bands) + np.sum(residual.data**2)
+        assert np.sum(bands[0].data ** 2) / total >= 0.9
 
 
 class TestTransformBands:
@@ -267,12 +272,14 @@ class TestTransformBands:
     def test_haar_details_stacked_along_channels(self):
         x = rand((1, 3, 8, 8))
         details, ll = transform_bands(x, TransformKind.haar())
-        w = haar_dwt(x)
+        # the 2x2 block formulas on strided views: a b / c d
+        a, b = x.data[..., 0::2, 0::2], x.data[..., 0::2, 1::2]
+        c, d = x.data[..., 1::2, 0::2], x.data[..., 1::2, 1::2]
         assert details.dims == (1, 9, 4, 4)
-        assert np.array_equal(details.data[:, 0:3], w.lh.data)
-        assert np.array_equal(details.data[:, 3:6], w.hl.data)
-        assert np.array_equal(details.data[:, 6:9], w.hh.data)
-        assert np.array_equal(ll.data, w.ll.data)
+        assert np.abs(details.data[:, 0:3] - (a - b + c - d) / 2).max() < 1e-14
+        assert np.abs(details.data[:, 3:6] - (a + b - c - d) / 2).max() < 1e-14
+        assert np.abs(details.data[:, 6:9] - (a - b - c + d) / 2).max() < 1e-14
+        assert np.abs(ll.data - (a + b + c + d) / 2).max() < 1e-14
 
     def test_band_count_validation(self):
         x = rand((1, 1, 16, 16))

@@ -418,11 +418,6 @@ class TestCrossover:
             brute = min(range(12), key=lambda i: (abs(low[i] - high[i]), i))
             assert crossover_step(records) == brute
 
-    def test_first_crossing_flag(self):
-        records = make_records([5.0, 3.0, 1.0, 0.5, 2.0], [1.0, 1.0, 2.0, 1.0, 1.0])
-        assert crossover_step(records) == 3  # global argmin |low-high|
-        assert crossover_step(records, first_crossing=True) == 2  # first sign flip
-
     def test_needs_two_records(self):
         with pytest.raises(UsageError):
             crossover_step([])
