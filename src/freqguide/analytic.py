@@ -10,6 +10,7 @@ claims can be tested without approximation error.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,11 @@ class IsotropicGaussianMixture:
     ``sq_norms`` (‖m_k‖²) and ``log_weights``.  A mixture made by
     ``restricted`` records its ``parent`` and the ``indices`` it took, so
     ``posterior_mean`` can evaluate it together with the parent.
+
+    When the means are sums of fewer shared images than there are
+    components, ``atoms`` (A, D) and a 0/1 ``incidence`` (K, A) with
+    ``incidence @ atoms == flat`` let ``posterior_mean`` work through the A
+    atoms instead of the K means; otherwise both are None.
     """
 
     weights: np.ndarray  # (K,)
@@ -40,6 +46,8 @@ class IsotropicGaussianMixture:
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False, compare=False)
     indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    atoms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    incidence: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -58,17 +66,25 @@ class IsotropicGaussianMixture:
             raise DomainError("scales must be positive")
         weights = weights / weights.sum()
         flat = means.reshape(k, -1)
-        cached = {
+        self._freeze({
             "weights": weights,
             "means": means,
             "scales": scales,
             "flat": flat,
             "sq_norms": np.einsum("kd,kd->k", flat, flat),
             "log_weights": np.log(weights),
-        }
-        for name, arr in cached.items():
+        })
+
+    def _freeze(self, arrays: dict) -> None:
+        for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def _keep_atoms(self, atoms: np.ndarray, incidence: np.ndarray) -> None:
+        """Record shared atoms, given ``incidence @ atoms == flat``; kept only
+        when there are fewer atoms than components, where they save work."""
+        if atoms.shape[0] < self.n_components:
+            self._freeze({"atoms": atoms, "incidence": incidence})
 
     @property
     def n_components(self) -> int:
@@ -90,10 +106,25 @@ class IsotropicGaussianMixture:
         sub = IsotropicGaussianMixture(
             weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
         )
-        idx.flags.writeable = False
+        sub._freeze({"indices": idx})
         object.__setattr__(sub, "parent", self)
-        object.__setattr__(sub, "indices", idx)
+        if self.atoms is not None:
+            sub._freeze({"atoms": self.atoms, "incidence": self.incidence[idx]})
         return sub
+
+
+def _dots(zf: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
+    """z_b · m_k as (B, K)."""
+    if mix.atoms is None:
+        return zf @ mix.flat.T
+    return (zf @ mix.atoms.T) @ mix.incidence.T
+
+
+def _weighted_means(w: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
+    """Σ_k w_bk m_k as (B, D)."""
+    if mix.atoms is None:
+        return w @ mix.flat
+    return (w @ mix.incidence) @ mix.atoms
 
 
 def _from_distances(
@@ -108,7 +139,7 @@ def _from_distances(
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
     z_coef = resp @ (mix.scales**2 / var)  # (B,)
-    out = (resp * (sigma**2 / var)[None, :]) @ mix.flat  # (B, D)
+    out = _weighted_means(resp * (sigma**2 / var)[None, :], mix)  # (B, D)
     out += z_coef[:, None] * zf
     if not np.isfinite(out).all():
         raise DomainError(f"posterior mean overflows float64 at sigma={sigma:g}")
@@ -142,7 +173,7 @@ def posterior_mean(
         z_sq = np.einsum("bd,bd->b", zf, zf)
         if not np.isfinite(z_sq).all():
             raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
-        sq_dist = z_sq[:, None] - 2.0 * (zf @ mix.flat.T) + mix.sq_norms[None, :]  # (B, K)
+        sq_dist = z_sq[:, None] - 2.0 * _dots(zf, mix) + mix.sq_norms[None, :]  # (B, K)
         full = Tensor4(_from_distances(zf, sq_dist, sigma, mix).reshape(z.dims))
         if subset is None:
             return full
@@ -150,24 +181,33 @@ def posterior_mean(
     return Tensor4(part.reshape(z.dims)), full
 
 
-def _class_mixture(by_class: dict, condition) -> IsotropicGaussianMixture:
-    if condition not in by_class:
-        raise ConfigError(f"unknown class {condition}; have {sorted(by_class)}")
-    return by_class[condition]
-
-
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
-    """Pair from one mixture whose ``both`` shares a single distance pass."""
+    """Pair from one mixture whose ``both`` shares a single distance pass.
+
+    A class's restricted mixture is built the first time that class is asked
+    for and kept in ``by_class``; the lock lets sweep threads share a pair.
+    """
 
     mix: IsotropicGaussianMixture
-    by_class: dict
+    labels: np.ndarray
+    classes: tuple
+    by_class: dict = field(default_factory=dict)
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def class_mixture(self, condition) -> IsotropicGaussianMixture:
+        if condition not in self.classes:
+            raise ConfigError(f"unknown class {condition}; have {list(self.classes)}")
+        with self.lock:
+            if condition not in self.by_class:
+                self.by_class[condition] = self.mix.restricted(np.flatnonzero(self.labels == condition))
+            return self.by_class[condition]
 
     def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
         if condition is None:
             d_u = posterior_mean(z, sigma, self.mix)
             return d_u, d_u
-        return posterior_mean(z, sigma, self.mix, subset=_class_mixture(self.by_class, condition))
+        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition))
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
@@ -178,22 +218,18 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (mix.n_components,):
         raise ConfigError(f"labels must cover all {mix.n_components} components")
-    by_class = {}
-    for class_id in np.unique(labels):
-        idx = np.flatnonzero(labels == class_id)
-        if idx.size == 0:
-            raise ConfigError(f"class {class_id} is empty")
-        by_class[int(class_id)] = mix.restricted(idx)
 
     def cond(z: Tensor4, sigma: float, condition=None) -> Tensor4:
         if condition is None:
             return posterior_mean(z, sigma, mix)
-        return posterior_mean(z, sigma, _class_mixture(by_class, condition))
+        return posterior_mean(z, sigma, pair.class_mixture(condition))
 
     def uncond(z: Tensor4, sigma: float) -> Tensor4:
         return posterior_mean(z, sigma, mix)
 
-    return _MixturePair(cond=cond, uncond=uncond, mix=mix, by_class=by_class)
+    classes = tuple(np.unique(labels).tolist())
+    pair = _MixturePair(cond=cond, uncond=uncond, mix=mix, labels=labels, classes=classes)
+    return pair
 
 
 def degrade(
@@ -321,20 +357,37 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
 
     Mean (j, k) is ``spec.mean_image(j, k)``; the blob depends only on the
     center and the texture only on (center parity, class), so each is built
-    once and the sums are broadcast into place.
+    once and the sums are broadcast into place.  The J blobs and the
+    min(2, J)·C textures are also the mixture's atoms (kept when they number
+    fewer than the J·C components): row j·C + k of the incidence matrix
+    picks blob j and texture (j mod 2, k).
     """
     n_centers, n_classes = len(spec.centers), spec.n_classes
-    blobs = spec._blob_planes(spec.centers)[:, None, None]  # (J, 1, 1, H, W)
+    n_parities = min(2, n_centers)
+    blobs = np.broadcast_to(
+        spec._blob_planes(spec.centers)[:, None], (n_centers,) + spec.image_shape
+    )  # (J, C, H, W)
+    textures = np.stack(
+        [[spec.texture_image(p, k) for k in range(n_classes)] for p in range(n_parities)]
+    )  # (P, classes, C, H, W)
     means = np.empty((n_centers, n_classes) + spec.image_shape)
-    for parity in range(min(2, n_centers)):
-        textures = np.stack([spec.texture_image(parity, k) for k in range(n_classes)])
-        np.add(blobs[parity::2], textures, out=means[parity::2])
+    for parity in range(n_parities):
+        np.add(blobs[parity::2, None], textures[parity], out=means[parity::2])
     weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
-    return IsotropicGaussianMixture(
+    k = n_centers * n_classes
+    mix = IsotropicGaussianMixture(
         weights=weights.reshape(-1),
         means=means.reshape((-1,) + spec.image_shape),
-        scales=np.full(n_centers * n_classes, spec.noise_scale),
+        scales=np.full(k, spec.noise_scale),
     )
+    rows = np.arange(k)
+    center, cls = np.divmod(rows, n_classes)
+    incidence = np.zeros((k, n_centers + n_parities * n_classes))
+    incidence[rows, center] = 1.0
+    incidence[rows, n_centers + (center % 2) * n_classes + cls] = 1.0
+    atoms = np.concatenate([blobs.reshape(n_centers, -1), textures.reshape(n_parities * n_classes, -1)])
+    mix._keep_atoms(atoms, incidence)
+    return mix
 
 
 def sample_blob_texture(spec: BlobTextureSpec, class_index: int, seed: int, n: int) -> Tensor4:

@@ -91,7 +91,7 @@ class Config:
 
     def get_floats(self, key: str, default=_REQUIRED, sep: str = ",") -> tuple[float, ...]:
         def convert(raw: str) -> tuple[float, ...]:
-            return tuple(float(part) for part in raw.split(sep) if part.strip() != "")
+            return tuple(float(part) for part in raw.split(sep))  # an empty item is a ValueError
 
         return self._get(key, default, convert, "a number list")
 

@@ -7,6 +7,7 @@ dz/dsigma = (z - x0hat) / sigma, integrated from sigma_max down to 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in ("linear", "karras"):
             raise UsageError(f"unknown schedule kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.sigma_max, self.sigma_min, self.rho)):
+            raise DomainError("sigma_max, sigma_min and rho must be finite")
         if self.sigma_max <= 0:
             raise DomainError("sigma_max must be > 0")
         if self.kind == "karras":

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -188,8 +190,41 @@ class TestDenoiserPair:
     def test_unknown_class_rejected(self):
         mix = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])
         pair = make_denoiser_pair(mix, [0])
+        z = Tensor4(np.zeros((1,) + SHAPE))
         with pytest.raises(ConfigError):
-            pair.cond(Tensor4(np.zeros((1,) + SHAPE)), 1.0, 5)
+            pair.cond(z, 1.0, 5)
+        with pytest.raises(ConfigError):
+            pair.both(z, 1.0, 5)
+        assert pair.by_class == {}
+
+    def test_class_subset_built_on_first_use(self):
+        mix = mixture([0.2, 0.3, 0.5], rng.normal(size=(3,) + SHAPE), [0.5, 0.5, 0.5])
+        pair = make_denoiser_pair(mix, [0, 1, 1])
+        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        assert pair.by_class == {}
+        pair.both(z, 1.0, None)
+        assert pair.by_class == {}
+        pair.both(z, 1.0, 1)
+        sub = pair.by_class[1]
+        assert list(pair.by_class) == [1] and list(sub.indices) == [1, 2] and sub.parent is mix
+        pair.cond(z, 1.0, 1)
+        assert pair.by_class[1] is sub
+
+    def test_threads_share_one_class_subset(self):
+        spec = BlobTextureSpec(n_classes=3)
+        mix = blob_mixture_from_spec(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                pair = make_denoiser_pair(mix, class_labels(spec))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(pair.class_mixture, i % 3) for i in range(24)]
+                    got = [f.result(timeout=30) for f in futures]
+                assert sorted(pair.by_class) == [0, 1, 2]
+                assert all(sub is pair.by_class[i % 3] for i, sub in enumerate(got))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_labels_must_cover_components(self):
         mix = mixture([0.5, 0.5], np.zeros((2,) + SHAPE), [1.0, 1.0])
@@ -218,7 +253,11 @@ def model(request):
 class TestJointEvaluation:
     @pytest.mark.parametrize("sigma", [80.0, 3.0, 0.3, 0.02])
     def test_both_equals_separate_calls(self, model, sigma):
+        """The joint pass equals separate calls, and the many-mode model's
+        atom path equals the dense path through its K means."""
         spec, mix, labels, pair = model
+        dense = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        assert dense.atoms is None
         gen = np.random.default_rng(11)
         for condition in [None] + list(range(spec.n_classes)):
             x = sample_blob_texture(spec, condition or 0, seed=3, n=4).data
@@ -226,11 +265,13 @@ class TestJointEvaluation:
             d_c, d_u = pair.both(z, sigma, condition)
             full = posterior_mean(z, sigma, mix).data
             assert np.array_equal(d_u.data, full)
+            assert np.abs(full - posterior_mean(z, sigma, dense).data).max() <= 1e-12
             if condition is None:
                 assert np.array_equal(d_c.data, full)
                 continue
-            sub = mix.restricted(np.flatnonzero(labels == condition))
-            assert np.abs(d_c.data - posterior_mean(z, sigma, sub).data).max() <= 1e-12
+            idx = np.flatnonzero(labels == condition)
+            for reference in (mix.restricted(idx), dense.restricted(idx)):
+                assert np.abs(d_c.data - posterior_mean(z, sigma, reference).data).max() <= 1e-12
 
     def test_subset_must_come_from_mix(self):
         a = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
@@ -275,6 +316,18 @@ class TestCachedConstants:
         assert sub.parent is mix and list(sub.indices) == [1, 4]
         assert not sub.indices.flags.writeable
         assert mix.parent is None and mix.indices is None
+
+    def test_atoms_read_only_and_shared_by_restricted(self):
+        mix = blob_mixture_from_spec(BlobTextureSpec(n_classes=3))  # A = 4 + 2·3 < K = 12
+        sub = mix.restricted([1, 4, 11])
+        assert sub.atoms is mix.atoms and mix.atoms.shape == (10, mix.dim)
+        assert np.array_equal(sub.incidence, mix.incidence[[1, 4, 11]])
+        assert np.array_equal(sub.incidence @ sub.atoms, sub.flat)
+        for arr in (mix.atoms, mix.incidence, sub.incidence):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert degrade(mix, 0.0, 1.0, seed=0).atoms is None
 
     def test_restricted_copies_caller_indices(self):
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
@@ -408,14 +461,27 @@ class TestVectorizedBuild:
                 class_center_weights=((0.2, 0.3, 0.5), (0.6, 0.2, 0.2), (1 / 3, 1 / 3, 1 / 3)),
             ),
             BlobTextureSpec(height=16, width=20, centers=((5.0, 5.0),), n_classes=1, blob_block=2),
+            BlobTextureSpec(
+                height=15, width=17, channels=2,
+                centers=((3.0, 4.0), (11.5, 2.0), (7.0, 16.0)),
+                n_classes=4,
+            ),
             acceptance_spec(),
             many_modes_spec(),
         ],
-        ids=["default", "odd-3x3", "one-center-block2", "acceptance", "many-modes"],
+        ids=["default", "odd-3x3", "one-center-block2", "odd-3x4", "acceptance", "many-modes"],
     )
     def test_equals_per_component_loop(self, spec):
         mix = blob_mixture_from_spec(spec)
         weights, means = loop_mixture(spec)
+        # atoms: J blobs and min(2, J) textures per class, kept only when
+        # fewer than the K components (odd-3x4 and many-modes)
+        n_atoms = len(spec.centers) + min(2, len(spec.centers)) * spec.n_classes
+        assert (mix.atoms is not None) == (n_atoms < len(means))
+        if mix.atoms is not None:
+            assert mix.atoms.shape == (n_atoms, mix.dim)
+            assert set(np.unique(mix.incidence)) == {0.0, 1.0}
+            assert np.array_equal(mix.incidence @ mix.atoms, means.reshape(len(means), -1))
         assert mix.means.tobytes() == means.tobytes()
         assert mix.weights.tobytes() == mixture(weights, means, mix.scales).weights.tobytes()
         assert mix.scales.tobytes() == np.full(len(means), spec.noise_scale).tobytes()

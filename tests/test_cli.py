@@ -347,6 +347,23 @@ class TestMalformedNumbers:
         assert f"error [{category}]" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("guidance.scales", "2,,1.5"),
+            ("guidance.scales", "2,1.5,"),
+            ("guidance.parallel_weights", "1,,1"),
+            ("guidance.interval", "0.9::0.1"),
+        ],
+    )
+    def test_empty_list_item_is_config_error_naming_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, extra="guidance.transform = pyramid\nguidance.scales = 2,1.5\n")
+        out = str(tmp_path / "x.fqg")
+        assert run_cli("sample", "--config", cfg, "--set", f"{key}={value}", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and repr(key) in err
+        assert not os.path.exists(out)
+
 
 class TestSweep:
     def test_baseline_point_and_duplicates(self, tmp_path):
@@ -600,6 +617,17 @@ class TestProcessBoundary:
             assert "error [domain]" in proc.stderr
             assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
             assert not (tmp_path / "x.fqg").exists()
+
+    def test_infinite_sigma_max_is_domain_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqguide", "sample", "--config", write_config(tmp_path),
+             "--set", "schedule.sigma_max=inf", "--out", str(tmp_path / "x.fqg")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert "error [domain]" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "x.fqg").exists()
 
     def test_error_category_on_stderr(self, tmp_path):
         missing = str(tmp_path / "nope.cfg")

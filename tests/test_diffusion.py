@@ -63,6 +63,22 @@ class TestSchedules:
         with pytest.raises(DomainError):
             NoiseSchedule.linear(-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiseSchedule.linear(float("nan")),
+            lambda: NoiseSchedule.linear(float("inf")),
+            lambda: NoiseSchedule.karras(0.02, float("inf")),
+            lambda: NoiseSchedule.karras(float("nan"), 80.0),
+            lambda: NoiseSchedule.karras(0.02, 80.0, rho=float("inf")),
+            lambda: NoiseSchedule.karras(0.02, 80.0, rho=float("nan")),
+        ],
+        ids=["linear-nan", "linear-inf", "karras-max-inf", "karras-min-nan", "rho-inf", "rho-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
 
 class TestKarrasGrid:
     def test_single_step(self):
