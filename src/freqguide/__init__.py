@@ -9,7 +9,6 @@ from .analytic import (
     degrade,
     make_denoiser_pair,
     posterior_mean,
-    sample_blob_texture,
 )
 from .diffusion import (
     NoiseSchedule,
@@ -28,8 +27,6 @@ from .errors import (
 from .frequency import (
     TransformKind,
     inverse_bands,
-    pyr_down,
-    pyr_up,
     transform_bands,
 )
 from .guidance import (
@@ -37,8 +34,6 @@ from .guidance import (
     DenoiserPair,
     GuidanceConfig,
     NormRecorder,
-    band_norms,
-    cfg_combine,
     crossover_step,
     freqcfg_combine,
     freqcfg_combine_bands,
@@ -46,7 +41,7 @@ from .guidance import (
     project,
 )
 from .metrics import ModeReport, band_energy_fraction, default_tau, mode_report, saturation_proxy
-from .tensor import Tensor4, frobenius_norm, read_tensor, write_csv, write_tensor
+from .tensor import Tensor4, read_tensor, write_csv, write_tensor
 
 __version__ = "0.1.0"
 
@@ -69,16 +64,13 @@ __all__ = [
     "TransformKind",
     "UsageError",
     "band_energy_fraction",
-    "band_norms",
     "blob_mixture_from_spec",
-    "cfg_combine",
     "class_labels",
     "crossover_step",
     "default_tau",
     "degrade",
     "freqcfg_combine",
     "freqcfg_combine_bands",
-    "frobenius_norm",
     "guided_denoise",
     "initial_noise",
     "inverse_bands",
@@ -86,11 +78,8 @@ __all__ = [
     "mode_report",
     "posterior_mean",
     "project",
-    "pyr_down",
-    "pyr_up",
     "read_tensor",
     "sample",
-    "sample_blob_texture",
     "saturation_proxy",
     "transform_bands",
     "write_csv",

@@ -389,17 +389,3 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     mix._keep_atoms(atoms, incidence)
     return mix
 
-
-def sample_blob_texture(spec: BlobTextureSpec, class_index: int, seed: int, n: int) -> Tensor4:
-    """n seeded draws from class ``class_index``: pick a center by the class
-    center weights, then add isotropic noise at the spec scale."""
-    if not 0 <= class_index < spec.n_classes:
-        raise UsageError(f"class_index {class_index} outside [0, {spec.n_classes})")
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    probs = spec.center_weights(class_index)
-    picks = gen.choice(len(spec.centers), size=n, p=probs)
-    eps = gen.standard_normal((n,) + spec.image_shape)
-    means = np.stack([spec.mean_image(int(j), class_index) for j in picks])
-    return Tensor4(means + spec.noise_scale * eps)

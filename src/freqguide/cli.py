@@ -27,7 +27,7 @@ from .analytic import (
     make_denoiser_pair,
     posterior_mean,
 )
-from .config import Config
+from .config import Config, parse_floats
 from .diffusion import NoiseSchedule, SampleRunConfig, sample
 from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
 from .frequency import TransformKind, check_fit
@@ -57,55 +57,42 @@ CONFIG_KEYS = frozenset(
 # config -> objects
 
 
-def _floats(raw: str, sep: str, error: type[FreqGuideError], what: str) -> tuple[float, ...]:
-    """``raw`` split on ``sep`` as numbers; a malformed number raises ``error``."""
-    try:
-        return tuple(float(v) for v in raw.split(sep))
-    except ValueError as exc:
-        raise error(f"{what} {raw!r} is not a {sep!r}-separated list of numbers") from exc
-
-
-def _parse_centers(raw: str) -> tuple[tuple[float, float], ...]:
-    centers = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        center = _floats(part, ":", ConfigError, "mixture.centers entry")
-        if len(center) != 2:
-            raise ConfigError(f"center {part!r} must look like row:col")
-        centers.append(center)
-    if not centers:
-        raise ConfigError("mixture.centers is empty")
-    return tuple(centers)
-
-
-def _parse_class_center_weights(raw: str) -> tuple[tuple[float, ...], ...]:
+def _parse_rows(
+    raw: str, sep: str, width: int, error: type[FreqGuideError], name: str
+) -> tuple[tuple[float, ...], ...]:
+    """``raw`` as ``sep``-separated rows of ``width`` ':'-separated numbers,
+    each row read by ``parse_floats``; a bad row raises ``error`` naming ``name``."""
     rows = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        rows.append(_floats(chunk, ":", ConfigError, "mixture.class_center_weights row"))
-    if not rows:
-        raise ConfigError("mixture.class_center_weights is empty")
+    for row in raw.split(sep):
+        try:
+            values = parse_floats(row, ":")
+        except ValueError as exc:
+            raise error(f"{name!r}: {row!r} in {raw!r} is not a ':'-separated list of numbers") from exc
+        if len(values) != width:
+            raise error(f"{name!r}: {row!r} in {raw!r} must have {width} ':'-separated numbers")
+        rows.append(values)
     return tuple(rows)
 
 
 def build_blob_spec(cfg: Config) -> BlobTextureSpec:
-    weights_raw = cfg.get_str("mixture.class_center_weights", None)
+    centers = _parse_rows(
+        cfg.get_str("mixture.centers", "8:8,8:24,24:8,24:24"), ",", 2, ConfigError, "mixture.centers"
+    )
+    weights = cfg.get_str("mixture.class_center_weights", None)
+    if weights is not None:
+        weights = _parse_rows(weights, ";", len(centers), ConfigError, "mixture.class_center_weights")
     return BlobTextureSpec(
         height=cfg.get_int("mixture.height", 32),
         width=cfg.get_int("mixture.width", 32),
         channels=cfg.get_int("mixture.channels", 3),
-        centers=_parse_centers(cfg.get_str("mixture.centers", "8:8,8:24,24:8,24:24")),
+        centers=centers,
         blob_radius=cfg.get_float("mixture.blob_radius", 8.0),
         blob_amplitude=cfg.get_float("mixture.blob_amplitude", 1.0),
         texture_freq=cfg.get_float("mixture.texture_freq", 0.5),
         texture_amplitude=cfg.get_float("mixture.texture_amplitude", 0.02),
         n_classes=cfg.get_int("mixture.classes", 2),
         noise_scale=cfg.get_float("mixture.noise_scale", 0.05),
-        class_center_weights=None if weights_raw is None else _parse_class_center_weights(weights_raw),
+        class_center_weights=weights,
         blob_block=cfg.get_int("mixture.blob_block", 1),
     )
 
@@ -353,21 +340,6 @@ def cmd_analyze_norms(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str) -> list[tuple[float, float]]:
-    points = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        point = _floats(part, ":", UsageError, "--grid point")
-        if len(point) != 2:
-            raise UsageError(f"grid point {part!r} must look like w_low:w_high")
-        points.append(point)
-    if not points:
-        raise UsageError("empty sweep grid")
-    return points
-
-
 def _sweep_workers(n_points: int) -> int:
     workers = min(n_points, os.cpu_count() or 1)
     cap = os.environ.get("FREQGUIDE_THREADS")
@@ -405,7 +377,7 @@ def cmd_sweep(args) -> int:
     tau = cfg.get_float("sweep.tau", None)
     if tau is None:
         tau = default_tau(mix)
-    points = _parse_grid(args.grid)
+    points = _parse_rows(args.grid, ",", 2, UsageError, "--grid")
 
     def run_point(point):
         w_low, w_high = point

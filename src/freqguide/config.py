@@ -31,6 +31,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def parse_floats(raw: str, sep: str = ",") -> tuple[float, ...]:
+    """The one rule for a list of numbers: ``raw`` split on ``sep``, every
+    item a number; an empty or malformed item raises ``ValueError``."""
+    return tuple(float(item) for item in raw.split(sep))
+
+
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -90,10 +96,7 @@ class Config:
         return self._get(key, default, _parse_bool, "a boolean")
 
     def get_floats(self, key: str, default=_REQUIRED, sep: str = ",") -> tuple[float, ...]:
-        def convert(raw: str) -> tuple[float, ...]:
-            return tuple(float(part) for part in raw.split(sep))  # an empty item is a ValueError
-
-        return self._get(key, default, convert, "a number list")
+        return self._get(key, default, lambda raw: parse_floats(raw, sep), "a number list")
 
     def resolved(self) -> dict[str, str]:
         return dict(sorted(self.values.items()))

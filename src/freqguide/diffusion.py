@@ -115,15 +115,19 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
 
     Heun uses an Euler predictor plus trapezoidal corrector, except for the
     final step to sigma = 0 which stays plain Euler (the corrector would need
-    a denoiser evaluation at zero noise).
+    a denoiser evaluation at zero noise).  ``recorder`` gets one record per
+    step whose guidance gate is open, under that sampler step i.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
 
-    def denoise(z: Tensor4, sigma: float, t: float, rec) -> Tensor4:
+    def denoise(z: Tensor4, i: int, rec) -> Tensor4:
+        sigma = float(sigmas[i])
         if run.guidance is None:
             return pair.cond(z, sigma, run.condition)
-        return guided_denoise(z, sigma, t, pair, run.guidance, condition=run.condition, recorder=rec)
+        return guided_denoise(
+            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=rec, step=i
+        )
 
     def finite(state: np.ndarray, sigma: float) -> np.ndarray:
         if not np.isfinite(state).all():
@@ -133,7 +137,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     z = initial_noise(run.seed, run.batch, run.shape, float(sigmas[0])).data
     for i in range(run.steps):
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-        x0 = denoise(Tensor4(z), s_cur, float(ts[i]), recorder).data
+        x0 = denoise(Tensor4(z), i, recorder).data
         with np.errstate(over="ignore", invalid="ignore"):
             drift = (z - x0) / s_cur
             z_euler = finite(z + (s_next - s_cur) * drift, s_next)
@@ -141,7 +145,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             z = z_euler
         else:
             # corrector never records: one band-norm record per step
-            x0_next = denoise(Tensor4(z_euler), s_next, float(ts[i + 1]), None).data
+            x0_next = denoise(Tensor4(z_euler), i + 1, None).data
             with np.errstate(over="ignore", invalid="ignore"):
                 drift_next = (z_euler - x0_next) / s_next
                 z = finite(z + (s_next - s_cur) * 0.5 * (drift + drift_next), s_next)

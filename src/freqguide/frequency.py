@@ -104,29 +104,17 @@ def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray) -> np.ndarray:
 
 def _down(arr: np.ndarray) -> np.ndarray:
     h, w = arr.shape[2:]
-    if h < 8 or w < 8:
-        raise ShapeError(f"pyr_down needs spatial dims >= 8, got {h}x{w}")
     return _apply(arr, _down_matrix(h), _down_matrix(w))
-
-
-def pyr_down(x: Tensor4) -> Tensor4:
-    """Blur then keep even-indexed rows/cols; output is ceil(H/2) x ceil(W/2)."""
-    return Tensor4(_down(x.data))
 
 
 def _up(arr: np.ndarray, target_hw) -> np.ndarray:
     h, w = arr.shape[2:]
     th, tw = int(target_hw[0]), int(target_hw[1])
     if th not in (2 * h, 2 * h - 1) or tw not in (2 * w, 2 * w - 1):
-        raise ShapeError(f"pyr_up target {th}x{tw} incompatible with input {h}x{w}")
+        raise ShapeError(f"up-step target {th}x{tw} incompatible with input {h}x{w}")
     if h < 3 or w < 3:
         raise ShapeError(f"blur needs spatial dims >= 5, got {2 * h}x{2 * w}")
     return _apply(arr, _up_matrix(th, h), _up_matrix(tw, w))
-
-
-def pyr_up(x: Tensor4, target_dims) -> Tensor4:
-    """Zero-insert to double size, blur with x4-scaled kernel, crop to target."""
-    return Tensor4(_up(x.data, target_dims[-2:]))
 
 
 def max_pyramid_levels(height: int, width: int) -> int:
@@ -153,8 +141,9 @@ def check_fit(kind: TransformKind, height: int, width: int):
 def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
     """[x, D x, ..., D^N x]: the N down-steps of ``kind`` on a raw array.
 
-    D is ``pyr_down`` for the pyramid and the ll analysis for Haar.  Raises
-    the ``check_fit`` error for sizes ``kind`` cannot decompose.
+    D is blur-then-decimate (ceil(H/2) x ceil(W/2)) for the pyramid and the ll
+    analysis for Haar.  Raises the ``check_fit`` error for sizes ``kind``
+    cannot decompose.
     """
     h, w = arr.shape[2:]
     check_fit(kind, h, w)
@@ -168,8 +157,9 @@ def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
 
 
 def up_step(arr: np.ndarray, target_hw, kind: TransformKind) -> np.ndarray:
-    """U, the synthesis partner of one down-step: ``pyr_up`` for the pyramid,
-    ll-only synthesis for Haar (whose U D is the 2x2 block mean)."""
+    """U, the synthesis partner of one down-step: for the pyramid a gain-2
+    blur of the zero-stuffed double grid cropped to ``target_hw``, for Haar
+    ll-only synthesis (whose U D is the 2x2 block mean)."""
     if kind.kind == "pyramid":
         return _up(arr, target_hw)
     h, w = arr.shape[2:]

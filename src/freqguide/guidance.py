@@ -1,5 +1,5 @@
-"""Guidance combiners: plain CFG, per-band CFG with projection weighting,
-interval gating, and per-band norm diagnostics."""
+"""Per-band CFG (plain CFG is its uniform-scale case) with projection
+weighting, interval gating, and per-band norm diagnostics."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import TransformKind, analyze, low_pass_chain, synthesize, transform_bands, up_step
-from .tensor import Tensor4, frobenius_norm
+from .frequency import TransformKind, analyze, low_pass_chain, synthesize, up_step
+from .tensor import Tensor4
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,13 @@ class NormRecorder:
 
     records: list[BandNormRecord] = field(default_factory=list)
 
-    def observe(self, t: float, sigma: float, low_norm: float, high_norm: float):
-        self.records.append(
-            BandNormRecord(
-                step=len(self.records), t=t, sigma=sigma, low_norm=low_norm, high_norm=high_norm
-            )
-        )
-
-
-def cfg_combine(d_c: Tensor4, d_u: Tensor4, w: float) -> Tensor4:
-    """d_u + w * (d_c - d_u) on x0-space predictions."""
-    if d_c.dims != d_u.dims:
-        raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
-    return Tensor4(d_u.data + float(w) * (d_c.data - d_u.data))
+    def observe(self, step: int, t: float, sigma: float, delta: np.ndarray, kind: TransformKind):
+        """Record, for sampler step ``step``, the norm of the residual band of
+        the guidance difference ``delta`` = d_c - d_u and the norm of all its
+        detail bands concatenated."""
+        norms = [float(np.sqrt(np.einsum("i,i->", b.ravel(), b.ravel()))) for b in analyze(delta, kind)]
+        high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
+        self.records.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
 
 
 def _parallel(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
@@ -130,14 +124,6 @@ def project(v0: Tensor4, v1: Tensor4) -> tuple[Tensor4, Tensor4]:
         raise ShapeError(f"dims mismatch: {v0.dims} vs {v1.dims}")
     parallel = _parallel(v0.data, v1.data)
     return Tensor4(parallel), Tensor4(v0.data - parallel)
-
-
-def band_norms(x: Tensor4, kind: TransformKind) -> tuple[float, float]:
-    """(residual-band norm, norm of all detail bands concatenated)."""
-    bands = transform_bands(x, kind)
-    low = frobenius_norm(bands[-1])
-    high = float(np.sqrt(sum(frobenius_norm(b) ** 2 for b in bands[:-1])))
-    return low, high
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -196,17 +182,18 @@ def guided_denoise(
     cfg: GuidanceConfig,
     condition=None,
     recorder: NormRecorder | None = None,
+    step: int = 0,
 ) -> Tensor4:
     """One guided x0 prediction; returns the bare conditional output when the
-    interval gate is closed.  Appends a band-norm record per guided step."""
+    interval gate is closed.  Appends a band-norm record for sampler step
+    ``step`` per guided call."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not cfg.active_at(t):
         return pair.cond(z, sigma, condition)
     d_c, d_u = pair.both(z, sigma, condition)
     if recorder is not None:
-        low, high = band_norms(Tensor4(d_c.data - d_u.data), cfg.transform)
-        recorder.observe(t=t, sigma=sigma, low_norm=low, high_norm=high)
+        recorder.observe(step, t, sigma, d_c.data - d_u.data, cfg.transform)
     return freqcfg_combine(d_c, d_u, cfg)
 
 

@@ -35,12 +35,7 @@ def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> 
     if samples.dims[1:] != mix.image_shape:
         raise UsageError(f"sample shape {samples.dims[1:]} != mixture shape {mix.image_shape}")
     flat = samples.data.reshape(samples.dims[0], -1)
-    mf = mix.means.reshape(mix.n_components, -1)
-    sq = (
-        np.einsum("bd,bd->b", flat, flat)[:, None]
-        - 2.0 * flat @ mf.T
-        + np.einsum("kd,kd->k", mf, mf)[None, :]
-    )
+    sq = np.einsum("bd,bd->b", flat, flat)[:, None] - 2.0 * flat @ mix.flat.T + mix.sq_norms[None, :]
     dist = np.sqrt(np.maximum(sq, 0.0))
     nearest = dist.argmin(axis=1)
     within = dist[np.arange(dist.shape[0]), nearest] <= tau

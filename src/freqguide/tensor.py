@@ -54,11 +54,6 @@ class Tensor4:
         return isinstance(other, Tensor4) and np.array_equal(self.data, other.data)
 
 
-def frobenius_norm(a: Tensor4) -> float:
-    """sqrt of the sum of squares over every entry."""
-    return float(np.sqrt(np.einsum("i,i->", a.data.ravel(), a.data.ravel())))
-
-
 def atomic_write_bytes(path, payload: bytes):
     """Write file contents via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))

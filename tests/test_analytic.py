@@ -11,18 +11,18 @@ from freqguide import (
     BlobTextureSpec,
     ConfigError,
     DomainError,
+    GuidanceConfig,
     IsotropicGaussianMixture,
     ShapeError,
     Tensor4,
     TransformKind,
     UsageError,
     blob_mixture_from_spec,
-    cfg_combine,
     class_labels,
     degrade,
+    freqcfg_combine,
     make_denoiser_pair,
     posterior_mean,
-    sample_blob_texture,
     transform_bands,
 )
 
@@ -185,7 +185,8 @@ class TestDenoiserPair:
         z = Tensor4(rng.normal(size=(1,) + SHAPE))
         cond = pair.cond(z, 0.9, 1)
         uncond = pair.uncond(z, 0.9)
-        assert np.abs(cfg_combine(cond, uncond, 1.0).data - cond.data).max() < 1e-12
+        plain_cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))
+        assert np.abs(freqcfg_combine(cond, uncond, plain_cfg).data - cond.data).max() < 1e-12
 
     def test_unknown_class_rejected(self):
         mix = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])
@@ -260,7 +261,10 @@ class TestJointEvaluation:
         assert dense.atoms is None
         gen = np.random.default_rng(11)
         for condition in [None] + list(range(spec.n_classes)):
-            x = sample_blob_texture(spec, condition or 0, seed=3, n=4).data
+            # four noisy draws from the class's components (class 0 for None)
+            members = np.flatnonzero(labels == (condition or 0))
+            x = mix.means[gen.choice(members, size=4)]
+            x = x + spec.noise_scale * gen.standard_normal(x.shape)
             z = Tensor4(x + sigma * gen.standard_normal(x.shape))
             d_c, d_u = pair.both(z, sigma, condition)
             full = posterior_mean(z, sigma, mix).data
@@ -488,32 +492,3 @@ class TestVectorizedBuild:
         for j in range(len(spec.centers)):
             for k in range(spec.n_classes):
                 assert np.array_equal(mix.means[j * spec.n_classes + k], spec.mean_image(j, k))
-
-
-class TestSampleBlobTexture:
-    def test_shapes_and_determinism(self):
-        spec = BlobTextureSpec()
-        a = sample_blob_texture(spec, 0, seed=5, n=6)
-        b = sample_blob_texture(spec, 0, seed=5, n=6)
-        assert a.dims == (6, 3, 32, 32)
-        assert np.array_equal(a.data, b.data)
-        c = sample_blob_texture(spec, 0, seed=6, n=6)
-        assert not np.array_equal(a.data, c.data)
-
-    def test_class_bounds(self):
-        with pytest.raises(UsageError):
-            sample_blob_texture(BlobTextureSpec(), 7, seed=0, n=1)
-        with pytest.raises(UsageError):
-            sample_blob_texture(BlobTextureSpec(), 0, seed=0, n=0)
-
-    def test_samples_cluster_near_class_means(self):
-        spec = BlobTextureSpec(noise_scale=0.01)
-        mix = blob_mixture_from_spec(spec)
-        labels = class_labels(spec)
-        samples = sample_blob_texture(spec, 1, seed=2, n=16)
-        class_means = mix.means[labels == 1].reshape(4, -1)
-        flat = samples.data.reshape(16, -1)
-        d_class = np.min(
-            np.linalg.norm(flat[:, None, :] - class_means[None], axis=2), axis=1
-        )
-        assert d_class.max() < 0.01 * np.sqrt(mix.dim) * 1.5

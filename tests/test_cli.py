@@ -17,7 +17,6 @@ from freqguide import (
     Tensor4,
     TransformKind,
     band_energy_fraction,
-    cfg_combine,
     default_tau,
     freqcfg_combine,
     mode_report,
@@ -215,8 +214,8 @@ class TestCombineCommand:
         out = str(tmp_path / "g.fqg")
         run_cli("combine", "--cond", pc, "--uncond", pu,
                 "--w-low", "7.5", "--w-high", "7.5", "--out", out)
-        ref = cfg_combine(d_c, d_u, 7.5)
-        assert np.abs(read_tensor(out).data - ref.data).max() < 1e-8
+        ref = d_u.data + 7.5 * (d_c.data - d_u.data)
+        assert np.abs(read_tensor(out).data - ref).max() < 1e-8
 
     def test_bit_identical_to_library_call(self, tmp_path):
         d_c, d_u, pc, pu = self.make_dumps(tmp_path)
@@ -320,6 +319,25 @@ class TestAnalyzeNorms:
         assert all(0.3 <= t <= 0.8 for t in ts)
         assert len(rows) < 10
 
+    def test_interval_rows_carry_the_sampler_step(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            extra="guidance.transform = haar\nguidance.scales = 2,2\nguidance.interval = 0.5:0.1\n",
+        )
+        out = str(tmp_path / "norms.csv")
+        assert run_cli("analyze-norms", "--config", cfg, "--out", out, "--steps", "8") == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        steps = [int(r[0]) for r in rows]
+        # t = 1 - i/steps at sampler step i; the gate is open for i = 4..7
+        assert steps == [4, 5, 6, 7]
+        assert [float(r[1]) for r in rows] == [1.0 - i / 8 for i in steps]
+        gaps = [abs(float(r[3]) - float(r[4])) for r in rows]
+        crossover = steps[int(np.argmin(gaps))]
+        assert f"crossover_step={crossover}" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "norms.csv.manifest.json").read_text())
+        assert manifest["crossover_step"] == crossover
+
 
     @pytest.mark.parametrize("interval", ["0.8:abc", "0.8", "0.8:0.2:0.1"])
     def test_malformed_interval_is_config_error(self, tmp_path, capsys, interval):
@@ -339,6 +357,7 @@ class TestMalformedNumbers:
             (("sweep", "--grid", "1:1,x:3"), 2, "usage"),
             (("sample", "--set", "mixture.centers=8:a"), 3, "config"),
             (("sample", "--set", "mixture.class_center_weights=0.5:x;0.5:0.5"), 3, "config"),
+            (("sweep", "--grid", "1:1,,3:3"), 2, "usage"),
         ],
     )
     def test_categorized_not_traceback(self, tmp_path, capsys, argv, code, category):
@@ -354,6 +373,9 @@ class TestMalformedNumbers:
             ("guidance.scales", "2,1.5,"),
             ("guidance.parallel_weights", "1,,1"),
             ("guidance.interval", "0.9::0.1"),
+            ("mixture.centers", "5:5,,11:11"),
+            ("mixture.centers", "5:5,11:11,"),
+            ("mixture.class_center_weights", "0.5:0.5;;0.5:0.5"),
         ],
     )
     def test_empty_list_item_is_config_error_naming_key(self, tmp_path, capsys, key, value):

@@ -13,7 +13,6 @@ from freqguide import (
     Tensor4,
     TransformKind,
     UsageError,
-    cfg_combine,
     initial_noise,
     make_denoiser_pair,
     sample,
@@ -246,14 +245,14 @@ class TestSampler:
                 ),
             )
             assert np.abs(routed.data - bypass.data).max() <= 1e-9
-        # manual loop routed through cfg_combine at w = 1
+        # manual loop through plain CFG, d_u + w (d_c - d_u), at w = 1
         sigmas = sched.grid(12)
         z = initial_noise(2, 2, (1, 8, 8), float(sigmas[0])).data
         for i in range(12):
             s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
             d_c = pair.cond(Tensor4(z), s_cur, 0)
             d_u = pair.uncond(Tensor4(z), s_cur)
-            x0 = cfg_combine(d_c, d_u, 1.0).data
+            x0 = d_u.data + 1.0 * (d_c.data - d_u.data)
             z = z + (s_next - s_cur) * (z - x0) / s_cur
         assert np.abs(z - bypass.data).max() <= 1e-9
 

@@ -15,18 +15,15 @@ from freqguide import (
     Tensor4,
     TransformKind,
     UsageError,
-    band_norms,
-    cfg_combine,
     crossover_step,
     freqcfg_combine,
     freqcfg_combine_bands,
     guided_denoise,
     inverse_bands,
     project,
-    pyr_down,
-    pyr_up,
     transform_bands,
 )
+from freqguide.frequency import low_pass_chain, up_step
 
 rng = np.random.default_rng(7)
 
@@ -42,23 +39,37 @@ def make_records(low, high):
     ]
 
 
+ALL_KINDS = (TransformKind.pyramid(1), TransformKind.pyramid(2), TransformKind.haar())
+
+
+def plain_cfg(d_c, d_u, w, kind):
+    """Plain CFG at scale w: ``freqcfg_combine`` with one scale on every band."""
+    return freqcfg_combine(d_c, d_u, GuidanceConfig(transform=kind, scales=(w,) * kind.band_count)).data
+
+
 class TestCfgCombine:
     def test_w_one_is_conditional(self):
         d_c, d_u = rand(), rand()
-        assert np.array_equal(cfg_combine(d_c, d_u, 1.0).data, d_c.data)
+        for kind in ALL_KINDS:
+            assert np.array_equal(plain_cfg(d_c, d_u, 1.0, kind), d_c.data)
 
     def test_w_zero_is_unconditional(self):
+        # d_c + (0 - 1)(d_c - d_u): exactly that rounding, within it of d_u
         d_c, d_u = rand(), rand()
-        assert np.array_equal(cfg_combine(d_c, d_u, 0.0).data, d_u.data)
+        for kind in ALL_KINDS:
+            out = plain_cfg(d_c, d_u, 0.0, kind)
+            assert np.array_equal(out, d_c.data - (d_c.data - d_u.data))
+            assert np.abs(out - d_u.data).max() <= 1e-15
 
     def test_equal_inputs_fixed_point(self):
         d = rand()
         for w in (0.0, 1.0, 3.5, -2.0):
-            assert np.abs(cfg_combine(d, d, w).data - d.data).max() == 0.0
+            for kind in ALL_KINDS:
+                assert np.abs(plain_cfg(d, d, w, kind) - d.data).max() == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cfg_combine(rand((1, 1, 4, 4)), rand((1, 1, 4, 5)), 2.0)
+            plain_cfg(rand((1, 1, 8, 8)), rand((1, 1, 8, 10)), 2.0, TransformKind.haar())
 
 
 class TestProject:
@@ -98,12 +109,13 @@ class TestProject:
 
 def manual_single_level_combine(d_c, d_u, w_high, w_low):
     """Hand-rolled decompose -> per-band cfg -> reconstruct oracle."""
-    g1_c, g1_u = pyr_down(d_c), pyr_down(d_u)
-    l0_c = d_c.data - pyr_up(g1_c, d_c.dims[2:]).data
-    l0_u = d_u.data - pyr_up(g1_u, d_u.dims[2:]).data
+    kind = TransformKind.pyramid(1)
+    g1_c, g1_u = low_pass_chain(d_c.data, kind)[1], low_pass_chain(d_u.data, kind)[1]
+    l0_c = d_c.data - up_step(g1_c, d_c.dims[2:], kind)
+    l0_u = d_u.data - up_step(g1_u, d_u.dims[2:], kind)
     band0 = l0_u + w_high * (l0_c - l0_u)
-    band1 = g1_u.data + w_low * (g1_c.data - g1_u.data)
-    return band0 + pyr_up(Tensor4(band1), d_c.dims[2:]).data
+    band1 = g1_u + w_low * (g1_c - g1_u)
+    return band0 + up_step(band1, d_c.dims[2:], kind)
 
 
 class TestFreqCfgCombine:
@@ -115,8 +127,8 @@ class TestFreqCfgCombine:
         d_c, d_u = rand(), rand()
         cfg = GuidanceConfig(transform=kind, scales=(w,) * kind.band_count)
         got = freqcfg_combine(d_c, d_u, cfg)
-        ref = cfg_combine(d_c, d_u, w)
-        assert np.abs(got.data - ref.data).max() < 1e-8
+        ref = d_u.data + w * (d_c.data - d_u.data)
+        assert np.abs(got.data - ref).max() < 1e-8
 
     def test_all_ones_returns_conditional(self):
         d_c, d_u = rand(), rand()
@@ -391,14 +403,19 @@ class TestGuidedDenoise:
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0))
         recorder = NormRecorder()
         ts = [1.0 - i / 10 for i in range(10)]
-        for t in ts:
-            guided_denoise(rand((1, 1, 8, 8)), 1.0, t, FixedPair(d_c, d_u).pair(), cfg, recorder=recorder)
+        for i, t in enumerate(ts):
+            pair = FixedPair(d_c, d_u).pair()
+            guided_denoise(rand((1, 1, 8, 8)), 1.0, t, pair, cfg, recorder=recorder, step=i)
         assert len(recorder.records) == 10
         assert [r.step for r in recorder.records] == list(range(10))
         assert [r.t for r in recorder.records] == ts
-        low, high = band_norms(Tensor4(d_c.data - d_u.data), cfg.transform)
-        assert recorder.records[0].low_norm == pytest.approx(low)
-        assert recorder.records[0].high_norm == pytest.approx(high)
+        # Haar is orthonormal: the band norms split ||d_c - d_u|| exactly
+        delta = d_c.data - d_u.data
+        detail, ll = transform_bands(Tensor4(delta), cfg.transform)
+        assert recorder.records[0].low_norm == pytest.approx(np.linalg.norm(ll.data))
+        assert recorder.records[0].high_norm == pytest.approx(np.linalg.norm(detail.data))
+        record = recorder.records[0]
+        assert np.hypot(record.low_norm, record.high_norm) == pytest.approx(np.linalg.norm(delta))
 
 
 class TestCrossover:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from freqguide import FormatError, ShapeError, Tensor4, UsageError, frobenius_norm
+from freqguide import FormatError, ShapeError, Tensor4, UsageError
 from freqguide.tensor import read_tensor, tensor_from_bytes, tensor_to_bytes, write_csv, write_tensor
 
 rng = np.random.default_rng(20240817)
@@ -36,27 +36,6 @@ class TestTensor4:
         t = Tensor4(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0, 0, 0] = 1.0
-
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert frobenius_norm(Tensor4(np.zeros((2, 1, 3, 3)))) == 0.0
-
-    def test_three_four_five(self):
-        t = Tensor4(np.array([3.0, 4.0]).reshape(1, 1, 1, 2))
-        assert frobenius_norm(t) == pytest.approx(5.0, abs=0)
-
-    def test_absolute_homogeneity(self):
-        x = rand((2, 2, 5, 5))
-        scaled = Tensor4(-2.0 * x.data)
-        assert frobenius_norm(scaled) == pytest.approx(2.0 * frobenius_norm(x), rel=1e-13)
-
-    def test_triangle_inequality(self):
-        for _ in range(20):
-            a, b = rand((1, 1, 6, 6)), rand((1, 1, 6, 6))
-            lhs = frobenius_norm(Tensor4(a.data + b.data))
-            rhs = frobenius_norm(a) + frobenius_norm(b)
-            assert lhs <= rhs * (1 + 1e-12)
 
 
 class TestTensorFile:
