@@ -59,7 +59,7 @@ class IsotropicGaussianMixture:
         if means.shape[0] != k or scales.shape[0] != k or k < 1:
             raise ShapeError("component counts disagree")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means)) and np.all(np.isfinite(scales))):
-            raise ShapeError("non-finite mixture parameters")
+            raise DomainError("non-finite mixture parameters")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
         if np.any(scales <= 0):
@@ -186,7 +186,8 @@ class _MixturePair(DenoiserPair):
     """Pair from one mixture whose ``both`` shares a single distance pass.
 
     A class's restricted mixture is built the first time that class is asked
-    for and kept in ``by_class``; the lock lets sweep threads share a pair.
+    for and kept in ``by_class``; the lock makes that check-then-build
+    atomic, so callers may share one pair across their own threads.
     """
 
     mix: IsotropicGaussianMixture
@@ -273,6 +274,9 @@ class BlobTextureSpec:
     blob_block: int = 1
 
     def __post_init__(self):
+        for name in ("blob_radius", "blob_amplitude", "texture_freq", "texture_amplitude", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.height, self.width, self.channels) < 1:
             raise ConfigError("image dims must be positive")
         if not self.centers:
@@ -300,8 +304,8 @@ class BlobTextureSpec:
             for row in ccw:
                 if len(row) != len(self.centers):
                     raise ConfigError("class_center_weights rows must match center count")
-                if any(v <= 0 for v in row) or abs(sum(row) - 1.0) > 1e-9:
-                    raise ConfigError("each class_center_weights row must be positive and sum to 1")
+                if not all(0 < v < math.inf for v in row) or abs(sum(row) - 1.0) > 1e-9:
+                    raise ConfigError("each class_center_weights row must be finite, positive and sum to 1")
 
     @property
     def image_shape(self) -> tuple[int, int, int]:

@@ -13,7 +13,6 @@ import difflib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,11 +97,11 @@ def build_blob_spec(cfg: Config) -> BlobTextureSpec:
 
 
 def build_model(cfg: Config):
-    """Returns (mixture, labels, spec-or-None) from the mixture.* section."""
+    """Returns (mixture, labels) from the mixture.* section."""
     kind = cfg.get_str("mixture.kind", "blob")
     if kind == "blob":
         spec = build_blob_spec(cfg)
-        return blob_mixture_from_spec(spec), class_labels(spec), spec
+        return blob_mixture_from_spec(spec), class_labels(spec)
     if kind == "single":
         shape = (
             cfg.get_int("mixture.channels", 1),
@@ -115,7 +114,7 @@ def build_model(cfg: Config):
             means=mean,
             scales=np.array([cfg.get_float("mixture.noise_scale", 1.0)]),
         )
-        return mix, np.array([0]), None
+        return mix, np.array([0])
     raise ConfigError(f"mixture.kind must be blob or single, got {kind!r}")
 
 
@@ -275,7 +274,7 @@ def _load_config(args) -> Config:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    mix, labels, _ = build_model(cfg)
+    mix, labels = build_model(cfg)
     guidance = build_guidance(cfg, mix.image_shape)
     run = build_run(cfg, mix.image_shape, guidance)
     pair = build_pair(cfg, mix, labels)
@@ -319,7 +318,7 @@ def cmd_combine(args) -> int:
 
 def cmd_analyze_norms(args) -> int:
     cfg = _load_config(args)
-    mix, labels, _ = build_model(cfg)
+    mix, labels = build_model(cfg)
     guidance = build_guidance(cfg, mix.image_shape, required=True)
     run = build_run(cfg, mix.image_shape, guidance)
     pair = build_pair(cfg, mix, labels)
@@ -340,20 +339,9 @@ def cmd_analyze_norms(args) -> int:
     return 0
 
 
-def _sweep_workers(n_points: int) -> int:
-    workers = min(n_points, os.cpu_count() or 1)
-    cap = os.environ.get("FREQGUIDE_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError as exc:
-            raise UsageError(f"FREQGUIDE_THREADS={cap!r} is not an integer") from exc
-    return max(1, workers)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    mix, labels, _ = build_model(cfg)
+    mix, labels = build_model(cfg)
     # without a transform, sweep guides a one-level pyramid
     default = Config({"guidance.transform": "pyramid"})
     base = build_guidance(cfg, mix.image_shape) or build_guidance(default, mix.image_shape)
@@ -377,6 +365,8 @@ def cmd_sweep(args) -> int:
     tau = cfg.get_float("sweep.tau", None)
     if tau is None:
         tau = default_tau(mix)
+    elif not 0 < tau < np.inf:
+        raise ConfigError(f"sweep.tau must be a positive finite number, got {tau}")
     points = _parse_rows(args.grid, ",", 2, UsageError, "--grid")
 
     def run_point(point):
@@ -395,12 +385,10 @@ def cmd_sweep(args) -> int:
             high_frac,
         )
 
-    with ThreadPoolExecutor(max_workers=_sweep_workers(len(points))) as pool:
-        rows = list(pool.map(run_point, points))
     write_csv(
         args.out,
         ["w_low", "w_high", "recall", "precision", "saturation", "low_energy", "high_energy"],
-        rows,
+        [run_point(point) for point in points],
     )
     write_manifest(
         args.out + ".manifest.json",

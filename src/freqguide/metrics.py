@@ -30,8 +30,8 @@ def default_tau(mix: IsotropicGaussianMixture) -> float:
 
 def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> ModeReport:
     """Nearest-mode assignment by Euclidean distance on flattened images."""
-    if tau <= 0:
-        raise UsageError("tau must be > 0")
+    if not tau > 0:
+        raise UsageError(f"tau must be > 0, got {tau}")
     if samples.dims[1:] != mix.image_shape:
         raise UsageError(f"sample shape {samples.dims[1:]} != mixture shape {mix.image_shape}")
     flat = samples.data.reshape(samples.dims[0], -1)

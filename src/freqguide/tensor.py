@@ -18,8 +18,7 @@ import numpy as np
 from .errors import FormatError, ShapeError, UsageError
 
 MAGIC = b"FQG1"
-DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-DTYPE_NAMES = {"float64": 0, "float32": 1}
+DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}  # written files are always code 0
 
 _HEADER = struct.Struct("<4sBB4I")  # magic, dtype code, ndim, dims
 
@@ -68,18 +67,15 @@ def atomic_write_bytes(path, payload: bytes):
         raise
 
 
-def tensor_to_bytes(a: Tensor4, dtype: str = "float64") -> bytes:
-    if dtype not in DTYPE_NAMES:
-        raise FormatError(f"unsupported dtype {dtype!r}")
-    code = DTYPE_NAMES[dtype]
-    header = _HEADER.pack(MAGIC, code, 4, *a.dims)
-    payload = np.ascontiguousarray(a.data, dtype=DTYPE_CODES[code]).tobytes()
+def tensor_to_bytes(a: Tensor4) -> bytes:
+    header = _HEADER.pack(MAGIC, 0, 4, *a.dims)
+    payload = np.ascontiguousarray(a.data, dtype=DTYPE_CODES[0]).tobytes()
     return header + payload
 
 
-def write_tensor(path, a: Tensor4, dtype: str = "float64"):
-    """Serialize to the FQG1 format (little-endian, row-major)."""
-    atomic_write_bytes(path, tensor_to_bytes(a, dtype))
+def write_tensor(path, a: Tensor4):
+    """Serialize to the FQG1 format (little-endian float64, row-major)."""
+    atomic_write_bytes(path, tensor_to_bytes(a))
 
 
 def tensor_from_bytes(blob: bytes) -> Tensor4:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,44 @@ class TestMalformedNumbers:
         assert "error [config]" in err and repr(key) in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "settings, code",
+        [
+            (("mixture.class_center_weights=0.5:nan;0.5:0.5",), 3),
+            (("mixture.noise_scale=nan",), 3),
+            (("mixture.noise_scale=inf",), 3),
+            (("mixture.blob_radius=nan",), 3),
+            (("mixture.blob_radius=inf",), 3),
+            (("mixture.blob_amplitude=nan",), 3),
+            (("mixture.blob_amplitude=inf",), 3),
+            (("mixture.texture_amplitude=inf",), 3),
+            (("mixture.kind=single", "mixture.mean_value=nan"), 6),
+            (("autoguide.enabled=true", "autoguide.jitter=nan"), 6),
+            (("autoguide.enabled=true", "autoguide.jitter_rel=nan"), 6),
+            (("autoguide.enabled=true", "autoguide.inflate=nan"), 6),
+            (("sweep.tau=nan",), 3),
+            (("sweep.tau=inf",), 3),
+            (("sweep.tau=-1",), 3),
+        ],
+        ids=lambda value: "+".join(value) if isinstance(value, tuple) else str(value),
+    )
+    def test_non_finite_number_gets_its_keys_category(self, tmp_path, capsys, monkeypatch, settings, code):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the value was rejected")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        out = str(tmp_path / "s.csv")
+        argv = ("sweep", "--config", write_config(tmp_path), *overrides, "--grid", "1:1", "--out", out)
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            key = settings[-1].split("=")[0]
+            assert "error [config]" in err and key.split(".")[1] in err
+        else:
+            assert "error [domain]" in err
+        assert not os.path.exists(out)
+
 
 class TestSweep:
     def test_baseline_point_and_duplicates(self, tmp_path):
@@ -401,21 +440,13 @@ class TestSweep:
         assert rows[1] == rows[2]  # duplicate grid points give identical rows
         assert float(rows[1][0]) == 1.0 and float(rows[1][1]) == 1.0
 
-    def test_thread_cap_does_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, extra="sweep.samples = 8\n")
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        old = os.environ.get("FREQGUIDE_THREADS")
-        try:
-            os.environ["FREQGUIDE_THREADS"] = "1"
-            run_cli("sweep", "--config", cfg, "--grid", "1:1,3:3", "--out", out1)
-            os.environ["FREQGUIDE_THREADS"] = "4"
-            run_cli("sweep", "--config", cfg, "--grid", "1:1,3:3", "--out", out2)
-        finally:
-            if old is None:
-                os.environ.pop("FREQGUIDE_THREADS", None)
-            else:
-                os.environ["FREQGUIDE_THREADS"] = old
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    def test_points_run_in_the_calling_thread(self, tmp_path, monkeypatch):
+        def no_threads(thread):
+            raise AssertionError(f"sweep started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        cfg = write_config(tmp_path, extra="sweep.samples = 4\n")
+        assert run_cli("sweep", "--config", cfg, "--grid", "1:1,3:3", "--out", str(tmp_path / "s.csv")) == 0
 
     def test_rejects_multilevel_transform(self, tmp_path):
         cfg = write_config(
@@ -457,7 +488,7 @@ class TestSweep:
         assert run_cli("sample", "--config", str(cfg_path), "--set", "guidance.scales=3,2",
                        "--set", "sample.batch=6", "--out", out) == 0
         samples = read_tensor(out)
-        mix, labels, _ = cli.build_model(Config.from_path(cfg_path))
+        mix, labels = cli.build_model(Config.from_path(cfg_path))
         target = mix.restricted(np.flatnonzero(labels == 0))
         report = mode_report(samples, target, default_tau(mix))
         expected = (2.0, 3.0, report.recall, report.precision, saturation_proxy(samples, target),

@@ -71,11 +71,11 @@ def test_sample_rerun_identical_across_blas_threads(tmp_path, name):
     assert one == two
 
 
-def test_sweep_identical_across_worker_counts(tmp_path):
+def test_sweep_rerun_identical_across_blas_threads(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(ACCEPTANCE.replace("guidance.scales = 3,1.5\n", "sweep.samples = 12\n"))
     argv = ("sweep", "--config", str(cfg), "--steps", "8", "--grid", "1:1,1:3,3:3")
-    one, two = (run_cli(tmp_path, "sweep", "FREQGUIDE_THREADS", n, argv) for n in ("1", "2"))
+    one, two = (run_cli(tmp_path, "sweep", "OPENBLAS_NUM_THREADS", n, argv) for n in ("1", "2"))
     assert one == two
 
 

@@ -56,8 +56,9 @@ class TestModeReport:
         assert a == b
 
     def test_tau_validation(self):
-        with pytest.raises(UsageError):
-            mode_report(Tensor4(np.zeros((1,) + SHAPE)), four_mode_mix(), tau=0.0)
+        for tau in (0.0, float("nan")):
+            with pytest.raises(UsageError):
+                mode_report(Tensor4(np.zeros((1,) + SHAPE)), four_mode_mix(), tau=tau)
 
     def test_default_tau_scales_with_dimension(self):
         mix = four_mode_mix()

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -48,10 +49,14 @@ class TestTensorFile:
         assert back.data.tobytes() == t.data.tobytes()
 
     def test_float32_round_trip_is_nearest_float32(self, tmp_path):
-        t = Tensor4(np.full((1, 1, 1, 1), 1.0 / 3.0))
+        # README's layout: magic, dtype code 1 (float32), ndim 4, four uint32 dims, payload
+        values = np.float32([1.0 / 3.0, -2.5, 1e-30, 3.0e38]).reshape(1, 2, 1, 2)
         path = tmp_path / "t32.fqg"
-        write_tensor(path, t, dtype="float32")
-        assert read_tensor(path).data.item() == float(np.float32(1.0 / 3.0))
+        path.write_bytes(struct.pack("<4sBB4I", b"FQG1", 1, 4, 1, 2, 1, 2) + values.astype("<f4").tobytes())
+        back = read_tensor(path)
+        assert back.dims == (1, 2, 1, 2)
+        assert back.data.tobytes() == values.astype(np.float64).tobytes()
+        assert back.data[0, 0, 0, 0] == float(np.float32(1.0 / 3.0))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqg"
@@ -76,10 +81,6 @@ class TestTensorFile:
         blob[4] = 9
         with pytest.raises(FormatError, match="offset 4"):
             tensor_from_bytes(bytes(blob))
-
-    def test_unsupported_dtype_name(self, tmp_path):
-        with pytest.raises(FormatError):
-            write_tensor(tmp_path / "x.fqg", rand((1, 1, 2, 2)), dtype="float16")
 
 
 class TestCsv:
