@@ -32,9 +32,13 @@ from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
 from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
-from .tensor import Tensor4, atomic_write_bytes, read_tensor, write_csv, write_tensor
+from .tensor import Tensor4, TensorReader, atomic_write_bytes, tensor_writer, write_csv, write_tensor
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
+
+# float64 values per input array that `combine` holds at once: it streams
+# chunks of max(1, CHUNK_VALUES // values per item) items
+CHUNK_VALUES = 2**18
 
 # every key some command reads; any other key in a config is a typo
 CONFIG_KEYS = frozenset(
@@ -188,6 +192,9 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
 def build_pair(cfg: Config, mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     pair = make_denoiser_pair(mix, labels)
     if not cfg.get_bool("autoguide.enabled", False):
+        for name in ("jitter", "jitter_rel", "inflate", "seed"):
+            if cfg.has(f"autoguide.{name}"):
+                raise ConfigError(f"autoguide.{name} given but autoguide.enabled = false")
         return pair
     has_abs = cfg.has("autoguide.jitter")
     has_rel = cfg.has("autoguide.jitter_rel")
@@ -285,25 +292,31 @@ def cmd_sample(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    d_c = read_tensor(args.cond)
-    d_u = read_tensor(args.uncond)
-    if args.scales is None and args.w_low is None and args.w_high is None:
-        raise UsageError("give --scales or --w-low/--w-high")
-    given = {
-        "guidance.transform": args.transform,
-        "guidance.levels": args.levels,
-        "guidance.scales": args.scales,
-        "guidance.w_low": args.w_low,
-        "guidance.w_high": args.w_high,
-        "guidance.parallel_weights": args.parallel_weights,
-    }
-    cfg = Config({k: str(v) for k, v in given.items() if v is not None}, source="combine flags")
-    try:
-        guidance = build_guidance(cfg, d_c.dims[1:])
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
-    result = freqcfg_combine(d_c, d_u, guidance)
-    write_tensor(args.out, result)
+    with TensorReader(args.cond) as cond, TensorReader(args.uncond) as uncond:
+        if args.scales is None and args.w_low is None and args.w_high is None:
+            raise UsageError("give --scales or --w-low/--w-high")
+        given = {
+            "guidance.transform": args.transform,
+            "guidance.levels": args.levels,
+            "guidance.scales": args.scales,
+            "guidance.w_low": args.w_low,
+            "guidance.w_high": args.w_high,
+            "guidance.parallel_weights": args.parallel_weights,
+        }
+        cfg = Config({k: str(v) for k, v in given.items() if v is not None}, source="combine flags")
+        try:
+            guidance = build_guidance(cfg, cond.dims[1:])
+        except ConfigError as exc:
+            raise UsageError(str(exc)) from exc
+        if cond.dims != uncond.dims:
+            raise ShapeError(f"dims mismatch: {cond.dims} vs {uncond.dims}")
+        batch = cond.dims[0]
+        step = max(1, CHUNK_VALUES // int(np.prod(cond.dims[1:])))
+        # freqcfg_combine is batch-invariant, so the chunks give the bytes of one whole-batch call
+        with tensor_writer(args.out, cond.dims) as append:
+            for start in range(0, batch, step):
+                stop = min(start + step, batch)
+                append(freqcfg_combine(cond.read(start, stop), uncond.read(start, stop), guidance))
     flags = {
         "combine.cond": args.cond,
         "combine.uncond": args.uncond,

@@ -7,6 +7,7 @@ downstream numerics never see NaN/Inf.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -53,13 +54,15 @@ class Tensor4:
         return isinstance(other, Tensor4) and np.array_equal(self.data, other.data)
 
 
-def atomic_write_bytes(path, payload: bytes):
-    """Write file contents via a same-directory temp file and rename."""
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Binary handle on a same-directory temp file that is renamed to
+    ``path`` when the block exits cleanly and unlinked when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,43 +70,96 @@ def atomic_write_bytes(path, payload: bytes):
         raise
 
 
-def tensor_to_bytes(a: Tensor4) -> bytes:
-    header = _HEADER.pack(MAGIC, 0, 4, *a.dims)
-    payload = np.ascontiguousarray(a.data, dtype=DTYPE_CODES[0]).tobytes()
-    return header + payload
+def atomic_write_bytes(path, payload: bytes):
+    """Write file contents via a same-directory temp file and rename."""
+    with _atomic_open(path) as fh:
+        fh.write(payload)
+
+
+@contextlib.contextmanager
+def tensor_writer(path, dims):
+    """FQG1 file of ``dims`` (little-endian float64, row-major) written a
+    chunk of items at a time by the yielded ``append(t)``.  The file appears
+    at ``path`` only if all ``dims[0]`` items were appended and the block
+    exits cleanly."""
+    dims = tuple(dims)
+    written = 0
+
+    def append(t: Tensor4):
+        nonlocal written
+        if t.dims[1:] != dims[1:] or written + t.dims[0] > dims[0]:
+            raise ShapeError(f"chunk {t.dims} does not fit items {written}.. of {dims}")
+        fh.write(t.data.astype(DTYPE_CODES[0], copy=False))
+        written += t.dims[0]
+
+    with _atomic_open(path) as fh:
+        fh.write(_HEADER.pack(MAGIC, 0, 4, *dims))
+        yield append
+        if written != dims[0]:
+            raise ShapeError(f"wrote {written} of {dims[0]} items")
 
 
 def write_tensor(path, a: Tensor4):
     """Serialize to the FQG1 format (little-endian float64, row-major)."""
-    atomic_write_bytes(path, tensor_to_bytes(a))
+    with tensor_writer(path, a.dims) as append:
+        append(a)
 
 
-def tensor_from_bytes(blob: bytes) -> Tensor4:
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"truncated header: {len(blob)} bytes, need {_HEADER.size} (offset {len(blob)})")
-    magic, code, ndim, b, c, h, w = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0")
-    if code not in DTYPE_CODES:
-        raise FormatError(f"unsupported dtype code {code} at offset 4")
-    if ndim != 4:
-        raise FormatError(f"unsupported ndim {ndim} at offset 5")
-    if min(b, c, h, w) < 1:
-        raise FormatError(f"non-positive dim in {(b, c, h, w)} at offset 6")
-    dt = DTYPE_CODES[code]
-    n = b * c * h * w
-    expected = _HEADER.size + n * dt.itemsize
-    if len(blob) != expected:
-        raise FormatError(
-            f"payload is {len(blob) - _HEADER.size} bytes, expected {n * dt.itemsize} (offset {min(len(blob), expected)})"
-        )
-    arr = np.frombuffer(blob, dtype=dt, offset=_HEADER.size).reshape(b, c, h, w)
-    return Tensor4(arr.astype(np.float64))
+class TensorReader:
+    """An FQG1 file opened for reading items by index.
+
+    Opening reads only the header and checks it and the exact file size, so
+    every ``FormatError`` comes before any payload is read.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self.dims, self._dtype = self._check_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _check_header(self):
+        head = self._fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"truncated header: {len(head)} bytes, need {_HEADER.size} (offset {len(head)})")
+        magic, code, ndim, b, c, h, w = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r} at offset 0")
+        if code not in DTYPE_CODES:
+            raise FormatError(f"unsupported dtype code {code} at offset 4")
+        if ndim != 4:
+            raise FormatError(f"unsupported ndim {ndim} at offset 5")
+        if min(b, c, h, w) < 1:
+            raise FormatError(f"non-positive dim in {(b, c, h, w)} at offset 6")
+        dt = DTYPE_CODES[code]
+        size = os.fstat(self._fh.fileno()).st_size
+        expected = _HEADER.size + b * c * h * w * dt.itemsize
+        if size != expected:
+            raise FormatError(
+                f"payload is {size - _HEADER.size} bytes, expected {expected - _HEADER.size} (offset {min(size, expected)})"
+            )
+        return (b, c, h, w), dt
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, start: int, stop: int) -> Tensor4:
+        """Items [start, stop) as float64."""
+        arr = np.empty((stop - start,) + self.dims[1:], dtype=self._dtype)
+        self._fh.seek(_HEADER.size + start * arr[0].nbytes)
+        if self._fh.readinto(arr) != arr.nbytes:
+            raise FormatError(f"file ends before item {stop} (offset {self._fh.tell()})")
+        return Tensor4(arr)
 
 
 def read_tensor(path) -> Tensor4:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+    with TensorReader(path) as reader:
+        return reader.read(0, reader.dims[0])
 
 
 def _format_cell(value) -> str:

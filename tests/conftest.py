@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,11 @@ def spearman(series: np.ndarray) -> float:
 
 def smoothed(series: np.ndarray, window: int = 5) -> np.ndarray:
     return np.convolve(series, np.ones(window) / window, mode="valid")
+
+
+def fqg1_bytes(values, code=0, ndim=4, magic=b"FQG1") -> bytes:
+    """README's FQG1 layout: magic, dtype code, ndim, four uint32 dims, then
+    the payload.  Unlike ``write_tensor``, it takes non-finite values and
+    writes malformed headers."""
+    dtype = "<f8" if code == 0 else "<f4"
+    return struct.pack("<4sBB4I", magic, code, ndim, *values.shape) + values.astype(dtype).tobytes()

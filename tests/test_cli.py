@@ -7,10 +7,12 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fqg1_bytes
 
 from freqguide import (
     ConfigError,
@@ -273,6 +275,113 @@ class TestCombineCommand:
             d_c, d_u, GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
         )
         assert read_tensor(out).data.tobytes() == ref.data.tobytes()
+
+
+class TestStreamedCombine:
+    """``combine`` on inputs of several chunks: 2 full chunks plus 3 items."""
+
+    ITEM = (1, 16, 16)
+    CHUNK = cli.CHUNK_VALUES // int(np.prod(ITEM))
+    BATCH = 2 * CHUNK + 3
+
+    def make_dumps(self, tmp_path, last_cond=None, last_uncond=None):
+        d_c = rng.uniform(-2, 2, (self.BATCH,) + self.ITEM)
+        d_u = rng.uniform(-2, 2, (self.BATCH,) + self.ITEM)
+        if last_cond is not None:
+            d_c[-1] = last_cond
+        if last_uncond is not None:
+            d_u[-1] = last_uncond
+        pc, pu = tmp_path / "c.fqg", tmp_path / "u.fqg"
+        pc.write_bytes(fqg1_bytes(d_c))
+        pu.write_bytes(fqg1_bytes(d_u))
+        return d_c, d_u, str(pc), str(pu)
+
+    @pytest.mark.parametrize(
+        "flags, kind, scales, weights",
+        [
+            (("--scales", "3,1.5"), TransformKind.pyramid(1), (3.0, 1.5), None),
+            (("--levels", "2", "--scales", "3,2,1.5", "--parallel-weights", "0.5,0.5,1"),
+             TransformKind.pyramid(2), (3.0, 2.0, 1.5), (0.5, 0.5, 1.0)),
+            (("--transform", "haar", "--scales", "4,0.5", "--parallel-weights", "0.25,1"),
+             TransformKind.haar(), (4.0, 0.5), (0.25, 1.0)),
+        ],
+        ids=["closed-form", "pyramid2-parallel", "haar-parallel"],
+    )
+    def test_output_equals_whole_batch_call(self, tmp_path, flags, kind, scales, weights):
+        assert self.CHUNK > 1 and self.BATCH % self.CHUNK == 3
+        d_c, d_u, pc, pu = self.make_dumps(tmp_path)
+        out = str(tmp_path / "g.fqg")
+        assert run_cli("combine", "--cond", pc, "--uncond", pu, *flags, "--out", out) == 0
+        cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
+        whole = freqcfg_combine(Tensor4(d_c), Tensor4(d_u), cfg)
+        assert Path(out).read_bytes() == fqg1_bytes(whole.data)
+
+    def assert_nothing_written(self, tmp_path, out, before):
+        assert out.read_bytes() == before
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
+    @pytest.mark.parametrize(
+        "last, flags, code, category",
+        [
+            ({"last_uncond": np.nan}, ("--scales", "2,1"), 4, "shape"),
+            ({"last_cond": 1e307, "last_uncond": -1e307}, ("--scales", "100,100"), 6, "domain"),
+            ({"last_cond": 1e307, "last_uncond": -1e307}, ("--scales", "100,100", "--parallel-weights", "0.5,1"),
+             6, "domain"),
+        ],
+        ids=["nan-in-last-item", "overflow-in-last-chunk", "overflow-in-last-chunk-band-space"],
+    )
+    def test_bad_last_chunk_leaves_no_output(self, tmp_path, capsys, last, flags, code, category):
+        _, _, pc, pu = self.make_dumps(tmp_path, **last)
+        out = tmp_path / "g.fqg"
+        out.write_bytes(b"earlier output")
+        assert run_cli("combine", "--cond", pc, "--uncond", pu, *flags, "--out", str(out)) == code
+        assert f"error [{category}]" in capsys.readouterr().err
+        self.assert_nothing_written(tmp_path, out, b"earlier output")
+        assert not (tmp_path / "g.fqg.manifest.json").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "over-long"])
+    def test_bad_file_size_fails_before_compute(self, tmp_path, capsys, monkeypatch, damage):
+        _, _, pc, pu = self.make_dumps(tmp_path)
+        blob = Path(pu).read_bytes()
+        Path(pu).write_bytes(blob[:-5] if damage == "truncated" else blob + b"\x00")
+        monkeypatch.setattr(cli, "freqcfg_combine", lambda *a: pytest.fail("combined a chunk"))
+        out = tmp_path / "g.fqg"
+        out.write_bytes(b"earlier output")
+        assert run_cli("combine", "--cond", pc, "--uncond", pu, "--scales", "2,1", "--out", str(out)) == 5
+        assert "error [format]" in capsys.readouterr().err
+        self.assert_nothing_written(tmp_path, out, b"earlier output")
+
+    def test_one_library_call_per_chunk(self, tmp_path, monkeypatch):
+        # the benchmark marks the end of set-up at the first call of cli.freqcfg_combine
+        _, _, pc, pu = self.make_dumps(tmp_path)
+        sizes = []
+
+        def spy(d_c, d_u, cfg):
+            sizes.append(d_c.dims[0])
+            return freqcfg_combine(d_c, d_u, cfg)
+
+        monkeypatch.setattr(cli, "freqcfg_combine", spy)
+        assert run_cli("combine", "--cond", pc, "--uncond", pu, "--scales", "2,1",
+                       "--out", str(tmp_path / "g.fqg")) == 0
+        assert sizes == [self.CHUNK, self.CHUNK, 3]
+
+    def test_memory_does_not_grow_with_the_batch(self, tmp_path):
+        dims = (1024, 3, 32, 32)  # 24 MiB per input
+        paths = []
+        for name in ("c", "u"):
+            paths.append(tmp_path / f"{name}.fqg")
+            paths[-1].write_bytes(fqg1_bytes(rng.uniform(-2, 2, dims)))
+        input_bytes = paths[0].stat().st_size
+        tracemalloc.start()
+        try:
+            code = run_cli("combine", "--cond", str(paths[0]), "--uncond", str(paths[1]),
+                           "--levels", "2", "--scales", "3,2,1.5", "--parallel-weights", "0.5,0.5,1",
+                           "--out", str(tmp_path / "g.fqg"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < input_bytes, f"peak {peak / 2**20:.1f} MiB for {input_bytes / 2**20:.1f} MiB inputs"
 
 
 class TestAnalyzeNorms:
@@ -600,6 +709,18 @@ class TestAutoguideConfig:
             ),
         )
         assert run_cli("analyze-norms", "--config", cfg, "--out", str(tmp_path / "n.csv")) == 3
+
+    @pytest.mark.parametrize("key", ["autoguide.jitter", "autoguide.jitter_rel", "autoguide.inflate", "autoguide.seed"])
+    def test_key_without_autoguide_is_config_error(self, tmp_path, capsys, monkeypatch, key):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the key was rejected")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        out = str(tmp_path / "x.fqg")
+        assert run_cli("sample", "--config", write_config(tmp_path), "--set", f"{key}=1", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and f"{key} given but autoguide.enabled = false" in err
+        assert not os.path.exists(out)
 
 
 class TestGenData:

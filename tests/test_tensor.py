@@ -1,11 +1,12 @@
 import csv
-import struct
+import os
 
 import numpy as np
 import pytest
+from conftest import fqg1_bytes
 
 from freqguide import FormatError, ShapeError, Tensor4, UsageError
-from freqguide.tensor import read_tensor, tensor_from_bytes, tensor_to_bytes, write_csv, write_tensor
+from freqguide.tensor import TensorReader, read_tensor, tensor_writer, write_csv, write_tensor
 
 rng = np.random.default_rng(20240817)
 
@@ -49,10 +50,9 @@ class TestTensorFile:
         assert back.data.tobytes() == t.data.tobytes()
 
     def test_float32_round_trip_is_nearest_float32(self, tmp_path):
-        # README's layout: magic, dtype code 1 (float32), ndim 4, four uint32 dims, payload
         values = np.float32([1.0 / 3.0, -2.5, 1e-30, 3.0e38]).reshape(1, 2, 1, 2)
         path = tmp_path / "t32.fqg"
-        path.write_bytes(struct.pack("<4sBB4I", b"FQG1", 1, 4, 1, 2, 1, 2) + values.astype("<f4").tobytes())
+        path.write_bytes(fqg1_bytes(values, code=1))
         back = read_tensor(path)
         assert back.dims == (1, 2, 1, 2)
         assert back.data.tobytes() == values.astype(np.float64).tobytes()
@@ -60,27 +60,73 @@ class TestTensorFile:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqg"
-        blob = bytearray(tensor_to_bytes(rand((1, 1, 2, 2))))
-        blob[:4] = b"XXXX"
-        path.write_bytes(blob)
+        path.write_bytes(fqg1_bytes(rand((1, 1, 2, 2)).data, magic=b"XXXX"))
         with pytest.raises(FormatError, match="offset 0"):
             read_tensor(path)
 
-    def test_truncated_payload(self):
-        blob = tensor_to_bytes(rand((1, 1, 2, 2)))
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "short.fqg"
+        path.write_bytes(fqg1_bytes(rand((1, 1, 2, 2)).data)[:-3])
         with pytest.raises(FormatError, match="offset"):
-            tensor_from_bytes(blob[:-3])
+            read_tensor(path)
 
-    def test_trailing_bytes_rejected(self):
-        blob = tensor_to_bytes(rand((1, 1, 2, 2)))
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.fqg"
+        path.write_bytes(fqg1_bytes(rand((1, 1, 2, 2)).data) + b"\x00")
         with pytest.raises(FormatError):
-            tensor_from_bytes(blob + b"\x00")
+            read_tensor(path)
 
-    def test_unsupported_dtype_code(self):
-        blob = bytearray(tensor_to_bytes(rand((1, 1, 2, 2))))
-        blob[4] = 9
+    def test_unsupported_dtype_code(self, tmp_path):
+        path = tmp_path / "code9.fqg"
+        path.write_bytes(fqg1_bytes(rand((1, 1, 2, 2)).data, code=9))
         with pytest.raises(FormatError, match="offset 4"):
-            tensor_from_bytes(bytes(blob))
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"FQG1\x00", r"truncated header: 5 bytes, need 22 \(offset 5\)"),
+            (fqg1_bytes(np.zeros((1, 1, 2, 2)), ndim=3), r"unsupported ndim 3 at offset 5"),
+            (fqg1_bytes(np.zeros((1, 0, 2, 2))), r"non-positive dim in \(1, 0, 2, 2\) at offset 6"),
+            (fqg1_bytes(np.zeros((1, 1, 2, 2)))[:-3], r"payload is 29 bytes, expected 32 \(offset 51\)"),
+            (fqg1_bytes(np.zeros((1, 1, 2, 2))) + b"\x00", r"payload is 33 bytes, expected 32 \(offset 54\)"),
+        ],
+    )
+    def test_header_messages(self, tmp_path, blob, message):
+        path = tmp_path / "bad.fqg"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            TensorReader(path)
+
+    def test_non_finite_value_is_shape_error(self, tmp_path):
+        values = np.zeros((3, 1, 2, 2))
+        values[2, 0, 1, 1] = np.nan
+        path = tmp_path / "nan.fqg"
+        path.write_bytes(fqg1_bytes(values))
+        with TensorReader(path) as reader:
+            assert reader.read(0, 2).data.tobytes() == values[:2].tobytes()
+            with pytest.raises(ShapeError):
+                reader.read(2, 3)
+
+    def test_chunks_equal_the_whole_file(self, tmp_path):
+        t = rand((7, 2, 3, 4))
+        whole, chunked = tmp_path / "whole.fqg", tmp_path / "chunked.fqg"
+        write_tensor(whole, t)
+        with tensor_writer(chunked, t.dims) as append:
+            for start in range(0, 7, 3):
+                append(Tensor4(t.data[start:start + 3]))
+        assert chunked.read_bytes() == whole.read_bytes()
+        with TensorReader(whole) as reader:
+            assert reader.dims == (7, 2, 3, 4)
+            for start, stop in ((0, 7), (2, 5), (6, 7)):
+                assert reader.read(start, stop).data.tobytes() == t.data[start:stop].tobytes()
+
+    def test_incomplete_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "part.fqg"
+        with pytest.raises(ShapeError, match="wrote 2 of 3 items"):
+            with tensor_writer(path, (3, 1, 2, 2)) as append:
+                append(rand((2, 1, 2, 2)))
+        assert os.listdir(tmp_path) == []
 
 
 class TestCsv:
