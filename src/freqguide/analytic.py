@@ -32,10 +32,13 @@ class IsotropicGaussianMixture:
     ``restricted`` records its ``parent`` and the ``indices`` it took, so
     ``posterior_mean`` can evaluate it together with the parent.
 
-    When the means are sums of fewer shared images than there are
-    components, ``atoms`` (A, D) and a 0/1 ``incidence`` (K, A) with
-    ``incidence @ atoms == flat`` let ``posterior_mean`` work through the A
-    atoms instead of the K means; otherwise both are None.
+    When every mean is a sum of T rank-1 planes, shared by all channels and
+    fewer in number than the components, the mixture keeps the separable
+    factors: row profiles ``rows`` (nr, H), column profiles ``cols``
+    (nq, W) and ``cells`` (K, T), where cell r·nq + q names the plane
+    outer(rows[r], cols[q]), so each channel of mean k is the sum of its T
+    planes.  ``posterior_mean`` then works through the nr × nq grid of
+    planes instead of the K means; otherwise all three are None.
     """
 
     weights: np.ndarray  # (K,)
@@ -46,8 +49,9 @@ class IsotropicGaussianMixture:
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False, compare=False)
     indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    atoms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    incidence: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cells: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -80,12 +84,6 @@ class IsotropicGaussianMixture:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def _keep_atoms(self, atoms: np.ndarray, incidence: np.ndarray) -> None:
-        """Record shared atoms, given ``incidence @ atoms == flat``; kept only
-        when there are fewer atoms than components, where they save work."""
-        if atoms.shape[0] < self.n_components:
-            self._freeze({"atoms": atoms, "incidence": incidence})
-
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
@@ -100,37 +98,45 @@ class IsotropicGaussianMixture:
         return c * h * w
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
-        idx = np.array(indices, dtype=int)  # a copy: the caller may reuse theirs
+        idx = _integers(indices, "component index")  # a copy: the caller may reuse theirs
         if idx.size == 0:
             raise ConfigError("component subset is empty")
+        outside = idx[(idx < 0) | (idx >= self.n_components)]
+        if outside.size:
+            raise ConfigError(f"component index {outside[0]} outside 0..{self.n_components - 1}")
+        values, counts = np.unique(idx, return_counts=True)
+        if counts.max() > 1:
+            raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
         sub = IsotropicGaussianMixture(
             weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
         )
         sub._freeze({"indices": idx})
         object.__setattr__(sub, "parent", self)
-        if self.atoms is not None:
-            sub._freeze({"atoms": self.atoms, "incidence": self.incidence[idx]})
+        if self.cells is not None:
+            sub._freeze({"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]})
         return sub
 
 
-def _dots(zf: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
-    """z_b · m_k as (B, K)."""
-    if mix.atoms is None:
-        return zf @ mix.flat.T
-    return (zf @ mix.atoms.T) @ mix.incidence.T
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as a new int array; a ``ConfigError`` names the first one
+    that is not an integer."""
+    arr = np.array(values)
+    if arr.dtype.kind == "f":
+        bad = arr[~(np.isfinite(arr) & (np.round(arr) == arr))]
+    elif arr.dtype.kind in "iu":
+        bad = arr[:0]
+    else:
+        bad = arr.reshape(-1)
+    if bad.size:
+        raise ConfigError(f"{what} must be an integer, got {bad.flat[0].item()!r}")
+    return arr.astype(int, copy=False)
 
 
-def _weighted_means(w: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
-    """Σ_k w_bk m_k as (B, D)."""
-    if mix.atoms is None:
-        return w @ mix.flat
-    return (w @ mix.incidence) @ mix.atoms
-
-
-def _from_distances(
-    zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix: IsotropicGaussianMixture
-) -> np.ndarray:
-    """Posterior mean (B, D) under ``mix`` given ‖z_b - m_k‖² as (B, K)."""
+def _weights(
+    sq_dist: np.ndarray, sigma: float, mix: IsotropicGaussianMixture
+) -> tuple[np.ndarray, np.ndarray]:
+    """Given ‖z_b - m_k‖² as (B, K), the (B, K) weights w and (B,) z_coef of
+    the posterior mean Σ_k w_bk m_k + z_coef_b z_b under ``mix``."""
     var = mix.scales**2 + sigma**2  # (K,)
     logits = mix.log_weights[None, :] - 0.5 * (
         mix.dim * (LOG_2PI + np.log(var))[None, :] + sq_dist / var[None, :]
@@ -138,12 +144,62 @@ def _from_distances(
     logits -= logits.max(axis=1, keepdims=True)
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
-    z_coef = resp @ (mix.scales**2 / var)  # (B,)
-    out = _weighted_means(resp * (sigma**2 / var)[None, :], mix)  # (B, D)
+    w = resp * (sigma**2 / var)[None, :]
+    z_scale = mix.scales**2 / var
+    if mix.cells is None:
+        return w, resp @ z_scale
+    # a per-item sum, unlike the (B, K) GEMV, gives each item the same bytes at any batch
+    return w, np.einsum("bk,k->b", resp, z_scale)
+
+
+def _plane_dots(z: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
+    """z_b · m_k as (B, K) from the separable factors: the dot of z_b with
+    plane (r, q) is entry (r, q) of rows · (Σ_c z_bc) · colsᵀ."""
+    grid = (mix.rows @ z.sum(axis=1) @ mix.cols.T).reshape(len(z), -1)  # one product per item
+    dots = grid[:, mix.cells[:, 0]]
+    for t in range(1, mix.cells.shape[1]):
+        dots += grid[:, mix.cells[:, t]]
+    return dots
+
+
+def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix) -> np.ndarray:
+    """Posterior mean (B, D) under ``mix`` through its K means."""
+    w, z_coef = _weights(sq_dist, sigma, mix)
+    out = w @ mix.flat
     out += z_coef[:, None] * zf
+    return out
+
+
+def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list) -> list:
+    """Posterior means (B, C, H·W) under each of ``sides`` (which share
+    their factors), given their (B, K_s) distances.  All sides' weights are
+    scattered into one (S·B, nr, nq) grid of plane coefficients and mapped
+    back by rowsᵀ · grid · cols; every channel of a mean is the same plane,
+    so each side adds its plane to z_coef·z."""
+    rows, cols = sides[0].rows, sides[0].cols
+    (b, c), n_cells = z.shape[:2], len(rows) * len(cols)
+    items = np.arange(b)[:, None] * n_cells
+    ws, z_coefs = zip(*(_weights(d, sigma, side) for d, side in zip(dists, sides)))
+    # bincount adds each item's terms in the same order whatever the batch
+    grid = np.concatenate([
+        np.bincount(
+            (side.cells.T[:, None, :] + items).ravel(),
+            np.broadcast_to(w, (side.cells.shape[1],) + w.shape).ravel(),
+            minlength=b * n_cells,
+        )
+        for w, side in zip(ws, sides)
+    ])
+    planes = rows.T @ grid.reshape(-1, len(rows), len(cols)) @ cols
+    outs = [z_coef[:, None, None] * z.reshape(b, c, -1) for z_coef in z_coefs]
+    for out, plane in zip(outs, planes.reshape(len(sides), b, 1, -1)):
+        out += plane
+    return outs
+
+
+def _checked(out: np.ndarray, sigma: float) -> Tensor4:
     if not np.isfinite(out).all():
         raise DomainError(f"posterior mean overflows float64 at sigma={sigma:g}")
-    return out
+    return Tensor4(out)
 
 
 def posterior_mean(
@@ -158,6 +214,7 @@ def posterior_mean(
     return ``(E under subset, E under mix)`` from one distance pass: the
     subset's distances are columns of the full (B, K) distance matrix, the
     way a neural CFG step evaluates both predictions in one doubled batch.
+    With separable factors, both sides' means come from one grid product.
     Raises ``DomainError`` when ‖z‖² or the output overflows float64.
     """
     if sigma < 0:
@@ -173,12 +230,16 @@ def posterior_mean(
         z_sq = np.einsum("bd,bd->b", zf, zf)
         if not np.isfinite(z_sq).all():
             raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
-        sq_dist = z_sq[:, None] - 2.0 * _dots(zf, mix) + mix.sq_norms[None, :]  # (B, K)
-        full = Tensor4(_from_distances(zf, sq_dist, sigma, mix).reshape(z.dims))
-        if subset is None:
-            return full
-        part = _from_distances(zf, sq_dist[:, subset.indices], sigma, subset)
-    return Tensor4(part.reshape(z.dims)), full
+        dots = zf @ mix.flat.T if mix.cells is None else _plane_dots(z.data, mix)
+        sq_dist = z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]  # (B, K)
+        sides = [mix] if subset is None else [mix, subset]
+        dists = [sq_dist if side is mix else sq_dist[:, side.indices] for side in sides]
+        if mix.cells is None:
+            outs = (_dense_mean(zf, d, sigma, side) for d, side in zip(dists, sides))
+        else:
+            outs = _plane_posterior_means(z.data, dists, sigma, sides)
+        full, *part = (_checked(out.reshape(z.dims), sigma) for out in outs)
+    return full if subset is None else (part[0], full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +277,7 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     uncond = posterior mean under the full mixture.  ``labels`` assigns one
     class id per component; a null condition selects the full mixture.
     ``both`` evaluates cond and uncond from one shared distance pass."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _integers(labels, "class label")
     if labels.shape != (mix.n_components,):
         raise ConfigError(f"labels must cover all {mix.n_components} components")
 
@@ -319,22 +380,37 @@ class BlobTextureSpec:
         # blob_block > 1 evaluates the bump at block centers and duplicates
         # pixels, pinning the blob exactly inside the block-average subspace
         cy, cx = np.asarray(centers, dtype=np.float64).T[:, :, None, None]
-        block = self.blob_block
-        yy = block * (np.arange(self.height // block, dtype=np.float64)[:, None] + 0.5) - 0.5
-        xx = block * (np.arange(self.width // block, dtype=np.float64)[None, :] + 0.5) - 0.5
+        yy = self._block_centers(self.height)[:, None]
+        xx = self._block_centers(self.width)[None, :]
         bump = self.blob_amplitude * np.exp(
             -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * self.blob_radius**2)
         )
-        return bump.repeat(block, axis=1).repeat(block, axis=2)
+        return bump.repeat(self.blob_block, axis=1).repeat(self.blob_block, axis=2)
+
+    def _block_centers(self, size: int) -> np.ndarray:
+        """Coordinates of the blob_block centers along an axis of ``size`` px."""
+        block = self.blob_block
+        return block * (np.arange(size // block, dtype=np.float64) + 0.5) - 0.5
+
+    def _bump_profiles(self, coords, size: int) -> np.ndarray:
+        """(len(coords), size) unit 1-D bumps: the blob at (cy, cx) is, up to
+        rounding, blob_amplitude · outer(profile(cy), profile(cx))."""
+        offsets = self._block_centers(size)[None, :] - np.asarray(coords)[:, None]
+        profile = np.exp(-(offsets**2) / (2.0 * self.blob_radius**2))
+        return profile.repeat(self.blob_block, axis=1)
+
+    def _wave(self, parity: int, size: int) -> np.ndarray:
+        """The grating along an axis of ``size`` px for centers of ``parity``."""
+        coord = np.arange(size, dtype=np.float64)
+        return self.texture_amplitude * np.cos(
+            2.0 * math.pi * self.texture_freq * coord + math.pi * parity
+        )
 
     def texture_image(self, center_index: int, class_index: int) -> np.ndarray:
-        phase = math.pi * (center_index % 2)
         if class_index % 2 == 0:
-            coord = np.arange(self.width, dtype=np.float64)[None, :]
+            grid = self._wave(center_index % 2, self.width)[None, :]
         else:
-            coord = np.arange(self.height, dtype=np.float64)[:, None]
-        wave = self.texture_amplitude * np.cos(2.0 * math.pi * self.texture_freq * coord + phase)
-        grid = np.broadcast_to(wave, (self.height, self.width))
+            grid = self._wave(center_index % 2, self.height)[:, None]
         return np.broadcast_to(grid, self.image_shape).copy()
 
     def mean_image(self, center_index: int, class_index: int) -> np.ndarray:
@@ -361,10 +437,9 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
 
     Mean (j, k) is ``spec.mean_image(j, k)``; the blob depends only on the
     center and the texture only on (center parity, class), so each is built
-    once and the sums are broadcast into place.  The J blobs and the
-    min(2, J)·C textures are also the mixture's atoms (kept when they number
-    fewer than the J·C components): row j·C + k of the incidence matrix
-    picks blob j and texture (j mod 2, k).
+    once and the sums are broadcast into place.  When the J blobs and the
+    min(2, J)·C textures number fewer than the J·C components, the mixture
+    also keeps their separable factors (``_separable_factors``).
     """
     n_centers, n_classes = len(spec.centers), spec.n_classes
     n_parities = min(2, n_centers)
@@ -384,12 +459,41 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
         means=means.reshape((-1,) + spec.image_shape),
         scales=np.full(k, spec.noise_scale),
     )
-    rows = np.arange(k)
-    center, cls = np.divmod(rows, n_classes)
-    incidence = np.zeros((k, n_centers + n_parities * n_classes))
-    incidence[rows, center] = 1.0
-    incidence[rows, n_centers + (center % 2) * n_classes + cls] = 1.0
-    atoms = np.concatenate([blobs.reshape(n_centers, -1), textures.reshape(n_parities * n_classes, -1)])
-    mix._keep_atoms(atoms, incidence)
+    if n_centers + n_parities * n_classes < k:
+        mix._freeze(_separable_factors(spec))
     return mix
 
+
+def _separable_factors(spec: BlobTextureSpec) -> dict:
+    """``rows``, ``cols`` and ``cells`` of the blob mixture's means.
+
+    ``rows`` holds the bump of each distinct center row (amplitude
+    included), a ones row and the grating of each center parity along y;
+    ``cols`` the same along x, with unit bumps.  Component j·C + k has two
+    cells: its blob outer(bump(c_y), bump(c_x)), and its texture
+    outer(1, grating(j mod 2)) for even k or outer(grating(j mod 2), 1) for
+    odd k.
+    """
+    n_centers, n_classes = len(spec.centers), spec.n_classes
+    parities = range(min(2, n_centers))
+    cy, cx = np.asarray(spec.centers, dtype=np.float64).T
+    ys, row_of = np.unique(cy, return_inverse=True)
+    xs, col_of = np.unique(cx, return_inverse=True)
+    rows = np.vstack([
+        spec.blob_amplitude * spec._bump_profiles(ys, spec.height),
+        np.ones(spec.height),
+        *(spec._wave(p, spec.height) for p in parities),
+    ])
+    cols = np.vstack([
+        spec._bump_profiles(xs, spec.width),
+        np.ones(spec.width),
+        *(spec._wave(p, spec.width) for p in parities),
+    ])
+    nq = len(cols)
+    center, cls = np.divmod(np.arange(n_centers * n_classes), n_classes)
+    parity = center % 2
+    texture = np.where(
+        cls % 2 == 0, len(ys) * nq + len(xs) + 1 + parity, (len(ys) + 1 + parity) * nq + len(xs)
+    )
+    cells = np.stack([row_of[center] * nq + col_of[center], texture], axis=1)
+    return {"rows": rows, "cols": cols, "cells": cells}

@@ -25,6 +25,7 @@ from freqguide import (
     posterior_mean,
     transform_bands,
 )
+from freqguide.cli import EXIT_CODES
 
 rng = np.random.default_rng(42)
 
@@ -59,6 +60,25 @@ class TestMixtureValidation:
         mix = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])
         with pytest.raises(ConfigError):
             mix.restricted([])
+
+    @pytest.mark.parametrize("index", [99, 2, -1])
+    def test_restricted_out_of_range(self, index):
+        mix = mixture([0.5, 0.5], np.zeros((2,) + SHAPE), [1.0, 1.0])
+        with pytest.raises(ConfigError, match=f"component index {index} outside 0..1"):
+            mix.restricted([0, index])
+
+    @pytest.mark.parametrize("index", [0.7, float("nan"), "1"])
+    def test_restricted_non_integer(self, index):
+        mix = mixture([0.5, 0.5], np.zeros((2,) + SHAPE), [1.0, 1.0])
+        with pytest.raises(ConfigError, match=f"component index must be an integer, got {index!r}"):
+            mix.restricted([index])
+
+    def test_restricted_duplicate(self):
+        mix = mixture([0.2, 0.3, 0.5], np.zeros((3,) + SHAPE), [1.0, 1.0, 1.0])
+        with pytest.raises(ConfigError, match="component index 1 given more than once"):
+            mix.restricted([2, 1, 0, 1])
+        # integer-valued floats name the same components as ints
+        assert list(mix.restricted([2.0, 0.0]).indices) == [2, 0]
 
 
 class TestPosteriorMean:
@@ -232,6 +252,13 @@ class TestDenoiserPair:
         with pytest.raises(ConfigError):
             make_denoiser_pair(mix, [0])
 
+    def test_labels_must_be_integers(self):
+        mix = mixture([0.5, 0.5], np.zeros((2,) + SHAPE), [1.0, 1.0])
+        with pytest.raises(ConfigError, match="class label must be an integer, got 0.5"):
+            make_denoiser_pair(mix, [0.5] * 2)
+        with pytest.raises(ConfigError, match="got True"):
+            make_denoiser_pair(mix, [True, False])
+
 
 def many_modes_spec() -> BlobTextureSpec:
     """The acceptance model with 16 x 16 centers and 4 classes: 1024 components."""
@@ -243,22 +270,34 @@ def many_modes_spec() -> BlobTextureSpec:
     )
 
 
-@pytest.fixture(scope="module", params=["acceptance", "many_modes"])
-def model(request):
-    spec = acceptance_spec() if request.param == "acceptance" else many_modes_spec()
+def model_of(spec: BlobTextureSpec):
     mix = blob_mixture_from_spec(spec)
     labels = class_labels(spec)
     return spec, mix, labels, make_denoiser_pair(mix, labels)
+
+
+@pytest.fixture(scope="module")
+def many_modes():
+    return model_of(many_modes_spec())
+
+
+@pytest.fixture(scope="module", params=["acceptance", "many_modes"])
+def model(request):
+    if request.param == "acceptance":
+        return model_of(acceptance_spec())
+    return request.getfixturevalue("many_modes")
 
 
 class TestJointEvaluation:
     @pytest.mark.parametrize("sigma", [80.0, 3.0, 0.3, 0.02])
     def test_both_equals_separate_calls(self, model, sigma):
         """The joint pass equals separate calls, and the many-mode model's
-        atom path equals the dense path through its K means."""
+        factored path equals the dense path through its K means."""
         spec, mix, labels, pair = model
         dense = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
-        assert dense.atoms is None
+        dense_pair = make_denoiser_pair(dense, labels)
+        assert dense.cells is None
+        assert (mix.cells is None) == (spec.n_classes == 2)  # acceptance: 8 planes, K = 8
         gen = np.random.default_rng(11)
         for condition in [None] + list(range(spec.n_classes)):
             # four noisy draws from the class's components (class 0 for None)
@@ -270,6 +309,8 @@ class TestJointEvaluation:
             full = posterior_mean(z, sigma, mix).data
             assert np.array_equal(d_u.data, full)
             assert np.abs(full - posterior_mean(z, sigma, dense).data).max() <= 1e-12
+            for got, want in zip((d_c, d_u), dense_pair.both(z, sigma, condition)):
+                assert np.abs(got.data - want.data).max() <= 1e-12
             if condition is None:
                 assert np.array_equal(d_c.data, full)
                 continue
@@ -290,6 +331,26 @@ class TestJointEvaluation:
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
         z = Tensor4(rng.normal(size=(1,) + SHAPE))
         assert posterior_mean(z, 0.0, mix, subset=mix.restricted([1])) == (z, z)
+
+    @pytest.mark.parametrize(
+        "value, sigma, message",
+        [
+            (1e153, 1.0, r"\|z\|\^2 overflows float64 at sigma=1; reduce the scales"),
+            # ‖z‖² is finite, ‖z - m_k‖² / (s² + σ²) is not
+            (1e151, 0.02, "posterior mean overflows float64 at sigma=0.02"),
+            (-1e151, 0.02, "posterior mean overflows float64 at sigma=0.02"),
+        ],
+    )
+    def test_overflow_on_factored_path(self, many_modes, value, sigma, message):
+        spec, mix, labels, pair = many_modes
+        assert mix.cells is not None
+        z = Tensor4(np.full((2,) + spec.image_shape, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: posterior_mean(z, sigma, mix), lambda: pair.both(z, sigma, 2)):
+                with pytest.raises(DomainError, match=message) as exc:
+                    call()
+                assert EXIT_CODES[exc.value.category] == 6
 
     @pytest.mark.parametrize("value", [1e200, 1e154])
     def test_overflow_is_domain_error(self, value):
@@ -321,17 +382,31 @@ class TestCachedConstants:
         assert not sub.indices.flags.writeable
         assert mix.parent is None and mix.indices is None
 
-    def test_atoms_read_only_and_shared_by_restricted(self):
-        mix = blob_mixture_from_spec(BlobTextureSpec(n_classes=3))  # A = 4 + 2·3 < K = 12
+    def test_factors_read_only_and_shared_by_restricted(self):
+        mix = blob_mixture_from_spec(BlobTextureSpec(n_classes=3))  # 4 + 2·3 planes < K = 12
         sub = mix.restricted([1, 4, 11])
-        assert sub.atoms is mix.atoms and mix.atoms.shape == (10, mix.dim)
-        assert np.array_equal(sub.incidence, mix.incidence[[1, 4, 11]])
-        assert np.array_equal(sub.incidence @ sub.atoms, sub.flat)
-        for arr in (mix.atoms, mix.incidence, sub.incidence):
+        assert sub.rows is mix.rows and sub.cols is mix.cols
+        assert np.array_equal(sub.cells, mix.cells[[1, 4, 11]])
+        for arr in (mix.rows, mix.cols, mix.cells, sub.cells):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert degrade(mix, 0.0, 1.0, seed=0).atoms is None
+        assert degrade(mix, 0.0, 1.0, seed=0).cells is None
+
+    def test_factors_only_with_fewer_planes_than_components(self, many_modes):
+        spec, mix, labels, pair = many_modes
+        # 16 distinct bump rows (columns), a ones row and 2 gratings
+        assert mix.rows.shape == (19, 32) and mix.cols.shape == (19, 32)
+        assert mix.cells.shape == (1024, 2)
+        for condition in range(spec.n_classes):
+            sub = pair.class_mixture(condition)
+            assert sub.rows is mix.rows and sub.cols is mix.cols
+            assert np.array_equal(sub.cells, mix.cells[labels == condition])
+        acceptance = blob_mixture_from_spec(acceptance_spec())  # 8 planes, K = 8
+        single = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])  # mixture.kind = single
+        hand_built = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        for dense in (acceptance, single, degrade(mix, 0.0, 1.0, seed=0), hand_built, hand_built.restricted([3])):
+            assert dense.rows is None and dense.cols is None and dense.cells is None
 
     def test_restricted_copies_caller_indices(self):
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
@@ -478,14 +553,19 @@ class TestVectorizedBuild:
     def test_equals_per_component_loop(self, spec):
         mix = blob_mixture_from_spec(spec)
         weights, means = loop_mixture(spec)
-        # atoms: J blobs and min(2, J) textures per class, kept only when
-        # fewer than the K components (odd-3x4 and many-modes)
-        n_atoms = len(spec.centers) + min(2, len(spec.centers)) * spec.n_classes
-        assert (mix.atoms is not None) == (n_atoms < len(means))
-        if mix.atoms is not None:
-            assert mix.atoms.shape == (n_atoms, mix.dim)
-            assert set(np.unique(mix.incidence)) == {0.0, 1.0}
-            assert np.array_equal(mix.incidence @ mix.atoms, means.reshape(len(means), -1))
+        # factors: kept only when the J blobs and min(2, J) textures per class
+        # number fewer than the K components (odd-3x4 and many-modes)
+        n_planes = len(spec.centers) + min(2, len(spec.centers)) * spec.n_classes
+        assert (mix.cells is not None) == (n_planes < len(means))
+        if mix.cells is not None:
+            assert mix.rows.shape[1] == spec.height and mix.cols.shape[1] == spec.width
+            assert mix.cells.shape == (len(means), 2)
+            r, q = np.divmod(mix.cells, len(mix.cols))
+            planes = np.einsum("kth,ktw->khw", mix.rows[r], mix.cols[q])
+            # each blob is amplitude·exp(-a)·exp(-b) in place of amplitude·exp(-(a + b)):
+            # a few ulp of the largest mean value
+            bound = 4 * np.finfo(np.float64).eps * np.abs(means).max()
+            assert np.abs(planes[:, None] - means).max() <= bound
         assert mix.means.tobytes() == means.tobytes()
         assert mix.weights.tobytes() == mixture(weights, means, mix.scales).weights.tobytes()
         assert mix.scales.tobytes() == np.full(len(means), spec.noise_scale).tobytes()
