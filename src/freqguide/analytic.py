@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair
-from .tensor import Tensor4
+from .tensor import Tensor4, Workspace
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -162,20 +162,20 @@ def _plane_dots(z: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
     return dots
 
 
-def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix) -> np.ndarray:
-    """Posterior mean (B, D) under ``mix`` through its K means."""
+def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix, out: np.ndarray, z_term: np.ndarray):
+    """Posterior mean (B, D) under ``mix`` through its K means, into ``out``;
+    ``z_term`` is scratch for z_coef·z."""
     w, z_coef = _weights(sq_dist, sigma, mix)
-    out = w @ mix.flat
-    out += z_coef[:, None] * zf
-    return out
+    np.matmul(w, mix.flat, out=out)
+    out += np.multiply(z_coef[:, None], zf, out=z_term)
 
 
-def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list) -> list:
-    """Posterior means (B, C, H·W) under each of ``sides`` (which share
-    their factors), given their (B, K_s) distances.  All sides' weights are
-    scattered into one (S·B, nr, nq) grid of plane coefficients and mapped
-    back by rowsᵀ · grid · cols; every channel of a mean is the same plane,
-    so each side adds its plane to z_coef·z."""
+def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list, outs: list):
+    """Posterior means under each of ``sides`` (which share their factors),
+    given their (B, K_s) distances, into ``outs`` (each shaped like ``z``).
+    All sides' weights are scattered into one (S·B, nr, nq) grid of plane
+    coefficients and mapped back by rowsᵀ · grid · cols; every channel of a
+    mean is the same plane, so each side adds its plane to z_coef·z."""
     rows, cols = sides[0].rows, sides[0].cols
     (b, c), n_cells = z.shape[:2], len(rows) * len(cols)
     items = np.arange(b)[:, None] * n_cells
@@ -190,20 +190,19 @@ def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list
         for w, side in zip(ws, sides)
     ])
     planes = rows.T @ grid.reshape(-1, len(rows), len(cols)) @ cols
-    outs = [z_coef[:, None, None] * z.reshape(b, c, -1) for z_coef in z_coefs]
-    for out, plane in zip(outs, planes.reshape(len(sides), b, 1, -1)):
+    for out, z_coef, plane in zip(outs, z_coefs, planes.reshape(len(sides), b, 1, -1)):
+        out = np.multiply(z_coef[:, None, None], z.reshape(b, c, -1), out=out.reshape(b, c, -1))
         out += plane
-    return outs
 
 
 def _checked(out: np.ndarray, sigma: float) -> Tensor4:
     if not np.isfinite(out).all():
         raise DomainError(f"posterior mean overflows float64 at sigma={sigma:g}")
-    return Tensor4(out)
+    return Tensor4(out, checked=True)
 
 
 def posterior_mean(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None, *, work: Workspace | None = None
 ) -> Tensor4 | tuple[Tensor4, Tensor4]:
     """Exact E[x | z] under z = x + sigma * eps, x ~ mix.
 
@@ -215,7 +214,9 @@ def posterior_mean(
     subset's distances are columns of the full (B, K) distance matrix, the
     way a neural CFG step evaluates both predictions in one doubled batch.
     With separable factors, both sides' means come from one grid product.
-    Raises ``DomainError`` when ‖z‖² or the output overflows float64.
+    The outputs and the z_coef·z term go to ``work`` (a new ``Workspace``
+    when None).  Raises ``DomainError`` when ‖z‖² or the output overflows
+    float64.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
@@ -225,6 +226,8 @@ def posterior_mean(
         raise UsageError("subset must be a mixture restricted from mix")
     if sigma == 0.0:
         return z if subset is None else (z, z)
+    if work is None:
+        work = Workspace()
     zf = z.data.reshape(z.dims[0], -1)  # (B, D)
     with np.errstate(over="ignore", invalid="ignore"):
         z_sq = np.einsum("bd,bd->b", zf, zf)
@@ -234,11 +237,14 @@ def posterior_mean(
         sq_dist = z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]  # (B, K)
         sides = [mix] if subset is None else [mix, subset]
         dists = [sq_dist if side is mix else sq_dist[:, side.indices] for side in sides]
+        outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
         if mix.cells is None:
-            outs = (_dense_mean(zf, d, sigma, side) for d, side in zip(dists, sides))
+            z_term = work.get("z_term", zf.shape)
+            for d, side, out in zip(dists, sides, outs):
+                _dense_mean(zf, d, sigma, side, out.reshape(zf.shape), z_term)
         else:
-            outs = _plane_posterior_means(z.data, dists, sigma, sides)
-        full, *part = (_checked(out.reshape(z.dims), sigma) for out in outs)
+            _plane_posterior_means(z.data, dists, sigma, sides, outs)
+        full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
 
 
@@ -265,11 +271,13 @@ class _MixturePair(DenoiserPair):
                 self.by_class[condition] = self.mix.restricted(np.flatnonzero(self.labels == condition))
             return self.by_class[condition]
 
-    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+    def both(
+        self, z: Tensor4, sigma: float, condition=None, *, work: Workspace | None = None
+    ) -> tuple[Tensor4, Tensor4]:
         if condition is None:
-            d_u = posterior_mean(z, sigma, self.mix)
+            d_u = posterior_mean(z, sigma, self.mix, work=work)
             return d_u, d_u
-        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition))
+        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:

@@ -32,7 +32,7 @@ from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
 from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
-from .tensor import Tensor4, TensorReader, atomic_write_bytes, tensor_writer, write_csv, write_tensor
+from .tensor import Tensor4, TensorReader, Workspace, atomic_write_bytes, tensor_writer, write_csv, write_tensor
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
 
@@ -312,11 +312,15 @@ def cmd_combine(args) -> int:
             raise ShapeError(f"dims mismatch: {cond.dims} vs {uncond.dims}")
         batch = cond.dims[0]
         step = max(1, CHUNK_VALUES // int(np.prod(cond.dims[1:])))
+        work = Workspace()
         # freqcfg_combine is batch-invariant, so the chunks give the bytes of one whole-batch call
         with tensor_writer(args.out, cond.dims) as append:
             for start in range(0, batch, step):
                 stop = min(start + step, batch)
-                append(freqcfg_combine(cond.read(start, stop), uncond.read(start, stop), guidance))
+                shape = (stop - start,) + cond.dims[1:]
+                d_c = cond.read(start, stop, out=work.get("cond", shape))
+                d_u = uncond.read(start, stop, out=work.get("uncond", shape))
+                append(freqcfg_combine(d_c, d_u, guidance, work=work))
     flags = {
         "combine.cond": args.cond,
         "combine.uncond": args.uncond,
@@ -337,9 +341,15 @@ def cmd_analyze_norms(args) -> int:
     pair = build_pair(cfg, mix, labels)
     recorder = NormRecorder()
     sample(pair, run, recorder=recorder)
+    if len(recorder.records) < 2:
+        raise ConfigError(
+            f"analyze-norms needs at least 2 guided steps; guidance.interval = "
+            f"{cfg.get_str('guidance.interval', 'none')} opens the gate on {len(recorder.records)} "
+            f"of sample.steps = {run.steps}"
+        )
+    crossover = crossover_step(recorder.records)
     rows = [(r.step, r.t, r.sigma, r.low_norm, r.high_norm) for r in recorder.records]
     write_csv(args.out, ["step", "t", "sigma", "low_norm", "high_norm"], rows)
-    crossover = crossover_step(recorder.records)
     print(f"crossover_step={crossover}")
     write_manifest(
         args.out + ".manifest.json",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
-from .tensor import Tensor4
+from .tensor import Tensor4, Workspace
 
 _MAX_SEED = 2**63
 
@@ -117,36 +117,50 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     final step to sigma = 0 which stays plain Euler (the corrector would need
     a denoiser evaluation at zero noise).  ``recorder`` gets one record per
     step whose guidance gate is open, under that sampler step i.
+
+    One ``Workspace`` serves every step; the state is a new array each
+    step, so no ``Tensor4`` the pair is given changes afterwards.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
+    work = Workspace()
 
-    def denoise(z: Tensor4, i: int, rec) -> Tensor4:
+    def denoise(z: Tensor4, i: int, rec) -> np.ndarray:
         sigma = float(sigmas[i])
         if run.guidance is None:
-            return pair.cond(z, sigma, run.condition)
+            return pair.cond(z, sigma, run.condition).data
         return guided_denoise(
-            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=rec, step=i
-        )
+            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=rec, step=i,
+            work=work,
+        ).data
 
-    def finite(state: np.ndarray, sigma: float) -> np.ndarray:
+    def drift(z: Tensor4, x0: np.ndarray, sigma: float, name: str) -> np.ndarray:
+        out = np.subtract(z.data, x0, out=work.get(name, z.dims))
+        out /= sigma
+        return out
+
+    def finite(state: np.ndarray, sigma: float) -> Tensor4:
         if not np.isfinite(state).all():
             raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
-        return state
+        return Tensor4(state, checked=True)
 
-    z = initial_noise(run.seed, run.batch, run.shape, float(sigmas[0])).data
+    z = initial_noise(run.seed, run.batch, run.shape, float(sigmas[0]))
     for i in range(run.steps):
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-        x0 = denoise(Tensor4(z), i, recorder).data
+        x0 = denoise(z, i, recorder)
+        corrector = run.sampler == "heun" and s_next > 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = (z - x0) / s_cur
-            z_euler = finite(z + (s_next - s_cur) * drift, s_next)
-        if run.sampler == "euler" or s_next == 0.0:
+            d_cur = drift(z, x0, s_cur, "drift")
+            # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
+            h_drift = np.multiply(s_next - s_cur, d_cur, out=work.get("step", z.dims) if corrector else d_cur)
+            z_euler = finite(z.data + h_drift, s_next)
+        if not corrector:
             z = z_euler
         else:
             # corrector never records: one band-norm record per step
-            x0_next = denoise(Tensor4(z_euler), i + 1, None).data
+            x0_next = denoise(z_euler, i + 1, None)
             with np.errstate(over="ignore", invalid="ignore"):
-                drift_next = (z_euler - x0_next) / s_next
-                z = finite(z + (s_next - s_cur) * 0.5 * (drift + drift_next), s_next)
-    return Tensor4(z)
+                d_next = drift(z_euler, x0_next, s_next, "step")
+                d_next = np.add(d_cur, d_next, out=d_next)
+                z = finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
+    return z

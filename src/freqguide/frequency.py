@@ -14,7 +14,8 @@ with read-only per-axis matrices built once per size (``lru_cache``):
   four subbands as quadrants.
 
 ``analyze``/``synthesize`` are ``transform_bands``/``inverse_bands`` on raw
-arrays; ``low_pass_chain`` and ``up_step`` are the down/up steps alone.
+arrays; ``low_pass_chain`` and ``up_step`` are the down/up steps alone.  They
+write every image-sized result into named arrays of a ``Workspace``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .tensor import Tensor4
+from .tensor import Tensor4, Workspace
 
 # Burt-Adelson binomial kernel; sums to 1.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -98,23 +99,27 @@ def _haar(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(0.5 * np.vstack(rows)), _frozen(np.vstack(cols))
 
 
-def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray) -> np.ndarray:
-    return a_h @ arr @ a_w.T
+def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray, work: Workspace, name) -> np.ndarray:
+    """A_h @ arr @ A_wᵀ into ``work`` array ``name``.  The left product is
+    consumed at once, so every call shares one array per left shape."""
+    b, c, _, w = arr.shape
+    left = np.matmul(a_h, arr, out=work.get(("left", len(a_h), w), (b, c, len(a_h), w)))
+    return np.matmul(left, a_w.T, out=work.get(name, (b, c, len(a_h), len(a_w))))
 
 
-def _down(arr: np.ndarray) -> np.ndarray:
+def _down(arr: np.ndarray, work: Workspace, name) -> np.ndarray:
     h, w = arr.shape[2:]
-    return _apply(arr, _down_matrix(h), _down_matrix(w))
+    return _apply(arr, _down_matrix(h), _down_matrix(w), work, name)
 
 
-def _up(arr: np.ndarray, target_hw) -> np.ndarray:
+def _up(arr: np.ndarray, target_hw, work: Workspace, name) -> np.ndarray:
     h, w = arr.shape[2:]
     th, tw = int(target_hw[0]), int(target_hw[1])
     if th not in (2 * h, 2 * h - 1) or tw not in (2 * w, 2 * w - 1):
         raise ShapeError(f"up-step target {th}x{tw} incompatible with input {h}x{w}")
     if h < 3 or w < 3:
         raise ShapeError(f"blur needs spatial dims >= 5, got {2 * h}x{2 * w}")
-    return _apply(arr, _up_matrix(th, h), _up_matrix(tw, w))
+    return _apply(arr, _up_matrix(th, h), _up_matrix(tw, w), work, name)
 
 
 def max_pyramid_levels(height: int, width: int) -> int:
@@ -138,33 +143,41 @@ def check_fit(kind: TransformKind, height: int, width: int):
         )
 
 
-def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
+def low_pass_chain(
+    arr: np.ndarray, kind: TransformKind, work: Workspace | None = None, tag: str = ""
+) -> list[np.ndarray]:
     """[x, D x, ..., D^N x]: the N down-steps of ``kind`` on a raw array.
 
     D is blur-then-decimate (ceil(H/2) x ceil(W/2)) for the pyramid and the ll
-    analysis for Haar.  Raises the ``check_fit`` error for sizes ``kind``
-    cannot decompose.
+    analysis for Haar.  D^k x goes to ``work`` array ``tag + f"down{k}"``
+    (a new ``Workspace`` when None, as for every function here).  Raises the
+    ``check_fit`` error for sizes ``kind`` cannot decompose.
     """
     h, w = arr.shape[2:]
     check_fit(kind, h, w)
+    work = Workspace() if work is None else work
     if kind.kind == "haar":
         a_h, a_w = _haar(h, w)
-        return [arr, _apply(arr, a_h[: h // 2], a_w[: w // 2])]
+        return [arr, _apply(arr, a_h[: h // 2], a_w[: w // 2], work, tag + "down1")]
     chain = [arr]
-    for _ in range(kind.levels):
-        chain.append(_down(chain[-1]))
+    for k in range(1, kind.levels + 1):
+        chain.append(_down(chain[-1], work, f"{tag}down{k}"))
     return chain
 
 
-def up_step(arr: np.ndarray, target_hw, kind: TransformKind) -> np.ndarray:
-    """U, the synthesis partner of one down-step: for the pyramid a gain-2
-    blur of the zero-stuffed double grid cropped to ``target_hw``, for Haar
-    ll-only synthesis (whose U D is the 2x2 block mean)."""
+def up_step(
+    arr: np.ndarray, target_hw, kind: TransformKind, work: Workspace | None = None, name="up"
+) -> np.ndarray:
+    """U, the synthesis partner of one down-step, into ``work`` array
+    ``name``: for the pyramid a gain-2 blur of the zero-stuffed double grid
+    cropped to ``target_hw``, for Haar ll-only synthesis (whose U D is the
+    2x2 block mean)."""
+    work = Workspace() if work is None else work
     if kind.kind == "pyramid":
-        return _up(arr, target_hw)
+        return _up(arr, target_hw, work, name)
     h, w = arr.shape[2:]
     a_h, a_w = _haar(*target_hw)
-    return _apply(arr, a_h[:h].T, a_w[:w].T)
+    return _apply(arr, a_h[:h].T, a_w[:w].T, work, name)
 
 
 def _split3(details: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,36 +185,55 @@ def _split3(details: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return details[:, :c], details[:, c : 2 * c], details[:, 2 * c :]
 
 
-def analyze(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
-    """``transform_bands`` on a raw array."""
+def analyze(
+    arr: np.ndarray, kind: TransformKind, work: Workspace | None = None, tag: str = ""
+) -> list[np.ndarray]:
+    """``transform_bands`` on a raw array; band i goes to ``work`` array
+    ``tag + f"band{i}"`` (the pyramid residual stays in its low-pass array,
+    the Haar ll is a view of ``tag + "haar"``)."""
+    work = Workspace() if work is None else work
     if kind.kind == "pyramid":
-        g = low_pass_chain(arr, kind)
-        return [g[i] - _up(g[i + 1], g[i].shape[2:]) for i in range(kind.levels)] + [g[-1]]
-    h, w = arr.shape[2:]
+        g = low_pass_chain(arr, kind, work, tag)
+        bands = []
+        for i in range(kind.levels):
+            up = _up(g[i + 1], g[i].shape[2:], work, f"{tag}band{i}")
+            bands.append(np.subtract(g[i], up, out=up))
+        return bands + [g[-1]]
+    b, c, h, w = arr.shape
     check_fit(kind, h, w)
-    y = _apply(arr, *_haar(h, w))
+    y = _apply(arr, *_haar(h, w), work, tag + "haar")
     h2, w2 = h // 2, w // 2
-    details = np.concatenate([y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]], axis=1)
+    details = np.concatenate(
+        [y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]],
+        axis=1,
+        out=work.get(tag + "band0", (b, 3 * c, h2, w2)),
+    )
     return [details, y[:, :, :h2, :w2]]
 
 
-def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
-    """``inverse_bands`` on raw arrays."""
+def synthesize(
+    bands: list[np.ndarray], kind: TransformKind, work: Workspace | None = None, tag: str = ""
+) -> np.ndarray:
+    """``inverse_bands`` on raw arrays, into ``work`` arrays named from ``tag``."""
     if len(bands) != kind.band_count:
         raise ShapeError(f"expected {kind.band_count} bands, got {len(bands)}")
+    work = Workspace() if work is None else work
     *details, g = bands
     if kind.kind == "pyramid":
-        for band in reversed(details):
-            if band.shape[:2] != g.shape[:2]:
-                raise ShapeError(f"band dims {band.shape} inconsistent with residual chain {g.shape}")
-            g = band + _up(g, band.shape[2:])
+        for i in reversed(range(len(details))):
+            if details[i].shape[:2] != g.shape[:2]:
+                raise ShapeError(f"band dims {details[i].shape} inconsistent with residual chain {g.shape}")
+            up = _up(g, details[i].shape[2:], work, f"{tag}up{i}")
+            g = np.add(details[i], up, out=up)
         return g
     b, c, h, w = g.shape
     if details[0].shape != (b, 3 * c, h, w):
         raise ShapeError(f"haar detail stack {details[0].shape} does not fit ll {g.shape}")
+    quads = work.get(tag + "quads", (b, c, 2 * h, 2 * w))
     lh, hl, hh = _split3(details[0])
+    quads[:, :, :h, :w], quads[:, :, :h, w:], quads[:, :, h:, :w], quads[:, :, h:, w:] = g, lh, hl, hh
     a_h, a_w = _haar(2 * h, 2 * w)
-    return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T)
+    return _apply(quads, a_h.T, a_w.T, work, tag + "haar")
 
 
 def transform_bands(x: Tensor4, kind: TransformKind) -> list[Tensor4]:

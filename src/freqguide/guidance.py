@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 from .frequency import TransformKind, analyze, low_pass_chain, synthesize, up_step
-from .tensor import Tensor4
+from .tensor import Tensor4, Workspace
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,13 @@ class DenoiserPair:
     cond: object
     uncond: object
 
-    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+    def both(
+        self, z: Tensor4, sigma: float, condition=None, *, work: Workspace | None = None
+    ) -> tuple[Tensor4, Tensor4]:
         """(cond, uncond) at one noise level; a pair whose two predictions
-        share work overrides this, as a neural model runs one doubled batch."""
+        share work overrides this, as a neural model runs one doubled batch.
+        An override may put its outputs in the arrays of ``work``; this one
+        ignores it."""
         return self.cond(z, sigma, condition), self.uncond(z, sigma)
 
 
@@ -106,13 +110,13 @@ class NormRecorder:
         self.records.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
 
 
-def _parallel(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+def _parallel(v0: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a = v0.reshape(v0.shape[0], -1)
     b = v1.reshape(v1.shape[0], -1)
     dot = np.einsum("ij,ij->i", a, b)
     sq = np.einsum("ij,ij->i", b, b)
     coef = np.divide(dot, sq, out=np.zeros_like(dot), where=sq > 0.0)
-    return coef[:, None, None, None] * v1
+    return np.multiply(coef[:, None, None, None], v1, out=out)
 
 
 def project(v0: Tensor4, v1: Tensor4) -> tuple[Tensor4, Tensor4]:
@@ -132,22 +136,34 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _guided_bands(c: np.ndarray, u: np.ndarray, cfg: GuidanceConfig, work: Workspace) -> list[np.ndarray]:
+    """``freqcfg_combine_bands`` on raw arrays, each band checked finite.
+    Band i's difference, reweighted difference and guided band overwrite
+    the unconditional band in turn; its parallel part goes to ``par{i}``."""
+    bands_c = analyze(c, cfg.transform, work, "c.")
+    bands_u = analyze(u, cfg.transform, work, "u.")
+    guided = []
+    for i, (band_c, band_u, scale, weight) in enumerate(zip(bands_c, bands_u, cfg.scales, cfg.weights)):
+        diff = np.subtract(band_c, band_u, out=band_u)
+        par = _parallel(diff, band_c, out=work.get(f"par{i}", diff.shape))
+        reweighted = np.add(diff, np.multiply(weight - 1.0, par, out=par), out=diff)
+        step = np.multiply(scale - 1.0, reweighted, out=reweighted)
+        guided.append(_finite(np.add(band_c, step, out=step)))
+    return guided
+
+
 def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> list[Tensor4]:
     """Guided band coefficients: band_c + (scale - 1) * reweighted(band_c - band_u)."""
     if d_c.dims != d_u.dims:
         raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
-    bands_c = analyze(d_c.data, cfg.transform)
-    bands_u = analyze(d_u.data, cfg.transform)
-    guided = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for band_c, band_u, scale, weight in zip(bands_c, bands_u, cfg.scales, cfg.weights):
-            diff = band_c - band_u
-            reweighted = diff + (weight - 1.0) * _parallel(diff, band_c)
-            guided.append(Tensor4(_finite(band_c + (scale - 1.0) * reweighted)))
-    return guided
+        bands = _guided_bands(d_c.data, d_u.data, cfg, Workspace())
+    return [Tensor4(band, checked=True) for band in bands]
 
 
-def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
+def freqcfg_combine(
+    d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig, *, work: Workspace | None = None
+) -> Tensor4:
     """Per-band CFG; raises ``DomainError`` when the guided output overflows.
 
     With unit parallel weights, linearity gives a closed form in the
@@ -158,20 +174,28 @@ def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
 
     Only weights != 1 take the band-space path: decompose both inputs,
     reweight each band difference (``freqcfg_combine_bands``), reconstruct.
+    Every image-sized array, the output included, goes to ``work`` (a new
+    ``Workspace`` when None).
     """
     if d_c.dims != d_u.dims:
         raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
+    if work is None:
+        work = Workspace()
     s, kind = cfg.scales, cfg.transform
     with np.errstate(over="ignore", invalid="ignore"):
         if any(w != 1.0 for w in cfg.weights):
-            bands = freqcfg_combine_bands(d_c, d_u, cfg)
-            return Tensor4(_finite(synthesize([b.data for b in bands], kind)))
-        delta = d_c.data - d_u.data
-        g = low_pass_chain(delta, kind)
+            bands = _guided_bands(d_c.data, d_u.data, cfg, work)
+            return Tensor4(_finite(synthesize(bands, kind, work, "s.")), checked=True)
+        # Δ, then the guided output
+        out = np.subtract(d_c.data, d_u.data, out=work.get("guided", d_c.dims))
+        g = low_pass_chain(out, kind, work)
         correction = 0.0
         for k in range(len(g) - 1, 0, -1):
-            correction = up_step(correction + (s[k] - s[k - 1]) * g[k], g[k - 1].shape[2:], kind)
-        return Tensor4(_finite(d_c.data + (s[0] - 1.0) * delta + correction))
+            term = np.multiply(s[k] - s[k - 1], g[k], out=g[k])
+            correction = up_step(np.add(correction, term, out=term), g[k - 1].shape[2:], kind, work, f"up{k}")
+        np.multiply(s[0] - 1.0, out, out=out)
+        np.add(d_c.data, out, out=out)
+        return Tensor4(_finite(np.add(out, correction, out=out)), checked=True)
 
 
 def guided_denoise(
@@ -183,18 +207,21 @@ def guided_denoise(
     condition=None,
     recorder: NormRecorder | None = None,
     step: int = 0,
+    *,
+    work: Workspace | None = None,
 ) -> Tensor4:
     """One guided x0 prediction; returns the bare conditional output when the
     interval gate is closed.  Appends a band-norm record for sampler step
-    ``step`` per guided call."""
+    ``step`` per guided call.  ``work`` goes on to ``pair.both`` and
+    ``freqcfg_combine``."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not cfg.active_at(t):
         return pair.cond(z, sigma, condition)
-    d_c, d_u = pair.both(z, sigma, condition)
+    d_c, d_u = pair.both(z, sigma, condition, work=work)
     if recorder is not None:
         recorder.observe(step, t, sigma, d_c.data - d_u.data, cfg.transform)
-    return freqcfg_combine(d_c, d_u, cfg)
+    return freqcfg_combine(d_c, d_u, cfg, work=work)
 
 
 def crossover_step(records: Sequence[BandNormRecord]) -> int:

@@ -12,7 +12,6 @@ import csv
 import io
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -25,17 +24,23 @@ _HEADER = struct.Struct("<4sBB4I")  # magic, dtype code, ndim, dims
 
 
 class Tensor4:
-    """Immutable (batch, channels, height, width) array of float64."""
+    """Immutable (batch, channels, height, width) array of float64.
+
+    A C-contiguous float64 ``data`` is wrapped without a copy, so wrapping
+    freezes that very array in place (it becomes read-only); anything else
+    is copied first.  ``checked=True`` skips the finiteness scan for an
+    array its producer has just scanned itself, raising its own error.
+    """
 
     __slots__ = ("data",)
 
-    def __init__(self, data):
+    def __init__(self, data, *, checked: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"expected 4 dims, got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ShapeError(f"dims must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not checked and not np.all(np.isfinite(arr)):
             raise ShapeError("non-finite values rejected at API boundary")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -54,12 +59,41 @@ class Tensor4:
         return isinstance(other, Tensor4) and np.array_equal(self.data, other.data)
 
 
+class Workspace:
+    """Scratch float64 arrays that one run reuses from call to call.
+
+    ``get(name, shape)`` returns the array it last returned for ``name``
+    when the shape is the same, and otherwise drops it for a new one, as on
+    the shorter last chunk of a stream.  Callers write into it with numpy
+    ``out=``, so a run stops handing freed temporaries back to the
+    allocator only to fault their pages in again on the next step.
+    Whatever a call wrote into a workspace, a ``Tensor4`` wrapping it
+    included, holds only until the next call given that workspace: ``get``
+    makes an array such a ``Tensor4`` froze writeable again.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def get(self, name, shape) -> np.ndarray:
+        shape = tuple(shape)
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.empty(shape)
+        arr.flags.writeable = True
+        return arr
+
+
 @contextlib.contextmanager
 def _atomic_open(path):
     """Binary handle on a same-directory temp file that is renamed to
-    ``path`` when the block exits cleanly and unlinked when it raises."""
+    ``path`` when the block exits cleanly and unlinked when it raises.  The
+    temp file is created with mode 0o666 less the umask, as ``open`` does."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -148,13 +182,19 @@ class TensorReader:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def read(self, start: int, stop: int) -> Tensor4:
-        """Items [start, stop) as float64."""
-        arr = np.empty((stop - start,) + self.dims[1:], dtype=self._dtype)
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> Tensor4:
+        """Items [start, stop) as float64, read into ``out`` (a C-contiguous
+        float64 array of their shape) when it is given."""
+        shape = (stop - start,) + self.dims[1:]
+        if out is None:
+            out = np.empty(shape)
+        arr = out if self._dtype == out.dtype else np.empty(shape, dtype=self._dtype)
         self._fh.seek(_HEADER.size + start * arr[0].nbytes)
         if self._fh.readinto(arr) != arr.nbytes:
             raise FormatError(f"file ends before item {stop} (offset {self._fh.tell()})")
-        return Tensor4(arr)
+        if arr is not out:
+            out[...] = arr
+        return Tensor4(out)
 
 
 def read_tensor(path) -> Tensor4:

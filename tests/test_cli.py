@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -356,9 +357,9 @@ class TestStreamedCombine:
         _, _, pc, pu = self.make_dumps(tmp_path)
         sizes = []
 
-        def spy(d_c, d_u, cfg):
+        def spy(d_c, d_u, cfg, **kwargs):
             sizes.append(d_c.dims[0])
-            return freqcfg_combine(d_c, d_u, cfg)
+            return freqcfg_combine(d_c, d_u, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "freqcfg_combine", spy)
         assert run_cli("combine", "--cond", pc, "--uncond", pu, "--scales", "2,1",
@@ -448,6 +449,19 @@ class TestAnalyzeNorms:
         manifest = json.loads((tmp_path / "norms.csv.manifest.json").read_text())
         assert manifest["crossover_step"] == crossover
 
+
+    def test_one_guided_step_is_config_error_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            extra="guidance.transform = haar\nguidance.scales = 2,2\nguidance.interval = 0.1:0.05\n",
+        )
+        # t = 1 - i/12 is in [0.05, 0.1] at i = 11 only
+        out = str(tmp_path / "n.csv")
+        assert run_cli("analyze-norms", "--config", cfg, "--out", out, "--steps", "12") == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err
+        assert "guidance.interval = 0.1:0.05" in err and "1 of sample.steps = 12" in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     @pytest.mark.parametrize("interval", ["0.8:abc", "0.8", "0.8:0.2:0.1"])
     def test_malformed_interval_is_config_error(self, tmp_path, capsys, interval):
@@ -758,6 +772,29 @@ class TestGenData:
             name: (tmp_path / "d1" / name).read_bytes() for name in sorted(os.listdir(out))
         }
         assert before == after
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        cfg = write_config(tmp_path, extra="guidance.transform = haar\nguidance.scales = 2,2\n")
+        old = os.umask(umask)
+        try:
+            plain = tmp_path / "plain"
+            with open(plain, "w"):
+                pass
+            assert run_cli("sample", "--config", cfg, "--out", str(tmp_path / "s.fqg")) == 0
+            assert run_cli("combine", "--cond", str(tmp_path / "s.fqg"), "--uncond", str(tmp_path / "s.fqg"),
+                           "--scales", "2,1", "--out", str(tmp_path / "c.fqg")) == 0
+            assert run_cli("analyze-norms", "--config", cfg, "--out", str(tmp_path / "n.csv")) == 0
+            assert run_cli("gen-data", "--config", cfg, "--out", str(tmp_path / "data")) == 0
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(plain.stat().st_mode)
+        assert want == 0o666 & ~umask
+        outputs = [p for p in tmp_path.rglob("*") if p.is_file() and p.name not in ("plain", "run.cfg")]
+        assert len(outputs) == 6 + 4 + 2  # 3 commands x (output, manifest), 4 means, mixture.txt, manifest
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in outputs} == {p.name: want for p in outputs}
 
 
 class TestProcessBoundary:

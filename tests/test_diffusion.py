@@ -157,14 +157,35 @@ class TestSampler:
             with pytest.raises(DomainError, match="sampler state"):
                 sample(pair, run)
 
+    def test_each_array_is_scanned_for_finiteness_once(self, monkeypatch):
+        pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
+        guidance = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0))
+        run = SampleRunConfig(
+            steps=5, schedule=NoiseSchedule.linear(5.0), seed=1, batch=2, shape=(1, 4, 4),
+            guidance=guidance, condition=0, sampler="euler",
+        )
+        scans = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            if np.shape(x) == (2, 1, 4, 4):
+                scans.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        sample(pair, run)
+        # the initial noise, then per step both denoiser outputs, the guided
+        # output and the new state, each raising its own error
+        assert len(scans) == 1 + 4 * run.steps
+
     def test_guided_sample_makes_one_pair_call_per_evaluation(self):
         pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
         log = []
 
         class SpyPair(DenoiserPair):
-            def both(self, z, sigma, condition=None):
+            def both(self, z, sigma, condition=None, *, work=None):
                 log.append("both")
-                return pair.both(z, sigma, condition)
+                return pair.both(z, sigma, condition, work=work)
 
         def cond(z, sigma, condition=None):
             log.append("cond")

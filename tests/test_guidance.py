@@ -376,7 +376,7 @@ class TestGuidedDenoise:
         log = []
 
         class SpyPair(DenoiserPair):
-            def both(self, z, sigma, condition=None):
+            def both(self, z, sigma, condition=None, *, work=None):
                 log.append("both")
                 return d_c, d_u
 
