@@ -140,15 +140,13 @@ def _build_transform(cfg: Config, image_shape) -> TransformKind | None:
     name = cfg.get_str("guidance.transform", "none")
     if name == "none":
         return None
-    if name == "haar":
-        kind = TransformKind.haar()
-    elif name == "pyramid":
-        levels = cfg.get_int("guidance.levels", 1)
-        if levels < 1:
-            raise ConfigError(f"guidance.levels must be >= 1, got {levels}")
-        kind = TransformKind.pyramid(levels)
-    else:
+    if name not in ("pyramid", "haar"):
         raise ConfigError(f"guidance.transform must be pyramid, haar or none, got {name!r}")
+    levels = cfg.get_int("guidance.levels", 1)
+    try:
+        kind = TransformKind(name, levels)
+    except UsageError as exc:
+        raise ConfigError(f"guidance.levels = {levels}: {exc}") from exc
     try:
         check_fit(kind, *image_shape[1:])
     except ShapeError as exc:
@@ -161,7 +159,7 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
     if transform is None:
         if required:
             raise ConfigError("this command needs guidance.transform = pyramid or haar")
-        for name in ("scales", "w_low", "w_high", "parallel_weights", "interval"):
+        for name in ("levels", "scales", "w_low", "w_high", "parallel_weights", "interval"):
             if cfg.has(f"guidance.{name}"):
                 raise ConfigError(f"guidance.{name} given but guidance.transform = none")
         return None
@@ -470,13 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"freqguide {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_args(p):
+    def add_config_args(p, overrides=("steps", "seed", "batch", "sampler")):
+        """--config, --set and the ``sample.*`` override flags the command reads."""
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-        p.add_argument("--steps", type=int, help="override sample.steps")
-        p.add_argument("--seed", type=int, help="override sample.seed")
-        p.add_argument("--batch", type=int, help="override sample.batch")
-        p.add_argument("--sampler", choices=["euler", "heun"], help="override sample.sampler")
+        for name in overrides:
+            kwargs = {"choices": ["euler", "heun"]} if name == "sampler" else {"type": int}
+            p.add_argument(f"--{name}", help=f"override sample.{name}", **kwargs)
 
     p = sub.add_parser("sample", help="sample a batch and write an FQG1 tensor")
     add_config_args(p)
@@ -501,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_norms)
 
     p = sub.add_parser("sweep", help="metrics over a (w_low, w_high) grid")
-    add_config_args(p)
+    add_config_args(p, ("steps", "seed", "sampler"))
     p.add_argument("--grid", required=True, help="comma list of w_low:w_high points")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen-data", help="write mixture definition and mean images")
-    add_config_args(p)
+    add_config_args(p, ())
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
     return parser

@@ -13,9 +13,11 @@ with read-only per-axis matrices built once per size (``lru_cache``):
 * Haar ``[L; H]``: pair sums over pair differences, so one call yields the
   four subbands as quadrants.
 
-``analyze``/``synthesize`` are ``transform_bands``/``inverse_bands`` on raw
-arrays; ``low_pass_chain`` and ``up_step`` are the down/up steps alone.  They
-write every image-sized result into named arrays of a ``Workspace``.
+``low_pass_chain`` and ``up_step`` are the down/up steps alone, the only
+steps guidance runs; they write every image-sized result into named arrays
+of a ``Workspace``.  ``analyze``/``synthesize`` are ``transform_bands``/
+``inverse_bands`` on raw arrays, the band-space reference, and return new
+arrays.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def low_pass_chain(
 
     D is blur-then-decimate (ceil(H/2) x ceil(W/2)) for the pyramid and the ll
     analysis for Haar.  D^k x goes to ``work`` array ``tag + f"down{k}"``
-    (a new ``Workspace`` when None, as for every function here).  Raises the
+    (a new ``Workspace`` when None, as for ``up_step``).  Raises the
     ``check_fit`` error for sizes ``kind`` cannot decompose.
     """
     h, w = arr.shape[2:]
@@ -180,60 +182,50 @@ def up_step(
     return _apply(arr, a_h[:h].T, a_w[:w].T, work, name)
 
 
-def _split3(details: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c = details.shape[1] // 3
-    return details[:, :c], details[:, c : 2 * c], details[:, 2 * c :]
+def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind, work: Workspace | None, name) -> np.ndarray:
+    """Band k of x from its ``low_pass_chain`` [x, D x, ..., D^N x]:
+    D^k x - U D^{k+1} x into ``work`` array ``name``, and D^N x itself for
+    k = N.  For Haar, band 0 is the image-space detail (I - U D) x, the
+    synthesis of the lh/hl/hh coefficients."""
+    if k == len(chain) - 1:
+        return chain[k]
+    up = up_step(chain[k + 1], chain[k].shape[2:], kind, work, name)
+    return np.subtract(chain[k], up, out=up)
 
 
-def analyze(
-    arr: np.ndarray, kind: TransformKind, work: Workspace | None = None, tag: str = ""
-) -> list[np.ndarray]:
-    """``transform_bands`` on a raw array; band i goes to ``work`` array
-    ``tag + f"band{i}"`` (the pyramid residual stays in its low-pass array,
-    the Haar ll is a view of ``tag + "haar"``)."""
-    work = Workspace() if work is None else work
+def analyze(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
+    """``transform_bands`` on a raw array, into new arrays."""
+    work = Workspace()
     if kind.kind == "pyramid":
-        g = low_pass_chain(arr, kind, work, tag)
-        bands = []
-        for i in range(kind.levels):
-            up = _up(g[i + 1], g[i].shape[2:], work, f"{tag}band{i}")
-            bands.append(np.subtract(g[i], up, out=up))
-        return bands + [g[-1]]
-    b, c, h, w = arr.shape
+        g = low_pass_chain(arr, kind, work)
+        return [chain_band(g, k, kind, work, f"band{k}") for k in range(len(g))]
+    h, w = arr.shape[2:]
     check_fit(kind, h, w)
-    y = _apply(arr, *_haar(h, w), work, tag + "haar")
+    y = _apply(arr, *_haar(h, w), work, "haar")
     h2, w2 = h // 2, w // 2
-    details = np.concatenate(
-        [y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]],
-        axis=1,
-        out=work.get(tag + "band0", (b, 3 * c, h2, w2)),
-    )
+    details = np.concatenate([y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]], axis=1)
     return [details, y[:, :, :h2, :w2]]
 
 
-def synthesize(
-    bands: list[np.ndarray], kind: TransformKind, work: Workspace | None = None, tag: str = ""
-) -> np.ndarray:
-    """``inverse_bands`` on raw arrays, into ``work`` arrays named from ``tag``."""
+def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
+    """``inverse_bands`` on raw arrays, into new arrays."""
     if len(bands) != kind.band_count:
         raise ShapeError(f"expected {kind.band_count} bands, got {len(bands)}")
-    work = Workspace() if work is None else work
+    work = Workspace()
     *details, g = bands
     if kind.kind == "pyramid":
         for i in reversed(range(len(details))):
             if details[i].shape[:2] != g.shape[:2]:
                 raise ShapeError(f"band dims {details[i].shape} inconsistent with residual chain {g.shape}")
-            up = _up(g, details[i].shape[2:], work, f"{tag}up{i}")
+            up = _up(g, details[i].shape[2:], work, f"up{i}")
             g = np.add(details[i], up, out=up)
         return g
     b, c, h, w = g.shape
     if details[0].shape != (b, 3 * c, h, w):
         raise ShapeError(f"haar detail stack {details[0].shape} does not fit ll {g.shape}")
-    quads = work.get(tag + "quads", (b, c, 2 * h, 2 * w))
-    lh, hl, hh = _split3(details[0])
-    quads[:, :, :h, :w], quads[:, :, :h, w:], quads[:, :, h:, :w], quads[:, :, h:, w:] = g, lh, hl, hh
+    lh, hl, hh = np.split(details[0], 3, axis=1)
     a_h, a_w = _haar(2 * h, 2 * w)
-    return _apply(quads, a_h.T, a_w.T, work, tag + "haar")
+    return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T, work, "haar")
 
 
 def transform_bands(x: Tensor4, kind: TransformKind) -> list[Tensor4]:

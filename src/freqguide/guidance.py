@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import TransformKind, analyze, low_pass_chain, synthesize, up_step
+from .frequency import TransformKind, analyze, chain_band, low_pass_chain, up_step
 from .tensor import Tensor4, Workspace
 
 
@@ -136,29 +136,35 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _guided_bands(c: np.ndarray, u: np.ndarray, cfg: GuidanceConfig, work: Workspace) -> list[np.ndarray]:
-    """``freqcfg_combine_bands`` on raw arrays, each band checked finite.
-    Band i's difference, reweighted difference and guided band overwrite
-    the unconditional band in turn; its parallel part goes to ``par{i}``."""
-    bands_c = analyze(c, cfg.transform, work, "c.")
-    bands_u = analyze(u, cfg.transform, work, "u.")
+def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> list[Tensor4]:
+    """Guided band coefficients band_c + (scale - 1) * reweighted(band_c - band_u),
+    each checked finite.  Their ``inverse_bands`` is the band-space reference
+    that ``freqcfg_combine`` equals."""
+    if d_c.dims != d_u.dims:
+        raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
+    bands = zip(analyze(d_c.data, cfg.transform), analyze(d_u.data, cfg.transform))
     guided = []
-    for i, (band_c, band_u, scale, weight) in enumerate(zip(bands_c, bands_u, cfg.scales, cfg.weights)):
-        diff = np.subtract(band_c, band_u, out=band_u)
-        par = _parallel(diff, band_c, out=work.get(f"par{i}", diff.shape))
-        reweighted = np.add(diff, np.multiply(weight - 1.0, par, out=par), out=diff)
-        step = np.multiply(scale - 1.0, reweighted, out=reweighted)
-        guided.append(_finite(np.add(band_c, step, out=step)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (band_c, band_u), scale, weight in zip(bands, cfg.scales, cfg.weights):
+            diff = band_c - band_u
+            reweighted = diff + (weight - 1.0) * _parallel(diff, band_c)
+            guided.append(Tensor4(_finite(band_c + (scale - 1.0) * reweighted), checked=True))
     return guided
 
 
-def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> list[Tensor4]:
-    """Guided band coefficients: band_c + (scale - 1) * reweighted(band_c - band_u)."""
-    if d_c.dims != d_u.dims:
-        raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        bands = _guided_bands(d_c.data, d_u.data, cfg, Workspace())
-    return [Tensor4(band, checked=True) for band in bands]
+def _parallel_terms(c: np.ndarray, g: list[np.ndarray], cfg: GuidanceConfig, work: Workspace) -> dict:
+    """{k: p_k = (s_k - 1)(w_k - 1) par(b_k, bc_k)} over the bands with w_k != 1.
+    b_k is band k of Δ read off its low-pass chain ``g``, bc_k that of ``c`` =
+    d_c.  p_k goes to ``work`` array ``f"p{k}"``; b_k passes through
+    ``f"up{k + 1}"``, which the recursion overwrites only after this."""
+    kind, bands = cfg.transform, [k for k, w in enumerate(cfg.weights) if w != 1.0]
+    gc = low_pass_chain(c, kind, work, "c.") if bands else []
+    terms = {}
+    for k in bands:
+        band = chain_band(g, k, kind, work, f"up{k + 1}")
+        par = _parallel(band, chain_band(gc, k, kind, work, f"p{k}"), out=work.get(f"p{k}", band.shape))
+        terms[k] = np.multiply((cfg.scales[k] - 1.0) * (cfg.weights[k] - 1.0), par, out=par)
+    return terms
 
 
 def freqcfg_combine(
@@ -166,15 +172,15 @@ def freqcfg_combine(
 ) -> Tensor4:
     """Per-band CFG; raises ``DomainError`` when the guided output overflows.
 
-    With unit parallel weights, linearity gives a closed form in the
-    transform's down/up steps D and U.  With Δ = d_c - d_u, G_k = D^k Δ and
-    c_k = s_k - s_{k-1}:
+    Both transforms are linear, so per-band CFG is a recursion over the
+    transform's down/up steps D and U.  With Δ = d_c - d_u, G_k = D^k Δ,
+    c_k = s_k - s_{k-1} and p_k the parallel-weight term of band k
+    (``_parallel_terms``; zero for unit weights):
 
-        out = d_c + (s_0 - 1) Δ + U(c_1 G_1 + U(c_2 G_2 + ... + U(c_N G_N)))
+        out = d_c + (s_0 - 1) Δ + p_0 + U(c_1 G_1 + p_1 + U(... + U(c_N G_N + p_N)))
 
-    Only weights != 1 take the band-space path: decompose both inputs,
-    reweight each band difference (``freqcfg_combine_bands``), reconstruct.
-    Every image-sized array, the output included, goes to ``work`` (a new
+    This equals ``inverse_bands(freqcfg_combine_bands(...))``.  Every
+    image-sized array, the output included, goes to ``work`` (a new
     ``Workspace`` when None).
     """
     if d_c.dims != d_u.dims:
@@ -183,18 +189,20 @@ def freqcfg_combine(
         work = Workspace()
     s, kind = cfg.scales, cfg.transform
     with np.errstate(over="ignore", invalid="ignore"):
-        if any(w != 1.0 for w in cfg.weights):
-            bands = _guided_bands(d_c.data, d_u.data, cfg, work)
-            return Tensor4(_finite(synthesize(bands, kind, work, "s.")), checked=True)
         # Δ, then the guided output
         out = np.subtract(d_c.data, d_u.data, out=work.get("guided", d_c.dims))
         g = low_pass_chain(out, kind, work)
+        p = _parallel_terms(d_c.data, g, cfg, work)
         correction = 0.0
         for k in range(len(g) - 1, 0, -1):
             term = np.multiply(s[k] - s[k - 1], g[k], out=g[k])
+            if k in p:
+                np.add(term, p[k], out=term)
             correction = up_step(np.add(correction, term, out=term), g[k - 1].shape[2:], kind, work, f"up{k}")
         np.multiply(s[0] - 1.0, out, out=out)
         np.add(d_c.data, out, out=out)
+        if 0 in p:
+            np.add(out, p[0], out=out)
         return Tensor4(_finite(np.add(out, correction, out=out)), checked=True)
 
 

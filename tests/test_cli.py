@@ -197,6 +197,57 @@ class TestSampleCommand:
         assert not (tmp_path / "x.fqg").exists()
 
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("guidance.transform = haar\nguidance.levels = 3\n", "guidance.levels = 3: haar transform is single-level"),
+            ("guidance.levels = 3\n", "guidance.levels given but guidance.transform = none"),
+        ],
+        ids=["haar", "no-transform"],
+    )
+    def test_levels_the_transform_does_not_use_are_config_errors(self, tmp_path, capsys, monkeypatch, extra, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before guidance.levels was rejected")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        out = str(tmp_path / "x.fqg")
+        assert run_cli("sample", "--config", write_config(tmp_path, extra=extra), "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and message in err
+        assert not os.path.exists(out)
+
+
+class TestOverrideFlags:
+    """Each command takes only the ``sample.*`` override flags it reads."""
+
+    VALUES = {"--steps": "7", "--seed": "2", "--batch": "3", "--sampler": "heun"}
+    READS = {
+        "sample": ("--steps", "--seed", "--batch", "--sampler"),
+        "analyze-norms": ("--steps", "--seed", "--batch", "--sampler"),
+        "sweep": ("--steps", "--seed", "--sampler"),
+        "gen-data": (),
+    }
+
+    @pytest.mark.parametrize("command", READS)
+    def test_flags_the_command_does_not_read_are_usage_errors(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, extra="guidance.transform = pyramid\nsweep.samples = 2\n")
+        grid = ("--grid", "1:1") if command == "sweep" else ()
+        out = tmp_path / "out"
+        for flag, value in self.VALUES.items():
+            if flag not in self.READS[command]:
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(command, "--config", cfg, *grid, flag, value, "--out", str(out))
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+                assert not out.exists()
+        if self.READS[command]:
+            flags = [arg for flag in self.READS[command] for arg in (flag, self.VALUES[flag])]
+            assert run_cli(command, "--config", cfg, *grid, *flags, "--out", str(out)) == 0
+            recorded = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+            for flag in self.READS[command]:
+                assert recorded["sample." + flag[2:]] == self.VALUES[flag]
+
+
 class TestCombineCommand:
     def make_dumps(self, tmp_path, dims=(2, 1, 16, 16)):
         d_c = Tensor4(rng.uniform(-2, 2, dims))
@@ -267,6 +318,16 @@ class TestCombineCommand:
         assert "error [domain]" in capsys.readouterr().err
         assert not (tmp_path / "x.fqg").exists()
 
+    def test_haar_with_levels_is_usage_error(self, tmp_path, capsys):
+        _, _, pc, pu = self.make_dumps(tmp_path)
+        out = str(tmp_path / "x.fqg")
+        code = run_cli("combine", "--cond", pc, "--uncond", pu, "--transform", "haar", "--levels", "2",
+                       "--scales", "2,1", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [usage]" in err and "guidance.levels = 2" in err
+        assert not os.path.exists(out)
+
     def test_haar_transform_flag(self, tmp_path):
         d_c, d_u, pc, pu = self.make_dumps(tmp_path)
         out = str(tmp_path / "g.fqg")
@@ -306,7 +367,7 @@ class TestStreamedCombine:
             (("--transform", "haar", "--scales", "4,0.5", "--parallel-weights", "0.25,1"),
              TransformKind.haar(), (4.0, 0.5), (0.25, 1.0)),
         ],
-        ids=["closed-form", "pyramid2-parallel", "haar-parallel"],
+        ids=["unit-weights", "pyramid2-parallel", "haar-parallel"],
     )
     def test_output_equals_whole_batch_call(self, tmp_path, flags, kind, scales, weights):
         assert self.CHUNK > 1 and self.BATCH % self.CHUNK == 3
@@ -329,7 +390,7 @@ class TestStreamedCombine:
             ({"last_cond": 1e307, "last_uncond": -1e307}, ("--scales", "100,100", "--parallel-weights", "0.5,1"),
              6, "domain"),
         ],
-        ids=["nan-in-last-item", "overflow-in-last-chunk", "overflow-in-last-chunk-band-space"],
+        ids=["nan-in-last-item", "overflow-in-last-chunk", "overflow-in-last-chunk-weighted"],
     )
     def test_bad_last_chunk_leaves_no_output(self, tmp_path, capsys, last, flags, code, category):
         _, _, pc, pu = self.make_dumps(tmp_path, **last)

@@ -96,8 +96,8 @@ def test_sweep_rerun_identical_across_blas_threads(tmp_path):
 @pytest.mark.parametrize(
     "kind, weights",
     [
-        (TransformKind.pyramid(2), None),  # closed form
-        (TransformKind.pyramid(2), (0.5, 1.0, 1.5)),  # band-space path
+        (TransformKind.pyramid(2), None),  # unit weights
+        (TransformKind.pyramid(2), (0.5, 1.0, 1.5)),  # parallel terms p_0, p_2
         (TransformKind.haar(), None),
         (TransformKind.haar(), (0.5, 1.5)),
     ],

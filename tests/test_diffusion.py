@@ -13,6 +13,7 @@ from freqguide import (
     Tensor4,
     TransformKind,
     UsageError,
+    freqcfg_combine,
     initial_noise,
     make_denoiser_pair,
     sample,
@@ -317,3 +318,72 @@ class TestSampler:
             SampleRunConfig(steps=1, schedule=sched, seed=-1, batch=1, shape=(1, 4, 4))
         with pytest.raises(UsageError):
             SampleRunConfig(steps=1, schedule=sched, seed=0, batch=1, shape=(1, 4, 4), sampler="rk4")
+
+
+class TestGuidedEndpoint:
+    """Per-band CFG between two Gaussians with one spread s, N(m_c, s²I) and
+    N(m_u, s²I), has an exact endpoint.  Δ(σ) = σ²/(s² + σ²)·δ with
+    δ = m_c − m_u does not depend on z, so with M·x = freqcfg_combine(x, 0) − x
+    the guided flow is linear in y = z − m_c − Mδ, and
+
+        z(0) = m_c + Mδ + (z_T − m_c − Mδ)·s/√(s² + σ_max²).
+
+    Under an interval gate it holds piecewise: on a segment from σ_j to σ
+    with the gate fixed, z(σ) = a_j + (z(σ_j) − a_j)·√((s² + σ²)/(s² + σ_j²))
+    with a_j = m_c + M_j·δ, M_j = 0 while the gate is shut."""
+
+    SHAPE = (3, 16, 16)
+    S, SIGMA_MAX = 0.5, 20.0
+    SCHEDULE = NoiseSchedule.karras(0.002, 20.0, 7.0)
+    CONFIGS = {
+        "pyramid2": GuidanceConfig(transform=TransformKind.pyramid(2), scales=(3.0, 1.5, 0.5)),
+        "haar": GuidanceConfig(transform=TransformKind.haar(), scales=(4.0, 1.0)),
+    }
+
+    def setup_method(self):
+        gen = np.random.default_rng(21)
+        self.m_c, self.m_u = gen.uniform(-1.0, 1.0, self.SHAPE), gen.uniform(-1.0, 1.0, self.SHAPE)
+
+        def posterior(m):
+            return lambda z, sigma, *condition: Tensor4(m + self.S**2 / (self.S**2 + sigma**2) * (z.data - m))
+
+        self.pair = DenoiserPair(cond=posterior(self.m_c), uncond=posterior(self.m_u))
+
+    def error(self, guidance, sampler, steps, piecewise=False):
+        """Relative error of the sampled endpoint against the exact one."""
+        run = SampleRunConfig(
+            steps=steps, schedule=self.SCHEDULE, seed=3, batch=8, shape=self.SHAPE,
+            guidance=guidance, sampler=sampler,
+        )
+        out = sample(self.pair, run).data
+        delta = (self.m_c - self.m_u)[None]
+        m_delta = freqcfg_combine(Tensor4(delta), Tensor4(np.zeros_like(delta)), guidance).data[0] - delta[0]
+        sigmas = self.SCHEDULE.grid(steps)
+        # the sampler's step i runs from sigma_i to sigma_{i+1} with the gate at t = 1 - i/steps
+        gates = [guidance.active_at(1.0 - i / steps) if piecewise else True for i in range(steps)]
+        z = initial_noise(3, 8, self.SHAPE, self.SIGMA_MAX).data
+        start = 0
+        for i in range(1, steps + 1):
+            if i == steps or gates[i] != gates[start]:
+                a = self.m_c + (m_delta if gates[start] else 0.0)
+                z = a + (z - a) * np.sqrt((self.S**2 + sigmas[i] ** 2) / (self.S**2 + sigmas[start] ** 2))
+                start = i
+        return float(np.linalg.norm(out - z) / np.linalg.norm(z))
+
+    @pytest.mark.parametrize("guidance", CONFIGS.values(), ids=CONFIGS)
+    def test_heun_second_order_euler_first_order(self, guidance):
+        heun32 = self.error(guidance, "heun", 32)
+        heun64 = self.error(guidance, "heun", 64)
+        euler_ratio = self.error(guidance, "euler", 128) / self.error(guidance, "euler", 64)
+        assert heun64 < 1e-3
+        assert 0.18 <= heun64 / heun32 <= 0.33
+        assert 0.4 <= euler_ratio <= 0.6
+
+    @pytest.mark.parametrize("guidance", CONFIGS.values(), ids=CONFIGS)
+    def test_interval_gate_piecewise_endpoint(self, guidance):
+        # shut, open, shut: the euler step keeps the gate of its start for the whole step
+        gated = GuidanceConfig(transform=guidance.transform, scales=guidance.scales, interval=(0.75, 0.3))
+        errors = [self.error(gated, "euler", steps, piecewise=True) for steps in (64, 128)]
+        assert 0.4 <= errors[1] / errors[0] <= 0.6
+        # the ungated endpoint is no limit of the gated run
+        assert self.error(gated, "euler", 128) > 10 * errors[1]

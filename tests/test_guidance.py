@@ -207,7 +207,16 @@ def band_space_combine(d_c, d_u, cfg):
     return inverse_bands(freqcfg_combine_bands(d_c, d_u, cfg), cfg.transform)
 
 
+def weight_sets(gen, n):
+    """Unit weights, a mix of 0, 1 and other weights, and no unit weight."""
+    mixed = gen.permutation([0.0, 1.0] + list(gen.uniform(-1.0, 3.0, n - 2)))
+    return [None, tuple(mixed), tuple(gen.uniform(-1.0, 3.0, n))]
+
+
 class TestClosedForm:
+    """``freqcfg_combine`` runs one recursion for every weight; it equals the
+    band-space reference: decompose, reweight each band, reconstruct."""
+
     @pytest.mark.parametrize(
         "dims,kind",
         [
@@ -221,23 +230,31 @@ class TestClosedForm:
     )
     def test_equals_band_space_path(self, dims, kind):
         d_c, d_u = rand(dims), rand(dims)
-        cfg = GuidanceConfig(transform=kind, scales=tuple(rng.uniform(-1.0, 6.0, kind.band_count)))
-        closed = freqcfg_combine(d_c, d_u, cfg)
-        assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+        scales = tuple(rng.uniform(-1.0, 6.0, kind.band_count))
+        for weights in weight_sets(rng, kind.band_count):
+            cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
+            closed = freqcfg_combine(d_c, d_u, cfg)
+            assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.integers(1, 3), st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32 - 1)
+        st.integers(0, 3), st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32 - 1)
     )
     def test_equals_band_space_path_property(self, levels, extra_h, extra_w, seed):
+        # levels = 0 is Haar, on even sides
         gen = np.random.default_rng(seed)
-        side = 4 * 2**levels
-        dims = (2, 2, side + extra_h, side + extra_w)
+        if levels:
+            kind, side = TransformKind.pyramid(levels), 4 * 2**levels
+            dims = (2, 2, side + extra_h, side + extra_w)
+        else:
+            kind = TransformKind.haar()
+            dims = (2, 2, 2 * (2 + extra_h), 2 * (2 + extra_w))
         d_c, d_u = Tensor4(gen.uniform(-2, 2, dims)), Tensor4(gen.uniform(-2, 2, dims))
-        kind = TransformKind.pyramid(levels)
-        cfg = GuidanceConfig(transform=kind, scales=tuple(gen.uniform(-1.0, 6.0, levels + 1)))
-        closed = freqcfg_combine(d_c, d_u, cfg)
-        assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+        scales = tuple(gen.uniform(-1.0, 6.0, kind.band_count))
+        for weights in weight_sets(gen, kind.band_count):
+            cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
+            closed = freqcfg_combine(d_c, d_u, cfg)
+            assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
 
     def test_haar_low_pass_is_block_mean(self):
         d_c, d_u = rand((2, 3, 8, 10)), rand((2, 3, 8, 10))

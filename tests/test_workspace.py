@@ -26,11 +26,11 @@ from freqguide.tensor import Workspace
 rng = np.random.default_rng(11)
 
 COMBINE_CONFIGS = {
-    "closed-form-pyramid3": GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0)),
-    "band-space-pyramid2": GuidanceConfig(
+    "unit-pyramid3": GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0)),
+    "weighted-pyramid2": GuidanceConfig(
         transform=TransformKind.pyramid(2), scales=(3.0, 2.0, 1.5), parallel_weights=(0.5, 0.5, 1.0)
     ),
-    "band-space-haar": GuidanceConfig(
+    "weighted-haar": GuidanceConfig(
         transform=TransformKind.haar(), scales=(4.0, 0.5), parallel_weights=(0.25, 1.5)
     ),
 }
@@ -46,6 +46,18 @@ class NaNWorkspace(Workspace):
 
     def get(self, name, shape):
         return np.full(shape, np.nan)
+
+
+class NamingWorkspace(Workspace):
+    """A workspace that keeps the shape each name was last asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = {}
+
+    def get(self, name, shape):
+        self.shapes[name] = tuple(shape)
+        return super().get(name, shape)
 
 
 class CountingWorkspace(Workspace):
@@ -144,6 +156,17 @@ class TestCombineReuse:
         assert first.data.tobytes() == kept
 
 
+    @pytest.mark.parametrize("name", ["weighted-pyramid2", "weighted-haar"])
+    def test_weighted_combine_holds_three_image_sized_arrays(self, name):
+        # Δ and the guided output, the level-0 up-step (first band 0 of Δ, then
+        # the correction) and p_0 (first band 0 of d_c, then its parallel term)
+        dims = (4, 3, 32, 32)
+        work = NamingWorkspace()
+        freqcfg_combine(rand(dims), rand(dims), COMBINE_CONFIGS[name], work=work)
+        image_sized = [n for n, shape in work.shapes.items() if shape == dims]
+        assert len(image_sized) <= 3, image_sized
+
+
 class TestPosteriorReuse:
     @pytest.mark.parametrize("model", [dense_model, factored_model], ids=["dense", "factored"])
     def test_consecutive_joint_calls_give_fresh_bytes(self, model):
@@ -178,7 +201,7 @@ class TestSampleReuse:
             GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(0.8, 0.3)),
             "euler",
         ),
-        "heun-pyramid2-band-space-dense": (
+        "heun-pyramid2-weighted-dense": (
             dense_model,
             GuidanceConfig(
                 transform=TransformKind.pyramid(2), scales=(3.0, 2.0, 1.5),
@@ -228,7 +251,7 @@ class TestSampleReuse:
         mix, pair = dense_model()
         run = SampleRunConfig(
             steps=4, schedule=ACCEPTANCE_SCHEDULE, seed=1, batch=2, shape=mix.image_shape,
-            guidance=COMBINE_CONFIGS["closed-form-pyramid3"], condition=0, sampler="euler",
+            guidance=COMBINE_CONFIGS["unit-pyramid3"], condition=0, sampler="euler",
         )
         first = sample(pair, run)
         kept = first.data.tobytes()
