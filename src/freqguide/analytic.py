@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .guidance import DenoiserPair
 from .tensor import Tensor4, Workspace
 
 LOG_2PI = math.log(2.0 * math.pi)
+# below this np.exp returns a subnormal, which is slow to compute and which a
+# responsibility sum of at least 1 rounds away: such logits become exp(-inf) = 0
+EXP_FLOOR = -708.0
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,11 @@ class IsotropicGaussianMixture:
     """Components (weight, mean image, isotropic scale); weights sum to 1.
 
     Construction also caches read-only per-component constants that every
-    denoiser call needs: ``flat`` (the (K, D) view of ``means``),
-    ``sq_norms`` (‖m_k‖²) and ``log_weights``.  A mixture made by
-    ``restricted`` records its ``parent`` and the ``indices`` it took, so
-    ``posterior_mean`` can evaluate it together with the parent.
+    denoiser call needs: ``sq_norms`` (‖m_k‖²), ``log_weights``,
+    ``image_shape`` and ``dim``; ``flat`` is the (K, D) view of ``means``.
+    A mixture made by ``restricted`` records its ``parent`` and the
+    ``indices`` it took, so ``posterior_mean`` can evaluate it together with
+    the parent.
 
     When every mean is a sum of T rank-1 planes, shared by all channels and
     fewer in number than the components, the mixture keeps the separable
@@ -38,64 +42,89 @@ class IsotropicGaussianMixture:
     (nq, W) and ``cells`` (K, T), where cell r·nq + q names the plane
     outer(rows[r], cols[q]), so each channel of mean k is the sum of its T
     planes.  ``posterior_mean`` then works through the nr × nq grid of
-    planes instead of the K means; otherwise all three are None.
+    planes instead of the K means; otherwise all three are None.  Such a
+    mixture also keeps the ``recipe`` its means come from and builds
+    ``means`` only when first read; its ``sq_norms`` come from means built a
+    chunk of components at a time, and its ``restricted`` subsets copy no
+    means.  Two threads that read ``means`` first may both build them, with
+    the same bytes.
     """
 
     weights: np.ndarray  # (K,)
-    means: np.ndarray  # (K, C, H, W)
+    means: np.ndarray  # (K, C, H, W); built on first read when ``recipe`` is set
     scales: np.ndarray  # (K,)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    image_shape: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
     parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False, compare=False)
     indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     cells: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    recipe: "_BlobRecipe | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         means = np.ascontiguousarray(self.means, dtype=np.float64)
-        scales = np.ascontiguousarray(self.scales, dtype=np.float64)
-        if weights.ndim != 1 or means.ndim != 4 or scales.ndim != 1:
+        self._set_components(self.weights, self.scales, means.shape)
+        self._freeze({"means": means, "sq_norms": _sq_norms(means)})
+
+    @classmethod
+    def _on_demand(cls, weights, scales, recipe: "_BlobRecipe", factors: dict, sq_norms=None):
+        """A mixture whose means ``recipe`` builds on first read, with the
+        separable ``factors``.  Without ``sq_norms`` they are computed from
+        means built a chunk of components at a time."""
+        mix = object.__new__(cls)
+        mix._set_components(weights, scales, recipe.shape)
+        if sq_norms is None:
+            k, step = recipe.shape[0], _BlobRecipe.CHUNK
+            sq_norms = np.concatenate([_sq_norms(recipe.means(i, i + step)) for i in range(0, k, step)])
+        mix._freeze(dict(factors, sq_norms=sq_norms))
+        object.__setattr__(mix, "recipe", recipe)
+        return mix
+
+    def _set_components(self, weights, scales, shape: tuple) -> None:
+        """Checks and freezes ``weights`` (normalized), ``scales``,
+        ``log_weights``, ``image_shape`` and ``dim`` for means of ``shape``."""
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        scales = np.ascontiguousarray(scales, dtype=np.float64)
+        if weights.ndim != 1 or len(shape) != 4 or scales.ndim != 1:
             raise ShapeError("weights (K,), means (K,C,H,W), scales (K,) required")
         k = weights.shape[0]
-        if means.shape[0] != k or scales.shape[0] != k or k < 1:
+        if shape[0] != k or scales.shape[0] != k or k < 1:
             raise ShapeError("component counts disagree")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means)) and np.all(np.isfinite(scales))):
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(scales))):
             raise DomainError("non-finite mixture parameters")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
         if np.any(scales <= 0):
             raise DomainError("scales must be positive")
         weights = weights / weights.sum()
-        flat = means.reshape(k, -1)
-        self._freeze({
-            "weights": weights,
-            "means": means,
-            "scales": scales,
-            "flat": flat,
-            "sq_norms": np.einsum("kd,kd->k", flat, flat),
-            "log_weights": np.log(weights),
-        })
+        self._freeze({"weights": weights, "scales": scales, "log_weights": np.log(weights)})
+        object.__setattr__(self, "image_shape", tuple(shape[1:]))
+        object.__setattr__(self, "dim", math.prod(shape[1:]))
 
     def _freeze(self, arrays: dict) -> None:
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __getattr__(self, name):
+        # reached only for the means of a mixture with a recipe, until they are built
+        if name != "means" or self.recipe is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        means = self.recipe.means()
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        return means
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.means.reshape(self.n_components, -1)
+
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.means.shape[1:]
-
-    @property
-    def dim(self) -> int:
-        c, h, w = self.image_shape
-        return c * h * w
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
         idx = _integers(indices, "component index")  # a copy: the caller may reuse theirs
@@ -107,14 +136,26 @@ class IsotropicGaussianMixture:
         values, counts = np.unique(idx, return_counts=True)
         if counts.max() > 1:
             raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
-        sub = IsotropicGaussianMixture(
-            weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
-        )
+        if self.recipe is None:
+            sub = IsotropicGaussianMixture(
+                weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
+            )
+        else:
+            factors = {"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]}
+            sub = self._on_demand(
+                self.weights[idx], self.scales[idx], self.recipe.subset(idx), factors, self.sq_norms[idx]
+            )
         sub._freeze({"indices": idx})
         object.__setattr__(sub, "parent", self)
-        if self.cells is not None:
-            sub._freeze({"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]})
         return sub
+
+
+def _sq_norms(means: np.ndarray) -> np.ndarray:
+    """‖m_k‖² of (k, C, H, W) ``means``; a ``DomainError`` if any is non-finite."""
+    if not np.all(np.isfinite(means)):
+        raise DomainError("non-finite mixture parameters")
+    flat = means.reshape(len(means), -1)
+    return np.einsum("kd,kd->k", flat, flat)
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -142,6 +183,7 @@ def _weights(
         mix.dim * (LOG_2PI + np.log(var))[None, :] + sq_dist / var[None, :]
     )
     logits -= logits.max(axis=1, keepdims=True)
+    logits[logits < EXP_FLOOR] = -np.inf
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
     w = resp * (sigma**2 / var)[None, :]
@@ -150,6 +192,18 @@ def _weights(
         return w, resp @ z_scale
     # a per-item sum, unlike the (B, K) GEMV, gives each item the same bytes at any batch
     return w, np.einsum("bk,k->b", resp, z_scale)
+
+
+def _sq_dists(zf: np.ndarray, mix: IsotropicGaussianMixture) -> tuple[np.ndarray, np.ndarray]:
+    """(‖z_b‖² as (B,), ‖z_b − m_k‖² as (B, K)) for flat (B, D) ``zf``.
+    z_b · m_k comes from the K means, or from the separable factors when
+    ``mix`` has them, so the means are never built for it."""
+    z_sq = np.einsum("bd,bd->b", zf, zf)
+    if mix.cells is None:
+        dots = zf @ mix.flat.T
+    else:
+        dots = _plane_dots(zf.reshape((len(zf),) + mix.image_shape), mix)
+    return z_sq, z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]
 
 
 def _plane_dots(z: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
@@ -230,11 +284,9 @@ def posterior_mean(
         work = Workspace()
     zf = z.data.reshape(z.dims[0], -1)  # (B, D)
     with np.errstate(over="ignore", invalid="ignore"):
-        z_sq = np.einsum("bd,bd->b", zf, zf)
+        z_sq, sq_dist = _sq_dists(zf, mix)
         if not np.isfinite(z_sq).all():
             raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
-        dots = zf @ mix.flat.T if mix.cells is None else _plane_dots(z.data, mix)
-        sq_dist = z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]  # (B, K)
         sides = [mix] if subset is None else [mix, subset]
         dists = [sq_dist if side is mix else sq_dist[:, side.indices] for side in sides]
         outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
@@ -445,31 +497,61 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
 
     Mean (j, k) is ``spec.mean_image(j, k)``; the blob depends only on the
     center and the texture only on (center parity, class), so each is built
-    once and the sums are broadcast into place.  When the J blobs and the
-    min(2, J)·C textures number fewer than the J·C components, the mixture
-    also keeps their separable factors (``_separable_factors``).
+    once (``_BlobRecipe``) and a mean is one sum of the two.  When the J
+    blobs and the min(2, J)·C textures number fewer than the J·C components,
+    the mixture keeps their separable factors (``_separable_factors``) and
+    builds its means only when they are read.
     """
     n_centers, n_classes = len(spec.centers), spec.n_classes
     n_parities = min(2, n_centers)
-    blobs = np.broadcast_to(
-        spec._blob_planes(spec.centers)[:, None], (n_centers,) + spec.image_shape
-    )  # (J, C, H, W)
-    textures = np.stack(
-        [[spec.texture_image(p, k) for k in range(n_classes)] for p in range(n_parities)]
-    )  # (P, classes, C, H, W)
-    means = np.empty((n_centers, n_classes) + spec.image_shape)
-    for parity in range(n_parities):
-        np.add(blobs[parity::2, None], textures[parity], out=means[parity::2])
-    weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
-    k = n_centers * n_classes
-    mix = IsotropicGaussianMixture(
-        weights=weights.reshape(-1),
-        means=means.reshape((-1,) + spec.image_shape),
-        scales=np.full(k, spec.noise_scale),
+    center, cls = np.divmod(np.arange(n_centers * n_classes), n_classes)
+    recipe = _BlobRecipe(
+        blobs=spec._blob_planes(spec.centers),
+        textures=np.stack(
+            [[spec.texture_image(p, k) for k in range(n_classes)] for p in range(n_parities)]
+        ),
+        center=center,
+        cls=cls,
     )
-    if n_centers + n_parities * n_classes < k:
-        mix._freeze(_separable_factors(spec))
-    return mix
+    weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
+    weights, scales = weights.reshape(-1), np.full(len(center), spec.noise_scale)
+    if n_centers + n_parities * n_classes < len(center):
+        return IsotropicGaussianMixture._on_demand(weights, scales, recipe, _separable_factors(spec))
+    return IsotropicGaussianMixture(weights=weights, means=recipe.means(), scales=scales)
+
+
+@dataclass(frozen=True)
+class _BlobRecipe:
+    """Means of blob mixture components: each channel of mean i is
+    ``blobs[center[i]]`` plus the texture ``textures[center[i] % 2, cls[i]]``.
+    A sum per element, so means built here in any grouping of components
+    have the same bytes."""
+
+    blobs: np.ndarray  # (J, H, W)
+    textures: np.ndarray  # (P, classes, C, H, W)
+    center: np.ndarray  # (K,)
+    cls: np.ndarray  # (K,)
+
+    CHUNK = 64  # components per chunk when only their sq_norms are needed: 1.5 MB at 3 × 32 × 32
+
+    def __post_init__(self):
+        for arr in (self.blobs, self.textures, self.center, self.cls):
+            arr.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.center),) + self.textures.shape[2:]
+
+    def subset(self, idx: np.ndarray) -> "_BlobRecipe":
+        return replace(self, center=self.center[idx], cls=self.cls[idx])
+
+    def means(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """New (n, C, H, W) means of components ``start``..``stop``."""
+        center, cls = self.center[start:stop], self.cls[start:stop]
+        out = np.empty((len(center),) + self.shape[1:])
+        for mean, j, k in zip(out, center, cls):
+            np.add(self.blobs[j], self.textures[j % 2, k], out=mean)
+        return out
 
 
 def _separable_factors(spec: BlobTextureSpec) -> dict:

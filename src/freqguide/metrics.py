@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import IsotropicGaussianMixture
+from .analytic import IsotropicGaussianMixture, _sq_dists
 from .errors import UsageError
 from .frequency import TransformKind, transform_bands
 from .tensor import Tensor4
@@ -34,8 +34,7 @@ def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> 
         raise UsageError(f"tau must be > 0, got {tau}")
     if samples.dims[1:] != mix.image_shape:
         raise UsageError(f"sample shape {samples.dims[1:]} != mixture shape {mix.image_shape}")
-    flat = samples.data.reshape(samples.dims[0], -1)
-    sq = np.einsum("bd,bd->b", flat, flat)[:, None] - 2.0 * flat @ mix.flat.T + mix.sq_norms[None, :]
+    _, sq = _sq_dists(samples.data.reshape(samples.dims[0], -1), mix)
     dist = np.sqrt(np.maximum(sq, 0.0))
     nearest = dist.argmin(axis=1)
     within = dist[np.arange(dist.shape[0]), nearest] <= tau

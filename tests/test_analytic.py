@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -22,9 +23,11 @@ from freqguide import (
     degrade,
     freqcfg_combine,
     make_denoiser_pair,
+    mode_report,
     posterior_mean,
     transform_bands,
 )
+from freqguide import analytic
 from freqguide.cli import EXIT_CODES
 
 rng = np.random.default_rng(42)
@@ -366,14 +369,20 @@ class TestJointEvaluation:
 
 
 class TestCachedConstants:
-    def test_values_and_read_only(self):
-        mix = blob_mixture_from_spec(BlobTextureSpec(centers=((8.0, 8.0), (24.0, 24.0)), n_classes=3))
+    @pytest.mark.parametrize(
+        "spec",
+        [BlobTextureSpec(centers=((8.0, 8.0), (24.0, 24.0)), n_classes=3), many_modes_spec()],
+        ids=["dense", "many-modes"],
+    )
+    def test_values_and_read_only(self, spec):
+        mix = blob_mixture_from_spec(spec)
         sub = mix.restricted([1, 4])
         for m in (mix, sub):
             flat = m.means.reshape(m.n_components, -1)
             assert np.shares_memory(m.flat, m.means) and m.flat.shape == flat.shape
             assert np.array_equal(m.sq_norms, np.einsum("kd,kd->k", flat, flat))
             assert np.array_equal(m.log_weights, np.log(m.weights))
+            assert m.image_shape == spec.image_shape and m.dim == np.prod(spec.image_shape)
             for arr in (m.weights, m.means, m.scales, m.flat, m.sq_norms, m.log_weights):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -414,6 +423,108 @@ class TestCachedConstants:
         sub = mix.restricted(idx)
         idx[0] = 0
         assert list(sub.indices) == [1]
+
+
+class TestMeansOnDemand:
+    """A mixture with separable factors builds its means on first read."""
+
+    def test_constants_subsets_and_calls_build_no_means(self):
+        spec = many_modes_spec()
+        mix = blob_mixture_from_spec(spec)
+        labels = class_labels(spec)
+        pair = make_denoiser_pair(mix, labels)
+        subs = [pair.class_mixture(c) for c in range(spec.n_classes)]
+        subs.append(subs[1].restricted([5, 0, 17]))
+        gen = np.random.default_rng(3)
+        x = np.stack([spec.mean_image(*divmod(i, spec.n_classes)) for i in gen.choice(1024, size=8)])
+        z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape))
+        pair.both(z, 0.3, 1)
+        posterior_mean(z, 0.3, subs[-1])
+        for m in [mix] + subs:
+            m.n_components, m.image_shape, m.dim, m.sq_norms, m.cells
+            mode_report(z, m, tau=1.0)
+        assert all("means" not in vars(m) for m in [mix] + subs)
+        # the class subsets take the parent's constants: the bytes a dense subset computes
+        dense = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        for c, sub in enumerate(subs[:-1]):
+            want = dense.restricted(np.flatnonzero(labels == c))
+            for name in ("weights", "scales", "sq_norms", "log_weights"):
+                assert getattr(sub, name).tobytes() == getattr(want, name).tobytes()
+            assert mode_report(z, sub, tau=1.7) == mode_report(z, want, tau=1.7)
+
+    def test_subset_means_are_the_spec_means(self):
+        spec = many_modes_spec()
+        mix = blob_mixture_from_spec(spec)
+        sub = mix.restricted([1023, 6, 300]).restricted([2, 0])
+        assert list(sub.indices) == [2, 0] and sub.parent.parent is mix
+        for m, components in ((sub, [300, 1023]), (mix, range(mix.n_components))):
+            assert np.shares_memory(m.flat, m.means) and not m.means.flags.writeable
+            for got, i in zip(m.means, components):
+                assert np.array_equal(got, spec.mean_image(*divmod(i, spec.n_classes)))
+        assert "means" not in vars(sub.parent)
+
+    def test_build_subset_and_joint_call_stay_small(self):
+        """About 36 MiB when the build kept all K means and each subset its own rows."""
+        spec = many_modes_spec()
+        z = Tensor4(np.random.default_rng(5).standard_normal((32,) + spec.image_shape))
+        tracemalloc.start()
+        try:
+            mix = blob_mixture_from_spec(spec)
+            pair = make_denoiser_pair(mix, class_labels(spec))
+            pair.class_mixture(0)
+            pair.both(z, 3.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_threads_reading_means_get_equal_bytes(self):
+        spec = BlobTextureSpec(
+            centers=tuple((8.0 * r + 4, 8.0 * c + 4) for r in range(4) for c in range(4)), n_classes=4
+        )
+        want = np.stack([spec.mean_image(*divmod(i, 4)) for i in range(64)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                mix = blob_mixture_from_spec(spec)
+                sub = mix.restricted(range(0, 64, 3))
+                assert mix.cells is not None
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(lambda m: m.means, m) for m in (mix, sub) * 8]
+                    got = [f.result(timeout=30) for f in futures]
+                for means, m in zip(got, (mix, sub) * 8):
+                    assert means.tobytes() == want[m.indices if m is sub else slice(None)].tobytes()
+                    assert not means.flags.writeable
+                assert mix.means.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("path", ["factored", "dense"])
+def test_clamped_exponent_keeps_bytes(many_modes, monkeypatch, path):
+    """At sigma = 0.3 some logits fall where np.exp is subnormal; setting them
+    to -inf leaves every output byte as it was without the clamp."""
+    spec, mix, labels, pair = many_modes
+    if path == "dense":
+        mix = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        pair = make_denoiser_pair(mix, labels)
+    sigma = 0.3
+    gen = np.random.default_rng(11)
+    x = mix.means[gen.choice(np.flatnonzero(labels == 0), size=4)]
+    z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape) + sigma * gen.standard_normal(x.shape))
+    # equal weights and scales: the logits less their row maximum are -Δ‖z - m_k‖² / 2var
+    _, sq = analytic._sq_dists(z.data.reshape(4, -1), mix)
+    logits = -(sq - sq.min(axis=1, keepdims=True)) / (2 * (spec.noise_scale**2 + sigma**2))
+    assert np.any((logits < analytic.EXP_FLOOR) & (np.exp(logits) > 0))
+
+    def outputs():
+        return [t.data.copy() for c in range(spec.n_classes) for t in pair.both(z, sigma, c)]
+
+    clamped = outputs()
+    monkeypatch.setattr(analytic, "EXP_FLOOR", -np.inf)
+    for got, want in zip(clamped, outputs()):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDegrade:
