@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair
-from .tensor import Tensor4, Workspace
+from .tensor import Tensor4, Workspace, blocks
 
 LOG_2PI = math.log(2.0 * math.pi)
 # below this np.exp returns a subnormal, which is slow to compute and which a
@@ -76,11 +76,10 @@ class IsotropicGaussianMixture:
         means built a chunk of components at a time."""
         mix = object.__new__(cls)
         mix._set_components(weights, scales, recipe.shape)
-        if sq_norms is None:
-            k, step = recipe.shape[0], _BlobRecipe.CHUNK
-            sq_norms = np.concatenate([_sq_norms(recipe.means(i, i + step)) for i in range(0, k, step)])
-        mix._freeze(dict(factors, sq_norms=sq_norms))
         object.__setattr__(mix, "recipe", recipe)
+        if sq_norms is None:
+            sq_norms = np.concatenate([_sq_norms(chunk) for chunk in mix.mean_chunks()])
+        mix._freeze(dict(factors, sq_norms=sq_norms))
         return mix
 
     def _set_components(self, weights, scales, shape: tuple) -> None:
@@ -117,6 +116,14 @@ class IsotropicGaussianMixture:
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
         return means
+
+    def mean_chunks(self):
+        """The means as consecutive (n, C, H, W) arrays, one per
+        ``tensor.blocks`` of components.  A mixture with a recipe builds
+        each chunk anew, so this never builds the whole ``means``."""
+        for items in blocks(self.n_components, self.image_shape):
+            i, j = items.start, items.stop
+            yield self.means[i:j] if self.recipe is None else self.recipe.means(i, j)
 
     @property
     def flat(self) -> np.ndarray:
@@ -364,7 +371,13 @@ def degrade(
     if inflate_factor < 1:
         raise DomainError("inflate_factor must be >= 1")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    means = mix.means + jitter_scale * gen.standard_normal(mix.means.shape)
+    # a chunk at a time: consecutive draws from one stream are the one whole draw
+    means = np.empty((mix.n_components,) + mix.image_shape)
+    start = 0
+    for chunk in mix.mean_chunks():
+        noise = gen.standard_normal(chunk.shape)
+        np.add(chunk, np.multiply(jitter_scale, noise, out=noise), out=means[start : start + len(chunk)])
+        start += len(chunk)
     return IsotropicGaussianMixture(
         weights=mix.weights, means=means, scales=mix.scales * inflate_factor
     )
@@ -531,8 +544,6 @@ class _BlobRecipe:
     textures: np.ndarray  # (P, classes, C, H, W)
     center: np.ndarray  # (K,)
     cls: np.ndarray  # (K,)
-
-    CHUNK = 64  # components per chunk when only their sq_norms are needed: 1.5 MB at 3 × 32 × 32
 
     def __post_init__(self):
         for arr in (self.blobs, self.textures, self.center, self.cls):

@@ -32,13 +32,11 @@ from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
 from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
-from .tensor import Tensor4, TensorReader, Workspace, atomic_write_bytes, tensor_writer, write_csv, write_tensor
+from .tensor import (
+    Tensor4, TensorReader, Workspace, atomic_write_bytes, blocks, tensor_writer, write_csv, write_tensor,
+)
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
-
-# float64 values per input array that `combine` holds at once: it streams
-# chunks of max(1, CHUNK_VALUES // values per item) items
-CHUNK_VALUES = 2**18
 
 # every key some command reads; any other key in a config is a typo
 CONFIG_KEYS = frozenset(
@@ -199,7 +197,8 @@ def build_pair(cfg: Config, mix: IsotropicGaussianMixture, labels) -> DenoiserPa
     if has_abs and has_rel:
         raise ConfigError("give either autoguide.jitter or autoguide.jitter_rel, not both")
     if has_rel:
-        mean_norm = float(np.mean(np.sqrt(np.sum(mix.means.reshape(mix.n_components, -1) ** 2, axis=1))))
+        norms = [np.sqrt(np.sum(c.reshape(len(c), -1) ** 2, axis=1)) for c in mix.mean_chunks()]
+        mean_norm = float(np.mean(np.concatenate(norms)))
         jitter = cfg.get_float("autoguide.jitter_rel") * mean_norm
     else:
         jitter = cfg.get_float("autoguide.jitter", 0.0)
@@ -308,16 +307,13 @@ def cmd_combine(args) -> int:
             raise UsageError(str(exc)) from exc
         if cond.dims != uncond.dims:
             raise ShapeError(f"dims mismatch: {cond.dims} vs {uncond.dims}")
-        batch = cond.dims[0]
-        step = max(1, CHUNK_VALUES // int(np.prod(cond.dims[1:])))
         work = Workspace()
-        # freqcfg_combine is batch-invariant, so the chunks give the bytes of one whole-batch call
+        # freqcfg_combine is batch-invariant, so the blocks give the bytes of one whole-batch call
         with tensor_writer(args.out, cond.dims) as append:
-            for start in range(0, batch, step):
-                stop = min(start + step, batch)
-                shape = (stop - start,) + cond.dims[1:]
-                d_c = cond.read(start, stop, out=work.get("cond", shape))
-                d_u = uncond.read(start, stop, out=work.get("uncond", shape))
+            for items in blocks(cond.dims[0], cond.dims[1:]):
+                shape = (len(items),) + cond.dims[1:]
+                d_c = cond.read(items.start, items.stop, out=work.get("cond", shape))
+                d_u = uncond.read(items.start, items.stop, out=work.get("uncond", shape))
                 append(freqcfg_combine(d_c, d_u, guidance, work=work))
     flags = {
         "combine.cond": args.cond,

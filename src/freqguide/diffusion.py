@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
-from .tensor import Tensor4, Workspace
+from .tensor import Tensor4, Workspace, blocks
 
 _MAX_SEED = 2**63
 
@@ -103,10 +103,12 @@ def item_noise(seed: int, item: int, shape: tuple[int, int, int]) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
-def initial_noise(seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float) -> Tensor4:
-    """sigma_max * eps with one RNG stream per batch item, so batch size never
-    perturbs an item's noise."""
-    eps = np.stack([item_noise(seed, i, shape) for i in range(batch)])
+def initial_noise(
+    seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float, *, first: int = 0
+) -> Tensor4:
+    """sigma_max * eps for items first..first+batch-1, with one RNG stream per
+    item, so batch size and blocking never perturb an item's noise."""
+    eps = np.stack([item_noise(seed, i, shape) for i in range(first, first + batch)])
     return Tensor4(sigma_max * eps)
 
 
@@ -118,8 +120,13 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     a denoiser evaluation at zero noise).  ``recorder`` gets one record per
     step whose guidance gate is open, under that sampler step i.
 
-    One ``Workspace`` serves every step; the state is a new array each
-    step, so no ``Tensor4`` the pair is given changes afterwards.
+    The batch runs in ``tensor.blocks`` of items, at most ``BLOCK_VALUES``
+    values per image-sized array, each block through every step; the
+    blocks' records merge into ``recorder`` step by step.  A batch of one
+    block returns its final state as is; otherwise each block's state is
+    copied into one new output.  One ``Workspace`` serves every step of
+    every block; the state is a new array each step, so no ``Tensor4`` the
+    pair is given changes afterwards.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
@@ -144,23 +151,37 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
         return Tensor4(state, checked=True)
 
-    z = initial_noise(run.seed, run.batch, run.shape, float(sigmas[0]))
-    for i in range(run.steps):
-        s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-        x0 = denoise(z, i, recorder)
-        corrector = run.sampler == "heun" and s_next > 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_cur = drift(z, x0, s_cur, "drift")
-            # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
-            h_drift = np.multiply(s_next - s_cur, d_cur, out=work.get("step", z.dims) if corrector else d_cur)
-            z_euler = finite(z.data + h_drift, s_next)
-        if not corrector:
-            z = z_euler
-        else:
-            # corrector never records: one band-norm record per step
-            x0_next = denoise(z_euler, i + 1, None)
+    def integrate(items: range, rec: NormRecorder | None) -> Tensor4:
+        z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
+        for i in range(run.steps):
+            s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
+            x0 = denoise(z, i, rec)
+            corrector = run.sampler == "heun" and s_next > 0.0
             with np.errstate(over="ignore", invalid="ignore"):
-                d_next = drift(z_euler, x0_next, s_next, "step")
-                d_next = np.add(d_cur, d_next, out=d_next)
-                z = finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
-    return z
+                d_cur = drift(z, x0, s_cur, "drift")
+                # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
+                h_drift = np.multiply(s_next - s_cur, d_cur, out=work.get("step", z.dims) if corrector else d_cur)
+                z_euler = finite(z.data + h_drift, s_next)
+            if not corrector:
+                z = z_euler
+            else:
+                # corrector never records: one band-norm record per step
+                x0_next = denoise(z_euler, i + 1, None)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d_next = drift(z_euler, x0_next, s_next, "step")
+                    d_next = np.add(d_cur, d_next, out=d_next)
+                    z = finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
+        return z
+
+    spans = blocks(run.batch, run.shape)
+    if len(spans) == 1:
+        return integrate(spans[0], recorder)
+    out = np.empty((run.batch,) + run.shape)
+    first_record = None if recorder is None else len(recorder.records)
+    for items in spans:
+        # a later block records apart, then merges into the first block's records
+        rec = recorder if items.start == 0 or recorder is None else NormRecorder()
+        out[items.start : items.stop] = integrate(items, rec).data
+        if rec is not recorder:
+            recorder.merge(rec, first_record)
+    return Tensor4(out, checked=True)

@@ -97,17 +97,36 @@ class BandNormRecord:
 
 @dataclass
 class NormRecorder:
-    """Collects one BandNormRecord per guided step; owned by a single run."""
+    """Collects one BandNormRecord per guided step; owned by a single run.
+
+    ``band_sq`` keeps, per record, the squared norm of each band of the
+    guidance difference, so a run in blocks of items can ``merge`` them."""
 
     records: list[BandNormRecord] = field(default_factory=list)
+    band_sq: list[tuple[float, ...]] = field(default_factory=list, repr=False)
 
     def observe(self, step: int, t: float, sigma: float, delta: np.ndarray, kind: TransformKind):
         """Record, for sampler step ``step``, the norm of the residual band of
         the guidance difference ``delta`` = d_c - d_u and the norm of all its
         detail bands concatenated."""
-        norms = [float(np.sqrt(np.einsum("i,i->", b.ravel(), b.ravel()))) for b in analyze(delta, kind)]
-        high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
-        self.records.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
+        sq = tuple(float(np.einsum("i,i->", b.ravel(), b.ravel())) for b in analyze(delta, kind))
+        self.band_sq.append(sq)
+        self.records.append(_band_record(step, t, sigma, sq))
+
+    def merge(self, block: "NormRecorder", first: int):
+        """Fold in ``block``'s records of another block of the same run's
+        items, step for step into the records from index ``first`` on: each
+        band's squared norms add, and the norms are their square roots."""
+        for j, (rec, sq) in enumerate(zip(block.records, block.band_sq), start=first):
+            total = tuple(a + b for a, b in zip(self.band_sq[j], sq))
+            self.band_sq[j] = total
+            self.records[j] = _band_record(rec.step, rec.t, rec.sigma, total)
+
+
+def _band_record(step: int, t: float, sigma: float, band_sq: tuple[float, ...]) -> BandNormRecord:
+    norms = [float(np.sqrt(v)) for v in band_sq]
+    high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
+    return BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high)
 
 
 def _parallel(v0: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

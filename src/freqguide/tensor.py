@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import os
 import struct
 
@@ -21,6 +22,22 @@ MAGIC = b"FQG1"
 DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}  # written files are always code 0
 
 _HEADER = struct.Struct("<4sBB4I")  # magic, dtype code, ndim, dims
+
+# float64 values (1 MiB) per image-sized array that `sample`, `combine` and
+# the walks over a mixture's means hold at once: each goes in ``blocks``
+BLOCK_VALUES = 2**17
+
+
+def blocks(n_items: int, item_shape) -> list[range]:
+    """Items 0..n_items-1 in consecutive blocks of at most ``BLOCK_VALUES``
+    values each, as few as that cap allows; an item bigger than the cap is
+    a block on its own.  Block sizes differ by at most one, the larger
+    blocks first, so a workspace reallocates at most once along them."""
+    per_block = max(1, BLOCK_VALUES // math.prod(item_shape))
+    count = -(-n_items // per_block)
+    size, extra = divmod(n_items, count)
+    starts = [k * size + min(k, extra) for k in range(count + 1)]
+    return [range(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 class Tensor4:

@@ -18,19 +18,23 @@ from conftest import fqg1_bytes
 from freqguide import (
     ConfigError,
     GuidanceConfig,
+    NormRecorder,
     Tensor4,
     TransformKind,
     band_energy_fraction,
     default_tau,
+    degrade,
     freqcfg_combine,
     mode_report,
     read_tensor,
+    sample,
     saturation_proxy,
     write_tensor,
 )
-from freqguide import cli
+from freqguide import cli, tensor
 from freqguide.cli import main
 from freqguide.config import Config, parse_config_text
+from freqguide.frequency import analyze
 
 rng = np.random.default_rng(5)
 
@@ -340,11 +344,13 @@ class TestCombineCommand:
 
 
 class TestStreamedCombine:
-    """``combine`` on inputs of several chunks: 2 full chunks plus 3 items."""
+    """``combine`` on inputs 3 items longer than 2 blocks of ``BLOCK_VALUES``:
+    3 blocks, split as evenly as items allow."""
 
     ITEM = (1, 16, 16)
-    CHUNK = cli.CHUNK_VALUES // int(np.prod(ITEM))
-    BATCH = 2 * CHUNK + 3
+    CAP = tensor.BLOCK_VALUES // int(np.prod(ITEM))  # items per full block
+    BATCH = 2 * CAP + 3
+    SIZES = [BATCH // 3 + 1, BATCH // 3, BATCH // 3]  # BATCH % 3 == 1: the larger block first
 
     def make_dumps(self, tmp_path, last_cond=None, last_uncond=None):
         d_c = rng.uniform(-2, 2, (self.BATCH,) + self.ITEM)
@@ -370,7 +376,7 @@ class TestStreamedCombine:
         ids=["unit-weights", "pyramid2-parallel", "haar-parallel"],
     )
     def test_output_equals_whole_batch_call(self, tmp_path, flags, kind, scales, weights):
-        assert self.CHUNK > 1 and self.BATCH % self.CHUNK == 3
+        assert self.CAP > 1 and sum(self.SIZES) == self.BATCH
         d_c, d_u, pc, pu = self.make_dumps(tmp_path)
         out = str(tmp_path / "g.fqg")
         assert run_cli("combine", "--cond", pc, "--uncond", pu, *flags, "--out", out) == 0
@@ -425,7 +431,7 @@ class TestStreamedCombine:
         monkeypatch.setattr(cli, "freqcfg_combine", spy)
         assert run_cli("combine", "--cond", pc, "--uncond", pu, "--scales", "2,1",
                        "--out", str(tmp_path / "g.fqg")) == 0
-        assert sizes == [self.CHUNK, self.CHUNK, 3]
+        assert sizes == self.SIZES
 
     def test_memory_does_not_grow_with_the_batch(self, tmp_path):
         dims = (1024, 3, 32, 32)  # 24 MiB per input
@@ -523,6 +529,31 @@ class TestAnalyzeNorms:
         assert "error [config]" in err
         assert "guidance.interval = 0.1:0.05" in err and "1 of sample.steps = 12" in err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_one_block_csv_holds_whole_batch_norms(self, tmp_path):
+        """A batch of one block: each norm is the square root of its band's
+        sum of squares over the batch, and high_norm that of the squared
+        detail-band norms summed."""
+        cfg_path = write_config(
+            tmp_path,
+            extra="guidance.transform = pyramid\nguidance.levels = 2\nguidance.scales = 3,2,1.5\n",
+        )
+        out = tmp_path / "norms.csv"
+        assert run_cli("analyze-norms", "--config", cfg_path, "--out", str(out), "--batch", "16") == 0
+        cfg = Config.from_path(cfg_path)
+        cfg.apply_overrides(["sample.batch=16"])
+        mix, labels = cli.build_model(cfg)
+        run = cli.build_run(cfg, mix.image_shape, cli.build_guidance(cfg, mix.image_shape))
+        assert len(tensor.blocks(run.batch, run.shape)) == 1
+        rows = []
+
+        class WholeBatchNorms(NormRecorder):
+            def observe(self, step, t, sigma, delta, kind):
+                norms = [float(np.sqrt(np.einsum("i,i->", b.ravel(), b.ravel()))) for b in analyze(delta, kind)]
+                rows.append((step, t, sigma, norms[-1], float(np.sqrt(sum(n**2 for n in norms[:-1])))))
+
+        sample(cli.build_pair(cfg, mix, labels), run, recorder=WholeBatchNorms())
+        assert out.read_bytes() == tensor.csv_to_bytes(["step", "t", "sigma", "low_norm", "high_norm"], rows)
 
     @pytest.mark.parametrize("interval", ["0.8:abc", "0.8", "0.8:0.2:0.1"])
     def test_malformed_interval_is_config_error(self, tmp_path, capsys, interval):
@@ -773,6 +804,42 @@ class TestAutoguideConfig:
         auto_low = low_series(out_auto)
         # the degraded unconditional model keeps a persistent low-band gap
         assert auto_low[-1] > base_low[-1]
+
+    def test_jitter_rel_walks_the_means_in_chunks(self, monkeypatch):
+        """On 1024 components with separable factors, the mean norm and the
+        jitter take a block of components at a time: the model never builds
+        its 24 MiB of means, and the jitter scale and degraded means have the
+        bytes of whole-model arrays."""
+        centers = ",".join(f"{r + 0.5}:{c + 0.5}" for r in range(0, 32, 2) for c in range(0, 32, 2))
+        cfg = Config({
+            "mixture.centers": centers, "mixture.classes": "4", "autoguide.enabled": "true",
+            "autoguide.jitter_rel": "0.05", "autoguide.seed": "7",
+        })
+        mix, labels = cli.build_model(cfg)
+        assert mix.cells is not None
+        degraded = []
+
+        def spy(*args, **kwargs):
+            degraded.append((kwargs, degrade(*args, **kwargs)))
+            return degraded[-1][1]
+
+        monkeypatch.setattr(cli, "degrade", spy)
+        tracemalloc.start()
+        try:
+            cli.build_pair(cfg, mix, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "means" not in vars(mix)
+        means_bytes = mix.n_components * mix.dim * 8
+        # the degraded means plus a few chunks; 52.7 MiB when the whole model was built and jittered
+        assert peak < 1.5 * means_bytes, f"peak {peak / 2**20:.1f} MiB"
+        (kwargs, got), = degraded
+        flat = mix.means.reshape(mix.n_components, -1)
+        jitter = 0.05 * float(np.mean(np.sqrt(np.sum(flat**2, axis=1))))
+        assert kwargs["jitter_scale"] == jitter
+        noise = np.random.Generator(np.random.Philox(key=7)).standard_normal(mix.means.shape)
+        assert got.means.tobytes() == (mix.means + jitter * noise).tobytes()
 
     def test_conflicting_jitter_keys_rejected(self, tmp_path):
         cfg = write_config(

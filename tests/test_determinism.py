@@ -57,6 +57,8 @@ def run_cli(tmp_path, name, env_var, value, argv):
 
 SAMPLE_RUNS = {
     "acceptance": (ACCEPTANCE, ("--steps", "10", "--batch", "16", "--sampler", "euler")),
+    # 3 blocks of items (29, 28, 28) on the dense path
+    "acceptance_blocks": (ACCEPTANCE, ("--steps", "6", "--batch", "85", "--sampler", "heun")),
     "many_modes": (MANY_MODES, ("--steps", "6", "--batch", "32", "--sampler", "heun")),
 }
 

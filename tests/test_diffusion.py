@@ -1,7 +1,10 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec
 
 from freqguide import (
     DenoiserPair,
@@ -12,13 +15,18 @@ from freqguide import (
     SampleRunConfig,
     Tensor4,
     TransformKind,
+    NormRecorder,
     UsageError,
+    blob_mixture_from_spec,
+    class_labels,
     freqcfg_combine,
     initial_noise,
     make_denoiser_pair,
     sample,
 )
+from freqguide import diffusion, tensor
 from freqguide.diffusion import item_noise
+from freqguide.tensor import Workspace
 
 rng = np.random.default_rng(3)
 
@@ -387,3 +395,112 @@ class TestGuidedEndpoint:
         assert 0.4 <= errors[1] / errors[0] <= 0.6
         # the ungated endpoint is no limit of the gated run
         assert self.error(gated, "euler", 128) > 10 * errors[1]
+
+
+def blob_model(factored: bool):
+    """The acceptance model (dense path), or with 16 centers and 4 classes
+    one on separable factors."""
+    spec = acceptance_spec()
+    if factored:
+        spec = replace(
+            spec, centers=tuple((r, c) for r in (4.0, 12.0, 20.0, 28.0) for c in (4.0, 12.0, 20.0, 28.0)),
+            n_classes=4, class_center_weights=None,
+        )
+    mix = blob_mixture_from_spec(spec)
+    assert (mix.cells is not None) == factored
+    return mix, make_denoiser_pair(mix, class_labels(spec))
+
+
+class TestBlockedSampling:
+    """``sample`` runs a batch of more than ``BLOCK_VALUES`` values per image
+    in ``tensor.blocks`` of items; 42 items of 3 x 32 x 32 fit in one."""
+
+    def run(self, mix, batch, sampler="heun", steps=6, transform=TransformKind.haar()):
+        scales = (3.0, 1.5, 2.0)[: transform.band_count]
+        return SampleRunConfig(
+            steps=steps, schedule=ACCEPTANCE_SCHEDULE, seed=3, batch=batch, shape=mix.image_shape,
+            guidance=GuidanceConfig(transform=transform, scales=scales), condition=1, sampler=sampler,
+        )
+
+    def spy_noise(self, monkeypatch):
+        calls = []
+
+        def spy(seed, batch, shape, sigma_max, **kwargs):
+            calls.append((batch, kwargs.get("first", 0)))
+            return initial_noise(seed, batch, shape, sigma_max, **kwargs)
+
+        monkeypatch.setattr(diffusion, "initial_noise", spy)
+        return calls
+
+    def test_factored_blocks_give_one_block_bytes(self, monkeypatch):
+        mix, pair = blob_model(factored=True)
+        run = self.run(mix, 85)
+        calls = self.spy_noise(monkeypatch)
+        blocked = sample(pair, run)
+        # one noise draw per block, keyed by the block's items
+        assert calls == [(29, 0), (28, 29), (28, 57)]
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", 85 * mix.dim)
+        assert sample(pair, run).data.tobytes() == blocked.data.tobytes()
+        assert calls[3:] == [(85, 0)]
+
+    def test_one_block_returns_its_state(self, monkeypatch):
+        mix, pair = blob_model(factored=False)
+        states = []
+        finite = diffusion.Tensor4
+
+        def keep(data, **kwargs):
+            states.append(finite(data, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(diffusion, "Tensor4", keep)
+        out = sample(pair, self.run(mix, 42, sampler="euler"))
+        assert out is states[-1]
+
+    def test_workspace_reallocates_once_when_blocks_shrink(self, monkeypatch):
+        mix, pair = blob_model(factored=True)
+        allocated = []
+
+        class Counting(Workspace):
+            def get(self, name, shape):
+                arr = super().get(name, shape)
+                if not any(arr is a for a in allocated):
+                    allocated.append(arr)
+                return arr
+
+        monkeypatch.setattr(diffusion, "Workspace", Counting)
+        counts = []
+        for batch in (28, 84, 85):  # one block; 28, 28, 28; 29, 28, 28
+            allocated.clear()
+            sample(pair, self.run(mix, batch, steps=3))
+            counts.append(len(allocated))
+        assert counts[0] == counts[1] > 0 and counts[2] == 2 * counts[0]
+
+    def test_recorder_merges_blocks(self, monkeypatch):
+        mix, pair = blob_model(factored=False)
+        run = self.run(mix, 16, sampler="euler", steps=12, transform=TransformKind.pyramid(2))
+        whole = NormRecorder()
+        sample(pair, run, recorder=whole)
+        calls = self.spy_noise(monkeypatch)
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", 8 * mix.dim)
+        blocked = NormRecorder()
+        sample(pair, run, recorder=blocked)
+        assert calls == [(8, 0), (8, 8)]
+        assert len(blocked.records) == len(whole.records) == 12
+        for got, want in zip(blocked.records, whole.records):
+            assert (got.step, got.t, got.sigma) == (want.step, want.t, want.sigma)
+            assert got.low_norm == pytest.approx(want.low_norm, rel=1e-14, abs=0)
+            assert got.high_norm == pytest.approx(want.high_norm, rel=1e-14, abs=0)
+
+    def test_batch_500_memory(self):
+        """The whole batch at once peaked at 110 MiB, about 9 arrays of the
+        batch, in this run."""
+        mix, pair = blob_model(factored=False)
+        run = self.run(mix, 500, sampler="euler", steps=2)
+        out_bytes = 500 * mix.dim * 8
+        tracemalloc.start()
+        try:
+            sample(pair, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out_bytes, f"peak {peak / 2**20:.1f} MiB for an {out_bytes / 2**20:.1f} MiB output"

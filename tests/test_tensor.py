@@ -4,15 +4,43 @@ import os
 import numpy as np
 import pytest
 from conftest import fqg1_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqguide import FormatError, ShapeError, Tensor4, UsageError
-from freqguide.tensor import TensorReader, read_tensor, tensor_writer, write_csv, write_tensor
+from freqguide.tensor import BLOCK_VALUES, TensorReader, blocks, read_tensor, tensor_writer, write_csv, write_tensor
 
 rng = np.random.default_rng(20240817)
 
 
 def rand(dims, lo=-5.0, hi=5.0):
     return Tensor4(rng.uniform(lo, hi, dims))
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_items=st.integers(1, 5000),
+        item_shape=st.tuples(st.integers(1, 4), st.integers(1, 300), st.integers(1, 600)),
+    )
+    def test_rule(self, n_items, item_shape):
+        values = int(np.prod(item_shape))
+        spans = blocks(n_items, item_shape)
+        assert [i for items in spans for i in items] == list(range(n_items))
+        sizes = [len(items) for items in spans]
+        assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+        assert all(size * values <= BLOCK_VALUES or size == 1 for size in sizes)
+        # as few blocks as the cap allows
+        assert len(spans) == -(-n_items // max(1, BLOCK_VALUES // values))
+        if n_items * values <= BLOCK_VALUES:
+            assert spans == [range(n_items)]
+
+    def test_sizes(self):
+        # 3 x 32 x 32 items: 42 to a block
+        assert [len(items) for items in blocks(500, (3, 32, 32))] == [42] * 8 + [41] * 4
+        assert [len(items) for items in blocks(85, (3, 32, 32))] == [29, 28, 28]
+        assert blocks(42, (3, 32, 32)) == [range(42)]
+        assert blocks(3, (1, 512, 512)) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
 class TestTensor4:

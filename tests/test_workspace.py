@@ -21,7 +21,7 @@ from freqguide import (
     sample,
 )
 from freqguide import diffusion
-from freqguide.tensor import Workspace
+from freqguide.tensor import Workspace, blocks
 
 rng = np.random.default_rng(11)
 
@@ -135,16 +135,15 @@ class TestCombineReuse:
         assert outs[0] is outs[1] is outs[2]
 
     @pytest.mark.parametrize("cfg", COMBINE_CONFIGS.values(), ids=COMBINE_CONFIGS)
-    def test_chunks_of_85_85_and_3_items(self, cfg):
-        # combine's chunks of 3 x 32 x 32 items: 2**18 values per input
+    def test_blocks_of_35_and_34_items(self, cfg):
+        # combine's blocks of 173 items of 3 x 32 x 32: 35, 35, 35, 34, 34
         d_c, d_u = rand((173, 3, 32, 32)), rand((173, 3, 32, 32))
         whole = freqcfg_combine(d_c, d_u, cfg).data
         work = Workspace()
-        for start, stop in ((0, 85), (85, 170), (170, 173)):
-            chunk = freqcfg_combine(
-                Tensor4(d_c.data[start:stop]), Tensor4(d_u.data[start:stop]), cfg, work=work
-            )
-            assert chunk.data.tobytes() == whole[start:stop].tobytes()
+        for items in blocks(173, (3, 32, 32)):
+            part = slice(items.start, items.stop)
+            chunk = freqcfg_combine(Tensor4(d_c.data[part]), Tensor4(d_u.data[part]), cfg, work=work)
+            assert chunk.data.tobytes() == whole[part].tobytes()
 
     @pytest.mark.parametrize("cfg", COMBINE_CONFIGS.values(), ids=COMBINE_CONFIGS)
     def test_public_result_keeps_its_bytes(self, cfg):
