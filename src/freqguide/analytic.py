@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 EXP_FLOOR = -708.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotropicGaussianMixture:
     """Components (weight, mean image, isotropic scale); weights sum to 1.
 
@@ -34,35 +34,33 @@ class IsotropicGaussianMixture:
     ``image_shape`` and ``dim``; ``flat`` is the (K, D) view of ``means``.
     A mixture made by ``restricted`` records its ``parent`` and the
     ``indices`` it took, so ``posterior_mean`` can evaluate it together with
-    the parent.
+    the parent.  Two mixtures are equal only when they are the same object.
 
-    When every mean is a sum of T rank-1 planes, shared by all channels and
-    fewer in number than the components, the mixture keeps the separable
-    factors: row profiles ``rows`` (nr, H), column profiles ``cols``
-    (nq, W) and ``cells`` (K, T), where cell r·nq + q names the plane
-    outer(rows[r], cols[q]), so each channel of mean k is the sum of its T
-    planes.  ``posterior_mean`` then works through the nr × nq grid of
-    planes instead of the K means; otherwise all three are None.  Such a
-    mixture also keeps the ``recipe`` its means come from and builds
-    ``means`` only when first read; its ``sq_norms`` come from means built a
-    chunk of components at a time, and its ``restricted`` subsets copy no
-    means.  Two threads that read ``means`` first may both build them, with
+    A mixture may instead be defined by separable factors: row profiles
+    ``rows`` (nr, H), column profiles ``cols`` (nq, W) and ``cells``
+    (K, T), where cell r·nq + q names the plane outer(rows[r], cols[q]),
+    so each channel of mean k is the sum of its T planes (``_factor_means``).
+    ``posterior_mean`` then works through the nr × nq grid of planes instead
+    of the K means, and the factors are all such a mixture keeps: it builds
+    ``means`` only when first read, its ``sq_norms`` come from means built
+    a chunk of components at a time, and its ``restricted`` subsets take
+    their cell rows.  A mixture given its means has no factors (all three
+    None).  Two threads that read ``means`` first may both build them, with
     the same bytes.
     """
 
     weights: np.ndarray  # (K,)
-    means: np.ndarray  # (K, C, H, W); built on first read when ``recipe`` is set
+    means: np.ndarray  # (K, C, H, W); built on first read when ``cells`` is set
     scales: np.ndarray  # (K,)
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    image_shape: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
-    parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False, compare=False)
-    indices: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    cells: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    recipe: "_BlobRecipe | None" = field(default=None, init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False)
+    log_weights: np.ndarray = field(init=False, repr=False)
+    image_shape: tuple[int, int, int] = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
+    parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False)
+    indices: np.ndarray | None = field(default=None, init=False, repr=False)
+    rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    cols: np.ndarray | None = field(default=None, init=False, repr=False)
+    cells: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
@@ -70,16 +68,18 @@ class IsotropicGaussianMixture:
         self._freeze({"means": means, "sq_norms": _sq_norms(means)})
 
     @classmethod
-    def _on_demand(cls, weights, scales, recipe: "_BlobRecipe", factors: dict, sq_norms=None):
-        """A mixture whose means ``recipe`` builds on first read, with the
-        separable ``factors``.  Without ``sq_norms`` they are computed from
-        means built a chunk of components at a time."""
+    def _on_demand(cls, weights, scales, factors: dict, channels: int, sq_norms=None):
+        """A mixture of ``channels``-channel means defined by the separable
+        ``factors`` (``rows``, ``cols``, ``cells``), which builds its means
+        only when they are read.  Without ``sq_norms`` they are computed
+        from means built a chunk of components at a time."""
         mix = object.__new__(cls)
-        mix._set_components(weights, scales, recipe.shape)
-        object.__setattr__(mix, "recipe", recipe)
+        rows, cols, cells = factors["rows"], factors["cols"], factors["cells"]
+        mix._set_components(weights, scales, (len(cells), channels, rows.shape[1], cols.shape[1]))
+        mix._freeze(factors)
         if sq_norms is None:
             sq_norms = np.concatenate([_sq_norms(chunk) for chunk in mix.mean_chunks()])
-        mix._freeze(dict(factors, sq_norms=sq_norms))
+        mix._freeze({"sq_norms": sq_norms})
         return mix
 
     def _set_components(self, weights, scales, shape: tuple) -> None:
@@ -109,21 +109,28 @@ class IsotropicGaussianMixture:
             object.__setattr__(self, name, arr)
 
     def __getattr__(self, name):
-        # reached only for the means of a mixture with a recipe, until they are built
-        if name != "means" or self.recipe is None:
+        # reached only for the means of a mixture with factors, until they are built
+        if name != "means" or self.cells is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        means = self.recipe.means()
+        means = np.empty((self.n_components,) + self.image_shape)
+        start = 0
+        for chunk in self.mean_chunks():
+            means[start : start + len(chunk)] = chunk
+            start += len(chunk)
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
         return means
 
     def mean_chunks(self):
         """The means as consecutive (n, C, H, W) arrays, one per
-        ``tensor.blocks`` of components.  A mixture with a recipe builds
-        each chunk anew, so this never builds the whole ``means``."""
+        ``tensor.blocks`` of components.  A mixture with factors builds each
+        chunk anew, so this never builds the whole ``means``."""
         for items in blocks(self.n_components, self.image_shape):
             i, j = items.start, items.stop
-            yield self.means[i:j] if self.recipe is None else self.recipe.means(i, j)
+            if self.cells is None:
+                yield self.means[i:j]
+            else:
+                yield _factor_means(self.rows, self.cols, self.cells[i:j], self.image_shape[0])
 
     @property
     def flat(self) -> np.ndarray:
@@ -143,18 +150,31 @@ class IsotropicGaussianMixture:
         values, counts = np.unique(idx, return_counts=True)
         if counts.max() > 1:
             raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
-        if self.recipe is None:
+        if self.cells is None:
             sub = IsotropicGaussianMixture(
                 weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
             )
         else:
             factors = {"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]}
             sub = self._on_demand(
-                self.weights[idx], self.scales[idx], self.recipe.subset(idx), factors, self.sq_norms[idx]
+                self.weights[idx], self.scales[idx], factors, self.image_shape[0], self.sq_norms[idx]
             )
         sub._freeze({"indices": idx})
         object.__setattr__(sub, "parent", self)
         return sub
+
+
+def _factor_means(rows: np.ndarray, cols: np.ndarray, cells: np.ndarray, channels: int) -> np.ndarray:
+    """New (n, C, H, W) means of the n components with (n, T) ``cells``:
+    every channel is the sum, in cell order, of the planes
+    rows[r][:, None] * cols[q][None, :] of cells r·nq + q.  Each element is
+    its own sum, so means built in any grouping of components have the same
+    bytes."""
+    r, q = np.divmod(cells, len(cols))
+    planes = rows[r[:, 0], :, None] * cols[q[:, 0], None, :]
+    for t in range(1, cells.shape[1]):
+        planes += rows[r[:, t], :, None] * cols[q[:, t], None, :]
+    return np.repeat(planes[:, None], channels, axis=1)
 
 
 def _sq_norms(means: np.ndarray) -> np.ndarray:
@@ -385,7 +405,7 @@ def degrade(
 
 @dataclass(frozen=True)
 class BlobTextureSpec:
-    """Recipe for mixture means blob(center_j) + texture(center_j, class_k).
+    """Parameters of mixture means blob(center_j) + texture(center_j, class_k).
 
     The blob is a broad Gaussian bump (position = global structure); the
     texture is a Nyquist-rate grating whose orientation alternates per class
@@ -445,50 +465,22 @@ class BlobTextureSpec:
     def image_shape(self) -> tuple[int, int, int]:
         return (self.channels, self.height, self.width)
 
-    def blob_image(self, center) -> np.ndarray:
-        return np.broadcast_to(self._blob_planes([center])[0], self.image_shape).copy()
-
-    def _blob_planes(self, centers) -> np.ndarray:
-        """(len(centers), H, W) bumps, one per center, shared by all channels."""
+    def _bump_profiles(self, coords, size: int) -> np.ndarray:
+        """(len(coords), size) unit 1-D bumps centred at ``coords``; the blob
+        at (cy, cx) is blob_amplitude · outer(profile(cy), profile(cx))."""
         # blob_block > 1 evaluates the bump at block centers and duplicates
         # pixels, pinning the blob exactly inside the block-average subspace
-        cy, cx = np.asarray(centers, dtype=np.float64).T[:, :, None, None]
-        yy = self._block_centers(self.height)[:, None]
-        xx = self._block_centers(self.width)[None, :]
-        bump = self.blob_amplitude * np.exp(
-            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * self.blob_radius**2)
-        )
-        return bump.repeat(self.blob_block, axis=1).repeat(self.blob_block, axis=2)
-
-    def _block_centers(self, size: int) -> np.ndarray:
-        """Coordinates of the blob_block centers along an axis of ``size`` px."""
         block = self.blob_block
-        return block * (np.arange(size // block, dtype=np.float64) + 0.5) - 0.5
-
-    def _bump_profiles(self, coords, size: int) -> np.ndarray:
-        """(len(coords), size) unit 1-D bumps: the blob at (cy, cx) is, up to
-        rounding, blob_amplitude · outer(profile(cy), profile(cx))."""
-        offsets = self._block_centers(size)[None, :] - np.asarray(coords)[:, None]
+        centers = block * (np.arange(size // block, dtype=np.float64) + 0.5) - 0.5
+        offsets = centers[None, :] - np.asarray(coords)[:, None]
         profile = np.exp(-(offsets**2) / (2.0 * self.blob_radius**2))
-        return profile.repeat(self.blob_block, axis=1)
+        return profile.repeat(block, axis=1)
 
     def _wave(self, parity: int, size: int) -> np.ndarray:
         """The grating along an axis of ``size`` px for centers of ``parity``."""
         coord = np.arange(size, dtype=np.float64)
         return self.texture_amplitude * np.cos(
             2.0 * math.pi * self.texture_freq * coord + math.pi * parity
-        )
-
-    def texture_image(self, center_index: int, class_index: int) -> np.ndarray:
-        if class_index % 2 == 0:
-            grid = self._wave(center_index % 2, self.width)[None, :]
-        else:
-            grid = self._wave(center_index % 2, self.height)[:, None]
-        return np.broadcast_to(grid, self.image_shape).copy()
-
-    def mean_image(self, center_index: int, class_index: int) -> np.ndarray:
-        return self.blob_image(self.centers[center_index]) + self.texture_image(
-            center_index, class_index
         )
 
     def center_weights(self, class_index: int) -> np.ndarray:
@@ -508,61 +500,23 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     """Cartesian (center x class) mixture with deterministic means and the
     spec noise scale on every component.
 
-    Mean (j, k) is ``spec.mean_image(j, k)``; the blob depends only on the
-    center and the texture only on (center parity, class), so each is built
-    once (``_BlobRecipe``) and a mean is one sum of the two.  When the J
-    blobs and the min(2, J)·C textures number fewer than the J·C components,
-    the mixture keeps their separable factors (``_separable_factors``) and
-    builds its means only when they are read.
+    Each channel of mean (j, k) is blob_j + texture(j mod 2, k), two rank-1
+    planes; ``_separable_factors`` gives the row and column profiles and
+    the cells of every mean, and ``_factor_means`` is the one definition of
+    the means they make.  When the J blobs and the min(2, J)·C textures
+    number fewer than the J·C components, the mixture keeps only the factors
+    and builds its means when they are read; otherwise it is built from its
+    means and carries no factors.
     """
     n_centers, n_classes = len(spec.centers), spec.n_classes
-    n_parities = min(2, n_centers)
-    center, cls = np.divmod(np.arange(n_centers * n_classes), n_classes)
-    recipe = _BlobRecipe(
-        blobs=spec._blob_planes(spec.centers),
-        textures=np.stack(
-            [[spec.texture_image(p, k) for k in range(n_classes)] for p in range(n_parities)]
-        ),
-        center=center,
-        cls=cls,
-    )
+    factors = _separable_factors(spec)
     weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
-    weights, scales = weights.reshape(-1), np.full(len(center), spec.noise_scale)
-    if n_centers + n_parities * n_classes < len(center):
-        return IsotropicGaussianMixture._on_demand(weights, scales, recipe, _separable_factors(spec))
-    return IsotropicGaussianMixture(weights=weights, means=recipe.means(), scales=scales)
-
-
-@dataclass(frozen=True)
-class _BlobRecipe:
-    """Means of blob mixture components: each channel of mean i is
-    ``blobs[center[i]]`` plus the texture ``textures[center[i] % 2, cls[i]]``.
-    A sum per element, so means built here in any grouping of components
-    have the same bytes."""
-
-    blobs: np.ndarray  # (J, H, W)
-    textures: np.ndarray  # (P, classes, C, H, W)
-    center: np.ndarray  # (K,)
-    cls: np.ndarray  # (K,)
-
-    def __post_init__(self):
-        for arr in (self.blobs, self.textures, self.center, self.cls):
-            arr.flags.writeable = False
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.center),) + self.textures.shape[2:]
-
-    def subset(self, idx: np.ndarray) -> "_BlobRecipe":
-        return replace(self, center=self.center[idx], cls=self.cls[idx])
-
-    def means(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """New (n, C, H, W) means of components ``start``..``stop``."""
-        center, cls = self.center[start:stop], self.cls[start:stop]
-        out = np.empty((len(center),) + self.shape[1:])
-        for mean, j, k in zip(out, center, cls):
-            np.add(self.blobs[j], self.textures[j % 2, k], out=mean)
-        return out
+    weights = weights.reshape(-1)
+    scales = np.full(len(weights), spec.noise_scale)
+    if n_centers + min(2, n_centers) * n_classes < len(weights):
+        return IsotropicGaussianMixture._on_demand(weights, scales, factors, spec.channels)
+    means = _factor_means(**factors, channels=spec.channels)
+    return IsotropicGaussianMixture(weights=weights, means=means, scales=scales)
 
 
 def _separable_factors(spec: BlobTextureSpec) -> dict:

@@ -428,10 +428,11 @@ def cmd_gen_data(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     lines = []
-    for idx in range(mix.n_components):
+    means = (mean for chunk in mix.mean_chunks() for mean in chunk)
+    for idx, mean in enumerate(means):
         name = f"mean_{idx:03d}.fqg"
         path = os.path.join(args.out, name)
-        write_tensor(path, Tensor4(mix.means[idx][None]))
+        write_tensor(path, Tensor4(mean[None]))
         outputs.append(path)
         lines.append(f"component.{idx}.weight = {format(float(mix.weights[idx]), '.17g')}")
         lines.append(f"component.{idx}.scale = {format(float(mix.scales[idx]), '.17g')}")

@@ -121,12 +121,12 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     step whose guidance gate is open, under that sampler step i.
 
     The batch runs in ``tensor.blocks`` of items, at most ``BLOCK_VALUES``
-    values per image-sized array, each block through every step; the
-    blocks' records merge into ``recorder`` step by step.  A batch of one
-    block returns its final state as is; otherwise each block's state is
-    copied into one new output.  One ``Workspace`` serves every step of
-    every block; the state is a new array each step, so no ``Tensor4`` the
-    pair is given changes afterwards.
+    values per image-sized array, each block through every step; every
+    block observes into ``recorder``, which sums each step's band norms.
+    A batch of one block returns its final state as is; otherwise each
+    block's state is copied into one new output.  One ``Workspace`` serves
+    every step of every block; the state is a new array each step, so no
+    ``Tensor4`` the pair is given changes afterwards.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
@@ -151,11 +151,11 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
         return Tensor4(state, checked=True)
 
-    def integrate(items: range, rec: NormRecorder | None) -> Tensor4:
+    def integrate(items: range) -> Tensor4:
         z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
         for i in range(run.steps):
             s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            x0 = denoise(z, i, rec)
+            x0 = denoise(z, i, recorder)
             corrector = run.sampler == "heun" and s_next > 0.0
             with np.errstate(over="ignore", invalid="ignore"):
                 d_cur = drift(z, x0, s_cur, "drift")
@@ -175,13 +175,8 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
 
     spans = blocks(run.batch, run.shape)
     if len(spans) == 1:
-        return integrate(spans[0], recorder)
+        return integrate(spans[0])
     out = np.empty((run.batch,) + run.shape)
-    first_record = None if recorder is None else len(recorder.records)
     for items in spans:
-        # a later block records apart, then merges into the first block's records
-        rec = recorder if items.start == 0 or recorder is None else NormRecorder()
-        out[items.start : items.stop] = integrate(items, rec).data
-        if rec is not recorder:
-            recorder.merge(rec, first_record)
+        out[items.start : items.stop] = integrate(items).data
     return Tensor4(out, checked=True)

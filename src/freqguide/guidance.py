@@ -97,36 +97,34 @@ class BandNormRecord:
 
 @dataclass
 class NormRecorder:
-    """Collects one BandNormRecord per guided step; owned by a single run.
+    """Collects the band norms of the guidance difference per guided step;
+    owned by a single run.
 
-    ``band_sq`` keeps, per record, the squared norm of each band of the
-    guidance difference, so a run in blocks of items can ``merge`` them."""
+    ``sums`` maps each observed sampler step to its (t, sigma) and the
+    squared norm of each band, summed over every observation of that step,
+    so the blocks of items of one run add into the same entries."""
 
-    records: list[BandNormRecord] = field(default_factory=list)
-    band_sq: list[tuple[float, ...]] = field(default_factory=list, repr=False)
+    sums: dict[int, tuple[float, float, list[float]]] = field(default_factory=dict, repr=False)
 
     def observe(self, step: int, t: float, sigma: float, delta: np.ndarray, kind: TransformKind):
-        """Record, for sampler step ``step``, the norm of the residual band of
-        the guidance difference ``delta`` = d_c - d_u and the norm of all its
-        detail bands concatenated."""
-        sq = tuple(float(np.einsum("i,i->", b.ravel(), b.ravel())) for b in analyze(delta, kind))
-        self.band_sq.append(sq)
-        self.records.append(_band_record(step, t, sigma, sq))
+        """Add, for sampler step ``step``, the squared norm of each band of
+        the guidance difference ``delta`` = d_c - d_u."""
+        sq = [float(np.einsum("i,i->", b.ravel(), b.ravel())) for b in analyze(delta, kind)]
+        total = self.sums.setdefault(step, (t, sigma, [0.0] * len(sq)))[2]
+        for j, v in enumerate(sq):
+            total[j] += v
 
-    def merge(self, block: "NormRecorder", first: int):
-        """Fold in ``block``'s records of another block of the same run's
-        items, step for step into the records from index ``first`` on: each
-        band's squared norms add, and the norms are their square roots."""
-        for j, (rec, sq) in enumerate(zip(block.records, block.band_sq), start=first):
-            total = tuple(a + b for a, b in zip(self.band_sq[j], sq))
-            self.band_sq[j] = total
-            self.records[j] = _band_record(rec.step, rec.t, rec.sigma, total)
-
-
-def _band_record(step: int, t: float, sigma: float, band_sq: tuple[float, ...]) -> BandNormRecord:
-    norms = [float(np.sqrt(v)) for v in band_sq]
-    high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
-    return BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high)
+    @property
+    def records(self) -> list[BandNormRecord]:
+        """One record per observed step, in the order first observed: the
+        norm of the residual band and the norm of all detail bands
+        concatenated, each the square root of its summed squares."""
+        out = []
+        for step, (t, sigma, sq) in self.sums.items():
+            norms = [float(np.sqrt(v)) for v in sq]
+            high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
+            out.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
+        return out
 
 
 def _parallel(v0: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

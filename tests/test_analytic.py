@@ -27,7 +27,7 @@ from freqguide import (
     posterior_mean,
     transform_bands,
 )
-from freqguide import analytic
+from freqguide import analytic, tensor
 from freqguide.cli import EXIT_CODES
 
 rng = np.random.default_rng(42)
@@ -436,7 +436,7 @@ class TestMeansOnDemand:
         subs = [pair.class_mixture(c) for c in range(spec.n_classes)]
         subs.append(subs[1].restricted([5, 0, 17]))
         gen = np.random.default_rng(3)
-        x = np.stack([spec.mean_image(*divmod(i, spec.n_classes)) for i in gen.choice(1024, size=8)])
+        x = loop_mixture(spec)[1][gen.choice(1024, size=8)]
         z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape))
         pair.both(z, 0.3, 1)
         posterior_mean(z, 0.3, subs[-1])
@@ -457,10 +457,12 @@ class TestMeansOnDemand:
         mix = blob_mixture_from_spec(spec)
         sub = mix.restricted([1023, 6, 300]).restricted([2, 0])
         assert list(sub.indices) == [2, 0] and sub.parent.parent is mix
-        for m, components in ((sub, [300, 1023]), (mix, range(mix.n_components))):
+        _, want = loop_mixture(spec)
+        for m, components in ((sub, [300, 1023]), (mix, slice(None))):
             assert np.shares_memory(m.flat, m.means) and not m.means.flags.writeable
-            for got, i in zip(m.means, components):
-                assert np.array_equal(got, spec.mean_image(*divmod(i, spec.n_classes)))
+            assert np.abs(m.means - want[components]).max() <= oracle_bound(want)
+        # a subset builds the bytes of the whole build's rows
+        assert sub.means.tobytes() == mix.means[[300, 1023]].tobytes()
         assert "means" not in vars(sub.parent)
 
     def test_build_subset_and_joint_call_stay_small(self):
@@ -478,11 +480,34 @@ class TestMeansOnDemand:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_factored_model_holds_only_its_factors(self):
+        """2.27 MiB when the model also kept the blob planes and textures
+        its means were summed from."""
+        tracemalloc.start()
+        try:
+            mix = blob_mixture_from_spec(many_modes_spec())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert mix.cells is not None and "means" not in vars(mix)
+        assert held < 2**19, f"{held / 2**20:.2f} MiB"
+
+    def test_mixtures_compare_by_identity(self):
+        for spec in (acceptance_spec(), many_modes_spec()):
+            mix, again = blob_mixture_from_spec(spec), blob_mixture_from_spec(spec)
+            assert mix == mix and mix != again
+            assert hash(mix) == hash(mix) and len({mix, again, mix}) == 2
+            sub = mix.restricted([0])
+            assert sub.parent is mix and sub != mix.restricted([0])
+
     def test_threads_reading_means_get_equal_bytes(self):
         spec = BlobTextureSpec(
             centers=tuple((8.0 * r + 4, 8.0 * c + 4) for r in range(4) for c in range(4)), n_classes=4
         )
-        want = np.stack([spec.mean_image(*divmod(i, 4)) for i in range(64)])
+        # one build of all 64 means; ``means`` is built a block of components at a time
+        want = analytic._factor_means(**analytic._separable_factors(spec), channels=spec.channels)
+        assert len(tensor.blocks(64, spec.image_shape)) > 1
+        assert np.abs(want - loop_mixture(spec)[1]).max() <= oracle_bound(want)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -623,20 +648,33 @@ class TestBlobTextureSpec:
 
 
 def loop_mixture(spec: BlobTextureSpec):
-    """Reference build: one literal blob per (center, class) component."""
+    """Reference build: one literal 2-D blob and grating per (center, class)
+    component."""
     block = spec.blob_block
     yy = block * (np.arange(spec.height // block, dtype=np.float64)[:, None] + 0.5) - 0.5
     xx = block * (np.arange(spec.width // block, dtype=np.float64)[None, :] + 0.5) - 0.5
+    y = np.arange(spec.height, dtype=np.float64)[:, None]
+    x = np.arange(spec.width, dtype=np.float64)[None, :]
     means, weights = [], []
     for j, (cy, cx) in enumerate(spec.centers):
         bump = spec.blob_amplitude * np.exp(
             -((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * spec.blob_radius**2)
         )
-        blob = np.broadcast_to(np.kron(bump, np.ones((block, block))), spec.image_shape)
+        blob = np.kron(bump, np.ones((block, block)))
         for k in range(spec.n_classes):
-            means.append(blob + spec.texture_image(j, k))
+            # even classes vary along x, odd along y; the phase alternates per center
+            phase = 2.0 * np.pi * spec.texture_freq * (x if k % 2 == 0 else y) + np.pi * (j % 2)
+            texture = spec.texture_amplitude * np.cos(phase)
+            means.append(np.broadcast_to(blob + texture, spec.image_shape))
             weights.append(spec.center_weights(k)[j] / spec.n_classes)
     return np.array(weights), np.stack(means)
+
+
+def oracle_bound(means: np.ndarray) -> float:
+    """How far the separable means may lie from the 2-D oracle: each blob is
+    amplitude·exp(-a)·exp(-b) in place of amplitude·exp(-(a + b)), a few ulp
+    of the largest mean value."""
+    return 4 * np.finfo(np.float64).eps * np.abs(means).max()
 
 
 class TestVectorizedBuild:
@@ -671,15 +709,12 @@ class TestVectorizedBuild:
         if mix.cells is not None:
             assert mix.rows.shape[1] == spec.height and mix.cols.shape[1] == spec.width
             assert mix.cells.shape == (len(means), 2)
-            r, q = np.divmod(mix.cells, len(mix.cols))
-            planes = np.einsum("kth,ktw->khw", mix.rows[r], mix.cols[q])
-            # each blob is amplitude·exp(-a)·exp(-b) in place of amplitude·exp(-(a + b)):
-            # a few ulp of the largest mean value
-            bound = 4 * np.finfo(np.float64).eps * np.abs(means).max()
-            assert np.abs(planes[:, None] - means).max() <= bound
-        assert mix.means.tobytes() == means.tobytes()
+        assert np.abs(mix.means - means).max() <= oracle_bound(means)
+        # factored sq_norms, from chunks of means, are those of the whole build
+        built = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        assert mix.sq_norms.tobytes() == built.sq_norms.tobytes()
+        # factored means, built a block of components at a time, are one build of all
+        whole = analytic._factor_means(**analytic._separable_factors(spec), channels=spec.channels)
+        assert whole.tobytes() == mix.means.tobytes()
         assert mix.weights.tobytes() == mixture(weights, means, mix.scales).weights.tobytes()
         assert mix.scales.tobytes() == np.full(len(means), spec.noise_scale).tobytes()
-        for j in range(len(spec.centers)):
-            for k in range(spec.n_classes):
-                assert np.array_equal(mix.means[j * spec.n_classes + k], spec.mean_image(j, k))

@@ -879,6 +879,24 @@ class TestGenData:
         tensor = read_tensor(os.path.join(out_dir, means[0]))
         assert tensor.dims == (1, 1, 16, 16)
 
+    def test_factored_model_writes_whole_build_bytes_without_its_means(self, tmp_path, monkeypatch):
+        build, built = cli.blob_mixture_from_spec, []
+
+        def keep(spec):
+            built.append(build(spec))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "blob_mixture_from_spec", keep)
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", 5 * 16 * 16)  # 16 components in 4 blocks
+        out_dir = str(tmp_path / "data")
+        argv = ["--set", "mixture.centers=4:4,4:12,12:4,12:12", "--set", "mixture.classes=4"]
+        assert run_cli("gen-data", "--config", write_config(tmp_path), *argv, "--out", out_dir) == 0
+        (mix,) = built
+        assert mix.cells is not None and "means" not in vars(mix)
+        for idx in range(mix.n_components):
+            got = read_tensor(os.path.join(out_dir, f"mean_{idx:03d}.fqg"))
+            assert got.data.tobytes() == mix.means[idx].tobytes()
+
     def test_zero_texture_amplitude_pairs_means(self, tmp_path):
         cfg = write_config(tmp_path, name="flat.cfg")
         out_dir = str(tmp_path / "flat")
