@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .guidance import DenoiserPair
+from .guidance import DenoiserPair, GuidanceConfig, freqcfg_combine
 from .tensor import Tensor4, Workspace, blocks
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -327,19 +327,53 @@ def posterior_mean(
     return full if subset is None else (part[0], full)
 
 
+def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.ndarray | None:
+    """[means; M·means] as a read-only (2K, D) array, where M·x =
+    freqcfg_combine(x, 0) - x is the per-band CFG operator of ``cfg`` at
+    unit parallel weights.  M·x is taken as freqcfg_combine(0, -x), whose
+    d_c is zero, so no x is added and taken away again.  The means go
+    through in ``mean_chunks()``; None when M·means overflows."""
+    k = mix.n_components
+    basis = np.empty((2 * k, mix.dim))
+    basis[:k] = mix.flat
+    start, work = k, Workspace()
+    for chunk in mix.mean_chunks():
+        try:
+            lifted = freqcfg_combine(Tensor4(np.zeros_like(chunk)), Tensor4(-chunk), cfg, work=work)
+        except DomainError:
+            return None
+        basis[start : start + len(chunk)] = lifted.data.reshape(len(chunk), -1)
+        start += len(chunk)
+    basis.flags.writeable = False
+    return basis
+
+
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
-    """Pair from one mixture whose ``both`` shares a single distance pass.
+    """Pair from one mixture whose ``both`` shares a single distance pass,
+    and whose ``guided`` works in the basis of the mixture's components.
+
+    With unit parallel weights per-band CFG is linear in Δ = d_c - d_u:
+    guided = d_c + M·Δ.  When the mixture is dense and all its components
+    share one scale, z_coef·z is the same in d_c and d_u, so Δ = (w_c - w_u)
+    · means and a guided step is one (B, 2K) product,
+    [w_c | w_c - w_u] @ [means; M·means] + z_coef_c·z, with no band
+    transform.  ``bases`` keeps the [means; M·means] of the last guidance
+    (transform, scales) asked for.  Other pairs of mixture and guidance,
+    a null condition and an output that overflows take the band path of
+    ``DenoiserPair.guided``, which raises its own errors.
 
     A class's restricted mixture is built the first time that class is asked
-    for and kept in ``by_class``; the lock makes that check-then-build
-    atomic, so callers may share one pair across their own threads.
+    for and kept in ``by_class``; the lock makes that check-then-build, and
+    the build of a basis, atomic, so callers may share one pair across
+    their own threads.
     """
 
     mix: IsotropicGaussianMixture
     labels: np.ndarray
     classes: tuple
     by_class: dict = field(default_factory=dict)
+    bases: dict = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def class_mixture(self, condition) -> IsotropicGaussianMixture:
@@ -357,6 +391,56 @@ class _MixturePair(DenoiserPair):
             d_u = posterior_mean(z, sigma, self.mix, work=work)
             return d_u, d_u
         return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
+
+    def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | None:
+        """[means; M·means] for ``cfg`` (``_component_basis``), or None when
+        a guided step under ``cfg`` cannot run in the component basis."""
+        mix = self.mix
+        if mix.cells is not None or np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
+            return None
+        key = (cfg.transform, cfg.scales)
+        with self.lock:
+            if key not in self.bases:
+                self.bases.clear()
+                self.bases[key] = _component_basis(mix, cfg)
+            return self.bases[key]
+
+    def guided(
+        self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig, *, work: Workspace | None = None
+    ) -> Tensor4:
+        basis = None
+        if condition is not None and sigma > 0 and z.dims[1:] == self.mix.image_shape:
+            basis = self.component_basis(cfg)
+        # anything else, an overflow included, goes to the band path, which raises its own errors
+        if basis is not None:
+            work = Workspace() if work is None else work
+            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, work)
+            if np.isfinite(out).all():
+                return Tensor4(out, checked=True)
+        return super().guided(z, sigma, condition, cfg, work=work)
+
+
+def _component_guided(
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis: np.ndarray, work: Workspace
+) -> np.ndarray:
+    """[w_c | w_c - w_u] @ ``basis`` + z_coef_c·z into ``work`` array
+    ``"guided"``: one distance pass against the K means gives the
+    unconditional weights w_u and, from the columns of ``subset``, the
+    conditional w_c, scattered to all K columns.  Not checked finite."""
+    b, k = z.dims[0], mix.n_components
+    zf = z.data.reshape(b, -1)
+    out = work.get("guided", z.dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, sq_dist = _sq_dists(zf, mix)
+        w_c, z_coef = _weights(sq_dist[:, subset.indices], sigma, subset)
+        w_u, _ = _weights(sq_dist, sigma, mix)
+        coef = work.get("coef", (b, 2 * k))
+        coef[:, :k] = 0.0
+        coef[:, subset.indices] = w_c
+        np.subtract(coef[:, :k], w_u, out=coef[:, k:])
+        flat = np.matmul(coef, basis, out=out.reshape(zf.shape))
+        flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
+    return out
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:

@@ -118,7 +118,9 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     Heun uses an Euler predictor plus trapezoidal corrector, except for the
     final step to sigma = 0 which stays plain Euler (the corrector would need
     a denoiser evaluation at zero noise).  ``recorder`` gets one record per
-    step whose guidance gate is open, under that sampler step i.
+    step whose guidance gate is open, under that sampler step i; a run given
+    one takes the band path at every guided evaluation, the corrector's
+    included (``guided_denoise``).
 
     The batch runs in ``tensor.blocks`` of items, at most ``BLOCK_VALUES``
     values per image-sized array, each block through every step; every
@@ -132,12 +134,12 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
     work = Workspace()
 
-    def denoise(z: Tensor4, i: int, rec) -> np.ndarray:
+    def denoise(z: Tensor4, i: int, step: int | None) -> np.ndarray:
         sigma = float(sigmas[i])
         if run.guidance is None:
             return pair.cond(z, sigma, run.condition).data
         return guided_denoise(
-            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=rec, step=i,
+            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=recorder, step=step,
             work=work,
         ).data
 
@@ -155,7 +157,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
         z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
         for i in range(run.steps):
             s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            x0 = denoise(z, i, recorder)
+            x0 = denoise(z, i, step=i)
             corrector = run.sampler == "heun" and s_next > 0.0
             with np.errstate(over="ignore", invalid="ignore"):
                 d_cur = drift(z, x0, s_cur, "drift")
@@ -166,7 +168,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
                 z = z_euler
             else:
                 # corrector never records: one band-norm record per step
-                x0_next = denoise(z_euler, i + 1, None)
+                x0_next = denoise(z_euler, i + 1, step=None)
                 with np.errstate(over="ignore", invalid="ignore"):
                     d_next = drift(z_euler, x0_next, s_next, "step")
                     d_next = np.add(d_cur, d_next, out=d_next)

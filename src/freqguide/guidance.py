@@ -71,6 +71,8 @@ class DenoiserPair:
 
     ``cond(z, sigma, condition)`` and ``uncond(z, sigma)`` must return
     tensors matching ``z``; ``uncond`` may come from a degraded model.
+    ``guided`` is one guided prediction; a pair that can form it without
+    both predictions (``analytic._MixturePair``) overrides it.
     """
 
     cond: object
@@ -84,6 +86,15 @@ class DenoiserPair:
         An override may put its outputs in the arrays of ``work``; this one
         ignores it."""
         return self.cond(z, sigma, condition), self.uncond(z, sigma)
+
+    def guided(
+        self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig, *, work: Workspace | None = None
+    ) -> Tensor4:
+        """The per-band CFG prediction under ``cfg``: ``freqcfg_combine`` of
+        ``both``, each given ``work``.  Raises ``DomainError`` when it
+        overflows."""
+        d_c, d_u = self.both(z, sigma, condition, work=work)
+        return freqcfg_combine(d_c, d_u, cfg, work=work)
 
 
 @dataclass(frozen=True)
@@ -231,20 +242,24 @@ def guided_denoise(
     cfg: GuidanceConfig,
     condition=None,
     recorder: NormRecorder | None = None,
-    step: int = 0,
+    step: int | None = 0,
     *,
     work: Workspace | None = None,
 ) -> Tensor4:
     """One guided x0 prediction; returns the bare conditional output when the
-    interval gate is closed.  Appends a band-norm record for sampler step
-    ``step`` per guided call.  ``work`` goes on to ``pair.both`` and
-    ``freqcfg_combine``."""
+    interval gate is closed, and ``pair.guided`` otherwise.  Given a
+    ``recorder`` it takes the band path, ``freqcfg_combine`` of
+    ``pair.both``, and records the difference d_c - d_u under sampler step
+    ``step`` (nothing when ``step`` is None).  ``work`` goes on to the pair
+    and ``freqcfg_combine``."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not cfg.active_at(t):
         return pair.cond(z, sigma, condition)
+    if recorder is None:
+        return pair.guided(z, sigma, condition, cfg, work=work)
     d_c, d_u = pair.both(z, sigma, condition, work=work)
-    if recorder is not None:
+    if step is not None:
         recorder.observe(step, t, sigma, d_c.data - d_u.data, cfg.transform)
     return freqcfg_combine(d_c, d_u, cfg, work=work)
 

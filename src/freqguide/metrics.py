@@ -4,6 +4,7 @@ proxy."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,9 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
 
 def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> float:
     """Mean absolute gap between per-channel (mean, std) of the samples and of
-    the weight-averaged mixture means, averaged over channels."""
+    the weight-averaged mixture means, averaged over channels.  The means'
+    weighted sums walk ``reference.mean_chunks()``, so a mixture with
+    separable factors never builds all its means for them."""
     if samples.dims[1:] != reference.image_shape:
         raise UsageError(
             f"sample shape {samples.dims[1:]} != mixture shape {reference.image_shape}"
@@ -75,9 +78,15 @@ def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> f
     s = samples.data.transpose(1, 0, 2, 3).reshape(channels, -1)
     s_mean = s.mean(axis=1)
     s_std = s.std(axis=1)
-    m = reference.means.transpose(1, 0, 2, 3).reshape(channels, reference.n_components, -1)
-    w = reference.weights
-    r_mean = np.einsum("k,ckd->c", w, m) / m.shape[2]
-    r_sq = np.einsum("k,ckd->c", w, m**2) / m.shape[2]
+    r_mean, r_sq, start = np.zeros(channels), np.zeros(channels), 0
+    for chunk in reference.mean_chunks():
+        m = chunk.transpose(1, 0, 2, 3).reshape(channels, len(chunk), -1)
+        w = reference.weights[start : start + len(chunk)]
+        r_mean += np.einsum("k,ckd->c", w, m)
+        r_sq += np.einsum("k,ckd->c", w, m**2)
+        start += len(chunk)
+    pixels = math.prod(reference.image_shape[1:])
+    r_mean /= pixels
+    r_sq /= pixels
     r_std = np.sqrt(np.maximum(r_sq - r_mean**2, 0.0))
     return float(np.mean(0.5 * (np.abs(s_mean - r_mean) + np.abs(s_std - r_std))))

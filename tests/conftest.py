@@ -6,8 +6,10 @@ import pytest
 from freqguide import (
     BlobTextureSpec,
     NoiseSchedule,
+    analytic,
     blob_mixture_from_spec,
     class_labels,
+    guidance,
     make_denoiser_pair,
 )
 
@@ -71,3 +73,19 @@ def fqg1_bytes(values, code=0, ndim=4, magic=b"FQG1") -> bytes:
     writes malformed headers."""
     dtype = "<f8" if code == 0 else "<f4"
     return struct.pack("<4sBB4I", magic, code, ndim, *values.shape) + values.astype(dtype).tobytes()
+
+
+def spy_combine_batches(monkeypatch) -> list:
+    """The batch size of each later ``freqcfg_combine`` call, made by the
+    band path (through ``guidance``) or by the build of a component basis
+    (through ``analytic``), in call order."""
+    batches = []
+    real = guidance.freqcfg_combine
+
+    def spy(d_c, d_u, cfg, *, work=None):
+        batches.append(d_c.dims[0])
+        return real(d_c, d_u, cfg, work=work)
+
+    for module in (guidance, analytic):
+        monkeypatch.setattr(module, "freqcfg_combine", spy)
+    return batches

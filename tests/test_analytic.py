@@ -2,18 +2,21 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from conftest import acceptance_spec
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, spy_combine_batches
 
 from freqguide import (
     BlobTextureSpec,
     ConfigError,
+    DenoiserPair,
     DomainError,
     GuidanceConfig,
     IsotropicGaussianMixture,
+    NormRecorder,
+    SampleRunConfig,
     ShapeError,
     Tensor4,
     TransformKind,
@@ -22,13 +25,16 @@ from freqguide import (
     class_labels,
     degrade,
     freqcfg_combine,
+    guided_denoise,
     make_denoiser_pair,
     mode_report,
     posterior_mean,
+    sample,
     transform_bands,
 )
 from freqguide import analytic, tensor
-from freqguide.cli import EXIT_CODES
+from freqguide.cli import EXIT_CODES, build_pair
+from freqguide.config import Config
 
 rng = np.random.default_rng(42)
 
@@ -366,6 +372,158 @@ class TestJointEvaluation:
                 posterior_mean(z, 1.0, mix)
             with pytest.raises(DomainError):
                 pair.both(z, 1.0, 0)
+
+
+@dataclass(frozen=True)
+class OraclePair(DenoiserPair):
+    """Passes ``guided`` on to ``inner`` and records, per evaluation, its
+    largest gap to the band path ``freqcfg_combine(*inner.both(...))``,
+    relative to the band path's largest value."""
+
+    inner: DenoiserPair | None = None
+    gaps: list = field(default_factory=list)
+
+    def guided(self, z, sigma, condition, cfg, *, work=None):
+        got = self.inner.guided(z, sigma, condition, cfg, work=work)
+        want = freqcfg_combine(*self.inner.both(z, sigma, condition), cfg).data
+        self.gaps.append(float(np.abs(got.data - want).max() / np.abs(want).max()))
+        return got
+
+
+def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
+    """Whether one guided evaluation of a batch of 3 ran ``freqcfg_combine``
+    on that batch.  The component basis also calls it, once per guidance,
+    on the mixture's means, of another batch size here."""
+    batches = spy_combine_batches(monkeypatch)
+    z = Tensor4(np.random.default_rng(8).standard_normal((3,) + shape))
+    guided_denoise(z, 0.5, 1.0, pair, cfg, condition=0, recorder=recorder)
+    return 3 in batches
+
+
+PYRAMID3 = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0))
+HAAR = GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 1.5))
+
+
+class TestComponentBasis:
+    """A dense mixture whose components share one scale runs a guided step
+    at unit parallel weights as one product in the basis of its means."""
+
+    @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_every_guided_evaluation_of_a_run_matches_the_band_path(self, blob_model, cfg, sampler):
+        spec, _, _, pair = blob_model
+        assert pair.component_basis(cfg) is not None
+        for condition in (0, 1):
+            for interval in (None, (0.8, 0.3)):
+                oracle = OraclePair(cond=pair.cond, uncond=pair.uncond, inner=pair)
+                run = SampleRunConfig(
+                    steps=12, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=6, shape=spec.image_shape,
+                    guidance=replace(cfg, interval=interval), condition=condition, sampler=sampler,
+                )
+                sample(oracle, run)
+                evaluations = 12 if sampler == "euler" else 23
+                if interval is None:
+                    assert len(oracle.gaps) == evaluations
+                else:
+                    assert 0 < len(oracle.gaps) < evaluations
+                assert max(oracle.gaps) <= 1e-13
+
+    def test_basis_is_cached_read_only_and_lifts_the_means(self, blob_model):
+        _, mix, _, pair = blob_model
+        basis = pair.component_basis(PYRAMID3)
+        k = mix.n_components
+        assert basis.shape == (2 * k, mix.dim) and not basis.flags.writeable
+        assert pair.component_basis(replace(PYRAMID3, parallel_weights=(1.0,) * 4)) is basis
+        assert np.array_equal(basis[:k], mix.flat)
+        means = Tensor4(mix.means)
+        lifted = freqcfg_combine(means, Tensor4(np.zeros_like(mix.means)), PYRAMID3).data - mix.means
+        assert np.abs(basis[k:] - lifted.reshape(k, -1)).max() <= 1e-14
+        # the pair keeps the basis of the last guidance only
+        assert pair.component_basis(HAAR) is not basis and list(pair.bases) == [(HAAR.transform, HAAR.scales)]
+
+    def test_threads_alternating_guidance_get_their_own_basis(self):
+        spec = acceptance_spec()
+        mix = blob_mixture_from_spec(spec)
+        z = Tensor4(np.random.default_rng(6).standard_normal((2,) + spec.image_shape))
+        want = {}
+        for cfg in (PYRAMID3, HAAR):
+            alone = make_denoiser_pair(mix, class_labels(spec))
+            want[cfg] = (alone.component_basis(cfg).tobytes(), alone.guided(z, 0.5, 1, cfg).data.tobytes())
+        configs = [(PYRAMID3, HAAR)[i % 2] for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                pair = make_denoiser_pair(mix, class_labels(spec))
+
+                def call(cfg):
+                    return pair.component_basis(cfg).tobytes(), pair.guided(z, 0.5, 1, cfg).data.tobytes()
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = [f.result(timeout=60) for f in [pool.submit(call, cfg) for cfg in configs]]
+                assert all(result == want[cfg] for result, cfg in zip(got, configs))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unit_weights_take_the_component_path(self, blob_model, monkeypatch):
+        spec, _, _, pair = blob_model
+        for cfg in (PYRAMID3, replace(HAAR, parallel_weights=(1.0, 1.0))):
+            assert not band_path_ran(monkeypatch, pair, cfg, spec.image_shape)
+
+    def test_other_pairs_and_guidance_take_the_band_path(self, blob_model, many_modes, monkeypatch):
+        spec, mix, labels, pair = blob_model
+        autoguided = build_pair(Config({"autoguide.enabled": "true"}), mix, labels)
+        cases = {
+            "parallel weight 0.5": (pair, replace(HAAR, parallel_weights=(0.5, 1.0))),
+            "hand-built pair": (DenoiserPair(cond=pair.cond, uncond=pair.uncond), HAAR),
+            "autoguided pair": (autoguided, HAAR),
+            "factored mixture": (many_modes[3], HAAR),
+        }
+        for name, (case_pair, cfg) in cases.items():
+            assert band_path_ran(monkeypatch, case_pair, cfg, spec.image_shape), name
+        assert band_path_ran(monkeypatch, pair, HAAR, spec.image_shape, recorder=NormRecorder())
+        unequal = make_denoiser_pair(mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.6]), [0, 1])
+        assert unequal.component_basis(HAAR) is None
+        assert band_path_ran(monkeypatch, unequal, HAAR, SHAPE)
+
+    def test_a_recorded_run_takes_the_band_path_at_every_evaluation(self, blob_model, monkeypatch):
+        """``analyze-norms`` keeps the trajectory of the band path, the Heun
+        corrector's evaluations included, which record nothing."""
+        spec, _, _, pair = blob_model
+        batches = spy_combine_batches(monkeypatch)
+        run = SampleRunConfig(
+            steps=6, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=3, shape=spec.image_shape,
+            guidance=HAAR, condition=0, sampler="heun",
+        )
+        recorder = NormRecorder()
+        sample(pair, run, recorder=recorder)
+        assert batches == [3] * (2 * run.steps - 1) and len(recorder.records) == run.steps
+
+    def test_overflow_is_the_band_path_error(self):
+        # means ±1 and z near -1: Δ ≈ 2, which the scales lift past float64
+        mix = mixture([0.5, 0.5], np.stack([np.ones(SHAPE), -np.ones(SHAPE)]), [0.1, 0.1])
+        pair = make_denoiser_pair(mix, [0, 1])
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.5e308, 1.5e308))
+        assert pair.component_basis(cfg) is not None
+        z = Tensor4(-np.ones((2,) + SHAPE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="guided output overflows float64") as exc:
+                guided_denoise(z, 1.0, 1.0, pair, cfg, condition=0)
+        assert EXIT_CODES[exc.value.category] == 6
+
+    def test_overflowing_lift_leaves_the_band_path(self):
+        """M·means overflows, but Δ = 0 at z on a mean of the class: the band
+        path gives d_c."""
+        mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 10.0)]), [0.1, 0.1])
+        pair = make_denoiser_pair(mix, [0, 1])
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1e308, 1e308))
+        z = Tensor4(np.full((1,) + SHAPE, 10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair.component_basis(cfg) is None
+            out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
+        assert np.array_equal(out.data, pair.cond(z, 0.2, 1).data)
 
 
 class TestCachedConstants:

@@ -3,13 +3,25 @@ run wraps every ``TRACED`` entry of ``perfbench/tracing.py``, and a CLI
 workload marks set-up done at the first call of its ``ready_at`` name in
 ``freqguide.cli``.  An untraced run would not notice a renamed traced name,
 so these tests read both files (without running them) and look the names up.
+They also hold the guided workloads to the component-basis step, which a
+change that sent them back to the band engine would slow down unnoticed.
 """
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import spy_combine_batches
+
+from freqguide import (
+    BlobTextureSpec, GuidanceConfig, Tensor4, TransformKind, blob_mixture_from_spec, class_labels, guided_denoise,
+    make_denoiser_pair,
+)
+from freqguide.cli import build_guidance, build_model, build_pair, build_run
+from freqguide.config import Config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +50,48 @@ def test_cli_workloads_wait_for_existing_names():
     cli = importlib.import_module("freqguide.cli")
     for name in READY_AT:
         assert callable(getattr(cli, name, None)), name
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module, imported as the benchmark does."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def sample_pyr3(workloads):
+    """The pair, guidance and condition ``perfbench/child.py`` builds for sample-pyr3."""
+    workload = workloads.WORKLOADS["sample-pyr3"]
+    spec = dict(workload.spec)
+    spec["n_classes"] = spec.pop("classes")
+    spec["centers"] = tuple(map(tuple, spec["centers"]))
+    spec["class_center_weights"] = tuple(map(tuple, spec["class_center_weights"]))
+    spec = BlobTextureSpec(**spec)
+    g = workload.guidance
+    assert g["transform"] == "pyramid"
+    cfg = GuidanceConfig(
+        transform=TransformKind.pyramid(g["levels"]), scales=tuple(g["scales"]), parallel_weights=tuple(g["weights"])
+    )
+    return make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec)), [cfg], workloads.CONDITION
+
+
+def sweep_cli(workloads):
+    """The pair, the guidance of each grid point and the condition of the
+    sweep-cli run, built as ``freqguide sweep`` builds them."""
+    cfg = Config.from_path(PERFBENCH / "sweep.cfg")
+    mix, labels = build_model(cfg)
+    base = build_guidance(cfg, mix.image_shape)
+    points = [replace(base, scales=(w_high, w_low)) for w_low, w_high in workloads.SWEEP_GRID]
+    return build_pair(cfg, mix, labels), points, build_run(cfg, mix.image_shape, base).condition
+
+
+@pytest.mark.parametrize("build", [sample_pyr3, sweep_cli], ids=["sample-pyr3", "sweep-cli"])
+def test_guided_workloads_take_the_component_path(workloads, monkeypatch, build):
+    pair, configs, condition = build(workloads)
+    batches = spy_combine_batches(monkeypatch)
+    z = Tensor4(np.random.default_rng(0).standard_normal((3,) + pair.mix.image_shape))
+    for cfg in configs:
+        assert pair.component_basis(cfg) is not None
+        guided_denoise(z, 1.0, 1.0, pair, cfg, condition=condition)
+    # the band path would combine the batch of 3; the basis combines the 8 means
+    assert 3 not in batches

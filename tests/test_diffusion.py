@@ -166,8 +166,9 @@ class TestSampler:
             with pytest.raises(DomainError, match="sampler state"):
                 sample(pair, run)
 
-    def test_each_array_is_scanned_for_finiteness_once(self, monkeypatch):
-        pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
+    @staticmethod
+    def count_scans(monkeypatch, pair) -> tuple[int, int]:
+        """(image-sized finiteness scans, steps) of a guided 5-step run."""
         guidance = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0))
         run = SampleRunConfig(
             steps=5, schedule=NoiseSchedule.linear(5.0), seed=1, batch=2, shape=(1, 4, 4),
@@ -183,9 +184,22 @@ class TestSampler:
 
         monkeypatch.setattr(np, "isfinite", spy)
         sample(pair, run)
+        return len(scans), run.steps
+
+    def test_each_array_is_scanned_for_finiteness_once(self, monkeypatch):
+        scans, steps = self.count_scans(monkeypatch, make_denoiser_pair(single_gaussian(0.7, 2.0), [0]))
+        # the initial noise, then per step the guided output, which the
+        # component basis forms with no separate d_c and d_u, and the new
+        # state, each raising its own error
+        assert scans == 1 + 2 * steps
+
+    def test_each_array_is_scanned_for_finiteness_once_on_the_band_path(self, monkeypatch):
+        mixture_pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
+        pair = DenoiserPair(cond=mixture_pair.cond, uncond=mixture_pair.uncond)
+        scans, steps = self.count_scans(monkeypatch, pair)
         # the initial noise, then per step both denoiser outputs, the guided
-        # output and the new state, each raising its own error
-        assert len(scans) == 1 + 4 * run.steps
+        # output and the new state
+        assert scans == 1 + 4 * steps
 
     def test_guided_sample_makes_one_pair_call_per_evaluation(self):
         pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])

@@ -1,5 +1,9 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import acceptance_spec
 
 from freqguide import (
     IsotropicGaussianMixture,
@@ -7,6 +11,8 @@ from freqguide import (
     TransformKind,
     UsageError,
     band_energy_fraction,
+    blob_mixture_from_spec,
+    class_labels,
     default_tau,
     transform_bands,
     mode_report,
@@ -119,3 +125,31 @@ class TestSaturationProxy:
         a = saturation_proxy(Tensor4(samples), mix)
         b = saturation_proxy(Tensor4(samples[::-1].copy()), mix)
         assert a == pytest.approx(b, abs=1e-15)
+
+    def test_factored_reference_builds_no_means(self):
+        """Class 1 of the 1024-component model held 6.0 MiB of means and
+        peaked at 12.9 MiB when the proxy read ``means``."""
+        spec = replace(
+            acceptance_spec(),
+            centers=tuple((r + 0.5, c + 0.5) for r in range(0, 32, 2) for c in range(0, 32, 2)),
+            n_classes=4,
+            class_center_weights=None,
+        )
+        mix = blob_mixture_from_spec(spec)
+        subset = mix.restricted(np.flatnonzero(class_labels(spec) == 1))
+        samples = Tensor4(rng.normal(size=(4,) + spec.image_shape))
+        tracemalloc.start()
+        try:
+            got = saturation_proxy(samples, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mix.cells is not None and "means" not in vars(subset) and "means" not in vars(mix)
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+        # the reference moments from all the means at once
+        m = subset.means.reshape(subset.n_components, spec.channels, -1)
+        r_mean = np.einsum("k,kcd->c", subset.weights, m) / m.shape[2]
+        r_std = np.sqrt(np.einsum("k,kcd->c", subset.weights, m**2) / m.shape[2] - r_mean**2)
+        s = samples.data.transpose(1, 0, 2, 3).reshape(spec.channels, -1)
+        want = np.mean(0.5 * (np.abs(s.mean(axis=1) - r_mean) + np.abs(s.std(axis=1) - r_std)))
+        assert got == pytest.approx(want, rel=1e-12)
