@@ -29,28 +29,29 @@ EXP_FLOOR = -708.0
 class IsotropicGaussianMixture:
     """Components (weight, mean image, isotropic scale); weights sum to 1.
 
+    Every mixture is read-only component data, which the subsets that
+    ``restricted`` makes share, plus its own index into that data.  A
+    mixture given its ``means`` keeps them, and its data is their (K, D)
+    rows ``table``.  A mixture may instead be defined by separable factors:
+    its data is row profiles ``rows`` (nr, H) and column profiles ``cols``
+    (nq, W), and its index is ``cells`` (K, T), where cell r·nq + q names
+    the plane outer(rows[r], cols[q]), so each channel of mean k is the sum
+    of its T planes (``_factor_means``).  ``posterior_mean`` then works
+    through the nr × nq grid of planes instead of the K means, and its
+    ``sq_norms`` come from means built a chunk of components at a time.
+    Only a mixture given its means has ``means``; every reader of the means
+    of any mixture walks ``mean_chunks()``.
+
     Construction also caches read-only per-component constants that every
     denoiser call needs: ``sq_norms`` (‖m_k‖²), ``log_weights``,
-    ``image_shape`` and ``dim``; ``flat`` is the (K, D) view of ``means``.
-    A mixture made by ``restricted`` records its ``parent`` and the
-    ``indices`` it took, so ``posterior_mean`` can evaluate it together with
-    the parent.  Two mixtures are equal only when they are the same object.
-
-    A mixture may instead be defined by separable factors: row profiles
-    ``rows`` (nr, H), column profiles ``cols`` (nq, W) and ``cells``
-    (K, T), where cell r·nq + q names the plane outer(rows[r], cols[q]),
-    so each channel of mean k is the sum of its T planes (``_factor_means``).
-    ``posterior_mean`` then works through the nr × nq grid of planes instead
-    of the K means, and the factors are all such a mixture keeps: it builds
-    ``means`` only when first read, its ``sq_norms`` come from means built
-    a chunk of components at a time, and its ``restricted`` subsets take
-    their cell rows.  A mixture given its means has no factors (all three
-    None).  Two threads that read ``means`` first may both build them, with
-    the same bytes.
+    ``image_shape`` and ``dim``.  A mixture made by ``restricted`` records
+    its ``parent`` and the ``indices`` it took, so ``posterior_mean`` can
+    evaluate it together with the parent.  Two mixtures are equal only when
+    they are the same object.
     """
 
     weights: np.ndarray  # (K,)
-    means: np.ndarray  # (K, C, H, W); built on first read when ``cells`` is set
+    means: np.ndarray = field(repr=False)  # (K, C, H, W); only on a mixture given them
     scales: np.ndarray  # (K,)
     sq_norms: np.ndarray = field(init=False, repr=False)
     log_weights: np.ndarray = field(init=False, repr=False)
@@ -58,6 +59,10 @@ class IsotropicGaussianMixture:
     dim: int = field(init=False, repr=False)
     parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False)
     indices: np.ndarray | None = field(default=None, init=False, repr=False)
+    # the (K0, D) rows of the means a dense mixture was given, which all its
+    # subsets share, and a subset's rows of it (None on the mixture given them)
+    table: np.ndarray | None = field(default=None, init=False, repr=False)
+    table_rows: np.ndarray | None = field(default=None, init=False, repr=False)
     rows: np.ndarray | None = field(default=None, init=False, repr=False)
     cols: np.ndarray | None = field(default=None, init=False, repr=False)
     cells: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -65,21 +70,17 @@ class IsotropicGaussianMixture:
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
         self._set_components(self.weights, self.scales, means.shape)
-        self._freeze({"means": means, "sq_norms": _sq_norms(means)})
+        self._freeze({"means": means, "table": means.reshape(len(means), -1), "sq_norms": _sq_norms(means)})
 
     @classmethod
-    def _on_demand(cls, weights, scales, factors: dict, channels: int, sq_norms=None):
+    def _from_factors(cls, weights, scales, factors: dict, channels: int):
         """A mixture of ``channels``-channel means defined by the separable
-        ``factors`` (``rows``, ``cols``, ``cells``), which builds its means
-        only when they are read.  Without ``sq_norms`` they are computed
-        from means built a chunk of components at a time."""
+        ``factors`` (``rows``, ``cols``, ``cells``)."""
         mix = object.__new__(cls)
         rows, cols, cells = factors["rows"], factors["cols"], factors["cells"]
         mix._set_components(weights, scales, (len(cells), channels, rows.shape[1], cols.shape[1]))
         mix._freeze(factors)
-        if sq_norms is None:
-            sq_norms = np.concatenate([_sq_norms(chunk) for chunk in mix.mean_chunks()])
-        mix._freeze({"sq_norms": sq_norms})
+        mix._freeze({"sq_norms": np.concatenate([_sq_norms(chunk) for _, chunk in mix.mean_chunks()])})
         return mix
 
     def _set_components(self, weights, scales, shape: tuple) -> None:
@@ -108,39 +109,30 @@ class IsotropicGaussianMixture:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __getattr__(self, name):
-        # reached only for the means of a mixture with factors, until they are built
-        if name != "means" or self.cells is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        means = np.empty((self.n_components,) + self.image_shape)
-        start = 0
-        for chunk in self.mean_chunks():
-            means[start : start + len(chunk)] = chunk
-            start += len(chunk)
-        means.flags.writeable = False
-        object.__setattr__(self, "means", means)
-        return means
-
     def mean_chunks(self):
-        """The means as consecutive (n, C, H, W) arrays, one per
-        ``tensor.blocks`` of components.  A mixture with factors builds each
-        chunk anew, so this never builds the whole ``means``."""
+        """(items, chunk) for each ``tensor.blocks`` range ``items`` of
+        components, where chunk holds their (n, C, H, W) means: a view of
+        ``means`` where given, otherwise new rows gathered from ``table`` or
+        built from the factors, so this never builds the whole means."""
         for items in blocks(self.n_components, self.image_shape):
             i, j = items.start, items.stop
-            if self.cells is None:
-                yield self.means[i:j]
+            if self.cells is not None:
+                chunk = _factor_means(self.rows, self.cols, self.cells[i:j], self.image_shape[0])
+            elif self.table_rows is None:
+                chunk = self.means[i:j]
             else:
-                yield _factor_means(self.rows, self.cols, self.cells[i:j], self.image_shape[0])
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.means.reshape(self.n_components, -1)
+                chunk = self.table[self.table_rows[i:j]].reshape((j - i,) + self.image_shape)
+            yield items, chunk
 
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
+        """The renormalized mixture of the components at ``indices``, in that
+        order.  It shares this mixture's data and takes the weights, scales,
+        ‖m_k‖² and index rows of the components it keeps: their ``cells``
+        with factors, otherwise their rows of ``table``.  It copies no means."""
         idx = _integers(indices, "component index")  # a copy: the caller may reuse theirs
         if idx.size == 0:
             raise ConfigError("component subset is empty")
@@ -150,16 +142,14 @@ class IsotropicGaussianMixture:
         values, counts = np.unique(idx, return_counts=True)
         if counts.max() > 1:
             raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
+        sub = object.__new__(type(self))
+        sub._set_components(self.weights[idx], self.scales[idx], (len(idx),) + self.image_shape)
         if self.cells is None:
-            sub = IsotropicGaussianMixture(
-                weights=self.weights[idx], means=self.means[idx], scales=self.scales[idx]
-            )
+            rows = idx if self.table_rows is None else self.table_rows[idx]
+            shared = {"table": self.table, "table_rows": rows}
         else:
-            factors = {"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]}
-            sub = self._on_demand(
-                self.weights[idx], self.scales[idx], factors, self.image_shape[0], self.sq_norms[idx]
-            )
-        sub._freeze({"indices": idx})
+            shared = {"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]}
+        sub._freeze({**shared, "sq_norms": self.sq_norms[idx], "indices": idx})
         object.__setattr__(sub, "parent", self)
         return sub
 
@@ -223,11 +213,15 @@ def _weights(
 
 def _sq_dists(zf: np.ndarray, mix: IsotropicGaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     """(‖z_b‖² as (B,), ‖z_b − m_k‖² as (B, K)) for flat (B, D) ``zf``.
-    z_b · m_k comes from the K means, or from the separable factors when
-    ``mix`` has them, so the means are never built for it."""
+    A dense subset's distances are columns of its parent's; otherwise
+    z_b · m_k comes from the rows of ``table``, or from the separable
+    factors when ``mix`` has them, so the means are never built for it."""
+    if mix.cells is None and mix.parent is not None:
+        z_sq, sq_dist = _sq_dists(zf, mix.parent)
+        return z_sq, sq_dist[:, mix.indices]
     z_sq = np.einsum("bd,bd->b", zf, zf)
     if mix.cells is None:
-        dots = zf @ mix.flat.T
+        dots = zf @ mix.table.T
     else:
         dots = _plane_dots(zf.reshape((len(zf),) + mix.image_shape), mix)
     return z_sq, z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]
@@ -243,12 +237,19 @@ def _plane_dots(z: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
     return dots
 
 
-def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix, out: np.ndarray, z_term: np.ndarray):
-    """Posterior mean (B, D) under ``mix`` through its K means, into ``out``;
-    ``z_term`` is scratch for z_coef·z."""
+def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix, out: np.ndarray, work: Workspace):
+    """Posterior mean (B, D) under dense ``mix`` into ``out``: its weights,
+    scattered to the rows of ``table`` for a subset, times ``table``, plus
+    z_coef·z.  So a subset evaluated alone or beside its parent runs the
+    same products."""
     w, z_coef = _weights(sq_dist, sigma, mix)
-    np.matmul(w, mix.flat, out=out)
-    out += np.multiply(z_coef[:, None], zf, out=z_term)
+    if mix.table_rows is not None:
+        scattered = work.get("scattered", (len(w), len(mix.table)))
+        scattered[:] = 0.0
+        scattered[:, mix.table_rows] = w
+        w = scattered
+    np.matmul(w, mix.table, out=out)
+    out += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
 
 
 def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list, outs: list):
@@ -318,9 +319,8 @@ def posterior_mean(
         dists = [sq_dist if side is mix else sq_dist[:, side.indices] for side in sides]
         outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
         if mix.cells is None:
-            z_term = work.get("z_term", zf.shape)
             for d, side, out in zip(dists, sides, outs):
-                _dense_mean(zf, d, sigma, side, out.reshape(zf.shape), z_term)
+                _dense_mean(zf, d, sigma, side, out.reshape(zf.shape), work)
         else:
             _plane_posterior_means(z.data, dists, sigma, sides, outs)
         full, *part = (_checked(out, sigma) for out in outs)
@@ -335,15 +335,14 @@ def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.n
     through in ``mean_chunks()``; None when M·means overflows."""
     k = mix.n_components
     basis = np.empty((2 * k, mix.dim))
-    basis[:k] = mix.flat
-    start, work = k, Workspace()
-    for chunk in mix.mean_chunks():
+    work = Workspace()
+    for items, chunk in mix.mean_chunks():
         try:
             lifted = freqcfg_combine(Tensor4(np.zeros_like(chunk)), Tensor4(-chunk), cfg, work=work)
         except DomainError:
             return None
-        basis[start : start + len(chunk)] = lifted.data.reshape(len(chunk), -1)
-        start += len(chunk)
+        basis[items.start : items.stop] = chunk.reshape(len(chunk), -1)
+        basis[k + items.start : k + items.stop] = lifted.data.reshape(len(chunk), -1)
     basis.flags.writeable = False
     return basis
 
@@ -363,26 +362,21 @@ class _MixturePair(DenoiserPair):
     a null condition and an output that overflows take the band path of
     ``DenoiserPair.guided``, which raises its own errors.
 
-    A class's restricted mixture is built the first time that class is asked
-    for and kept in ``by_class``; the lock makes that check-then-build, and
-    the build of a basis, atomic, so callers may share one pair across
-    their own threads.
+    ``by_class`` maps each class id to its subset of ``mix``, built with
+    the pair and sharing its data.  The lock guards only the basis cache,
+    so callers may share one pair across their own threads.
     """
 
     mix: IsotropicGaussianMixture
-    labels: np.ndarray
-    classes: tuple
-    by_class: dict = field(default_factory=dict)
+    by_class: dict
     bases: dict = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def class_mixture(self, condition) -> IsotropicGaussianMixture:
-        if condition not in self.classes:
-            raise ConfigError(f"unknown class {condition}; have {list(self.classes)}")
-        with self.lock:
-            if condition not in self.by_class:
-                self.by_class[condition] = self.mix.restricted(np.flatnonzero(self.labels == condition))
+        try:
             return self.by_class[condition]
+        except (KeyError, TypeError):
+            raise ConfigError(f"unknown class {condition}; have {list(self.by_class)}") from None
 
     def both(
         self, z: Tensor4, sigma: float, condition=None, *, work: Workspace | None = None
@@ -447,21 +441,21 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     """cond = posterior mean under the class-restricted renormalized mixture;
     uncond = posterior mean under the full mixture.  ``labels`` assigns one
     class id per component; a null condition selects the full mixture.
-    ``both`` evaluates cond and uncond from one shared distance pass."""
+    Every class's subset (``restricted``, which copies no means) is built
+    here.  ``both`` evaluates cond and uncond from one shared distance pass,
+    and its cond has the bytes of ``cond`` alone."""
     labels = _integers(labels, "class label")
     if labels.shape != (mix.n_components,):
         raise ConfigError(f"labels must cover all {mix.n_components} components")
+    by_class = {c: mix.restricted(np.flatnonzero(labels == c)) for c in np.unique(labels).tolist()}
 
     def cond(z: Tensor4, sigma: float, condition=None) -> Tensor4:
-        if condition is None:
-            return posterior_mean(z, sigma, mix)
-        return posterior_mean(z, sigma, pair.class_mixture(condition))
+        return posterior_mean(z, sigma, mix if condition is None else pair.class_mixture(condition))
 
     def uncond(z: Tensor4, sigma: float) -> Tensor4:
         return posterior_mean(z, sigma, mix)
 
-    classes = tuple(np.unique(labels).tolist())
-    pair = _MixturePair(cond=cond, uncond=uncond, mix=mix, labels=labels, classes=classes)
+    pair = _MixturePair(cond=cond, uncond=uncond, mix=mix, by_class=by_class)
     return pair
 
 
@@ -477,11 +471,9 @@ def degrade(
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     # a chunk at a time: consecutive draws from one stream are the one whole draw
     means = np.empty((mix.n_components,) + mix.image_shape)
-    start = 0
-    for chunk in mix.mean_chunks():
+    for items, chunk in mix.mean_chunks():
         noise = gen.standard_normal(chunk.shape)
-        np.add(chunk, np.multiply(jitter_scale, noise, out=noise), out=means[start : start + len(chunk)])
-        start += len(chunk)
+        np.add(chunk, np.multiply(jitter_scale, noise, out=noise), out=means[items.start : items.stop])
     return IsotropicGaussianMixture(
         weights=mix.weights, means=means, scales=mix.scales * inflate_factor
     )
@@ -588,9 +580,8 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     planes; ``_separable_factors`` gives the row and column profiles and
     the cells of every mean, and ``_factor_means`` is the one definition of
     the means they make.  When the J blobs and the min(2, J)·C textures
-    number fewer than the J·C components, the mixture keeps only the factors
-    and builds its means when they are read; otherwise it is built from its
-    means and carries no factors.
+    number fewer than the J·C components, the mixture keeps only the factors;
+    otherwise it is built from its means and carries no factors.
     """
     n_centers, n_classes = len(spec.centers), spec.n_classes
     factors = _separable_factors(spec)
@@ -598,7 +589,7 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     weights = weights.reshape(-1)
     scales = np.full(len(weights), spec.noise_scale)
     if n_centers + min(2, n_centers) * n_classes < len(weights):
-        return IsotropicGaussianMixture._on_demand(weights, scales, factors, spec.channels)
+        return IsotropicGaussianMixture._from_factors(weights, scales, factors, spec.channels)
     means = _factor_means(**factors, channels=spec.channels)
     return IsotropicGaussianMixture(weights=weights, means=means, scales=scales)
 

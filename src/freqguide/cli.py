@@ -197,7 +197,7 @@ def build_pair(cfg: Config, mix: IsotropicGaussianMixture, labels) -> DenoiserPa
     if has_abs and has_rel:
         raise ConfigError("give either autoguide.jitter or autoguide.jitter_rel, not both")
     if has_rel:
-        norms = [np.sqrt(np.sum(c.reshape(len(c), -1) ** 2, axis=1)) for c in mix.mean_chunks()]
+        norms = [np.sqrt(np.sum(c.reshape(len(c), -1) ** 2, axis=1)) for _, c in mix.mean_chunks()]
         mean_norm = float(np.mean(np.concatenate(norms)))
         jitter = cfg.get_float("autoguide.jitter_rel") * mean_norm
     else:
@@ -375,10 +375,7 @@ def cmd_sweep(args) -> int:
             "d_c = d_u and every grid point gives the same row"
         )
     pair = build_pair(cfg, mix, labels)
-    if run.condition is None:
-        target = mix
-    else:
-        target = mix.restricted(np.flatnonzero(np.asarray(labels) == run.condition))
+    target = mix if run.condition is None else make_denoiser_pair(mix, labels).class_mixture(run.condition)
     tau = cfg.get_float("sweep.tau", None)
     if tau is None:
         tau = default_tau(mix)
@@ -428,7 +425,7 @@ def cmd_gen_data(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     lines = []
-    means = (mean for chunk in mix.mean_chunks() for mean in chunk)
+    means = (mean for _, chunk in mix.mean_chunks() for mean in chunk)
     for idx, mean in enumerate(means):
         name = f"mean_{idx:03d}.fqg"
         path = os.path.join(args.out, name)

@@ -28,7 +28,8 @@ class NoiseSchedule:
     ``steps`` points, then 0.
 
     The ``t`` that ``sample`` hands to guidance at step i (the interval gate,
-    the norm records) is the step fraction 1 - i/steps.  It is not an
+    the norm records), Heun's corrector included, is the step fraction
+    1 - i/steps.  It is not an
     argument of the schedule; the noise level of step i is ``grid(steps)[i]``.
     """
 
@@ -117,7 +118,9 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
 
     Heun uses an Euler predictor plus trapezoidal corrector, except for the
     final step to sigma = 0 which stays plain Euler (the corrector would need
-    a denoiser evaluation at zero noise).  ``recorder`` gets one record per
+    a denoiser evaluation at zero noise).  The corrector of step i
+    evaluates at sigma_{i+1} but with the guidance gate of the step's start
+    t_i, so each step runs under one gate state.  ``recorder`` gets one record per
     step whose guidance gate is open, under that sampler step i; a run given
     one takes the band path at every guided evaluation, the corrector's
     included (``guided_denoise``).
@@ -134,8 +137,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
     work = Workspace()
 
-    def denoise(z: Tensor4, i: int, step: int | None) -> np.ndarray:
-        sigma = float(sigmas[i])
+    def denoise(z: Tensor4, sigma: float, i: int, step: int | None) -> np.ndarray:
         if run.guidance is None:
             return pair.cond(z, sigma, run.condition).data
         return guided_denoise(
@@ -157,7 +159,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
         z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
         for i in range(run.steps):
             s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            x0 = denoise(z, i, step=i)
+            x0 = denoise(z, s_cur, i, step=i)
             corrector = run.sampler == "heun" and s_next > 0.0
             with np.errstate(over="ignore", invalid="ignore"):
                 d_cur = drift(z, x0, s_cur, "drift")
@@ -168,7 +170,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
                 z = z_euler
             else:
                 # corrector never records: one band-norm record per step
-                x0_next = denoise(z_euler, i + 1, step=None)
+                x0_next = denoise(z_euler, s_next, i, step=None)
                 with np.errstate(over="ignore", invalid="ignore"):
                     d_next = drift(z_euler, x0_next, s_next, "step")
                     d_next = np.add(d_cur, d_next, out=d_next)

@@ -12,7 +12,7 @@ import numpy as np
 from .analytic import IsotropicGaussianMixture, _sq_dists
 from .errors import UsageError
 from .frequency import TransformKind, transform_bands
-from .tensor import Tensor4
+from .tensor import Tensor4, blocks
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,19 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
 
     Haar shares are relative to the input energy (orthonormal, so they sum to
     1); pyramid bands are not orthogonal, so shares are relative to the sum of
-    band energies instead of implying a Parseval identity.
+    band energies instead of implying a Parseval identity.  Energies are
+    summed over ``tensor.blocks`` of items, so the bands of the whole batch
+    never exist at once.
     """
-    bands = transform_bands(x, transform)
-    energies = [float(np.sum(b.data**2)) for b in bands]
-    low = energies[-1]
-    high = sum(energies[:-1])
-    denom = float(np.sum(x.data**2)) if transform.kind == "haar" else low + high
+    haar = transform.kind == "haar"
+    energies, total = np.zeros(transform.band_count), 0.0
+    for items in blocks(x.dims[0], x.dims[1:]):
+        part = x.data[items.start : items.stop]
+        energies += [float(np.sum(b.data**2)) for b in transform_bands(Tensor4(part, checked=True), transform)]
+        total += float(np.sum(part**2)) if haar else 0.0
+    low = float(energies[-1])
+    high = float(energies[:-1].sum())
+    denom = total if haar else low + high
     if denom == 0.0:
         return (0.0, 0.0)
     return (low / denom, high / denom)
@@ -68,8 +74,8 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
 def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> float:
     """Mean absolute gap between per-channel (mean, std) of the samples and of
     the weight-averaged mixture means, averaged over channels.  The means'
-    weighted sums walk ``reference.mean_chunks()``, so a mixture with
-    separable factors never builds all its means for them."""
+    weighted sums walk ``reference.mean_chunks()``, so no mixture builds
+    all its means for them."""
     if samples.dims[1:] != reference.image_shape:
         raise UsageError(
             f"sample shape {samples.dims[1:]} != mixture shape {reference.image_shape}"
@@ -78,13 +84,12 @@ def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> f
     s = samples.data.transpose(1, 0, 2, 3).reshape(channels, -1)
     s_mean = s.mean(axis=1)
     s_std = s.std(axis=1)
-    r_mean, r_sq, start = np.zeros(channels), np.zeros(channels), 0
-    for chunk in reference.mean_chunks():
+    r_mean, r_sq = np.zeros(channels), np.zeros(channels)
+    for items, chunk in reference.mean_chunks():
         m = chunk.transpose(1, 0, 2, 3).reshape(channels, len(chunk), -1)
-        w = reference.weights[start : start + len(chunk)]
+        w = reference.weights[items.start : items.stop]
         r_mean += np.einsum("k,ckd->c", w, m)
         r_sq += np.einsum("k,ckd->c", w, m**2)
-        start += len(chunk)
     pixels = math.prod(reference.image_shape[1:])
     r_mean /= pixels
     r_sq /= pixels

@@ -89,3 +89,9 @@ def spy_combine_batches(monkeypatch) -> list:
     for module in (guidance, analytic):
         monkeypatch.setattr(module, "freqcfg_combine", spy)
     return batches
+
+
+def all_means(mix) -> np.ndarray:
+    """All (K, C, H, W) means of any mixture, from ``mix.mean_chunks()``:
+    only a mixture given its means has ``means``."""
+    return np.concatenate([chunk for _, chunk in mix.mean_chunks()])

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, spy_combine_batches
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, spy_combine_batches
 
 from freqguide import (
     BlobTextureSpec,
@@ -225,20 +225,20 @@ class TestDenoiserPair:
             pair.cond(z, 1.0, 5)
         with pytest.raises(ConfigError):
             pair.both(z, 1.0, 5)
-        assert pair.by_class == {}
+        with pytest.raises(ConfigError, match=r"unknown class \[5\]; have \[0\]"):
+            pair.cond(z, 1.0, [5])
+        assert list(pair.by_class) == [0]
 
-    def test_class_subset_built_on_first_use(self):
+    def test_class_subsets_built_with_the_pair(self):
         mix = mixture([0.2, 0.3, 0.5], rng.normal(size=(3,) + SHAPE), [0.5, 0.5, 0.5])
-        pair = make_denoiser_pair(mix, [0, 1, 1])
+        pair = make_denoiser_pair(mix, [1, 0, 0])
+        assert list(pair.by_class) == [0, 1]
+        sub = pair.by_class[0]
+        assert list(sub.indices) == [1, 2] and sub.parent is mix and sub.table is mix.table
         z = Tensor4(rng.normal(size=(1,) + SHAPE))
-        assert pair.by_class == {}
-        pair.both(z, 1.0, None)
-        assert pair.by_class == {}
-        pair.both(z, 1.0, 1)
-        sub = pair.by_class[1]
-        assert list(pair.by_class) == [1] and list(sub.indices) == [1, 2] and sub.parent is mix
-        pair.cond(z, 1.0, 1)
-        assert pair.by_class[1] is sub
+        pair.both(z, 1.0, 0)
+        pair.cond(z, 1.0, 0)
+        assert pair.class_mixture(0) is sub and list(pair.by_class) == [0, 1]
 
     def test_threads_share_one_class_subset(self):
         spec = BlobTextureSpec(n_classes=3)
@@ -303,7 +303,8 @@ class TestJointEvaluation:
         """The joint pass equals separate calls, and the many-mode model's
         factored path equals the dense path through its K means."""
         spec, mix, labels, pair = model
-        dense = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        means = all_means(mix)
+        dense = IsotropicGaussianMixture(mix.weights, means, mix.scales)
         dense_pair = make_denoiser_pair(dense, labels)
         assert dense.cells is None
         assert (mix.cells is None) == (spec.n_classes == 2)  # acceptance: 8 planes, K = 8
@@ -311,7 +312,7 @@ class TestJointEvaluation:
         for condition in [None] + list(range(spec.n_classes)):
             # four noisy draws from the class's components (class 0 for None)
             members = np.flatnonzero(labels == (condition or 0))
-            x = mix.means[gen.choice(members, size=4)]
+            x = means[gen.choice(members, size=4)]
             x = x + spec.noise_scale * gen.standard_normal(x.shape)
             z = Tensor4(x + sigma * gen.standard_normal(x.shape))
             d_c, d_u = pair.both(z, sigma, condition)
@@ -434,7 +435,7 @@ class TestComponentBasis:
         k = mix.n_components
         assert basis.shape == (2 * k, mix.dim) and not basis.flags.writeable
         assert pair.component_basis(replace(PYRAMID3, parallel_weights=(1.0,) * 4)) is basis
-        assert np.array_equal(basis[:k], mix.flat)
+        assert np.array_equal(basis[:k], mix.table)
         means = Tensor4(mix.means)
         lifted = freqcfg_combine(means, Tensor4(np.zeros_like(mix.means)), PYRAMID3).data - mix.means
         assert np.abs(basis[k:] - lifted.reshape(k, -1)).max() <= 1e-14
@@ -535,13 +536,17 @@ class TestCachedConstants:
     def test_values_and_read_only(self, spec):
         mix = blob_mixture_from_spec(spec)
         sub = mix.restricted([1, 4])
+        if mix.cells is None:
+            assert np.shares_memory(mix.table, mix.means) and mix.table.shape == (mix.n_components, mix.dim)
         for m in (mix, sub):
-            flat = m.means.reshape(m.n_components, -1)
-            assert np.shares_memory(m.flat, m.means) and m.flat.shape == flat.shape
+            flat = all_means(m).reshape(m.n_components, -1)
             assert np.array_equal(m.sq_norms, np.einsum("kd,kd->k", flat, flat))
             assert np.array_equal(m.log_weights, np.log(m.weights))
             assert m.image_shape == spec.image_shape and m.dim == np.prod(spec.image_shape)
-            for arr in (m.weights, m.means, m.scales, m.flat, m.sq_norms, m.log_weights):
+            data = (m.table, m.table_rows, getattr(m, "means", None), m.rows, m.cols, m.cells)
+            for arr in (m.weights, m.scales, m.sq_norms, m.log_weights) + data:
+                if arr is None:
+                    continue
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
@@ -571,7 +576,7 @@ class TestCachedConstants:
             assert np.array_equal(sub.cells, mix.cells[labels == condition])
         acceptance = blob_mixture_from_spec(acceptance_spec())  # 8 planes, K = 8
         single = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])  # mixture.kind = single
-        hand_built = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        hand_built = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
         for dense in (acceptance, single, degrade(mix, 0.0, 1.0, seed=0), hand_built, hand_built.restricted([3])):
             assert dense.rows is None and dense.cols is None and dense.cells is None
 
@@ -584,7 +589,8 @@ class TestCachedConstants:
 
 
 class TestMeansOnDemand:
-    """A mixture with separable factors builds its means on first read."""
+    """No mixture but one given its means holds them: the others build
+    them a chunk at a time in ``mean_chunks()``."""
 
     def test_constants_subsets_and_calls_build_no_means(self):
         spec = many_modes_spec()
@@ -603,25 +609,37 @@ class TestMeansOnDemand:
             mode_report(z, m, tau=1.0)
         assert all("means" not in vars(m) for m in [mix] + subs)
         # the class subsets take the parent's constants: the bytes a dense subset computes
-        dense = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
         for c, sub in enumerate(subs[:-1]):
             want = dense.restricted(np.flatnonzero(labels == c))
             for name in ("weights", "scales", "sq_norms", "log_weights"):
                 assert getattr(sub, name).tobytes() == getattr(want, name).tobytes()
             assert mode_report(z, sub, tau=1.7) == mode_report(z, want, tau=1.7)
 
-    def test_subset_means_are_the_spec_means(self):
+    @pytest.mark.parametrize("kind", ["factored", "dense"])
+    def test_subset_means_are_the_spec_means(self, kind):
+        """A subset of a subset walks its own means, the rows of the whole
+        build, from the data it shares with its parents."""
         spec = many_modes_spec()
         mix = blob_mixture_from_spec(spec)
+        whole = all_means(mix)
+        if kind == "dense":
+            mix = IsotropicGaussianMixture(mix.weights, whole, mix.scales)
         sub = mix.restricted([1023, 6, 300]).restricted([2, 0])
         assert list(sub.indices) == [2, 0] and sub.parent.parent is mix
+        assert not hasattr(sub, "means") and not hasattr(sub.parent, "means")
+        if kind == "dense":
+            assert sub.table is mix.table and list(sub.table_rows) == [300, 1023]
+        else:
+            assert sub.rows is mix.rows and np.array_equal(sub.cells, mix.cells[[300, 1023]])
         _, want = loop_mixture(spec)
-        for m, components in ((sub, [300, 1023]), (mix, slice(None))):
-            assert np.shares_memory(m.flat, m.means) and not m.means.flags.writeable
-            assert np.abs(m.means - want[components]).max() <= oracle_bound(want)
-        # a subset builds the bytes of the whole build's rows
-        assert sub.means.tobytes() == mix.means[[300, 1023]].tobytes()
-        assert "means" not in vars(sub.parent)
+        assert np.abs(all_means(sub) - want[[300, 1023]]).max() <= oracle_bound(want)
+        assert all_means(sub).tobytes() == whole[[300, 1023]].tobytes()
+        # a class subset of 7 blocks: each chunk comes with its range of components
+        members = mix.restricted(range(3, 1024, 4))
+        spans = [items for items, _ in members.mean_chunks()]
+        assert len(spans) == 7 and spans == tensor.blocks(256, spec.image_shape)
+        assert all_means(members).tobytes() == whole[3::4].tobytes()
 
     def test_build_subset_and_joint_call_stay_small(self):
         """About 36 MiB when the build kept all K means and each subset its own rows."""
@@ -658,30 +676,66 @@ class TestMeansOnDemand:
             sub = mix.restricted([0])
             assert sub.parent is mix and sub != mix.restricted([0])
 
-    def test_threads_reading_means_get_equal_bytes(self):
-        spec = BlobTextureSpec(
-            centers=tuple((8.0 * r + 4, 8.0 * c + 4) for r in range(4) for c in range(4)), n_classes=4
-        )
-        # one build of all 64 means; ``means`` is built a block of components at a time
-        want = analytic._factor_means(**analytic._separable_factors(spec), channels=spec.channels)
-        assert len(tensor.blocks(64, spec.image_shape)) > 1
-        assert np.abs(want - loop_mixture(spec)[1]).max() <= oracle_bound(want)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_repr_builds_no_means(self, many_modes):
+        """The dataclass repr read ``means``: 24.06 MiB for the 1024-component
+        model."""
+        _, mix, _, pair = many_modes
+        dense = mixture(mix.weights[:3], np.zeros((3,) + SHAPE), mix.scales[:3])
+        nested = pair.class_mixture(1).restricted([3, 0])
+        tracemalloc.start()
         try:
-            for _ in range(5):
-                mix = blob_mixture_from_spec(spec)
-                sub = mix.restricted(range(0, 64, 3))
-                assert mix.cells is not None
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(lambda m: m.means, m) for m in (mix, sub) * 8]
-                    got = [f.result(timeout=30) for f in futures]
-                for means, m in zip(got, (mix, sub) * 8):
-                    assert means.tobytes() == want[m.indices if m is sub else slice(None)].tobytes()
-                    assert not means.flags.writeable
-                assert mix.means.tobytes() == want.tobytes()
+            for m in (mix, pair.class_mixture(2), nested, dense.restricted([2, 0]).restricted([1])):
+                assert repr(m).startswith("IsotropicGaussianMixture(weights=") and str(m) == repr(m)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.setswitchinterval(interval)
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+        assert not hasattr(mix, "means") and not hasattr(nested, "means")
+
+
+@pytest.fixture(scope="module")
+def many_modes_dense(many_modes):
+    """The 1024-component model built from its means, labels and pair."""
+    spec, mix, labels, _ = many_modes
+    dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
+    return spec, dense, labels, make_denoiser_pair(dense, labels)
+
+
+class TestOneClassPosterior:
+    """A class subset of either kind shares its parent's data, so ``cond`` and
+    the joint pass are one definition of the class posterior."""
+
+    @pytest.mark.parametrize("name", ["acceptance", "many_modes_dense", "many_modes"])
+    def test_cond_is_both_cond(self, request, name):
+        if name == "acceptance":
+            spec, mix, labels, pair = model_of(acceptance_spec())
+        else:
+            spec, mix, labels, pair = request.getfixturevalue(name)
+        assert (mix.cells is None) == (name != "many_modes")
+        gen = np.random.default_rng(17)
+        for batch in (1, 3, 25, 42):
+            x = gen.standard_normal((batch,) + spec.image_shape)
+            for sigma in (80.0, 3.0, 0.3, 0.02):
+                z = Tensor4(sigma * x)
+                for condition in range(spec.n_classes):
+                    got = pair.both(z, sigma, condition)[0].data.tobytes()
+                    assert got == pair.cond(z, sigma, condition).data.tobytes(), (batch, sigma, condition)
+
+    def test_dense_pair_holds_no_means(self, many_modes_dense):
+        """25.9 MiB when each dense class subset copied its means."""
+        spec, dense, labels, _ = many_modes_dense
+        z = Tensor4(np.random.default_rng(2).standard_normal((1,) + spec.image_shape))
+        tracemalloc.start()
+        try:
+            pair = make_denoiser_pair(dense, labels)
+            for condition in range(spec.n_classes):
+                pair.both(z, 0.3, condition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+        for sub in pair.by_class.values():
+            assert sub.table is dense.table and not hasattr(sub, "means")
 
 
 @pytest.mark.parametrize("path", ["factored", "dense"])
@@ -689,12 +743,13 @@ def test_clamped_exponent_keeps_bytes(many_modes, monkeypatch, path):
     """At sigma = 0.3 some logits fall where np.exp is subnormal; setting them
     to -inf leaves every output byte as it was without the clamp."""
     spec, mix, labels, pair = many_modes
+    means = all_means(mix)
     if path == "dense":
-        mix = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        mix = IsotropicGaussianMixture(mix.weights, means, mix.scales)
         pair = make_denoiser_pair(mix, labels)
     sigma = 0.3
     gen = np.random.default_rng(11)
-    x = mix.means[gen.choice(np.flatnonzero(labels == 0), size=4)]
+    x = means[gen.choice(np.flatnonzero(labels == 0), size=4)]
     z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape) + sigma * gen.standard_normal(x.shape))
     # equal weights and scales: the logits less their row maximum are -Δ‖z - m_k‖² / 2var
     _, sq = analytic._sq_dists(z.data.reshape(4, -1), mix)
@@ -867,12 +922,13 @@ class TestVectorizedBuild:
         if mix.cells is not None:
             assert mix.rows.shape[1] == spec.height and mix.cols.shape[1] == spec.width
             assert mix.cells.shape == (len(means), 2)
-        assert np.abs(mix.means - means).max() <= oracle_bound(means)
+        got = all_means(mix)
+        assert np.abs(got - means).max() <= oracle_bound(means)
         # factored sq_norms, from chunks of means, are those of the whole build
-        built = IsotropicGaussianMixture(mix.weights, mix.means, mix.scales)
+        built = IsotropicGaussianMixture(mix.weights, got, mix.scales)
         assert mix.sq_norms.tobytes() == built.sq_norms.tobytes()
         # factored means, built a block of components at a time, are one build of all
         whole = analytic._factor_means(**analytic._separable_factors(spec), channels=spec.channels)
-        assert whole.tobytes() == mix.means.tobytes()
+        assert whole.tobytes() == got.tobytes()
         assert mix.weights.tobytes() == mixture(weights, means, mix.scales).weights.tobytes()
         assert mix.scales.tobytes() == np.full(len(means), spec.noise_scale).tobytes()

@@ -1,14 +1,17 @@
 """The benchmark in ``perfbench/`` finds package functions by name: a traced
 run wraps every ``TRACED`` entry of ``perfbench/tracing.py``, and a CLI
 workload marks set-up done at the first call of its ``ready_at`` name in
-``freqguide.cli``.  An untraced run would not notice a renamed traced name,
-so these tests read both files (without running them) and look the names up.
+``freqguide.cli``, and a library workload (``perfbench/child.py``) calls
+package names with keywords.  An untraced run would not notice a renamed
+traced name, so these tests read those files (without running them) and
+look the names up.
 They also hold the guided workloads to the component-basis step, which a
 change that sent them back to the band engine would slow down unnoticed.
 """
 
 import ast
 import importlib
+import inspect
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +53,51 @@ def test_cli_workloads_wait_for_existing_names():
     cli = importlib.import_module("freqguide.cli")
     for name in READY_AT:
         assert callable(getattr(cli, name, None)), name
+
+
+def package_reads(path: Path, function: str) -> tuple[list, list]:
+    """The ``analytic.``, ``diffusion.``, ``frequency.`` and ``guidance.``
+    attribute chains that ``function`` in ``path`` reads, as name tuples (none
+    the start of another), and the (chain, keywords) of each call it makes
+    through one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        modules = ("analytic", "diffusion", "frequency", "guidance")
+        return [node.id] + names if names and isinstance(node, ast.Name) and node.id in modules else None
+
+    reads = {tuple(c) for c in map(chain, ast.walk(body)) if c}
+    longest = sorted(c for c in reads if not any(other[: len(c)] == c != other for other in reads))
+    calls = [(chain(n.func), [k.arg for k in n.keywords]) for n in ast.walk(body) if isinstance(n, ast.Call)]
+    return longest, [(names, keywords) for names, keywords in calls if names]
+
+
+def resolve(names):
+    obj = importlib.import_module(f"freqguide.{names[0]}")
+    for name in names[1:]:
+        obj = getattr(obj, name)
+    return obj
+
+
+LIBRARY_READS, LIBRARY_CALLS = package_reads(PERFBENCH / "child.py", "run_library")
+
+
+@pytest.mark.parametrize("names", LIBRARY_READS, ids=[".".join(c) for c in LIBRARY_READS])
+def test_library_workload_reads_existing_names(names):
+    assert resolve(names) is not None
+
+
+def test_library_workload_calls_with_known_keywords():
+    called = {".".join(names) for names, _ in LIBRARY_CALLS}
+    assert {"analytic.BlobTextureSpec", "diffusion.SampleRunConfig", "guidance.GuidanceConfig"} <= called
+    for names, keywords in LIBRARY_CALLS:
+        # a dataclass's signature is its init fields
+        inspect.signature(resolve(names)).bind_partial(**dict.fromkeys(keywords))
 
 
 @pytest.fixture

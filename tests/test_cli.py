@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fqg1_bytes
+from conftest import all_means, fqg1_bytes
 
 from freqguide import (
     ConfigError,
@@ -682,6 +682,18 @@ class TestSweep:
         assert run_cli(*argv, "--set", "autoguide.enabled=true", "--set", "autoguide.jitter_rel=0.1",
                        "--out", out) == 0
 
+    def test_unknown_class_named_before_sampling(self, tmp_path, capsys, monkeypatch):
+        """The metric target is the pair's class subset, so the error names
+        the classes the labels have, as ``sample``'s does."""
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the class was checked")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        cfg = write_config(tmp_path, extra="sweep.samples = 2\n")
+        argv = ("--config", cfg, "--set", "sample.condition=7", "--grid", "1:1", "--out", str(tmp_path / "s.csv"))
+        assert run_cli("sweep", *argv) == 3
+        assert "error [config]: unknown class 7; have [0, 1]" in capsys.readouterr().err
+
     def test_rows_match_sample_runs_with_weights_and_interval(self, tmp_path):
         """A sweep row is the metrics of ``sample`` at that point's scales,
         with the shared defaults (no sample.sampler here) and every guidance key."""
@@ -835,11 +847,12 @@ class TestAutoguideConfig:
         # the degraded means plus a few chunks; 52.7 MiB when the whole model was built and jittered
         assert peak < 1.5 * means_bytes, f"peak {peak / 2**20:.1f} MiB"
         (kwargs, got), = degraded
-        flat = mix.means.reshape(mix.n_components, -1)
+        means = all_means(mix)
+        flat = means.reshape(mix.n_components, -1)
         jitter = 0.05 * float(np.mean(np.sqrt(np.sum(flat**2, axis=1))))
         assert kwargs["jitter_scale"] == jitter
-        noise = np.random.Generator(np.random.Philox(key=7)).standard_normal(mix.means.shape)
-        assert got.means.tobytes() == (mix.means + jitter * noise).tobytes()
+        noise = np.random.Generator(np.random.Philox(key=7)).standard_normal(means.shape)
+        assert got.means.tobytes() == (means + jitter * noise).tobytes()
 
     def test_conflicting_jitter_keys_rejected(self, tmp_path):
         cfg = write_config(
@@ -893,9 +906,10 @@ class TestGenData:
         assert run_cli("gen-data", "--config", write_config(tmp_path), *argv, "--out", out_dir) == 0
         (mix,) = built
         assert mix.cells is not None and "means" not in vars(mix)
+        means = all_means(mix)
         for idx in range(mix.n_components):
             got = read_tensor(os.path.join(out_dir, f"mean_{idx:03d}.fqg"))
-            assert got.data.tobytes() == mix.means[idx].tobytes()
+            assert got.data.tobytes() == means[idx].tobytes()
 
     def test_zero_texture_amplitude_pairs_means(self, tmp_path):
         cfg = write_config(tmp_path, name="flat.cfg")

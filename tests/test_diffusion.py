@@ -371,8 +371,10 @@ class TestGuidedEndpoint:
 
         self.pair = DenoiserPair(cond=posterior(self.m_c), uncond=posterior(self.m_u))
 
-    def error(self, guidance, sampler, steps, piecewise=False):
-        """Relative error of the sampled endpoint against the exact one."""
+    def error(self, guidance, sampler, steps, piecewise=False, shift=0):
+        """Relative error of the sampled endpoint against the exact one; with
+        ``shift``, against the piecewise endpoint whose gate switches that
+        many steps later."""
         run = SampleRunConfig(
             steps=steps, schedule=self.SCHEDULE, seed=3, batch=8, shape=self.SHAPE,
             guidance=guidance, sampler=sampler,
@@ -382,7 +384,7 @@ class TestGuidedEndpoint:
         m_delta = freqcfg_combine(Tensor4(delta), Tensor4(np.zeros_like(delta)), guidance).data[0] - delta[0]
         sigmas = self.SCHEDULE.grid(steps)
         # the sampler's step i runs from sigma_i to sigma_{i+1} with the gate at t = 1 - i/steps
-        gates = [guidance.active_at(1.0 - i / steps) if piecewise else True for i in range(steps)]
+        gates = [guidance.active_at(1.0 - (i - shift) / steps) if piecewise else True for i in range(steps)]
         z = initial_noise(3, 8, self.SHAPE, self.SIGMA_MAX).data
         start = 0
         for i in range(1, steps + 1):
@@ -409,6 +411,19 @@ class TestGuidedEndpoint:
         assert 0.4 <= errors[1] / errors[0] <= 0.6
         # the ungated endpoint is no limit of the gated run
         assert self.error(gated, "euler", 128) > 10 * errors[1]
+
+    @pytest.mark.parametrize("guidance", CONFIGS.values(), ids=CONFIGS)
+    def test_heun_step_keeps_one_gate_state(self, guidance):
+        """Predictor and corrector of a step read the gate at its start, so the
+        gated Heun run converges at second order to the piecewise endpoint
+        with the real boundaries, not to one with a boundary a step off."""
+        gated = GuidanceConfig(transform=guidance.transform, scales=guidance.scales, interval=(0.75, 0.3))
+        errors = {steps: self.error(gated, "heun", steps, piecewise=True) for steps in (64, 128, 256)}
+        assert 0.18 <= errors[128] / errors[64] <= 0.33
+        assert 0.18 <= errors[256] / errors[128] <= 0.33
+        for steps in (128, 256):
+            for shift in (-1, 1):
+                assert self.error(gated, "heun", steps, piecewise=True, shift=shift) >= 1.5 * errors[steps]
 
 
 def blob_model(factored: bool):

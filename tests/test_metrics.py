@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import acceptance_spec
+from conftest import acceptance_spec, all_means
 
 from freqguide import (
     IsotropicGaussianMixture,
@@ -105,6 +105,23 @@ class TestBandEnergyFraction:
         assert low + high == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= low <= 1.0
 
+    @pytest.mark.parametrize("transform", [TransformKind.pyramid(3), TransformKind.haar()], ids=["pyramid3", "haar"])
+    def test_batch_500_in_blocks(self, transform):
+        """The bands of the whole batch took 34.6 MiB (pyramid(3)) and 32.2 MiB
+        (Haar); block sums agree with the whole-batch shares."""
+        x = Tensor4(rng.normal(size=(500, 3, 32, 32)))
+        tracemalloc.start()
+        try:
+            got = band_energy_fraction(x, transform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+        energies = [np.sum(b.data**2) for b in transform_bands(x, transform)]
+        denom = np.sum(x.data**2) if transform.kind == "haar" else sum(energies)
+        want = (energies[-1] / denom, sum(energies[:-1]) / denom)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
 
 class TestSaturationProxy:
     def test_weight_replicated_means_score_zero(self):
@@ -147,7 +164,7 @@ class TestSaturationProxy:
         assert mix.cells is not None and "means" not in vars(subset) and "means" not in vars(mix)
         assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
         # the reference moments from all the means at once
-        m = subset.means.reshape(subset.n_components, spec.channels, -1)
+        m = all_means(subset).reshape(subset.n_components, spec.channels, -1)
         r_mean = np.einsum("k,kcd->c", subset.weights, m) / m.shape[2]
         r_std = np.sqrt(np.einsum("k,kcd->c", subset.weights, m**2) / m.shape[2] - r_mean**2)
         s = samples.data.transpose(1, 0, 2, 3).reshape(spec.channels, -1)
