@@ -29,24 +29,24 @@ EXP_FLOOR = -708.0
 class IsotropicGaussianMixture:
     """Components (weight, mean image, isotropic scale); weights sum to 1.
 
-    Every mixture is read-only component data, which the subsets that
-    ``restricted`` makes share, plus its own index into that data.  A
-    mixture given its ``means`` keeps them, and its data is their (K, D)
-    rows ``table``.  A mixture may instead be defined by separable factors:
-    its data is row profiles ``rows`` (nr, H) and column profiles ``cols``
-    (nq, W), and its index is ``cells`` (K, T), where cell r·nq + q names
-    the plane outer(rows[r], cols[q]), so each channel of mean k is the sum
-    of its T planes (``_factor_means``).  ``posterior_mean`` then works
-    through the nr × nq grid of planes instead of the K means, and its
-    ``sq_norms`` come from means built a chunk of components at a time.
-    Only a mixture given its means has ``means``; every reader of the means
-    of any mixture walks ``mean_chunks()``.
+    Every mixture is read-only *atoms*, which the subsets that
+    ``restricted`` makes share, plus its own ``cells`` (K, T): mean k is the
+    sum of the atoms ``cells[k, :]``.  A mixture given its ``means`` keeps
+    them, and its atoms are their (K, D) rows ``table``, one cell per
+    component.  A mixture may instead be defined by separable factors, row
+    profiles ``rows`` (nr, H) and column profiles ``cols`` (nq, W): atom
+    r·nq + q is the plane outer(rows[r], cols[q]) in every channel, and
+    each component has T = 2 cells (``_factor_means``).  ``posterior_mean``
+    works through the atoms, so it never builds a factored mixture's means,
+    and its ``sq_norms`` come from means built a chunk of components at a
+    time.  Only a mixture given its means has ``means``; every reader of
+    the means of any mixture walks ``mean_chunks()``.
 
     Construction also caches read-only per-component constants that every
     denoiser call needs: ``sq_norms`` (‖m_k‖²), ``log_weights``,
-    ``image_shape`` and ``dim``.  A mixture made by ``restricted`` records
-    its ``parent`` and the ``indices`` it took, so ``posterior_mean`` can
-    evaluate it together with the parent.  Two mixtures are equal only when
+    ``image_shape`` and ``dim``.  Mixtures that share their atoms, such as
+    a mixture and its subsets at any depth, can be evaluated together
+    (``posterior_mean``'s ``subset``).  Two mixtures are equal only when
     they are the same object.
     """
 
@@ -57,20 +57,21 @@ class IsotropicGaussianMixture:
     log_weights: np.ndarray = field(init=False, repr=False)
     image_shape: tuple[int, int, int] = field(init=False, repr=False)
     dim: int = field(init=False, repr=False)
-    parent: "IsotropicGaussianMixture | None" = field(default=None, init=False, repr=False)
-    indices: np.ndarray | None = field(default=None, init=False, repr=False)
-    # the (K0, D) rows of the means a dense mixture was given, which all its
-    # subsets share, and a subset's rows of it (None on the mixture given them)
+    cells: np.ndarray = field(init=False, repr=False)  # (K, T) atom numbers
+    # the atoms: the (A, D) rows of the means a dense mixture was given, or the factors
     table: np.ndarray | None = field(default=None, init=False, repr=False)
-    table_rows: np.ndarray | None = field(default=None, init=False, repr=False)
     rows: np.ndarray | None = field(default=None, init=False, repr=False)
     cols: np.ndarray | None = field(default=None, init=False, repr=False)
-    cells: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
         self._set_components(self.weights, self.scales, means.shape)
-        self._freeze({"means": means, "table": means.reshape(len(means), -1), "sq_norms": _sq_norms(means)})
+        self._freeze({
+            "means": means,
+            "table": means.reshape(len(means), -1),
+            "cells": np.arange(len(means))[:, None],
+            "sq_norms": _sq_norms(means),
+        })
 
     @classmethod
     def _from_factors(cls, weights, scales, factors: dict, channels: int):
@@ -111,17 +112,15 @@ class IsotropicGaussianMixture:
 
     def mean_chunks(self):
         """(items, chunk) for each ``tensor.blocks`` range ``items`` of
-        components, where chunk holds their (n, C, H, W) means: a view of
-        ``means`` where given, otherwise new rows gathered from ``table`` or
-        built from the factors, so this never builds the whole means."""
+        components, where chunk holds their new (n, C, H, W) means, gathered
+        from ``table`` or built from the factors, so this never builds the
+        whole means."""
         for items in blocks(self.n_components, self.image_shape):
-            i, j = items.start, items.stop
-            if self.cells is not None:
-                chunk = _factor_means(self.rows, self.cols, self.cells[i:j], self.image_shape[0])
-            elif self.table_rows is None:
-                chunk = self.means[i:j]
+            cells = self.cells[items.start : items.stop]
+            if self.table is None:
+                chunk = _factor_means(self.rows, self.cols, cells, self.image_shape[0])
             else:
-                chunk = self.table[self.table_rows[i:j]].reshape((j - i,) + self.image_shape)
+                chunk = self.table[cells[:, 0]].reshape((len(cells),) + self.image_shape)
             yield items, chunk
 
     @property
@@ -130,9 +129,9 @@ class IsotropicGaussianMixture:
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
         """The renormalized mixture of the components at ``indices``, in that
-        order.  It shares this mixture's data and takes the weights, scales,
-        ‖m_k‖² and index rows of the components it keeps: their ``cells``
-        with factors, otherwise their rows of ``table``.  It copies no means."""
+        order.  It shares this mixture's atoms and takes the weights, scales,
+        ‖m_k‖² and ``cells`` of the components it keeps.  It copies no
+        means."""
         idx = _integers(indices, "component index")  # a copy: the caller may reuse theirs
         if idx.size == 0:
             raise ConfigError("component subset is empty")
@@ -144,13 +143,9 @@ class IsotropicGaussianMixture:
             raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
         sub = object.__new__(type(self))
         sub._set_components(self.weights[idx], self.scales[idx], (len(idx),) + self.image_shape)
-        if self.cells is None:
-            rows = idx if self.table_rows is None else self.table_rows[idx]
-            shared = {"table": self.table, "table_rows": rows}
-        else:
-            shared = {"rows": self.rows, "cols": self.cols, "cells": self.cells[idx]}
-        sub._freeze({**shared, "sq_norms": self.sq_norms[idx], "indices": idx})
-        object.__setattr__(sub, "parent", self)
+        sub._freeze({"cells": self.cells[idx], "sq_norms": self.sq_norms[idx]})
+        for atoms in ("table", "rows", "cols"):
+            object.__setattr__(sub, atoms, getattr(self, atoms))
         return sub
 
 
@@ -191,11 +186,12 @@ def _integers(values, what: str) -> np.ndarray:
 
 
 def _weights(
-    sq_dist: np.ndarray, sigma: float, mix: IsotropicGaussianMixture
+    sq_dist: np.ndarray, noise_var: np.float64, mix: IsotropicGaussianMixture
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Given ‖z_b - m_k‖² as (B, K), the (B, K) weights w and (B,) z_coef of
-    the posterior mean Σ_k w_bk m_k + z_coef_b z_b under ``mix``."""
-    var = mix.scales**2 + sigma**2  # (K,)
+    """Given ‖z_b - m_k‖² as (B, K) and the noise variance σ², the (B, K)
+    weights w and (B,) z_coef of the posterior mean Σ_k w_bk m_k + z_coef_b z_b
+    under ``mix``."""
+    var = mix.scales**2 + noise_var  # (K,)
     logits = mix.log_weights[None, :] - 0.5 * (
         mix.dim * (LOG_2PI + np.log(var))[None, :] + sq_dist / var[None, :]
     )
@@ -203,78 +199,76 @@ def _weights(
     logits[logits < EXP_FLOOR] = -np.inf
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
-    w = resp * (sigma**2 / var)[None, :]
-    z_scale = mix.scales**2 / var
-    if mix.cells is None:
-        return w, resp @ z_scale
-    # a per-item sum, unlike the (B, K) GEMV, gives each item the same bytes at any batch
-    return w, np.einsum("bk,k->b", resp, z_scale)
+    # a per-item sum, unlike a (B, K) GEMV, gives each item the same bytes at any batch
+    return resp * (noise_var / var)[None, :], np.einsum("bk,k->b", resp, mix.scales**2 / var)
 
 
-def _sq_dists(zf: np.ndarray, mix: IsotropicGaussianMixture) -> tuple[np.ndarray, np.ndarray]:
-    """(‖z_b‖² as (B,), ‖z_b − m_k‖² as (B, K)) for flat (B, D) ``zf``.
-    A dense subset's distances are columns of its parent's; otherwise
-    z_b · m_k comes from the rows of ``table``, or from the separable
-    factors when ``mix`` has them, so the means are never built for it."""
-    if mix.cells is None and mix.parent is not None:
-        z_sq, sq_dist = _sq_dists(zf, mix.parent)
-        return z_sq, sq_dist[:, mix.indices]
+def _atom_dots(zf: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
+    """z_b · atom_a as (B, A) for flat (B, D) ``zf``: against the rows of
+    ``table``, or for plane (r, q), entry (r, q) of rows · (Σ_c z_bc) · colsᵀ."""
+    if mix.table is not None:
+        return zf @ mix.table.T
+    z = zf.reshape((len(zf),) + mix.image_shape)
+    return (mix.rows @ z.sum(axis=1) @ mix.cols.T).reshape(len(zf), -1)  # one product per item
+
+
+def _sq_dists(zf: np.ndarray, *sides: IsotropicGaussianMixture) -> tuple:
+    """‖z_b‖² as (B,), then ‖z_b − m_k‖² as (B, K) under each of ``sides``,
+    mixtures that share their atoms, from one pass of atom dots: z_b · m_k
+    is the sum of the dots of z_b with the atoms ``cells[k]``.  ``take``,
+    unlike fancy indexing, gathers C-ordered rows, so ``_weights`` sums
+    every side's rows in one order."""
     z_sq = np.einsum("bd,bd->b", zf, zf)
-    if mix.cells is None:
-        dots = zf @ mix.table.T
+    atom_dots = _atom_dots(zf, sides[0])
+    dists = []
+    for side in sides:
+        dots = atom_dots.take(side.cells[:, 0], axis=1)
+        for t in range(1, side.cells.shape[1]):
+            dots += atom_dots.take(side.cells[:, t], axis=1)
+        dists.append(z_sq[:, None] - 2.0 * dots + side.sq_norms[None, :])
+    return (z_sq, *dists)
+
+
+def _side_weights(zf: np.ndarray, sigma: float, sides: list) -> list:
+    """(w, z_coef) of ``_weights`` for each of ``sides``, mixtures that
+    share their atoms, at noise level ``sigma``: the prelude of every
+    denoiser step.  Raises ``DomainError`` when ‖z‖² or σ² overflows
+    float64; the caller ignores numpy's overflow warnings."""
+    noise_var = np.float64(sigma) ** 2  # a Python float raises OverflowError past 1.3e154
+    z_sq, *dists = _sq_dists(zf, *sides)
+    if not np.isfinite(z_sq).all():
+        raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
+    if not np.isfinite(noise_var):
+        raise DomainError(f"sigma^2 overflows float64 at sigma={sigma:g}")
+    return [_weights(d, noise_var, side) for d, side in zip(dists, sides)]
+
+
+def _to_atoms(w: np.ndarray, cells: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The (B, K) component weights ``w`` as (B, n_atoms) weights on the
+    atoms: entry (b, a) sums w_bk over the components k with a cell a.
+    bincount adds each item's terms in the same order whatever the batch."""
+    b, t = len(w), cells.shape[1]
+    index = cells.T[:, None, :] + np.arange(0, b * n_atoms, n_atoms)[:, None]
+    grid = np.bincount(index.ravel(), np.concatenate([w.ravel()] * t), minlength=b * n_atoms)
+    return grid.reshape(b, n_atoms)
+
+
+def _synthesize(
+    w: np.ndarray, z_coef: np.ndarray, zf: np.ndarray, mix: IsotropicGaussianMixture, out: np.ndarray, work: Workspace
+) -> None:
+    """The posterior mean Σ_k w_bk m_k + z_coef_b·z_b into (B, C, H, W)
+    ``out``, for flat (B, D) ``zf``: the weights on the atoms times
+    ``table``, or, as an (nr, nq) grid per item, the plane rowsᵀ · grid ·
+    cols, which every channel repeats, added to z_coef·z."""
+    b, c = out.shape[:2]
+    if mix.table is not None:
+        flat = np.matmul(_to_atoms(w, mix.cells, len(mix.table)), mix.table, out=out.reshape(b, -1))
+        flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
     else:
-        dots = _plane_dots(zf.reshape((len(zf),) + mix.image_shape), mix)
-    return z_sq, z_sq[:, None] - 2.0 * dots + mix.sq_norms[None, :]
-
-
-def _plane_dots(z: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
-    """z_b · m_k as (B, K) from the separable factors: the dot of z_b with
-    plane (r, q) is entry (r, q) of rows · (Σ_c z_bc) · colsᵀ."""
-    grid = (mix.rows @ z.sum(axis=1) @ mix.cols.T).reshape(len(z), -1)  # one product per item
-    dots = grid[:, mix.cells[:, 0]]
-    for t in range(1, mix.cells.shape[1]):
-        dots += grid[:, mix.cells[:, t]]
-    return dots
-
-
-def _dense_mean(zf: np.ndarray, sq_dist: np.ndarray, sigma: float, mix, out: np.ndarray, work: Workspace):
-    """Posterior mean (B, D) under dense ``mix`` into ``out``: its weights,
-    scattered to the rows of ``table`` for a subset, times ``table``, plus
-    z_coef·z.  So a subset evaluated alone or beside its parent runs the
-    same products."""
-    w, z_coef = _weights(sq_dist, sigma, mix)
-    if mix.table_rows is not None:
-        scattered = work.get("scattered", (len(w), len(mix.table)))
-        scattered[:] = 0.0
-        scattered[:, mix.table_rows] = w
-        w = scattered
-    np.matmul(w, mix.table, out=out)
-    out += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
-
-
-def _plane_posterior_means(z: np.ndarray, dists: list, sigma: float, sides: list, outs: list):
-    """Posterior means under each of ``sides`` (which share their factors),
-    given their (B, K_s) distances, into ``outs`` (each shaped like ``z``).
-    All sides' weights are scattered into one (S·B, nr, nq) grid of plane
-    coefficients and mapped back by rowsᵀ · grid · cols; every channel of a
-    mean is the same plane, so each side adds its plane to z_coef·z."""
-    rows, cols = sides[0].rows, sides[0].cols
-    (b, c), n_cells = z.shape[:2], len(rows) * len(cols)
-    items = np.arange(b)[:, None] * n_cells
-    ws, z_coefs = zip(*(_weights(d, sigma, side) for d, side in zip(dists, sides)))
-    # bincount adds each item's terms in the same order whatever the batch
-    grid = np.concatenate([
-        np.bincount(
-            (side.cells.T[:, None, :] + items).ravel(),
-            np.broadcast_to(w, (side.cells.shape[1],) + w.shape).ravel(),
-            minlength=b * n_cells,
-        )
-        for w, side in zip(ws, sides)
-    ])
-    planes = rows.T @ grid.reshape(-1, len(rows), len(cols)) @ cols
-    for out, z_coef, plane in zip(outs, z_coefs, planes.reshape(len(sides), b, 1, -1)):
-        out = np.multiply(z_coef[:, None, None], z.reshape(b, c, -1), out=out.reshape(b, c, -1))
-        out += plane
+        nr, nq = len(mix.rows), len(mix.cols)
+        grid = _to_atoms(w, mix.cells, nr * nq).reshape(b, nr, nq)
+        channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
+        channels += (mix.rows.T @ grid @ mix.cols).reshape(b, 1, -1)
 
 
 def _checked(out: np.ndarray, sigma: float) -> Tensor4:
@@ -291,79 +285,76 @@ def posterior_mean(
     Responsibilities are computed in log space with max subtraction so tiny
     sigma against distant components stays finite.  At sigma = 0 returns z.
 
-    ``subset``, a mixture made by ``mix.restricted(...)``, makes the call
-    return ``(E under subset, E under mix)`` from one distance pass: the
-    subset's distances are columns of the full (B, K) distance matrix, the
-    way a neural CFG step evaluates both predictions in one doubled batch.
-    With separable factors, both sides' means come from one grid product.
-    The outputs and the z_coef·z term go to ``work`` (a new ``Workspace``
-    when None).  Raises ``DomainError`` when ‖z‖² or the output overflows
-    float64.
+    ``subset``, a mixture that shares the atoms of ``mix`` (any
+    ``restricted`` subset, at any depth, or ``mix`` itself), makes the call
+    return ``(E under subset, E under mix)`` from one pass of atom dots,
+    the way a neural CFG step evaluates both predictions in one doubled
+    batch.  The outputs and a dense mixture's z_coef·z term go to ``work``
+    (a new ``Workspace`` when None).  Raises ``DomainError`` when ‖z‖², σ²
+    or the output overflows float64.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if z.dims[1:] != mix.image_shape:
         raise ShapeError(f"z image shape {z.dims[1:]} != mixture shape {mix.image_shape}")
-    if subset is not None and subset.parent is not mix:
-        raise UsageError("subset must be a mixture restricted from mix")
+    if subset is not None and any(getattr(subset, a) is not getattr(mix, a) for a in ("table", "rows", "cols")):
+        raise UsageError("subset must share the atoms of mix")
     if sigma == 0.0:
         return z if subset is None else (z, z)
     if work is None:
         work = Workspace()
+    sides = [mix] if subset is None else [mix, subset]
     zf = z.data.reshape(z.dims[0], -1)  # (B, D)
+    outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
     with np.errstate(over="ignore", invalid="ignore"):
-        z_sq, sq_dist = _sq_dists(zf, mix)
-        if not np.isfinite(z_sq).all():
-            raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
-        sides = [mix] if subset is None else [mix, subset]
-        dists = [sq_dist if side is mix else sq_dist[:, side.indices] for side in sides]
-        outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
-        if mix.cells is None:
-            for d, side, out in zip(dists, sides, outs):
-                _dense_mean(zf, d, sigma, side, out.reshape(zf.shape), work)
-        else:
-            _plane_posterior_means(z.data, dists, sigma, sides, outs)
+        for (w, z_coef), side, out in zip(_side_weights(zf, sigma, sides), sides, outs):
+            _synthesize(w, z_coef, zf, side, out, work)
         full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
 
 
 def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.ndarray | None:
-    """[means; M·means] as a read-only (2K, D) array, where M·x =
-    freqcfg_combine(x, 0) - x is the per-band CFG operator of ``cfg`` at
-    unit parallel weights.  M·x is taken as freqcfg_combine(0, -x), whose
-    d_c is zero, so no x is added and taken away again.  The means go
-    through in ``mean_chunks()``; None when M·means overflows."""
-    k = mix.n_components
-    basis = np.empty((2 * k, mix.dim))
+    """[table; M·table] as a read-only (2A, D) array over the A atoms of a
+    dense ``mix``, where M·x = freqcfg_combine(x, 0) - x is the per-band CFG
+    operator of ``cfg`` at unit parallel weights.  M·x is taken as
+    freqcfg_combine(0, -x), whose d_c is zero, so no x is added and taken
+    away again.  The atoms go through in ``tensor.blocks``; None when
+    M·table overflows."""
+    table, a = mix.table, len(mix.table)
+    basis = np.empty((2 * a, mix.dim))
     work = Workspace()
-    for items, chunk in mix.mean_chunks():
+    for items in blocks(a, mix.image_shape):
+        i, j = items.start, items.stop
+        atoms = table[i:j].reshape((j - i,) + mix.image_shape)
         try:
-            lifted = freqcfg_combine(Tensor4(np.zeros_like(chunk)), Tensor4(-chunk), cfg, work=work)
+            lifted = freqcfg_combine(Tensor4(np.zeros_like(atoms)), Tensor4(-atoms), cfg, work=work)
         except DomainError:
             return None
-        basis[items.start : items.stop] = chunk.reshape(len(chunk), -1)
-        basis[k + items.start : k + items.stop] = lifted.data.reshape(len(chunk), -1)
+        basis[i:j] = table[i:j]
+        basis[a + i : a + j] = lifted.data.reshape(j - i, -1)
     basis.flags.writeable = False
     return basis
 
 
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
-    """Pair from one mixture whose ``both`` shares a single distance pass,
-    and whose ``guided`` works in the basis of the mixture's components.
+    """Pair from one mixture whose ``both`` shares a single pass of atom
+    dots, and whose ``guided`` works in the basis of the mixture's atoms.
 
     With unit parallel weights per-band CFG is linear in Δ = d_c - d_u:
     guided = d_c + M·Δ.  When the mixture is dense and all its components
-    share one scale, z_coef·z is the same in d_c and d_u, so Δ = (w_c - w_u)
-    · means and a guided step is one (B, 2K) product,
-    [w_c | w_c - w_u] @ [means; M·means] + z_coef_c·z, with no band
-    transform.  ``bases`` keeps the [means; M·means] of the last guidance
-    (transform, scales) asked for.  Other pairs of mixture and guidance,
-    a null condition and an output that overflows take the band path of
+    share one scale, z_coef·z is the same in d_c and d_u, so Δ = (c_c - c_u)
+    · table, where c_c and c_u are the weights of each side on the atoms
+    (``_to_atoms``), and a guided step is one (B, 2A) product,
+    [c_c | c_c - c_u] @ [table; M·table] + z_coef_c·z, with no band
+    transform.  For a mixture given its means the atoms are its K means.
+    ``bases`` keeps the [table; M·table] of the last guidance (transform,
+    scales) asked for.  Other pairs of mixture and guidance, a null
+    condition and an output that overflows take the band path of
     ``DenoiserPair.guided``, which raises its own errors.
 
     ``by_class`` maps each class id to its subset of ``mix``, built with
-    the pair and sharing its data.  The lock guards only the basis cache,
+    the pair and sharing its atoms.  The lock guards only the basis cache,
     so callers may share one pair across their own threads.
     """
 
@@ -387,10 +378,10 @@ class _MixturePair(DenoiserPair):
         return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
 
     def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | None:
-        """[means; M·means] for ``cfg`` (``_component_basis``), or None when
-        a guided step under ``cfg`` cannot run in the component basis."""
+        """[table; M·table] for ``cfg`` (``_component_basis``), or None when
+        a guided step under ``cfg`` cannot run in the atom basis."""
         mix = self.mix
-        if mix.cells is not None or np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
+        if mix.table is None or np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
             return None
         key = (cfg.transform, cfg.scales)
         with self.lock:
@@ -405,7 +396,7 @@ class _MixturePair(DenoiserPair):
         basis = None
         if condition is not None and sigma > 0 and z.dims[1:] == self.mix.image_shape:
             basis = self.component_basis(cfg)
-        # anything else, an overflow included, goes to the band path, which raises its own errors
+        # anything else, and an output that overflows, goes to the band path, which raises its own errors
         if basis is not None:
             work = Workspace() if work is None else work
             out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, work)
@@ -417,21 +408,19 @@ class _MixturePair(DenoiserPair):
 def _component_guided(
     z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis: np.ndarray, work: Workspace
 ) -> np.ndarray:
-    """[w_c | w_c - w_u] @ ``basis`` + z_coef_c·z into ``work`` array
-    ``"guided"``: one distance pass against the K means gives the
-    unconditional weights w_u and, from the columns of ``subset``, the
-    conditional w_c, scattered to all K columns.  Not checked finite."""
-    b, k = z.dims[0], mix.n_components
+    """[c_c | c_c - c_u] @ ``basis`` + z_coef_c·z into ``work`` array
+    ``"guided"``: ``posterior_mean``'s prelude gives the weights of
+    ``subset`` and ``mix``, which ``_to_atoms`` takes to the A atoms as c_c
+    and c_u.  Raises the prelude's ``DomainError``; the output is not
+    checked finite."""
+    b, a = z.dims[0], len(basis) // 2
     zf = z.data.reshape(b, -1)
     out = work.get("guided", z.dims)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, sq_dist = _sq_dists(zf, mix)
-        w_c, z_coef = _weights(sq_dist[:, subset.indices], sigma, subset)
-        w_u, _ = _weights(sq_dist, sigma, mix)
-        coef = work.get("coef", (b, 2 * k))
-        coef[:, :k] = 0.0
-        coef[:, subset.indices] = w_c
-        np.subtract(coef[:, :k], w_u, out=coef[:, k:])
+        (w_u, _), (w_c, z_coef) = _side_weights(zf, sigma, [mix, subset])
+        coef = work.get("coef", (b, 2 * a))
+        coef[:, :a] = _to_atoms(w_c, subset.cells, a)
+        np.subtract(coef[:, :a], _to_atoms(w_u, mix.cells, a), out=coef[:, a:])
         flat = np.matmul(coef, basis, out=out.reshape(zf.shape))
         flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
     return out
@@ -442,7 +431,7 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     uncond = posterior mean under the full mixture.  ``labels`` assigns one
     class id per component; a null condition selects the full mixture.
     Every class's subset (``restricted``, which copies no means) is built
-    here.  ``both`` evaluates cond and uncond from one shared distance pass,
+    here.  ``both`` evaluates cond and uncond from one pass of atom dots,
     and its cond has the bytes of ``cond`` alone."""
     labels = _integers(labels, "class label")
     if labels.shape != (mix.n_components,):

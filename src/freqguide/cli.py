@@ -236,6 +236,16 @@ def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> Samp
         raise ConfigError(str(exc)) from exc
 
 
+def _require_guidance_signal(cfg: Config, run: SampleRunConfig, command: str, consequence: str) -> None:
+    """A ``ConfigError`` for a run whose guidance difference is zero: with a
+    null condition and autoguide off, d_c = d_u."""
+    if run.condition is None and not cfg.get_bool("autoguide.enabled", False):
+        raise ConfigError(
+            f"{command} needs a class in sample.condition: with a null condition and autoguide off, "
+            f"d_c = d_u and {consequence}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -332,6 +342,7 @@ def cmd_analyze_norms(args) -> int:
     mix, labels = build_model(cfg)
     guidance = build_guidance(cfg, mix.image_shape, required=True)
     run = build_run(cfg, mix.image_shape, guidance)
+    _require_guidance_signal(cfg, run, "analyze-norms", "every guidance norm is zero")
     pair = build_pair(cfg, mix, labels)
     recorder = NormRecorder()
     sample(pair, run, recorder=recorder)
@@ -369,11 +380,7 @@ def cmd_sweep(args) -> int:
         run = dataclasses.replace(run, batch=cfg.get_int("sweep.samples", 500))
     except UsageError as exc:
         raise ConfigError(f"sweep.samples: {exc}") from exc
-    if run.condition is None and not cfg.get_bool("autoguide.enabled", False):
-        raise ConfigError(
-            "sweep needs a class in sample.condition: with a null condition and autoguide off, "
-            "d_c = d_u and every grid point gives the same row"
-        )
+    _require_guidance_signal(cfg, run, "sweep", "every grid point gives the same row")
     pair = build_pair(cfg, mix, labels)
     target = mix if run.condition is None else make_denoiser_pair(mix, labels).class_mixture(run.condition)
     tau = cfg.get_float("sweep.tau", None)

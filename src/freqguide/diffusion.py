@@ -108,9 +108,14 @@ def initial_noise(
     seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float, *, first: int = 0
 ) -> Tensor4:
     """sigma_max * eps for items first..first+batch-1, with one RNG stream per
-    item, so batch size and blocking never perturb an item's noise."""
+    item, so batch size and blocking never perturb an item's noise.  Raises
+    ``DomainError`` when it overflows float64."""
     eps = np.stack([item_noise(seed, i, shape) for i in range(first, first + batch)])
-    return Tensor4(sigma_max * eps)
+    with np.errstate(over="ignore"):
+        z = np.multiply(sigma_max, eps, out=eps)
+    if not np.isfinite(z).all():
+        raise DomainError(f"initial noise sigma_max * eps overflows float64 at sigma_max={sigma_max:g}")
+    return Tensor4(z, checked=True)
 
 
 def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | None = None) -> Tensor4:

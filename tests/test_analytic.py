@@ -50,6 +50,10 @@ def mixture(weights, means, scales):
     )
 
 
+def same_atoms(a, b) -> bool:
+    return all(getattr(a, name) is getattr(b, name) for name in ("table", "rows", "cols"))
+
+
 class TestMixtureValidation:
     def test_weights_normalized(self):
         mix = mixture([2.0, 2.0], np.zeros((2,) + SHAPE), [1.0, 1.0])
@@ -87,7 +91,7 @@ class TestMixtureValidation:
         with pytest.raises(ConfigError, match="component index 1 given more than once"):
             mix.restricted([2, 1, 0, 1])
         # integer-valued floats name the same components as ints
-        assert list(mix.restricted([2.0, 0.0]).indices) == [2, 0]
+        assert mix.restricted([2.0, 0.0]).cells.tolist() == [[2], [0]]
 
 
 class TestPosteriorMean:
@@ -234,7 +238,7 @@ class TestDenoiserPair:
         pair = make_denoiser_pair(mix, [1, 0, 0])
         assert list(pair.by_class) == [0, 1]
         sub = pair.by_class[0]
-        assert list(sub.indices) == [1, 2] and sub.parent is mix and sub.table is mix.table
+        assert sub.cells.tolist() == [[1], [2]] and sub.table is mix.table
         z = Tensor4(rng.normal(size=(1,) + SHAPE))
         pair.both(z, 1.0, 0)
         pair.cond(z, 1.0, 0)
@@ -306,8 +310,8 @@ class TestJointEvaluation:
         means = all_means(mix)
         dense = IsotropicGaussianMixture(mix.weights, means, mix.scales)
         dense_pair = make_denoiser_pair(dense, labels)
-        assert dense.cells is None
-        assert (mix.cells is None) == (spec.n_classes == 2)  # acceptance: 8 planes, K = 8
+        assert dense.table is not None
+        assert (mix.table is not None) == (spec.n_classes == 2)  # acceptance: 8 planes, K = 8
         gen = np.random.default_rng(11)
         for condition in [None] + list(range(spec.n_classes)):
             # four noisy draws from the class's components (class 0 for None)
@@ -328,14 +332,49 @@ class TestJointEvaluation:
             for reference in (mix.restricted(idx), dense.restricted(idx)):
                 assert np.abs(d_c.data - posterior_mean(z, sigma, reference).data).max() <= 1e-12
 
-    def test_subset_must_come_from_mix(self):
+    @pytest.mark.parametrize("kind", ["dense", "factored"])
+    @pytest.mark.parametrize("sigma", [3.0, 0.3, 0.02])
+    def test_nested_and_sibling_subsets_equal_separate_calls(self, many_modes, kind, sigma):
+        """Any two mixtures that share their atoms run one joint pass: a
+        subset of a subset beside the root, two classes side by side, a
+        mixture beside itself.  Each side has the bytes of its own call and
+        is the posterior under a mixture given that side's means."""
+        spec, mix, labels, pair = many_modes
+        if kind == "dense":
+            mix = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
+            pair = make_denoiser_pair(mix, labels)
+        nested = pair.class_mixture(1).restricted([3, 0, 200, 17])
+        gen = np.random.default_rng(23)
+        z = Tensor4(all_means(mix)[[1, 5, 600]] + sigma * gen.standard_normal((3,) + spec.image_shape))
+        joint = [
+            (mix, nested),
+            (pair.class_mixture(0), pair.class_mixture(3)),
+            (nested, pair.class_mixture(2).restricted([9])),
+            (mix, mix),
+        ]
+        for outer, inner in joint:
+            assert same_atoms(outer, inner)
+            got = posterior_mean(z, sigma, outer, subset=inner)
+            want = [posterior_mean(z, sigma, m).data.tobytes() for m in (inner, outer)]
+            assert [t.data.tobytes() for t in got] == want
+            for side, t in zip((inner, outer), got):
+                given = IsotropicGaussianMixture(side.weights, all_means(side), side.scales)
+                assert np.abs(t.data - posterior_mean(z, sigma, given).data).max() <= 1e-12
+
+    def test_subset_must_share_the_atoms_of_mix(self, many_modes):
         a = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
         b = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
         z = Tensor4(rng.normal(size=(1,) + SHAPE))
-        with pytest.raises(UsageError):
-            posterior_mean(z, 1.0, a, subset=b.restricted([0]))
-        with pytest.raises(UsageError):
-            posterior_mean(z, 1.0, a, subset=a)
+        for other in (b, b.restricted([0]), degrade(a, 0.0, 1.0, seed=0)):
+            with pytest.raises(UsageError, match="subset must share the atoms of mix"):
+                posterior_mean(z, 1.0, a, subset=other)
+        spec, mix, _, _ = many_modes
+        again = blob_mixture_from_spec(spec)  # equal factors, other arrays
+        dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
+        z = Tensor4(np.zeros((1,) + spec.image_shape))
+        for outer, inner in ((mix, again.restricted([0])), (mix, dense), (dense, mix.restricted([2]))):
+            with pytest.raises(UsageError):
+                posterior_mean(z, 1.0, outer, subset=inner)
 
     def test_sigma_zero_returns_input_twice(self):
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
@@ -353,7 +392,7 @@ class TestJointEvaluation:
     )
     def test_overflow_on_factored_path(self, many_modes, value, sigma, message):
         spec, mix, labels, pair = many_modes
-        assert mix.cells is not None
+        assert mix.table is None
         z = Tensor4(np.full((2,) + spec.image_shape, value))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -361,6 +400,27 @@ class TestJointEvaluation:
                 with pytest.raises(DomainError, match=message) as exc:
                     call()
                 assert EXIT_CODES[exc.value.category] == 6
+
+    @pytest.mark.parametrize("kind", ["dense", "factored"])
+    def test_sigma_squared_overflow_is_domain_error(self, many_modes, kind):
+        """σ² past float64 at finite ‖z‖²: the library call, the joint pass,
+        the component step and the band path all raise it."""
+        spec, mix, labels, pair = many_modes
+        if kind == "dense":
+            spec, mix, labels, pair = model_of(acceptance_spec())
+            assert pair.component_basis(HAAR) is not None
+        z = Tensor4(np.zeros((2,) + spec.image_shape))
+        calls = [
+            lambda: posterior_mean(z, 1e160, mix),
+            lambda: pair.both(z, 1e160, 1),
+            lambda: pair.guided(z, 1e160, 1, HAAR),
+            lambda: pair.guided(z, 1e160, 1, replace(HAAR, parallel_weights=(0.5, 1.0))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match=r"sigma\^2 overflows float64 at sigma=1e\+160"):
+                    call()
 
     @pytest.mark.parametrize("value", [1e200, 1e154])
     def test_overflow_is_domain_error(self, value):
@@ -407,12 +467,30 @@ HAAR = GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 1.5))
 
 class TestComponentBasis:
     """A dense mixture whose components share one scale runs a guided step
-    at unit parallel weights as one product in the basis of its means."""
+    at unit parallel weights as one product in the basis of its atoms, the
+    rows of ``table``."""
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
     @pytest.mark.parametrize("sampler", ["euler", "heun"])
     def test_every_guided_evaluation_of_a_run_matches_the_band_path(self, blob_model, cfg, sampler):
         spec, _, _, pair = blob_model
+        self.assert_runs_match_the_band_path(pair, spec, cfg, sampler)
+
+    @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
+    def test_a_restricted_mixture_steps_in_the_basis_of_all_its_atoms(self, blob_model, cfg):
+        """The pair of a subset of 6 of the 8 components: its cells pick 6 of
+        the A = 8 atoms, in another order, and its basis holds all 8."""
+        spec, mix, labels, _ = blob_model
+        idx = [7, 1, 2, 4, 6, 5]
+        sub = mix.restricted(idx)
+        pair = make_denoiser_pair(sub, labels[idx])
+        basis = pair.component_basis(cfg)
+        assert basis.shape == (2 * mix.n_components, mix.dim) and sub.table is mix.table
+        assert sub.cells.tolist() == [[k] for k in idx]
+        self.assert_runs_match_the_band_path(pair, spec, cfg, "heun")
+
+    @staticmethod
+    def assert_runs_match_the_band_path(pair, spec, cfg, sampler):
         assert pair.component_basis(cfg) is not None
         for condition in (0, 1):
             for interval in (None, (0.8, 0.3)):
@@ -536,23 +614,22 @@ class TestCachedConstants:
     def test_values_and_read_only(self, spec):
         mix = blob_mixture_from_spec(spec)
         sub = mix.restricted([1, 4])
-        if mix.cells is None:
+        if mix.table is not None:
             assert np.shares_memory(mix.table, mix.means) and mix.table.shape == (mix.n_components, mix.dim)
         for m in (mix, sub):
             flat = all_means(m).reshape(m.n_components, -1)
             assert np.array_equal(m.sq_norms, np.einsum("kd,kd->k", flat, flat))
             assert np.array_equal(m.log_weights, np.log(m.weights))
             assert m.image_shape == spec.image_shape and m.dim == np.prod(spec.image_shape)
-            data = (m.table, m.table_rows, getattr(m, "means", None), m.rows, m.cols, m.cells)
+            data = (m.table, getattr(m, "means", None), m.rows, m.cols, m.cells)
             for arr in (m.weights, m.scales, m.sq_norms, m.log_weights) + data:
                 if arr is None:
                     continue
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
-        assert sub.parent is mix and list(sub.indices) == [1, 4]
-        assert not sub.indices.flags.writeable
-        assert mix.parent is None and mix.indices is None
+        assert np.array_equal(sub.cells, mix.cells[[1, 4]])
+        assert same_atoms(sub, mix)
 
     def test_factors_read_only_and_shared_by_restricted(self):
         mix = blob_mixture_from_spec(BlobTextureSpec(n_classes=3))  # 4 + 2·3 planes < K = 12
@@ -563,7 +640,7 @@ class TestCachedConstants:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert degrade(mix, 0.0, 1.0, seed=0).cells is None
+        assert degrade(mix, 0.0, 1.0, seed=0).table is not None
 
     def test_factors_only_with_fewer_planes_than_components(self, many_modes):
         spec, mix, labels, pair = many_modes
@@ -578,14 +655,14 @@ class TestCachedConstants:
         single = mixture([1.0], np.zeros((1,) + SHAPE), [1.0])  # mixture.kind = single
         hand_built = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scales)
         for dense in (acceptance, single, degrade(mix, 0.0, 1.0, seed=0), hand_built, hand_built.restricted([3])):
-            assert dense.rows is None and dense.cols is None and dense.cells is None
+            assert dense.rows is None and dense.cols is None and dense.cells.shape[1] == 1
 
     def test_restricted_copies_caller_indices(self):
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.5])
         idx = np.array([1])
         sub = mix.restricted(idx)
         idx[0] = 0
-        assert list(sub.indices) == [1]
+        assert sub.cells.tolist() == [[1]]
 
 
 class TestMeansOnDemand:
@@ -625,13 +702,11 @@ class TestMeansOnDemand:
         whole = all_means(mix)
         if kind == "dense":
             mix = IsotropicGaussianMixture(mix.weights, whole, mix.scales)
-        sub = mix.restricted([1023, 6, 300]).restricted([2, 0])
-        assert list(sub.indices) == [2, 0] and sub.parent.parent is mix
-        assert not hasattr(sub, "means") and not hasattr(sub.parent, "means")
-        if kind == "dense":
-            assert sub.table is mix.table and list(sub.table_rows) == [300, 1023]
-        else:
-            assert sub.rows is mix.rows and np.array_equal(sub.cells, mix.cells[[300, 1023]])
+        middle = mix.restricted([1023, 6, 300])
+        sub = middle.restricted([2, 0])
+        assert not hasattr(sub, "means") and not hasattr(middle, "means")
+        assert same_atoms(sub, mix)
+        assert np.array_equal(sub.cells, mix.cells[[300, 1023]])
         _, want = loop_mixture(spec)
         assert np.abs(all_means(sub) - want[[300, 1023]]).max() <= oracle_bound(want)
         assert all_means(sub).tobytes() == whole[[300, 1023]].tobytes()
@@ -665,7 +740,7 @@ class TestMeansOnDemand:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert mix.cells is not None and "means" not in vars(mix)
+        assert mix.table is None and "means" not in vars(mix)
         assert held < 2**19, f"{held / 2**20:.2f} MiB"
 
     def test_mixtures_compare_by_identity(self):
@@ -674,7 +749,7 @@ class TestMeansOnDemand:
             assert mix == mix and mix != again
             assert hash(mix) == hash(mix) and len({mix, again, mix}) == 2
             sub = mix.restricted([0])
-            assert sub.parent is mix and sub != mix.restricted([0])
+            assert same_atoms(sub, mix) and sub != mix.restricted([0])
 
     def test_repr_builds_no_means(self, many_modes):
         """The dataclass repr read ``means``: 24.06 MiB for the 1024-component
@@ -711,7 +786,7 @@ class TestOneClassPosterior:
             spec, mix, labels, pair = model_of(acceptance_spec())
         else:
             spec, mix, labels, pair = request.getfixturevalue(name)
-        assert (mix.cells is None) == (name != "many_modes")
+        assert (mix.table is not None) == (name != "many_modes")
         gen = np.random.default_rng(17)
         for batch in (1, 3, 25, 42):
             x = gen.standard_normal((batch,) + spec.image_shape)
@@ -918,8 +993,8 @@ class TestVectorizedBuild:
         # factors: kept only when the J blobs and min(2, J) textures per class
         # number fewer than the K components (odd-3x4 and many-modes)
         n_planes = len(spec.centers) + min(2, len(spec.centers)) * spec.n_classes
-        assert (mix.cells is not None) == (n_planes < len(means))
-        if mix.cells is not None:
+        assert (mix.table is None) == (n_planes < len(means))
+        if mix.table is None:
             assert mix.rows.shape[1] == spec.height and mix.cols.shape[1] == spec.width
             assert mix.cells.shape == (len(means), 2)
         got = all_means(mix)

@@ -23,6 +23,7 @@ from freqguide import (
     BlobTextureSpec, GuidanceConfig, Tensor4, TransformKind, blob_mixture_from_spec, class_labels, guided_denoise,
     make_denoiser_pair,
 )
+from freqguide import analytic
 from freqguide.cli import build_guidance, build_model, build_pair, build_run
 from freqguide.config import Config
 
@@ -107,20 +108,24 @@ def workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
-def sample_pyr3(workloads):
-    """The pair, guidance and condition ``perfbench/child.py`` builds for sample-pyr3."""
-    workload = workloads.WORKLOADS["sample-pyr3"]
+def library_workload(workloads, name):
+    """The pair, guidance and condition ``perfbench/child.py`` builds for the
+    library workload ``name``."""
+    workload = workloads.WORKLOADS[name]
     spec = dict(workload.spec)
     spec["n_classes"] = spec.pop("classes")
     spec["centers"] = tuple(map(tuple, spec["centers"]))
-    spec["class_center_weights"] = tuple(map(tuple, spec["class_center_weights"]))
+    weights = spec["class_center_weights"]
+    spec["class_center_weights"] = None if weights is None else tuple(map(tuple, weights))
     spec = BlobTextureSpec(**spec)
     g = workload.guidance
-    assert g["transform"] == "pyramid"
-    cfg = GuidanceConfig(
-        transform=TransformKind.pyramid(g["levels"]), scales=tuple(g["scales"]), parallel_weights=tuple(g["weights"])
-    )
+    transform = TransformKind.haar() if g["transform"] == "haar" else TransformKind.pyramid(g["levels"])
+    cfg = GuidanceConfig(transform=transform, scales=tuple(g["scales"]), parallel_weights=tuple(g["weights"]))
     return make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec)), [cfg], workloads.CONDITION
+
+
+def sample_pyr3(workloads):
+    return library_workload(workloads, "sample-pyr3")
 
 
 def sweep_cli(workloads):
@@ -143,3 +148,22 @@ def test_guided_workloads_take_the_component_path(workloads, monkeypatch, build)
         guided_denoise(z, 1.0, 1.0, pair, cfg, condition=condition)
     # the band path would combine the batch of 3; the basis combines the 8 means
     assert 3 not in batches
+
+
+def test_many_mode_guided_evaluation_is_one_joint_call(workloads, monkeypatch):
+    """sample-manymodes, whose mixture is factored, takes the band path: each
+    guided evaluation is one ``posterior_mean`` call for both predictions,
+    the call the traced ``analytic.posterior_mean.calls`` counts."""
+    pair, (cfg,), condition = library_workload(workloads, "sample-manymodes")
+    assert pair.mix.table is None and pair.component_basis(cfg) is None
+    real, subsets = analytic.posterior_mean, []
+
+    def spy(*args, **kwargs):
+        subsets.append(kwargs.get("subset"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "posterior_mean", spy)
+    z = Tensor4(np.random.default_rng(0).standard_normal((3,) + pair.mix.image_shape))
+    for sigma in (80.0, 1.0):
+        guided_denoise(z, sigma, 1.0, pair, cfg, condition=condition)
+    assert subsets == [pair.class_mixture(condition)] * 2

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -828,7 +829,7 @@ class TestAutoguideConfig:
             "autoguide.jitter_rel": "0.05", "autoguide.seed": "7",
         })
         mix, labels = cli.build_model(cfg)
-        assert mix.cells is not None
+        assert mix.table is None
         degraded = []
 
         def spy(*args, **kwargs):
@@ -905,7 +906,7 @@ class TestGenData:
         argv = ["--set", "mixture.centers=4:4,4:12,12:4,12:12", "--set", "mixture.classes=4"]
         assert run_cli("gen-data", "--config", write_config(tmp_path), *argv, "--out", out_dir) == 0
         (mix,) = built
-        assert mix.cells is not None and "means" not in vars(mix)
+        assert mix.table is None and "means" not in vars(mix)
         means = all_means(mix)
         for idx in range(mix.n_components):
             got = read_tensor(os.path.join(out_dir, f"mean_{idx:03d}.fqg"))
@@ -999,6 +1000,30 @@ class TestProcessBoundary:
         assert "error [domain]" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "x.fqg").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # the component step: ‖z‖² of noise at σ = 1e160 overflows
+            (("sample", "--set", "schedule.sigma_max=1e160"), 6, "|z|^2 overflows float64 at sigma=1e+160"),
+            (("sweep", "--grid", "1:1", "--set", "schedule.sigma_max=1e160"), 6, "|z|^2 overflows"),
+            # parallel weights take the band path
+            (("sample", "--set", "schedule.sigma_max=1e160", "--set", "guidance.parallel_weights=0.5,1"), 6,
+             "|z|^2 overflows float64 at sigma=1e+160"),
+            (("sample", "--set", "schedule.sigma_max=1e308"), 6, "overflows float64 at sigma_max=1e+308"),
+            # d_c = d_u: every norm would be zero
+            (("analyze-norms", "--set", "sample.condition=null"), 3, "analyze-norms needs a class in sample.condition"),
+        ],
+        ids=["sample-1e160", "sweep-1e160", "band-path-1e160", "sample-1e308", "analyze-norms-null-condition"],
+    )
+    def test_categorized_without_warnings(self, tmp_path, capsys, argv, code, message):
+        cfg = write_config(tmp_path, extra="guidance.transform = haar\nguidance.scales = 2,1.5\nsweep.samples = 4\n")
+        out = str(tmp_path / "x.out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv[0], "--config", cfg, *argv[1:], "--out", out) == code
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_error_category_on_stderr(self, tmp_path):
         missing = str(tmp_path / "nope.cfg")

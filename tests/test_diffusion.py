@@ -436,7 +436,7 @@ def blob_model(factored: bool):
             n_classes=4, class_center_weights=None,
         )
     mix = blob_mixture_from_spec(spec)
-    assert (mix.cells is not None) == factored
+    assert (mix.table is None) == factored
     return mix, make_denoiser_pair(mix, class_labels(spec))
 
 

@@ -161,7 +161,7 @@ class TestSaturationProxy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mix.cells is not None and "means" not in vars(subset) and "means" not in vars(mix)
+        assert mix.table is None and "means" not in vars(subset) and "means" not in vars(mix)
         assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
         # the reference moments from all the means at once
         m = all_means(subset).reshape(subset.n_components, spec.channels, -1)

@@ -82,14 +82,14 @@ def factored_model():
         class_center_weights=None,
     )
     mix = blob_mixture_from_spec(spec)
-    assert mix.cells is not None
+    assert mix.table is None
     return mix, make_denoiser_pair(mix, class_labels(spec))
 
 
 def dense_model():
     spec = acceptance_spec()
     mix = blob_mixture_from_spec(spec)
-    assert mix.cells is None
+    assert mix.table is not None
     return mix, make_denoiser_pair(mix, class_labels(spec))
 
 
