@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
+from .frequency import low_pass_operators
 from .guidance import DenoiserPair, GuidanceConfig, freqcfg_combine
 from .tensor import Tensor4, Workspace, blocks
 
@@ -126,6 +127,10 @@ class IsotropicGaussianMixture:
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.table) if self.table is not None else len(self.rows) * len(self.cols)
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
         """The renormalized mixture of the components at ``indices``, in that
@@ -248,7 +253,7 @@ def _to_atoms(w: np.ndarray, cells: np.ndarray, n_atoms: int) -> np.ndarray:
     atoms: entry (b, a) sums w_bk over the components k with a cell a.
     bincount adds each item's terms in the same order whatever the batch."""
     b, t = len(w), cells.shape[1]
-    index = cells.T[:, None, :] + np.arange(0, b * n_atoms, n_atoms)[:, None]
+    index = np.ascontiguousarray(cells.T)[:, None, :] + np.arange(0, b * n_atoms, n_atoms)[:, None]
     grid = np.bincount(index.ravel(), np.concatenate([w.ravel()] * t), minlength=b * n_atoms)
     return grid.reshape(b, n_atoms)
 
@@ -261,12 +266,12 @@ def _synthesize(
     ``table``, or, as an (nr, nq) grid per item, the plane rowsᵀ · grid ·
     cols, which every channel repeats, added to z_coef·z."""
     b, c = out.shape[:2]
+    atoms = _to_atoms(w, mix.cells, mix.n_atoms)
     if mix.table is not None:
-        flat = np.matmul(_to_atoms(w, mix.cells, len(mix.table)), mix.table, out=out.reshape(b, -1))
+        flat = np.matmul(atoms, mix.table, out=out.reshape(b, -1))
         flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
     else:
-        nr, nq = len(mix.rows), len(mix.cols)
-        grid = _to_atoms(w, mix.cells, nr * nq).reshape(b, nr, nq)
+        grid = atoms.reshape(b, len(mix.rows), len(mix.cols))
         channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
         channels += (mix.rows.T @ grid @ mix.cols).reshape(b, 1, -1)
 
@@ -313,13 +318,17 @@ def posterior_mean(
     return full if subset is None else (part[0], full)
 
 
-def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.ndarray | None:
-    """[table; M·table] as a read-only (2A, D) array over the A atoms of a
-    dense ``mix``, where M·x = freqcfg_combine(x, 0) - x is the per-band CFG
-    operator of ``cfg`` at unit parallel weights.  M·x is taken as
-    freqcfg_combine(0, -x), whose d_c is zero, so no x is added and taken
-    away again.  The atoms go through in ``tensor.blocks``; None when
-    M·table overflows."""
+def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
+    """[atoms; M·atoms] over the A atoms of ``mix``, read-only, where M·x =
+    freqcfg_combine(x, 0) - x is the per-band CFG operator of ``cfg`` at
+    unit parallel weights; None when M·atoms overflows.
+
+    For a dense ``mix`` this is the (2A, D) array [table; M·table], M·x
+    taken as freqcfg_combine(0, -x), whose d_c is zero, so no x is added
+    and taken away again; the atoms go through in ``tensor.blocks``.  A
+    factored ``mix`` gets ``_plane_basis``."""
+    if mix.table is None:
+        return _plane_basis(mix, cfg)
     table, a = mix.table, len(mix.table)
     basis = np.empty((2 * a, mix.dim))
     work = Workspace()
@@ -336,22 +345,46 @@ def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.n
     return basis
 
 
+def _plane_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> tuple | None:
+    """The separable form of [atoms; M·atoms] for the planes
+    outer(rows[r], cols[q]) of a factored ``mix``.
+
+    M = (s_0 - 1)·I + Σ_k c_k·U^k D^k with c_k = s_k - s_{k-1}, and U^k D^k
+    is P_{h,k} ⊗ P_{w,k} on every plane (``low_pass_operators``).  So for
+    (nr, nq) weight grids G_c and G_Δ on the planes, the plane of
+    d_c + M·Δ, less its z_coef·z, is
+    rowsᵀ·(G_c + (s_0 - 1)·G_Δ)·cols + Σ_k (c_k·P_{h,k}·rowsᵀ)·G_Δ·(cols·P_{w,k}ᵀ).
+    Returns the read-only lifted factors ``left`` (H, (N+1)·nr),
+    [rowsᵀ | c_1·P_{h,1}·rowsᵀ | …], and ``right`` (N+1, nq, W),
+    [cols; cols·P_{w,1}ᵀ; …], then s_0 - 1; None when a factor overflows."""
+    s, rows_t = cfg.scales, mix.rows.T
+    ops = low_pass_operators(cfg.transform, *mix.image_shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.hstack([rows_t] + [(s[k] - s[k - 1]) * (p_h @ rows_t) for k, (p_h, _) in enumerate(ops, 1)])
+        right = np.stack([mix.cols] + [mix.cols @ p_w.T for _, p_w in ops])
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        return None
+    left.flags.writeable = right.flags.writeable = False
+    return left, right, s[0] - 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
     """Pair from one mixture whose ``both`` shares a single pass of atom
     dots, and whose ``guided`` works in the basis of the mixture's atoms.
 
     With unit parallel weights per-band CFG is linear in Δ = d_c - d_u:
-    guided = d_c + M·Δ.  When the mixture is dense and all its components
-    share one scale, z_coef·z is the same in d_c and d_u, so Δ = (c_c - c_u)
-    · table, where c_c and c_u are the weights of each side on the atoms
-    (``_to_atoms``), and a guided step is one (B, 2A) product,
-    [c_c | c_c - c_u] @ [table; M·table] + z_coef_c·z, with no band
-    transform.  For a mixture given its means the atoms are its K means.
-    ``bases`` keeps the [table; M·table] of the last guidance (transform,
-    scales) asked for.  Other pairs of mixture and guidance, a null
-    condition and an output that overflows take the band path of
-    ``DenoiserPair.guided``, which raises its own errors.
+    guided = d_c + M·Δ.  When all the mixture's components share one scale,
+    z_coef·z is the same in d_c and d_u, so Δ is the atoms weighted by
+    c_c - c_u, where c_c and c_u are the weights of each side on the atoms
+    (``_to_atoms``), and a guided step is [c_c | c_c - c_u] against
+    [atoms; M·atoms] (``_component_basis``) plus z_coef_c·z, with no band
+    transform.  For a mixture given its means that is one (B, 2A) product
+    with [table; M·table]; for a factored mixture a few products per item
+    with the lifted factors of its planes.  ``bases`` keeps the basis of the
+    last guidance (transform, scales) asked for.  Other pairs of mixture
+    and guidance, a null condition and an output that overflows take the
+    band path of ``DenoiserPair.guided``, which raises its own errors.
 
     ``by_class`` maps each class id to its subset of ``mix``, built with
     the pair and sharing its atoms.  The lock guards only the basis cache,
@@ -377,11 +410,11 @@ class _MixturePair(DenoiserPair):
             return d_u, d_u
         return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
 
-    def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | None:
-        """[table; M·table] for ``cfg`` (``_component_basis``), or None when
+    def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
+        """[atoms; M·atoms] for ``cfg`` (``_component_basis``), or None when
         a guided step under ``cfg`` cannot run in the atom basis."""
         mix = self.mix
-        if mix.table is None or np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
+        if np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
             return None
         key = (cfg.transform, cfg.scales)
         with self.lock:
@@ -406,14 +439,16 @@ class _MixturePair(DenoiserPair):
 
 
 def _component_guided(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis: np.ndarray, work: Workspace
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, work: Workspace
 ) -> np.ndarray:
-    """[c_c | c_c - c_u] @ ``basis`` + z_coef_c·z into ``work`` array
-    ``"guided"``: ``posterior_mean``'s prelude gives the weights of
-    ``subset`` and ``mix``, which ``_to_atoms`` takes to the A atoms as c_c
-    and c_u.  Raises the prelude's ``DomainError``; the output is not
+    """[c_c | c_c - c_u] against ``basis``, the ``_component_basis`` of
+    ``mix``, plus z_coef_c·z into ``work`` array ``"guided"``:
+    ``posterior_mean``'s prelude gives the weights of ``subset`` and
+    ``mix``, which ``_to_atoms`` takes to the A atoms as c_c and c_u.  A
+    factored ``mix`` reads them as (nr, nq) grids G_c and G_Δ, every product
+    per item.  Raises the prelude's ``DomainError``; the output is not
     checked finite."""
-    b, a = z.dims[0], len(basis) // 2
+    b, a = z.dims[0], mix.n_atoms
     zf = z.data.reshape(b, -1)
     out = work.get("guided", z.dims)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,8 +456,19 @@ def _component_guided(
         coef = work.get("coef", (b, 2 * a))
         coef[:, :a] = _to_atoms(w_c, subset.cells, a)
         np.subtract(coef[:, :a], _to_atoms(w_u, mix.cells, a), out=coef[:, a:])
-        flat = np.matmul(coef, basis, out=out.reshape(zf.shape))
-        flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
+        if mix.table is not None:
+            flat = np.matmul(coef, basis, out=out.reshape(zf.shape))
+            flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
+        else:
+            left, right, gain = basis
+            c, _, width = mix.image_shape
+            grids = coef.reshape(b, 2, len(mix.rows), len(mix.cols))
+            grids[:, 0] += gain * grids[:, 1]  # G_c + (s_0 - 1)·G_Δ
+            lifted = work.get("lifted", (b, len(right), len(mix.rows), width))
+            np.matmul(grids[:, 0], right[0], out=lifted[:, 0])
+            np.matmul(grids[:, 1:], right[1:], out=lifted[:, 1:])
+            channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
+            channels += (left @ lifted.reshape(b, -1, width)).reshape(b, 1, -1)
     return out
 
 

@@ -182,6 +182,28 @@ def up_step(
     return _apply(arr, a_h[:h].T, a_w[:w].T, work, name)
 
 
+def low_pass_operators(kind: TransformKind, height: int, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(P_{h,k}, P_{w,k}) for k = 1..N]: the k down-steps of ``kind``
+    followed by k ``up_step``s, U^k D^k, act on every (height, width) plane
+    x as P_{h,k} @ x @ P_{w,k}ᵀ.  Built from the engine's own per-axis
+    matrices; Haar's P_{h,1} ⊗ P_{w,1} is the 2x2 block mean.  Raises the
+    ``check_fit`` error for sizes ``kind`` cannot decompose."""
+    check_fit(kind, height, width)
+    if kind.kind == "haar":
+        halves = [a[: n // 2] for a, n in zip(_haar(height, width), (height, width))]
+        return [tuple(a.T @ a for a in halves)]
+    axes = []
+    for n in (height, width):
+        down, up, ops = np.eye(n), np.eye(n), []
+        for _ in range(kind.levels):
+            m = len(down)
+            down = _down_matrix(m) @ down
+            up = up @ _up_matrix(m, len(down))
+            ops.append(up @ down)
+        axes.append(ops)
+    return list(zip(*axes))
+
+
 def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind, work: Workspace | None, name) -> np.ndarray:
     """Band k of x from its ``low_pass_chain`` [x, D x, ..., D^N x]:
     D^k x - U D^{k+1} x into ``work`` array ``name``, and D^N x itself for

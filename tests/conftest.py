@@ -1,16 +1,21 @@
 import struct
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from freqguide import (
     BlobTextureSpec,
+    DenoiserPair,
     NoiseSchedule,
+    SampleRunConfig,
     analytic,
     blob_mixture_from_spec,
     class_labels,
+    freqcfg_combine,
     guidance,
     make_denoiser_pair,
+    sample,
 )
 
 
@@ -95,3 +100,40 @@ def all_means(mix) -> np.ndarray:
     """All (K, C, H, W) means of any mixture, from ``mix.mean_chunks()``:
     only a mixture given its means has ``means``."""
     return np.concatenate([chunk for _, chunk in mix.mean_chunks()])
+
+
+@dataclass(frozen=True)
+class OraclePair(DenoiserPair):
+    """Passes ``guided`` on to ``inner`` and records, per evaluation, its
+    largest gap to the band path ``freqcfg_combine(*inner.both(...))``,
+    relative to the band path's largest value."""
+
+    inner: DenoiserPair | None = None
+    gaps: list = field(default_factory=list)
+
+    def guided(self, z, sigma, condition, cfg, *, work=None):
+        got = self.inner.guided(z, sigma, condition, cfg, work=work)
+        want = freqcfg_combine(*self.inner.both(z, sigma, condition), cfg).data
+        self.gaps.append(float(np.abs(got.data - want).max() / np.abs(want).max()))
+        return got
+
+
+def assert_runs_match_the_band_path(pair, spec, cfg, sampler, conditions=(0, 1), steps=12, batch=6):
+    """Every guided evaluation of ``sample`` runs of ``pair`` under ``cfg``,
+    for each of ``conditions``, gated by ``guidance.interval`` and not, is
+    within 1e-13 of the band path, relative to its largest value."""
+    assert pair.component_basis(cfg) is not None
+    for condition in conditions:
+        for interval in (None, (0.8, 0.3)):
+            oracle = OraclePair(cond=pair.cond, uncond=pair.uncond, inner=pair)
+            run = SampleRunConfig(
+                steps=steps, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=batch, shape=spec.image_shape,
+                guidance=replace(cfg, interval=interval), condition=condition, sampler=sampler,
+            )
+            sample(oracle, run)
+            evaluations = steps if sampler == "euler" else 2 * steps - 1
+            if interval is None:
+                assert len(oracle.gaps) == evaluations
+            else:
+                assert 0 < len(oracle.gaps) < evaluations
+            assert max(oracle.gaps) <= 1e-13

@@ -2,11 +2,13 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, spy_combine_batches
+from conftest import (
+    ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, assert_runs_match_the_band_path, spy_combine_batches,
+)
 
 from freqguide import (
     BlobTextureSpec,
@@ -435,26 +437,10 @@ class TestJointEvaluation:
                 pair.both(z, 1.0, 0)
 
 
-@dataclass(frozen=True)
-class OraclePair(DenoiserPair):
-    """Passes ``guided`` on to ``inner`` and records, per evaluation, its
-    largest gap to the band path ``freqcfg_combine(*inner.both(...))``,
-    relative to the band path's largest value."""
-
-    inner: DenoiserPair | None = None
-    gaps: list = field(default_factory=list)
-
-    def guided(self, z, sigma, condition, cfg, *, work=None):
-        got = self.inner.guided(z, sigma, condition, cfg, work=work)
-        want = freqcfg_combine(*self.inner.both(z, sigma, condition), cfg).data
-        self.gaps.append(float(np.abs(got.data - want).max() / np.abs(want).max()))
-        return got
-
-
 def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
     """Whether one guided evaluation of a batch of 3 ran ``freqcfg_combine``
-    on that batch.  The component basis also calls it, once per guidance,
-    on the mixture's means, of another batch size here."""
+    on that batch.  A dense component basis also calls it, once per
+    guidance, on the mixture's means, of another batch size here."""
     batches = spy_combine_batches(monkeypatch)
     z = Tensor4(np.random.default_rng(8).standard_normal((3,) + shape))
     guided_denoise(z, 0.5, 1.0, pair, cfg, condition=0, recorder=recorder)
@@ -462,19 +448,33 @@ def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
 
 
 PYRAMID3 = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0))
+PYRAMID2 = GuidanceConfig(transform=TransformKind.pyramid(2), scales=(3.0, 2.0, 1.5))
 HAAR = GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 1.5))
 
 
+def overflow_spec() -> BlobTextureSpec:
+    """A factored model (5 centers, 2 classes: 9 planes for 10 components)
+    with blobs of amplitude 10, class-skewed centers and unit gratings, so
+    that its classes are far apart at small σ and its Δ passes 1."""
+    return BlobTextureSpec(
+        centers=((8.0, 8.0), (8.0, 24.0), (16.0, 16.0), (24.0, 8.0), (24.0, 24.0)),
+        blob_amplitude=10.0,
+        texture_amplitude=1.0,
+        noise_scale=0.01,
+        class_center_weights=((0.6, 0.1, 0.1, 0.1, 0.1), (0.1, 0.1, 0.1, 0.1, 0.6)),
+    )
+
+
 class TestComponentBasis:
-    """A dense mixture whose components share one scale runs a guided step
-    at unit parallel weights as one product in the basis of its atoms, the
-    rows of ``table``."""
+    """A mixture whose components share one scale runs a guided step at
+    unit parallel weights in the basis of its atoms: the rows of ``table``,
+    or the planes of a factored mixture."""
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
     @pytest.mark.parametrize("sampler", ["euler", "heun"])
     def test_every_guided_evaluation_of_a_run_matches_the_band_path(self, blob_model, cfg, sampler):
         spec, _, _, pair = blob_model
-        self.assert_runs_match_the_band_path(pair, spec, cfg, sampler)
+        assert_runs_match_the_band_path(pair, spec, cfg, sampler)
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
     def test_a_restricted_mixture_steps_in_the_basis_of_all_its_atoms(self, blob_model, cfg):
@@ -487,25 +487,24 @@ class TestComponentBasis:
         basis = pair.component_basis(cfg)
         assert basis.shape == (2 * mix.n_components, mix.dim) and sub.table is mix.table
         assert sub.cells.tolist() == [[k] for k in idx]
-        self.assert_runs_match_the_band_path(pair, spec, cfg, "heun")
+        assert_runs_match_the_band_path(pair, spec, cfg, "heun")
 
-    @staticmethod
-    def assert_runs_match_the_band_path(pair, spec, cfg, sampler):
-        assert pair.component_basis(cfg) is not None
-        for condition in (0, 1):
-            for interval in (None, (0.8, 0.3)):
-                oracle = OraclePair(cond=pair.cond, uncond=pair.uncond, inner=pair)
-                run = SampleRunConfig(
-                    steps=12, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=6, shape=spec.image_shape,
-                    guidance=replace(cfg, interval=interval), condition=condition, sampler=sampler,
-                )
-                sample(oracle, run)
-                evaluations = 12 if sampler == "euler" else 23
-                if interval is None:
-                    assert len(oracle.gaps) == evaluations
-                else:
-                    assert 0 < len(oracle.gaps) < evaluations
-                assert max(oracle.gaps) <= 1e-13
+    @pytest.mark.parametrize("cfg", [PYRAMID2, HAAR], ids=["pyramid2", "haar"])
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_factored_runs_match_the_band_path(self, many_modes, cfg, sampler):
+        spec, mix, _, pair = many_modes
+        assert mix.table is None
+        assert_runs_match_the_band_path(pair, spec, cfg, sampler, conditions=(0, 3), steps=6, batch=3)
+
+    def test_a_restricted_factored_mixture_steps_in_the_planes_of_its_parent(self, many_modes):
+        """A subset of 300 of the 1024 components in shuffled order: its
+        cells are unsorted, and its basis lifts all the parent's planes."""
+        spec, mix, labels, _ = many_modes
+        idx = np.random.default_rng(5).permutation(mix.n_components)[:300]
+        sub = mix.restricted(idx)
+        assert np.any(np.diff(sub.cells[:, 0]) < 0) and sub.rows is mix.rows
+        pair = make_denoiser_pair(sub, labels[idx])
+        assert_runs_match_the_band_path(pair, spec, HAAR, "heun", conditions=(0, 3), steps=6, batch=3)
 
     def test_basis_is_cached_read_only_and_lifts_the_means(self, blob_model):
         _, mix, _, pair = blob_model
@@ -519,6 +518,26 @@ class TestComponentBasis:
         assert np.abs(basis[k:] - lifted.reshape(k, -1)).max() <= 1e-14
         # the pair keeps the basis of the last guidance only
         assert pair.component_basis(HAAR) is not basis and list(pair.bases) == [(HAAR.transform, HAAR.scales)]
+
+    @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
+    def test_factored_basis_is_small_read_only_and_lifts_the_planes(self, many_modes, cfg):
+        """The lifted factors of the 19 x 19 planes hold at most 40 KB, not a
+        (2A, D) array, and give M·plane for every plane: (s_0 - 1)·plane
+        plus Σ_k outer(column r of left block k, row q of right block k)."""
+        spec, mix, _, pair = many_modes
+        left, right, gain = basis = pair.component_basis(cfg)
+        assert pair.component_basis(cfg) is basis and gain == cfg.scales[0] - 1.0
+        nr, nq, (c, h, w), n = len(mix.rows), len(mix.cols), spec.image_shape, len(cfg.scales) - 1
+        assert left.shape == (h, (n + 1) * nr) and right.shape == (n + 1, nq, w)
+        assert not (left.flags.writeable or right.flags.writeable)
+        assert left.nbytes + right.nbytes <= 40_000
+        assert np.array_equal(left[:, :nr], mix.rows.T) and np.array_equal(right[0], mix.cols)
+        planes = mix.rows[:, None, :, None] * mix.cols[None, :, None, :]  # (nr, nq, H, W)
+        atoms = np.repeat(planes.reshape(-1, 1, h, w), c, axis=1)
+        want = freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - atoms
+        blocks = left.reshape(h, n + 1, nr)
+        got = gain * planes + np.einsum("hkr,kqw->rqhw", blocks[:, 1:], right[1:])
+        assert np.abs(got.reshape(-1, 1, h, w) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_threads_alternating_guidance_get_their_own_basis(self):
         spec = acceptance_spec()
@@ -544,23 +563,26 @@ class TestComponentBasis:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_unit_weights_take_the_component_path(self, blob_model, monkeypatch):
+    def test_unit_weights_take_the_component_path(self, blob_model, many_modes, monkeypatch):
         spec, _, _, pair = blob_model
-        for cfg in (PYRAMID3, replace(HAAR, parallel_weights=(1.0, 1.0))):
-            assert not band_path_ran(monkeypatch, pair, cfg, spec.image_shape)
+        for case_pair in (pair, many_modes[3]):
+            for cfg in (PYRAMID3, replace(HAAR, parallel_weights=(1.0, 1.0))):
+                assert not band_path_ran(monkeypatch, case_pair, cfg, spec.image_shape)
 
     def test_other_pairs_and_guidance_take_the_band_path(self, blob_model, many_modes, monkeypatch):
         spec, mix, labels, pair = blob_model
+        factored = many_modes[3]
         autoguided = build_pair(Config({"autoguide.enabled": "true"}), mix, labels)
         cases = {
             "parallel weight 0.5": (pair, replace(HAAR, parallel_weights=(0.5, 1.0))),
+            "factored, parallel weight 0.5": (factored, replace(HAAR, parallel_weights=(0.5, 1.0))),
             "hand-built pair": (DenoiserPair(cond=pair.cond, uncond=pair.uncond), HAAR),
             "autoguided pair": (autoguided, HAAR),
-            "factored mixture": (many_modes[3], HAAR),
         }
         for name, (case_pair, cfg) in cases.items():
             assert band_path_ran(monkeypatch, case_pair, cfg, spec.image_shape), name
-        assert band_path_ran(monkeypatch, pair, HAAR, spec.image_shape, recorder=NormRecorder())
+        for case_pair in (pair, factored):
+            assert band_path_ran(monkeypatch, case_pair, HAAR, spec.image_shape, recorder=NormRecorder())
         unequal = make_denoiser_pair(mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.6]), [0, 1])
         assert unequal.component_basis(HAAR) is None
         assert band_path_ran(monkeypatch, unequal, HAAR, SHAPE)
@@ -591,6 +613,19 @@ class TestComponentBasis:
                 guided_denoise(z, 1.0, 1.0, pair, cfg, condition=0)
         assert EXIT_CODES[exc.value.category] == 6
 
+    def test_factored_overflow_is_the_band_path_error(self):
+        """The factors lift finitely (c_1 = 0), but (s_0 - 1)·G_Δ times the
+        blobs of amplitude 10 does not: the band path raises."""
+        spec, mix, _, pair = model_of(overflow_spec())
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.5e308, 1.5e308))
+        assert mix.table is None and pair.component_basis(cfg) is not None
+        z = Tensor4(np.zeros((2,) + spec.image_shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="guided output overflows float64") as exc:
+                guided_denoise(z, 80.0, 1.0, pair, cfg, condition=0)
+        assert EXIT_CODES[exc.value.category] == 6
+
     def test_overflowing_lift_leaves_the_band_path(self):
         """M·means overflows, but Δ = 0 at z on a mean of the class: the band
         path gives d_c."""
@@ -603,6 +638,38 @@ class TestComponentBasis:
             assert pair.component_basis(cfg) is None
             out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
         assert np.array_equal(out.data, pair.cond(z, 0.2, 1).data)
+
+    def test_overflowing_factored_lift_leaves_the_band_path(self):
+        """c_1·P_{h,1}·rowsᵀ overflows for blobs of amplitude 10, but Δ = 0
+        at z on a mean of class 1, which alone has weight there: the band
+        path's bytes, d_c."""
+        spec, mix, labels, pair = model_of(overflow_spec())
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1e308))
+        z = Tensor4(all_means(mix)[[3, 9]])
+        assert labels[[3, 9]].tolist() == [1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair.component_basis(cfg) is None
+            out = guided_denoise(z, 0.02, 1.0, pair, cfg, condition=1)
+            d_c, d_u = pair.both(z, 0.02, 1)
+        assert np.array_equal(d_c.data, d_u.data)
+        assert out.data.tobytes() == freqcfg_combine(d_c, d_u, cfg).data.tobytes()
+        assert np.array_equal(out.data, pair.cond(z, 0.02, 1).data)
+
+
+@pytest.mark.parametrize("subset", ["mixture", "restricted"])
+def test_to_atoms_is_the_per_item_sum(many_modes, subset):
+    """``_to_atoms`` equals a per-item ``np.add.at`` over the cells exactly,
+    on the many-mode cells and on a restricted subset's unsorted cells."""
+    _, mix, _, _ = many_modes
+    if subset == "restricted":
+        mix = mix.restricted(np.random.default_rng(2).permutation(mix.n_components)[:300])
+    w = np.random.default_rng(3).random((5, mix.n_components))
+    want = np.zeros((5, mix.n_atoms))
+    for b in range(5):
+        for t in range(mix.cells.shape[1]):
+            np.add.at(want[b], mix.cells[:, t], w[b])
+    assert analytic._to_atoms(w, mix.cells, mix.n_atoms).tobytes() == want.tobytes()
 
 
 class TestCachedConstants:

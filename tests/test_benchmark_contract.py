@@ -5,8 +5,9 @@ workload marks set-up done at the first call of its ``ready_at`` name in
 package names with keywords.  An untraced run would not notice a renamed
 traced name, so these tests read those files (without running them) and
 look the names up.
-They also hold the guided workloads to the component-basis step, which a
-change that sent them back to the band engine would slow down unnoticed.
+They also hold the guided workloads, dense and factored, to the
+component-basis step, which a change that sent them back to the band
+engine would slow down unnoticed.
 """
 
 import ast
@@ -150,20 +151,22 @@ def test_guided_workloads_take_the_component_path(workloads, monkeypatch, build)
     assert 3 not in batches
 
 
-def test_many_mode_guided_evaluation_is_one_joint_call(workloads, monkeypatch):
-    """sample-manymodes, whose mixture is factored, takes the band path: each
-    guided evaluation is one ``posterior_mean`` call for both predictions,
-    the call the traced ``analytic.posterior_mean.calls`` counts."""
+def test_many_mode_guided_evaluation_takes_the_component_path(workloads, monkeypatch):
+    """sample-manymodes, whose mixture is factored, steps in the lifted
+    factors of its planes: a guided evaluation calls no ``posterior_mean``,
+    so the traced ``analytic.posterior_mean.calls`` reads 0, and combines
+    no batch."""
     pair, (cfg,), condition = library_workload(workloads, "sample-manymodes")
-    assert pair.mix.table is None and pair.component_basis(cfg) is None
-    real, subsets = analytic.posterior_mean, []
+    assert pair.mix.table is None and pair.component_basis(cfg) is not None
+    real, calls = analytic.posterior_mean, []
 
     def spy(*args, **kwargs):
-        subsets.append(kwargs.get("subset"))
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "posterior_mean", spy)
+    batches = spy_combine_batches(monkeypatch)
     z = Tensor4(np.random.default_rng(0).standard_normal((3,) + pair.mix.image_shape))
     for sigma in (80.0, 1.0):
         guided_denoise(z, sigma, 1.0, pair, cfg, condition=condition)
-    assert subsets == [pair.class_mixture(condition)] * 2
+    assert calls == [] and batches == []

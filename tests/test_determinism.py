@@ -41,6 +41,15 @@ guidance.transform = haar
 guidance.scales = 3,1.5
 """.format(centers=",".join(f"{r + 0.5}:{c + 0.5}" for r in range(0, 32, 2) for c in range(0, 32, 2)))
 
+HAAR_GUIDANCE = "guidance.transform = haar\nguidance.scales = 3,1.5\n"
+MANY_MODES_GUIDANCE = {
+    "haar": MANY_MODES,
+    "pyramid2_unit_weights": MANY_MODES.replace(
+        HAAR_GUIDANCE, "guidance.transform = pyramid\nguidance.levels = 2\nguidance.scales = 3,2,1.5\n"
+    ),
+}
+assert HAAR_GUIDANCE in MANY_MODES
+
 
 def run_cli(tmp_path, name, env_var, value, argv):
     """Outputs of ``freqguide argv --out <file>`` run with ``env_var=value``."""
@@ -73,12 +82,14 @@ def test_sample_rerun_identical_across_blas_threads(tmp_path, name):
     assert one == two
 
 
+@pytest.mark.parametrize("guidance", sorted(MANY_MODES_GUIDANCE))
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_factored_sample_is_batch_invariant(tmp_path, threads):
-    """On the many-mode model, whose denoiser runs on separable factors,
-    items 0-2 have the same bytes in a batch of 3 and in a batch of 64."""
+def test_factored_sample_is_batch_invariant(tmp_path, threads, guidance):
+    """On the many-mode model, whose denoiser and component step run on
+    separable factors, items 0-2 have the same bytes in a batch of 3 and in
+    a batch of 64."""
     cfg = tmp_path / "many_modes.cfg"
-    cfg.write_text(MANY_MODES)
+    cfg.write_text(MANY_MODES_GUIDANCE[guidance])
     outs = []
     for batch in ("3", "64"):
         argv = ("sample", "--config", str(cfg), "--seed", "5", "--steps", "6", "--batch", batch)

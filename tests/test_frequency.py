@@ -352,6 +352,47 @@ class TestEngineMatrices:
         assert np.abs(u - expected).max() < 1e-14
 
 
+class TestLowPassOperators:
+    """U^k D^k as per-axis matrices: outer(P_{h,k}·u, P_{w,k}·v) is k
+    down-steps and then k up-steps of the plane outer(u, v)."""
+
+    @pytest.mark.parametrize(
+        "kind, h, w",
+        [
+            (TransformKind.pyramid(1), 32, 32),
+            (TransformKind.pyramid(2), 32, 32),
+            (TransformKind.pyramid(3), 32, 32),
+            (TransformKind.pyramid(2), 33, 35),
+            (TransformKind.haar(), 32, 32),
+        ],
+    )
+    def test_planes_match_the_engine(self, kind, h, w):
+        gen = np.random.default_rng(7)
+        ops = frequency.low_pass_operators(kind, h, w)
+        assert len(ops) == kind.band_count - 1
+        for _ in range(3):
+            u, v = gen.standard_normal(h), gen.standard_normal(w)
+            chain = low_pass_chain(np.outer(u, v)[None, None], kind)
+            for k, (p_h, p_w) in enumerate(ops, 1):
+                want = chain[k]
+                for j in range(k, 0, -1):
+                    want = up_step(want, chain[j - 1].shape[2:], kind)
+                got = np.outer(p_h @ u, p_w @ v)
+                assert np.abs(got - want[0, 0]).max() <= 1e-15 * np.abs(want).max()
+
+    def test_haar_is_the_block_mean(self):
+        ((p_h, p_w),) = frequency.low_pass_operators(TransformKind.haar(), 4, 6)
+        x = rng.uniform(-2, 2, (4, 6))
+        means = x.reshape(2, 2, 3, 2).mean(axis=(1, 3))
+        assert np.abs(p_h @ x @ p_w.T - np.kron(means, np.ones((2, 2)))).max() <= 1e-15
+
+    def test_sizes_the_kind_cannot_decompose(self):
+        with pytest.raises(ShapeError):
+            frequency.low_pass_operators(TransformKind.haar(), 5, 6)
+        with pytest.raises(ShapeError):
+            frequency.low_pass_operators(TransformKind.pyramid(3), 16, 32)
+
+
 @st.composite
 def transform_cases(draw):
     """(kind, dims, seed) with sizes the kind accepts, odd pyramid sizes included."""
