@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .frequency import low_pass_operators
-from .guidance import DenoiserPair, GuidanceConfig, freqcfg_combine
+from .guidance import DenoiserPair, GuidanceConfig, operator
 from .tensor import Tensor4, Workspace, blocks
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -258,22 +257,28 @@ def _to_atoms(w: np.ndarray, cells: np.ndarray, n_atoms: int) -> np.ndarray:
     return grid.reshape(b, n_atoms)
 
 
-def _synthesize(
-    w: np.ndarray, z_coef: np.ndarray, zf: np.ndarray, mix: IsotropicGaussianMixture, out: np.ndarray, work: Workspace
+def _atom_product(
+    coef: np.ndarray, basis, z_coef: np.ndarray, zf: np.ndarray, out: np.ndarray, work: Workspace
 ) -> None:
-    """The posterior mean Σ_k w_bk m_k + z_coef_b·z_b into (B, C, H, W)
-    ``out``, for flat (B, D) ``zf``: the weights on the atoms times
-    ``table``, or, as an (nr, nq) grid per item, the plane rowsᵀ · grid ·
-    cols, which every channel repeats, added to z_coef·z."""
+    """``coef`` (B, T·A), weights on T blocks of A atoms, times ``basis``,
+    plus z_coef_b·z_b, into (B, C, H, W) ``out`` for flat (B, D) ``zf``: one
+    product with a dense (T·A, D) basis.  Factors (left, right) of n lifts
+    of the planes read block t of an item as an (nr, nq) grid G_t, and every
+    channel gets the plane left·[G_0·right_0; G_{T-1}·right_1; …].  T = n = 1
+    for the posterior mean, T = 2 for a guided step."""
     b, c = out.shape[:2]
-    atoms = _to_atoms(w, mix.cells, mix.n_atoms)
-    if mix.table is not None:
-        flat = np.matmul(atoms, mix.table, out=out.reshape(b, -1))
+    if isinstance(basis, np.ndarray):
+        flat = np.matmul(coef, basis, out=out.reshape(b, -1))
         flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
-    else:
-        grid = atoms.reshape(b, len(mix.rows), len(mix.cols))
-        channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
-        channels += (mix.rows.T @ grid @ mix.cols).reshape(b, 1, -1)
+        return
+    left, right = basis
+    n, nq, width = right.shape
+    grids = coef.reshape(b, -1, left.shape[1] // n, nq)
+    lifted = work.get("lifted", (b, n, grids.shape[2], width))
+    np.matmul(grids[:, 0], right[0], out=lifted[:, 0])
+    np.matmul(grids[:, 1:], right[1:], out=lifted[:, 1:])
+    channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
+    channels += (left @ lifted.reshape(b, -1, width)).reshape(b, 1, -1)
 
 
 def _checked(out: np.ndarray, sigma: float) -> Tensor4:
@@ -294,7 +299,7 @@ def posterior_mean(
     ``restricted`` subset, at any depth, or ``mix`` itself), makes the call
     return ``(E under subset, E under mix)`` from one pass of atom dots,
     the way a neural CFG step evaluates both predictions in one doubled
-    batch.  The outputs and a dense mixture's z_coef·z term go to ``work``
+    batch.  The outputs and the scratch of ``_atom_product`` go to ``work``
     (a new ``Workspace`` when None).  Raises ``DomainError`` when ‖z‖², σ²
     or the output overflows float64.
     """
@@ -311,61 +316,38 @@ def posterior_mean(
     sides = [mix] if subset is None else [mix, subset]
     zf = z.data.reshape(z.dims[0], -1)  # (B, D)
     outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
+    atoms = mix.table if mix.table is not None else (mix.rows.T, mix.cols[None])
     with np.errstate(over="ignore", invalid="ignore"):
         for (w, z_coef), side, out in zip(_side_weights(zf, sigma, sides), sides, outs):
-            _synthesize(w, z_coef, zf, side, out, work)
+            _atom_product(_to_atoms(w, side.cells, mix.n_atoms), atoms, z_coef, zf, out, work)
         full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
 
 
-def _component_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
-    """[atoms; M·atoms] over the A atoms of ``mix``, read-only, where M·x =
-    freqcfg_combine(x, 0) - x is the per-band CFG operator of ``cfg`` at
-    unit parallel weights; None when M·atoms overflows.
+def _lifted_basis(mix: IsotropicGaussianMixture, terms: list) -> np.ndarray | tuple | None:
+    """[atoms; L·atoms] over the A atoms of ``mix``, read-only, where L =
+    Σ_k c_k·P_{h,k} ⊗ P_{w,k} applies the ``terms`` of ``guidance.operator``
+    to every plane; None when a part is not finite.
 
-    For a dense ``mix`` this is the (2A, D) array [table; M·table], M·x
-    taken as freqcfg_combine(0, -x), whose d_c is zero, so no x is added
-    and taken away again; the atoms go through in ``tensor.blocks``.  A
-    factored ``mix`` gets ``_plane_basis``."""
-    if mix.table is None:
-        return _plane_basis(mix, cfg)
-    table, a = mix.table, len(mix.table)
-    basis = np.empty((2 * a, mix.dim))
-    work = Workspace()
-    for items in blocks(a, mix.image_shape):
-        i, j = items.start, items.stop
-        atoms = table[i:j].reshape((j - i,) + mix.image_shape)
-        try:
-            lifted = freqcfg_combine(Tensor4(np.zeros_like(atoms)), Tensor4(-atoms), cfg, work=work)
-        except DomainError:
-            return None
-        basis[i:j] = table[i:j]
-        basis[a + i : a + j] = lifted.data.reshape(j - i, -1)
-    basis.flags.writeable = False
-    return basis
-
-
-def _plane_basis(mix: IsotropicGaussianMixture, cfg: GuidanceConfig) -> tuple | None:
-    """The separable form of [atoms; M·atoms] for the planes
-    outer(rows[r], cols[q]) of a factored ``mix``.
-
-    M = (s_0 - 1)·I + Σ_k c_k·U^k D^k with c_k = s_k - s_{k-1}, and U^k D^k
-    is P_{h,k} ⊗ P_{w,k} on every plane (``low_pass_operators``).  So for
-    (nr, nq) weight grids G_c and G_Δ on the planes, the plane of
-    d_c + M·Δ, less its z_coef·z, is
-    rowsᵀ·(G_c + (s_0 - 1)·G_Δ)·cols + Σ_k (c_k·P_{h,k}·rowsᵀ)·G_Δ·(cols·P_{w,k}ᵀ).
-    Returns the read-only lifted factors ``left`` (H, (N+1)·nr),
-    [rowsᵀ | c_1·P_{h,1}·rowsᵀ | …], and ``right`` (N+1, nq, W),
-    [cols; cols·P_{w,1}ᵀ; …], then s_0 - 1; None when a factor overflows."""
-    s, rows_t = cfg.scales, mix.rows.T
-    ops = low_pass_operators(cfg.transform, *mix.image_shape[1:])
+    For a dense ``mix`` this is the (2A, D) array [table; L·table], lifted an
+    atom at a time so that the build holds no other array of its size.  For
+    a factored one it is the lifted factors of its planes outer(rows[r],
+    cols[q]): ``left`` (H, (N+1)·nr), [rowsᵀ | c_1·P_{h,1}·rowsᵀ | …], and
+    ``right`` (N+1, nq, W), [cols; cols·P_{w,1}ᵀ; …]."""
     with np.errstate(over="ignore", invalid="ignore"):
-        left = np.hstack([rows_t] + [(s[k] - s[k - 1]) * (p_h @ rows_t) for k, (p_h, _) in enumerate(ops, 1)])
-        right = np.stack([mix.cols] + [mix.cols @ p_w.T for _, p_w in ops])
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        if mix.table is None:
+            left = np.hstack([mix.rows.T] + [c * (p_h @ mix.rows.T) for c, p_h, _ in terms])
+            parts = (left, np.stack([mix.cols] + [mix.cols @ p_w.T for _, _, p_w in terms]))
+        else:
+            basis = np.concatenate([mix.table, mix.table])
+            for planes, lifted in zip(mix.table.reshape((-1,) + mix.image_shape), basis[len(mix.table) :]):
+                lifted[:] = sum(c * (p_h @ planes @ p_w.T) for c, p_h, p_w in terms).ravel()
+            parts = (basis,)
+    if not all(np.isfinite(part).all() for part in parts):
         return None
-    left.flags.writeable = right.flags.writeable = False
-    return left, right, s[0] - 1.0
+    for part in parts:
+        part.flags.writeable = False
+    return parts if len(parts) > 1 else parts[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,18 +355,17 @@ class _MixturePair(DenoiserPair):
     """Pair from one mixture whose ``both`` shares a single pass of atom
     dots, and whose ``guided`` works in the basis of the mixture's atoms.
 
-    With unit parallel weights per-band CFG is linear in Δ = d_c - d_u:
-    guided = d_c + M·Δ.  When all the mixture's components share one scale,
-    z_coef·z is the same in d_c and d_u, so Δ is the atoms weighted by
-    c_c - c_u, where c_c and c_u are the weights of each side on the atoms
-    (``_to_atoms``), and a guided step is [c_c | c_c - c_u] against
-    [atoms; M·atoms] (``_component_basis``) plus z_coef_c·z, with no band
-    transform.  For a mixture given its means that is one (B, 2A) product
-    with [table; M·table]; for a factored mixture a few products per item
-    with the lifted factors of its planes.  ``bases`` keeps the basis of the
-    last guidance (transform, scales) asked for.  Other pairs of mixture
-    and guidance, a null condition and an output that overflows take the
-    band path of ``DenoiserPair.guided``, which raises its own errors.
+    At unit parallel weights per-band CFG is d_c + M·Δ, Δ = d_c - d_u, with
+    M = (s_0 - 1)·I + L (``guidance.operator``).  When all the mixture's
+    components share one scale, z_coef·z is the same in d_c and d_u, so Δ
+    is the atoms weighted by Δc = c_c - c_u, the difference of the two
+    sides' weights on the atoms (``_to_atoms``).  A guided step is then
+    ``posterior_mean``'s ``_atom_product`` with [c_c + (s_0 - 1)·Δc | Δc]
+    against [atoms; L·atoms] (``_lifted_basis``), and no band transform.
+    ``bases`` keeps the basis of the last guidance (transform, scales) asked
+    for.  Other pairs of mixture and guidance, a null condition and an
+    output that overflows take the band path of ``DenoiserPair.guided``,
+    which raises its own errors.
 
     ``by_class`` maps each class id to its subset of ``mix``, built with
     the pair and sharing its atoms.  The lock guards only the basis cache,
@@ -411,7 +392,7 @@ class _MixturePair(DenoiserPair):
         return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
 
     def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
-        """[atoms; M·atoms] for ``cfg`` (``_component_basis``), or None when
+        """[atoms; L·atoms] for ``cfg`` (``_lifted_basis``), or None when
         a guided step under ``cfg`` cannot run in the atom basis."""
         mix = self.mix
         if np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
@@ -420,7 +401,7 @@ class _MixturePair(DenoiserPair):
         with self.lock:
             if key not in self.bases:
                 self.bases.clear()
-                self.bases[key] = _component_basis(mix, cfg)
+                self.bases[key] = _lifted_basis(mix, operator(cfg, *mix.image_shape[1:])[1])
             return self.bases[key]
 
     def guided(
@@ -432,22 +413,21 @@ class _MixturePair(DenoiserPair):
         # anything else, and an output that overflows, goes to the band path, which raises its own errors
         if basis is not None:
             work = Workspace() if work is None else work
-            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, work)
+            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, cfg, work)
             if np.isfinite(out).all():
                 return Tensor4(out, checked=True)
         return super().guided(z, sigma, condition, cfg, work=work)
 
 
 def _component_guided(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, work: Workspace
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, cfg: GuidanceConfig, work: Workspace
 ) -> np.ndarray:
-    """[c_c | c_c - c_u] against ``basis``, the ``_component_basis`` of
-    ``mix``, plus z_coef_c·z into ``work`` array ``"guided"``:
+    """d_c + M·Δ under ``cfg`` into ``work`` array ``"guided"``:
     ``posterior_mean``'s prelude gives the weights of ``subset`` and
-    ``mix``, which ``_to_atoms`` takes to the A atoms as c_c and c_u.  A
-    factored ``mix`` reads them as (nr, nq) grids G_c and G_Δ, every product
-    per item.  Raises the prelude's ``DomainError``; the output is not
-    checked finite."""
+    ``mix``, which ``_to_atoms`` takes to the A atoms as c_c and c_u, and
+    [c_c + (s_0 - 1)·Δc | Δc], Δc = c_c - c_u, goes against ``basis``
+    [atoms; L·atoms].  Raises the prelude's ``DomainError``; the output is
+    not checked finite."""
     b, a = z.dims[0], mix.n_atoms
     zf = z.data.reshape(b, -1)
     out = work.get("guided", z.dims)
@@ -456,19 +436,8 @@ def _component_guided(
         coef = work.get("coef", (b, 2 * a))
         coef[:, :a] = _to_atoms(w_c, subset.cells, a)
         np.subtract(coef[:, :a], _to_atoms(w_u, mix.cells, a), out=coef[:, a:])
-        if mix.table is not None:
-            flat = np.matmul(coef, basis, out=out.reshape(zf.shape))
-            flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
-        else:
-            left, right, gain = basis
-            c, _, width = mix.image_shape
-            grids = coef.reshape(b, 2, len(mix.rows), len(mix.cols))
-            grids[:, 0] += gain * grids[:, 1]  # G_c + (s_0 - 1)·G_Δ
-            lifted = work.get("lifted", (b, len(right), len(mix.rows), width))
-            np.matmul(grids[:, 0], right[0], out=lifted[:, 0])
-            np.matmul(grids[:, 1:], right[1:], out=lifted[:, 1:])
-            channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
-            channels += (left @ lifted.reshape(b, -1, width)).reshape(b, 1, -1)
+        coef[:, :a] += (cfg.scales[0] - 1.0) * coef[:, a:]
+        _atom_product(coef, basis, z_coef, zf, out, work)
     return out
 
 

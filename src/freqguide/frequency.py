@@ -13,11 +13,12 @@ with read-only per-axis matrices built once per size (``lru_cache``):
 * Haar ``[L; H]``: pair sums over pair differences, so one call yields the
   four subbands as quadrants.
 
-``low_pass_chain`` and ``up_step`` are the down/up steps alone, the only
-steps guidance runs; they write every image-sized result into named arrays
-of a ``Workspace``.  ``analyze``/``synthesize`` are ``transform_bands``/
-``inverse_bands`` on raw arrays, the band-space reference, and return new
-arrays.
+``low_pass_chain`` and ``up_step`` are the down/up steps alone, which the
+band path of guidance runs; they write every image-sized result into named
+arrays of a ``Workspace``.  ``low_pass_operators`` gives U^k D^k as
+per-axis matrices, for ``guidance.operator``.  ``analyze``/``synthesize``
+are ``transform_bands``/``inverse_bands`` on raw arrays, the band-space
+reference, and return new arrays.
 """
 
 from __future__ import annotations

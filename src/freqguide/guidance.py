@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import TransformKind, analyze, chain_band, low_pass_chain, up_step
+from .frequency import TransformKind, analyze, chain_band, low_pass_chain, low_pass_operators, up_step
 from .tensor import Tensor4, Workspace
 
 
@@ -31,26 +31,30 @@ class GuidanceConfig:
     interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        scales = tuple(float(s) for s in self.scales)
-        object.__setattr__(self, "scales", scales)
+        scales = self._floats("scales")
         if len(scales) != self.transform.band_count:
-            raise UsageError(
-                f"{len(scales)} scales for a {self.transform.band_count}-band transform"
-            )
+            raise UsageError(f"{len(scales)} scales for a {self.transform.band_count}-band transform")
         if not all(np.isfinite(scales)):
             raise UsageError("scales must be finite")
         if self.parallel_weights is not None:
-            weights = tuple(float(w) for w in self.parallel_weights)
-            object.__setattr__(self, "parallel_weights", weights)
+            weights = self._floats("parallel_weights")
             if len(weights) != len(scales):
                 raise UsageError("parallel_weights length must match scales")
             if not all(np.isfinite(weights)):
                 raise UsageError("parallel_weights must be finite")
         if self.interval is not None:
-            t_start, t_end = (float(v) for v in self.interval)
-            object.__setattr__(self, "interval", (t_start, t_end))
-            if not (0.0 <= t_end < t_start <= 1.0):
-                raise UsageError(f"interval needs 0 <= t_end < t_start <= 1, got {self.interval}")
+            interval = self._floats("interval")
+            if len(interval) != 2 or not (0.0 <= interval[1] < interval[0] <= 1.0):
+                raise UsageError(f"interval needs 0 <= t_end < t_start <= 1, got {interval}")
+
+    def _floats(self, name: str) -> tuple[float, ...]:
+        """Field ``name`` as a tuple of floats, set in place."""
+        try:
+            values = tuple(float(v) for v in getattr(self, name))
+        except (TypeError, ValueError):
+            raise UsageError(f"{name} must be numbers, got {getattr(self, name)!r}") from None
+        object.__setattr__(self, name, values)
+        return values
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -232,6 +236,17 @@ def freqcfg_combine(
         if 0 in p:
             np.add(out, p[0], out=out)
         return Tensor4(_finite(np.add(out, correction, out=out)), checked=True)
+
+
+def operator(cfg: GuidanceConfig, height: int, width: int) -> tuple[float, list]:
+    """Per-band CFG at unit parallel weights on height x width planes as
+    d_c + M·Δ, M = (s_0 - 1)·I + Σ_k c_k·P_{h,k} ⊗ P_{w,k}, c_k = s_k - s_{k-1},
+    where P_{h,k} @ x @ P_{w,k}ᵀ is U^k D^k x (``low_pass_operators``, which
+    raises for sizes the transform cannot decompose).  Returns s_0 - 1 and
+    [(c_k, P_{h,k}, P_{w,k}) for k = 1..N]."""
+    s = cfg.scales
+    ops = low_pass_operators(cfg.transform, height, width)
+    return s[0] - 1.0, [(s[k] - s[k - 1], p_h, p_w) for k, (p_h, p_w) in enumerate(ops, 1)]
 
 
 def guided_denoise(

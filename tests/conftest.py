@@ -9,7 +9,6 @@ from freqguide import (
     DenoiserPair,
     NoiseSchedule,
     SampleRunConfig,
-    analytic,
     blob_mixture_from_spec,
     class_labels,
     freqcfg_combine,
@@ -81,9 +80,8 @@ def fqg1_bytes(values, code=0, ndim=4, magic=b"FQG1") -> bytes:
 
 
 def spy_combine_batches(monkeypatch) -> list:
-    """The batch size of each later ``freqcfg_combine`` call, made by the
-    band path (through ``guidance``) or by the build of a component basis
-    (through ``analytic``), in call order."""
+    """The batch size of each later ``freqcfg_combine`` call by the band
+    path, in call order."""
     batches = []
     real = guidance.freqcfg_combine
 
@@ -91,8 +89,7 @@ def spy_combine_batches(monkeypatch) -> list:
         batches.append(d_c.dims[0])
         return real(d_c, d_u, cfg, work=work)
 
-    for module in (guidance, analytic):
-        monkeypatch.setattr(module, "freqcfg_combine", spy)
+    monkeypatch.setattr(guidance, "freqcfg_combine", spy)
     return batches
 
 

@@ -439,8 +439,7 @@ class TestJointEvaluation:
 
 def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
     """Whether one guided evaluation of a batch of 3 ran ``freqcfg_combine``
-    on that batch.  A dense component basis also calls it, once per
-    guidance, on the mixture's means, of another batch size here."""
+    on that batch."""
     batches = spy_combine_batches(monkeypatch)
     z = Tensor4(np.random.default_rng(8).standard_normal((3,) + shape))
     guided_denoise(z, 0.5, 1.0, pair, cfg, condition=0, recorder=recorder)
@@ -513,8 +512,9 @@ class TestComponentBasis:
         assert basis.shape == (2 * k, mix.dim) and not basis.flags.writeable
         assert pair.component_basis(replace(PYRAMID3, parallel_weights=(1.0,) * 4)) is basis
         assert np.array_equal(basis[:k], mix.table)
-        means = Tensor4(mix.means)
-        lifted = freqcfg_combine(means, Tensor4(np.zeros_like(mix.means)), PYRAMID3).data - mix.means
+        # L·x = M·x - (s_0 - 1)·x, with M·x = freqcfg_combine(x, 0) - x
+        guided = freqcfg_combine(Tensor4(mix.means), Tensor4(np.zeros_like(mix.means)), PYRAMID3).data
+        lifted = guided - PYRAMID3.scales[0] * mix.means
         assert np.abs(basis[k:] - lifted.reshape(k, -1)).max() <= 1e-14
         # the pair keeps the basis of the last guidance only
         assert pair.component_basis(HAAR) is not basis and list(pair.bases) == [(HAAR.transform, HAAR.scales)]
@@ -525,8 +525,8 @@ class TestComponentBasis:
         (2A, D) array, and give M·plane for every plane: (s_0 - 1)·plane
         plus Σ_k outer(column r of left block k, row q of right block k)."""
         spec, mix, _, pair = many_modes
-        left, right, gain = basis = pair.component_basis(cfg)
-        assert pair.component_basis(cfg) is basis and gain == cfg.scales[0] - 1.0
+        left, right = basis = pair.component_basis(cfg)
+        assert pair.component_basis(cfg) is basis
         nr, nq, (c, h, w), n = len(mix.rows), len(mix.cols), spec.image_shape, len(cfg.scales) - 1
         assert left.shape == (h, (n + 1) * nr) and right.shape == (n + 1, nq, w)
         assert not (left.flags.writeable or right.flags.writeable)
@@ -536,7 +536,7 @@ class TestComponentBasis:
         atoms = np.repeat(planes.reshape(-1, 1, h, w), c, axis=1)
         want = freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - atoms
         blocks = left.reshape(h, n + 1, nr)
-        got = gain * planes + np.einsum("hkr,kqw->rqhw", blocks[:, 1:], right[1:])
+        got = (cfg.scales[0] - 1.0) * planes + np.einsum("hkr,kqw->rqhw", blocks[:, 1:], right[1:])
         assert np.abs(got.reshape(-1, 1, h, w) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_threads_alternating_guidance_get_their_own_basis(self):
@@ -627,11 +627,11 @@ class TestComponentBasis:
         assert EXIT_CODES[exc.value.category] == 6
 
     def test_overflowing_lift_leaves_the_band_path(self):
-        """M·means overflows, but Δ = 0 at z on a mean of the class: the band
+        """L·means overflows, but Δ = 0 at z on a mean of the class: the band
         path gives d_c."""
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 10.0)]), [0.1, 0.1])
         pair = make_denoiser_pair(mix, [0, 1])
-        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1e308, 1e308))
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1e308))
         z = Tensor4(np.full((1,) + SHAPE, 10.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

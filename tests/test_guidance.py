@@ -18,6 +18,7 @@ from freqguide import (
     crossover_step,
     freqcfg_combine,
     freqcfg_combine_bands,
+    guidance,
     guided_denoise,
     inverse_bands,
     project,
@@ -70,6 +71,30 @@ class TestCfgCombine:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             plain_cfg(rand((1, 1, 8, 8)), rand((1, 1, 8, 10)), 2.0, TransformKind.haar())
+
+
+class TestOperator:
+    """``guidance.operator`` is per-band CFG at unit parallel weights as
+    one linear map: M·x = freqcfg_combine(x, 0) - x."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["pyramid1", "pyramid2", "pyramid3", "haar"]),
+        size=st.tuples(st.integers(32, 40), st.integers(32, 40)),
+        scales=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_band_recursion(self, kind, size, scales, seed):
+        transform = TransformKind.haar() if kind == "haar" else TransformKind.pyramid(int(kind[-1]))
+        h, w = (2 * (n // 2) for n in size) if kind == "haar" else size
+        cfg = GuidanceConfig(transform=transform, scales=scales[: transform.band_count])
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, 3, h, w))
+        gain, terms = guidance.operator(cfg, h, w)
+        assert gain == cfg.scales[0] - 1.0 and len(terms) == transform.band_count - 1
+        got = gain * x + sum(c * (p_h @ x @ p_w.T) for c, p_h, p_w in terms)
+        want = freqcfg_combine(Tensor4(x), Tensor4(np.zeros_like(x)), cfg).data - x
+        bound = 1e-13 * np.abs(x).max() * max(1.0, *np.abs(cfg.scales))
+        assert np.abs(got - want).max() <= bound
 
 
 class TestProject:
@@ -469,6 +494,9 @@ class TestGuidanceConfigValidation:
             GuidanceConfig(
                 transform=TransformKind.haar(), scales=(1.0, 1.0), interval=(1.2, 0.1)
             )
+        for interval in [(1.0, 0.5, 0.2), (0.5,), ("a", 0.2)]:
+            with pytest.raises(UsageError, match="interval"):
+                GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0), interval=interval)
 
     def test_weight_length(self):
         with pytest.raises(UsageError):
@@ -479,3 +507,5 @@ class TestGuidanceConfigValidation:
     def test_non_finite_scales(self):
         with pytest.raises(UsageError):
             GuidanceConfig(transform=TransformKind.haar(), scales=(np.inf, 1.0))
+        with pytest.raises(UsageError, match="scales must be numbers"):
+            GuidanceConfig(transform=TransformKind.haar(), scales=("a", 1.0))
