@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, operator
-from .tensor import Tensor4, Workspace, blocks
+from .tensor import Tensor4, Workspace, blocks, philox
 
 LOG_2PI = math.log(2.0 * math.pi)
 # below this np.exp returns a subnormal, which is slow to compute and which a
@@ -467,12 +467,12 @@ def degrade(
     mix: IsotropicGaussianMixture, jitter_scale: float, inflate_factor: float, seed: int
 ) -> IsotropicGaussianMixture:
     """Deliberately worsened mixture: means jittered by seeded Gaussian noise,
-    scales inflated; weights untouched."""
+    scales inflated; weights untouched; a seed outside [0, 2**128) is a ``UsageError``."""
     if jitter_scale < 0:
         raise DomainError("jitter_scale must be >= 0")
     if inflate_factor < 1:
         raise DomainError("inflate_factor must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    gen = philox(int(seed))
     # a chunk at a time: consecutive draws from one stream are the one whole draw
     means = np.empty((mix.n_components,) + mix.image_shape)
     for items, chunk in mix.mean_chunks():

@@ -202,12 +202,11 @@ def build_pair(cfg: Config, mix: IsotropicGaussianMixture, labels) -> DenoiserPa
         jitter = cfg.get_float("autoguide.jitter_rel") * mean_norm
     else:
         jitter = cfg.get_float("autoguide.jitter", 0.0)
-    degraded = degrade(
-        mix,
-        jitter_scale=jitter,
-        inflate_factor=cfg.get_float("autoguide.inflate", 1.5),
-        seed=cfg.get_int("autoguide.seed", 1),
-    )
+    inflate, seed = cfg.get_float("autoguide.inflate", 1.5), cfg.get_int("autoguide.seed", 1)
+    try:
+        degraded = degrade(mix, jitter_scale=jitter, inflate_factor=inflate, seed=seed)
+    except UsageError as exc:
+        raise ConfigError(f"autoguide.seed: {exc}") from exc
     return DenoiserPair(cond=pair.cond, uncond=lambda z, s: posterior_mean(z, s, degraded))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
-from .tensor import Tensor4, Workspace, blocks
+from .tensor import Tensor4, Workspace, blocks, philox
 
 _MAX_SEED = 2**63
 
@@ -99,9 +99,9 @@ class SampleRunConfig:
 
 
 def item_noise(seed: int, item: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Standard normal draw from the counter-based stream keyed by (seed, item)."""
-    gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(item)))
-    return gen.standard_normal(shape)
+    """Standard normal draw from the counter-based stream keyed by (seed,
+    item); raises ``UsageError`` when (seed << 64) + item leaves [0, 2**128)."""
+    return philox((int(seed) << 64) + int(item)).standard_normal(shape)
 
 
 def initial_noise(
@@ -109,7 +109,7 @@ def initial_noise(
 ) -> Tensor4:
     """sigma_max * eps for items first..first+batch-1, with one RNG stream per
     item, so batch size and blocking never perturb an item's noise.  Raises
-    ``DomainError`` when it overflows float64."""
+    ``DomainError`` when it overflows float64, ``UsageError`` as ``item_noise``."""
     eps = np.stack([item_noise(seed, i, shape) for i in range(first, first + batch)])
     with np.errstate(over="ignore"):
         z = np.multiply(sigma_max, eps, out=eps)

@@ -13,12 +13,13 @@ with read-only per-axis matrices built once per size (``lru_cache``):
 * Haar ``[L; H]``: pair sums over pair differences, so one call yields the
   four subbands as quadrants.
 
-``low_pass_chain`` and ``up_step`` are the down/up steps alone, which the
-band path of guidance runs; they write every image-sized result into named
-arrays of a ``Workspace``.  ``low_pass_operators`` gives U^k D^k as
-per-axis matrices, for ``guidance.operator``.  ``analyze``/``synthesize``
-are ``transform_bands``/``inverse_bands`` on raw arrays, the band-space
-reference, and return new arrays.
+The step table ``step_matrices`` is the one place these are chosen: per
+size, (D_h, D_w, U_h, U_w) for each of the N down/up steps.  Every band
+operation reads it: ``low_pass_chain``, ``up_step`` and ``chain_band`` (the
+band path of guidance; each writes into named ``Workspace`` arrays),
+``low_pass_operators`` (U^k D^k per axis, for ``guidance.operator``) and
+pyramid ``synthesize``.  ``analyze``/``synthesize`` are ``transform_bands``/
+``inverse_bands`` on raw arrays, the band-space reference, into new arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class TransformKind:
     def __post_init__(self):
         if self.kind not in ("pyramid", "haar"):
             raise UsageError(f"unknown transform kind {self.kind!r}")
+        if isinstance(self.levels, bool) or not isinstance(self.levels, (int, np.integer)):
+            raise UsageError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 1:
             raise UsageError("levels must be >= 1")
         if self.kind == "haar" and self.levels != 1:
@@ -84,12 +87,10 @@ def _blur_matrix(n: int) -> np.ndarray:
     return _frozen(mat)
 
 
-@functools.lru_cache(maxsize=None)
 def _down_matrix(n: int) -> np.ndarray:
     return _frozen(_blur_matrix(n)[::2])
 
 
-@functools.lru_cache(maxsize=None)
 def _up_matrix(n: int, m: int) -> np.ndarray:
     return _frozen(2.0 * _blur_matrix(2 * m)[:n, ::2])
 
@@ -108,21 +109,6 @@ def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray, work: Workspace, n
     b, c, _, w = arr.shape
     left = np.matmul(a_h, arr, out=work.get(("left", len(a_h), w), (b, c, len(a_h), w)))
     return np.matmul(left, a_w.T, out=work.get(name, (b, c, len(a_h), len(a_w))))
-
-
-def _down(arr: np.ndarray, work: Workspace, name) -> np.ndarray:
-    h, w = arr.shape[2:]
-    return _apply(arr, _down_matrix(h), _down_matrix(w), work, name)
-
-
-def _up(arr: np.ndarray, target_hw, work: Workspace, name) -> np.ndarray:
-    h, w = arr.shape[2:]
-    th, tw = int(target_hw[0]), int(target_hw[1])
-    if th not in (2 * h, 2 * h - 1) or tw not in (2 * w, 2 * w - 1):
-        raise ShapeError(f"up-step target {th}x{tw} incompatible with input {h}x{w}")
-    if h < 3 or w < 3:
-        raise ShapeError(f"blur needs spatial dims >= 5, got {2 * h}x{2 * w}")
-    return _apply(arr, _up_matrix(th, h), _up_matrix(tw, w), work, name)
 
 
 def max_pyramid_levels(height: int, width: int) -> int:
@@ -146,6 +132,25 @@ def check_fit(kind: TransformKind, height: int, width: int):
         )
 
 
+@functools.lru_cache(maxsize=None)
+def step_matrices(kind: TransformKind, height: int, width: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The step table: (D_h, D_w, U_h, U_w) for each of the N steps of
+    ``kind`` on height x width images.  Step k takes D^k x to D^{k+1} x as
+    D_h @ x @ D_wᵀ and back as U_h @ y @ U_wᵀ: ``_down_matrix`` and
+    ``_up_matrix`` for the pyramid, Haar's ll rows and their transposes.
+    Raises the ``check_fit`` error for sizes ``kind`` cannot decompose."""
+    check_fit(kind, height, width)
+    if kind.kind == "haar":
+        d_h, d_w = (a[: n // 2] for a, n in zip(_haar(height, width), (height, width)))
+        return ((d_h, d_w, d_h.T, d_w.T),)
+    steps = []
+    for _ in range(kind.levels):
+        d_h, d_w = _down_matrix(height), _down_matrix(width)
+        steps.append((d_h, d_w, _up_matrix(height, len(d_h)), _up_matrix(width, len(d_w))))
+        height, width = len(d_h), len(d_w)
+    return tuple(steps)
+
+
 def low_pass_chain(
     arr: np.ndarray, kind: TransformKind, work: Workspace | None = None, tag: str = ""
 ) -> list[np.ndarray]:
@@ -156,53 +161,34 @@ def low_pass_chain(
     (a new ``Workspace`` when None, as for ``up_step``).  Raises the
     ``check_fit`` error for sizes ``kind`` cannot decompose.
     """
-    h, w = arr.shape[2:]
-    check_fit(kind, h, w)
     work = Workspace() if work is None else work
-    if kind.kind == "haar":
-        a_h, a_w = _haar(h, w)
-        return [arr, _apply(arr, a_h[: h // 2], a_w[: w // 2], work, tag + "down1")]
     chain = [arr]
-    for k in range(1, kind.levels + 1):
-        chain.append(_down(chain[-1], work, f"{tag}down{k}"))
+    for k, (d_h, d_w, _, _) in enumerate(step_matrices(kind, *arr.shape[2:]), 1):
+        chain.append(_apply(chain[-1], d_h, d_w, work, f"{tag}down{k}"))
     return chain
 
 
-def up_step(
-    arr: np.ndarray, target_hw, kind: TransformKind, work: Workspace | None = None, name="up"
-) -> np.ndarray:
-    """U, the synthesis partner of one down-step, into ``work`` array
-    ``name``: for the pyramid a gain-2 blur of the zero-stuffed double grid
-    cropped to ``target_hw``, for Haar ll-only synthesis (whose U D is the
-    2x2 block mean)."""
-    work = Workspace() if work is None else work
-    if kind.kind == "pyramid":
-        return _up(arr, target_hw, work, name)
-    h, w = arr.shape[2:]
-    a_h, a_w = _haar(*target_hw)
-    return _apply(arr, a_h[:h].T, a_w[:w].T, work, name)
+def up_step(arr: np.ndarray, step: tuple, work: Workspace | None = None, name="up") -> np.ndarray:
+    """U, the synthesis partner of the down-step ``step`` (an entry of
+    ``step_matrices``), into ``work`` array ``name``: for the pyramid a gain-2
+    blur of the zero-stuffed double grid cropped to the finer size, for Haar
+    ll-only synthesis (whose U D is the 2x2 block mean)."""
+    _, _, u_h, u_w = step
+    return _apply(arr, u_h, u_w, Workspace() if work is None else work, name)
 
 
 def low_pass_operators(kind: TransformKind, height: int, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """[(P_{h,k}, P_{w,k}) for k = 1..N]: the k down-steps of ``kind``
     followed by k ``up_step``s, U^k D^k, act on every (height, width) plane
-    x as P_{h,k} @ x @ P_{w,k}ᵀ.  Built from the engine's own per-axis
-    matrices; Haar's P_{h,1} ⊗ P_{w,1} is the 2x2 block mean.  Raises the
-    ``check_fit`` error for sizes ``kind`` cannot decompose."""
-    check_fit(kind, height, width)
-    if kind.kind == "haar":
-        halves = [a[: n // 2] for a, n in zip(_haar(height, width), (height, width))]
-        return [tuple(a.T @ a for a in halves)]
-    axes = []
-    for n in (height, width):
-        down, up, ops = np.eye(n), np.eye(n), []
-        for _ in range(kind.levels):
-            m = len(down)
-            down = _down_matrix(m) @ down
-            up = up @ _up_matrix(m, len(down))
-            ops.append(up @ down)
-        axes.append(ops)
-    return list(zip(*axes))
+    x as P_{h,k} @ x @ P_{w,k}ᵀ.  Built from the step table; Haar's
+    P_{h,1} ⊗ P_{w,1} is the 2x2 block mean.  Raises the ``check_fit`` error
+    for sizes ``kind`` cannot decompose."""
+    down = up = (np.eye(height), np.eye(width))
+    ops = []
+    for d_h, d_w, u_h, u_w in step_matrices(kind, height, width):
+        down, up = (d_h @ down[0], d_w @ down[1]), (up[0] @ u_h, up[1] @ u_w)
+        ops.append((up[0] @ down[0], up[1] @ down[1]))
+    return ops
 
 
 def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind, work: Workspace | None, name) -> np.ndarray:
@@ -212,7 +198,7 @@ def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind, work: Works
     synthesis of the lh/hl/hh coefficients."""
     if k == len(chain) - 1:
         return chain[k]
-    up = up_step(chain[k + 1], chain[k].shape[2:], kind, work, name)
+    up = up_step(chain[k + 1], step_matrices(kind, *chain[0].shape[2:])[k], work, name)
     return np.subtract(chain[k], up, out=up)
 
 
@@ -237,10 +223,13 @@ def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
     work = Workspace()
     *details, g = bands
     if kind.kind == "pyramid":
+        steps = step_matrices(kind, *details[0].shape[2:])
+        d_h, d_w, _, _ = steps[-1]
+        sizes = [(len(u_h), len(u_w)) for _, _, u_h, u_w in steps] + [(len(d_h), len(d_w))]
+        if [band.shape for band in bands] != [details[0].shape[:2] + size for size in sizes]:
+            raise ShapeError(f"band dims {[band.shape for band in bands]} do not chain from {details[0].shape}")
         for i in reversed(range(len(details))):
-            if details[i].shape[:2] != g.shape[:2]:
-                raise ShapeError(f"band dims {details[i].shape} inconsistent with residual chain {g.shape}")
-            up = _up(g, details[i].shape[2:], work, f"up{i}")
+            up = up_step(g, steps[i], work, f"up{i}")
             g = np.add(details[i], up, out=up)
         return g
     b, c, h, w = g.shape

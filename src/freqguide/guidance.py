@@ -9,7 +9,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import TransformKind, analyze, chain_band, low_pass_chain, low_pass_operators, up_step
+from .frequency import (
+    TransformKind, analyze, chain_band, low_pass_chain, low_pass_operators, step_matrices, up_step
+)
 from .tensor import Tensor4, Workspace
 
 
@@ -220,6 +222,7 @@ def freqcfg_combine(
     if work is None:
         work = Workspace()
     s, kind = cfg.scales, cfg.transform
+    steps = step_matrices(kind, *d_c.dims[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         # Δ, then the guided output
         out = np.subtract(d_c.data, d_u.data, out=work.get("guided", d_c.dims))
@@ -230,7 +233,7 @@ def freqcfg_combine(
             term = np.multiply(s[k] - s[k - 1], g[k], out=g[k])
             if k in p:
                 np.add(term, p[k], out=term)
-            correction = up_step(np.add(correction, term, out=term), g[k - 1].shape[2:], kind, work, f"up{k}")
+            correction = up_step(np.add(correction, term, out=term), steps[k - 1], work, f"up{k}")
         np.multiply(s[0] - 1.0, out, out=out)
         np.add(d_c.data, out, out=out)
         if 0 in p:

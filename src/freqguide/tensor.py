@@ -1,4 +1,4 @@
-"""Dense 4-D float64 arrays plus the FQG1 binary file format and CSV export.
+"""Dense 4-D float64 arrays, the FQG1 binary file format, CSV export and seeded RNG.
 
 Layout is fixed: (batch, channels, height, width), row-major, batch
 outermost.  Values are validated to be finite at every public boundary so
@@ -101,6 +101,14 @@ class Workspace:
             arr = self._arrays[name] = np.empty(shape)
         arr.flags.writeable = True
         return arr
+
+
+def philox(key: int) -> np.random.Generator:
+    """A generator on the counter-based Philox stream keyed by ``key``;
+    raises ``UsageError`` outside Philox's key range [0, 2**128)."""
+    if not 0 <= key < 2**128:
+        raise UsageError(f"RNG key {key} is outside Philox's range [0, 2**128)")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @contextlib.contextmanager

@@ -936,6 +936,14 @@ class TestDegrade:
         with pytest.raises(DomainError):
             degrade(mix, 0.0, 0.9, seed=0)
 
+    def test_seed_outside_the_philox_key_range_is_usage_error(self):
+        mix = mixture([1.0], np.zeros((1,) + SHAPE), [0.7])
+        for seed in (-1, 2**128):
+            with pytest.raises(UsageError, match=r"outside Philox's range \[0, 2\*\*128\)"):
+                degrade(mix, 0.3, 1.0, seed=seed)
+        noise = np.random.Generator(np.random.Philox(key=2**128 - 1)).standard_normal((1,) + SHAPE)
+        assert np.array_equal(degrade(mix, 0.3, 1.0, seed=2**128 - 1).means, 0.3 * noise)
+
 
 class TestBlobTextureSpec:
     def test_invariants_enforced(self):

@@ -1013,8 +1013,17 @@ class TestProcessBoundary:
             (("sample", "--set", "schedule.sigma_max=1e308"), 6, "overflows float64 at sigma_max=1e+308"),
             # d_c = d_u: every norm would be zero
             (("analyze-norms", "--set", "sample.condition=null"), 3, "analyze-norms needs a class in sample.condition"),
+            # the degraded model's seed keys a Philox stream
+            *(
+                ((*command, "--set", "autoguide.enabled=true", "--set", f"autoguide.seed={seed}"), 3,
+                 f"error [config]: autoguide.seed: RNG key {seed} is outside Philox's range [0, 2**128)")
+                for command, seed in ((("sample",), -1), (("sweep", "--grid", "1:1"), -1), (("analyze-norms",), 2**128))
+            ),
         ],
-        ids=["sample-1e160", "sweep-1e160", "band-path-1e160", "sample-1e308", "analyze-norms-null-condition"],
+        ids=[
+            "sample-1e160", "sweep-1e160", "band-path-1e160", "sample-1e308", "analyze-norms-null-condition",
+            "sample-autoguide-seed", "sweep-autoguide-seed", "analyze-norms-autoguide-seed",
+        ],
     )
     def test_categorized_without_warnings(self, tmp_path, capsys, argv, code, message):
         cfg = write_config(tmp_path, extra="guidance.transform = haar\nguidance.scales = 2,1.5\nsweep.samples = 4\n")
@@ -1024,6 +1033,17 @@ class TestProcessBoundary:
             assert run_cli(argv[0], "--config", cfg, *argv[1:], "--out", out) == code
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_autoguide_seed_outside_the_key_range_is_config_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "freqguide", "sample", "--config", write_config(tmp_path),
+             "--set", "autoguide.enabled=true", "--set", "autoguide.seed=-1", "--out", str(tmp_path / "x.fqg")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "error [config]: autoguide.seed" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "x.fqg").exists()
 
     def test_error_category_on_stderr(self, tmp_path):
         missing = str(tmp_path / "nope.cfg")

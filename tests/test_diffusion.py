@@ -140,6 +140,12 @@ class TestNoise:
     def test_counter_based_reproducible(self):
         assert np.array_equal(item_noise(9, 3, (2, 2, 2)), item_noise(9, 3, (2, 2, 2)))
 
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (0, -1), (2**64, 0)])
+    def test_key_outside_the_philox_range_is_usage_error(self, seed, first):
+        """(seed << 64) + item must be a Philox key in [0, 2**128)."""
+        with pytest.raises(UsageError, match="outside Philox's range"):
+            initial_noise(seed, 2, (1, 2, 2), 1.0, first=first)
+
 
 class TestSampler:
     def test_one_step_collapses_to_prediction(self):

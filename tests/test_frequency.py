@@ -8,6 +8,7 @@ from freqguide import (
     ShapeError,
     Tensor4,
     TransformKind,
+    UsageError,
     inverse_bands,
     transform_bands,
 )
@@ -56,8 +57,10 @@ def down(x):
 
 
 def up(x, target_hw):
-    """The pyramid's up step U on a raw array."""
-    return up_step(x, target_hw, TransformKind.pyramid(1))
+    """The pyramid's up step U on a raw array, back to ``target_hw``: the
+    one step of the step table for that size."""
+    (step,) = frequency.step_matrices(TransformKind.pyramid(1), *target_hw)
+    return up_step(x, step)
 
 
 def pyramid(x, levels):
@@ -136,10 +139,6 @@ class TestPyrUp:
         assert up(rand((1, 1, 4, 4)).data, (8, 8)).shape == (1, 1, 8, 8)
         assert up(rand((1, 1, 8, 9)).data, (15, 17)).shape == (1, 1, 15, 17)
 
-    def test_invalid_target(self):
-        with pytest.raises(ShapeError):
-            up(rand((1, 1, 4, 4)).data, (9, 8))
-
     def test_linearity(self):
         a, b = rand((1, 1, 5, 5)).data, rand((1, 1, 5, 5)).data
         lhs = up(a + b, (10, 10))
@@ -192,11 +191,33 @@ class TestLaplacianPyramid:
         rhs = reconstruct(bx, rx).data + reconstruct(by, ry).data
         assert np.abs(summed.data - rhs).max() < 1e-12
 
+    @pytest.mark.parametrize("index, dims", [(1, (1, 1, 16, 18)), (2, (1, 1, 9, 10))], ids=["middle", "residual"])
+    def test_bands_that_do_not_chain_rejected(self, index, dims):
+        """Each band must have the size the step table gives its level: a
+        wrong middle band or residual is a ``ShapeError``, not a numpy error."""
+        bands = transform_bands(rand((1, 1, 33, 35)), TransformKind.pyramid(2))
+        assert [b.dims[2:] for b in bands] == [(33, 35), (17, 18), (9, 9)]
+        bands[index] = rand(dims)
+        with pytest.raises(ShapeError, match="do not chain"):
+            inverse_bands(bands, TransformKind.pyramid(2))
+
     def test_too_many_levels_lists_max(self):
         with pytest.raises(ShapeError, match="max feasible is 3"):
             pyramid(rand((1, 1, 32, 32)), 4)
         assert max_pyramid_levels(32, 32) == 3
         assert max_pyramid_levels(64, 64) == 4
+
+
+class TestTransformKind:
+    @pytest.mark.parametrize("levels", [2.0, 1.5, "2", True])
+    def test_non_integer_levels_rejected(self, levels):
+        with pytest.raises(UsageError, match="levels must be an integer"):
+            TransformKind("pyramid", levels)
+
+    def test_numpy_integer_levels_accepted(self):
+        kind = TransformKind.pyramid(np.int64(2))
+        assert kind == TransformKind.pyramid(2) and kind.band_count == 3
+        assert len(transform_bands(rand((1, 1, 16, 16)), kind)) == 3
 
 
 class TestHaar:
@@ -337,11 +358,36 @@ class TestEngineMatrices:
         assert np.array_equal(frequency._up_matrix(n, m), reference)
 
     def test_matrices_cached_and_read_only(self):
-        for build, args in ((frequency._blur_matrix, (9,)), (frequency._up_matrix, (17, 9))):
-            mat = build(*args)
-            assert build(*args) is mat
-            with pytest.raises(ValueError):
-                mat[0, 0] = 1.0
+        for build, args in (
+            (frequency._blur_matrix, (9,)),
+            (frequency.step_matrices, (TransformKind.pyramid(2), 33, 35)),
+            (frequency.step_matrices, (TransformKind.haar(), 6, 8)),
+        ):
+            made = build(*args)
+            assert build(*args) is made
+            for mat in [made] if isinstance(made, np.ndarray) else [m for step in made for m in step]:
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "kind, h, w",
+        [(TransformKind.pyramid(1), 15, 17), (TransformKind.pyramid(3), 33, 35), (TransformKind.haar(), 6, 8)],
+    )
+    def test_step_table_shapes_chain(self, kind, h, w):
+        """Step k's D maps level k's size to level k + 1's, ceil(n/2) per
+        axis, and its U maps back."""
+        steps = frequency.step_matrices(kind, h, w)
+        assert len(steps) == kind.band_count - 1
+        for d_h, d_w, u_h, u_w in steps:
+            assert (d_h.shape, d_w.shape) == (((h + 1) // 2, h), ((w + 1) // 2, w))
+            assert (u_h.shape, u_w.shape) == ((h, len(d_h)), (w, len(d_w)))
+            h, w = len(d_h), len(d_w)
+
+    def test_step_table_raises_the_fit_error(self):
+        with pytest.raises(ShapeError, match="max feasible is 1"):
+            frequency.step_matrices(TransformKind.pyramid(2), 15, 17)
+        with pytest.raises(ShapeError, match="even spatial dims"):
+            frequency.step_matrices(TransformKind.haar(), 5, 6)
 
     def test_odd_image_down_and_up_match_loop_reference(self):
         img = rng.uniform(-2, 2, (15, 17))
@@ -368,15 +414,15 @@ class TestLowPassOperators:
     )
     def test_planes_match_the_engine(self, kind, h, w):
         gen = np.random.default_rng(7)
-        ops = frequency.low_pass_operators(kind, h, w)
+        ops, steps = frequency.low_pass_operators(kind, h, w), frequency.step_matrices(kind, h, w)
         assert len(ops) == kind.band_count - 1
         for _ in range(3):
             u, v = gen.standard_normal(h), gen.standard_normal(w)
             chain = low_pass_chain(np.outer(u, v)[None, None], kind)
             for k, (p_h, p_w) in enumerate(ops, 1):
                 want = chain[k]
-                for j in range(k, 0, -1):
-                    want = up_step(want, chain[j - 1].shape[2:], kind)
+                for step in reversed(steps[:k]):
+                    want = up_step(want, step)
                 got = np.outer(p_h @ u, p_w @ v)
                 assert np.abs(got - want[0, 0]).max() <= 1e-15 * np.abs(want).max()
 

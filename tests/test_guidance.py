@@ -24,7 +24,7 @@ from freqguide import (
     project,
     transform_bands,
 )
-from freqguide.frequency import low_pass_chain, up_step
+from freqguide.frequency import low_pass_chain, step_matrices, up_step
 
 rng = np.random.default_rng(7)
 
@@ -135,12 +135,13 @@ class TestProject:
 def manual_single_level_combine(d_c, d_u, w_high, w_low):
     """Hand-rolled decompose -> per-band cfg -> reconstruct oracle."""
     kind = TransformKind.pyramid(1)
+    (step,) = step_matrices(kind, *d_c.dims[2:])
     g1_c, g1_u = low_pass_chain(d_c.data, kind)[1], low_pass_chain(d_u.data, kind)[1]
-    l0_c = d_c.data - up_step(g1_c, d_c.dims[2:], kind)
-    l0_u = d_u.data - up_step(g1_u, d_u.dims[2:], kind)
+    l0_c = d_c.data - up_step(g1_c, step)
+    l0_u = d_u.data - up_step(g1_u, step)
     band0 = l0_u + w_high * (l0_c - l0_u)
     band1 = g1_u + w_low * (g1_c - g1_u)
-    return band0 + up_step(band1, d_c.dims[2:], kind)
+    return band0 + up_step(band1, step)
 
 
 class TestFreqCfgCombine:
