@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, operator
-from .tensor import Tensor4, Workspace, blocks, philox
+from .tensor import Tensor4, blocks, philox
 
 LOG_2PI = math.log(2.0 * math.pi)
 # below this np.exp returns a subnormal, which is slow to compute and which a
@@ -257,28 +257,27 @@ def _to_atoms(w: np.ndarray, cells: np.ndarray, n_atoms: int) -> np.ndarray:
     return grid.reshape(b, n_atoms)
 
 
-def _atom_product(
-    coef: np.ndarray, basis, z_coef: np.ndarray, zf: np.ndarray, out: np.ndarray, work: Workspace
-) -> None:
+def _atom_product(coef: np.ndarray, basis, z_coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``coef`` (B, T·A), weights on T blocks of A atoms, times ``basis``,
-    plus z_coef_b·z_b, into (B, C, H, W) ``out`` for flat (B, D) ``zf``: one
-    product with a dense (T·A, D) basis.  Factors (left, right) of n lifts
-    of the planes read block t of an item as an (nr, nq) grid G_t, and every
-    channel gets the plane left·[G_0·right_0; G_{T-1}·right_1; …].  T = n = 1
-    for the posterior mean, T = 2 for a guided step."""
-    b, c = out.shape[:2]
+    plus z_coef_b·z_b, for (B, C, H, W) ``z``: one product with a dense
+    (T·A, D) basis.  Factors (left, right) of n lifts of the planes read
+    block t of an item as an (nr, nq) grid G_t, and every channel gets the
+    plane left·[G_0·right_0; G_{T-1}·right_1; …].  T = n = 1 for the
+    posterior mean, T = 2 for a guided step."""
+    b, c = z.shape[:2]
     if isinstance(basis, np.ndarray):
-        flat = np.matmul(coef, basis, out=out.reshape(b, -1))
-        flat += np.multiply(z_coef[:, None], zf, out=work.get("z_term", zf.shape))
-        return
+        flat = coef @ basis
+        flat += z_coef[:, None] * z.reshape(b, -1)
+        return flat.reshape(z.shape)
     left, right = basis
     n, nq, width = right.shape
     grids = coef.reshape(b, -1, left.shape[1] // n, nq)
-    lifted = work.get("lifted", (b, n, grids.shape[2], width))
+    lifted = np.empty((b, n, grids.shape[2], width))
     np.matmul(grids[:, 0], right[0], out=lifted[:, 0])
     np.matmul(grids[:, 1:], right[1:], out=lifted[:, 1:])
-    channels = np.multiply(z_coef[:, None, None], zf.reshape(b, c, -1), out=out.reshape(b, c, -1))
+    channels = z_coef[:, None, None] * z.reshape(b, c, -1)
     channels += (left @ lifted.reshape(b, -1, width)).reshape(b, 1, -1)
+    return channels.reshape(z.shape)
 
 
 def _checked(out: np.ndarray, sigma: float) -> Tensor4:
@@ -288,7 +287,7 @@ def _checked(out: np.ndarray, sigma: float) -> Tensor4:
 
 
 def posterior_mean(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None, *, work: Workspace | None = None
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None
 ) -> Tensor4 | tuple[Tensor4, Tensor4]:
     """Exact E[x | z] under z = x + sigma * eps, x ~ mix.
 
@@ -299,9 +298,8 @@ def posterior_mean(
     ``restricted`` subset, at any depth, or ``mix`` itself), makes the call
     return ``(E under subset, E under mix)`` from one pass of atom dots,
     the way a neural CFG step evaluates both predictions in one doubled
-    batch.  The outputs and the scratch of ``_atom_product`` go to ``work``
-    (a new ``Workspace`` when None).  Raises ``DomainError`` when ‖z‖², σ²
-    or the output overflows float64.
+    batch.  Raises ``DomainError`` when ‖z‖², σ² or the output overflows
+    float64.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
@@ -311,15 +309,14 @@ def posterior_mean(
         raise UsageError("subset must share the atoms of mix")
     if sigma == 0.0:
         return z if subset is None else (z, z)
-    if work is None:
-        work = Workspace()
     sides = [mix] if subset is None else [mix, subset]
     zf = z.data.reshape(z.dims[0], -1)  # (B, D)
-    outs = [work.get(f"mean{j}", z.dims) for j in range(len(sides))]
     atoms = mix.table if mix.table is not None else (mix.rows.T, mix.cols[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        for (w, z_coef), side, out in zip(_side_weights(zf, sigma, sides), sides, outs):
-            _atom_product(_to_atoms(w, side.cells, mix.n_atoms), atoms, z_coef, zf, out, work)
+        outs = [
+            _atom_product(_to_atoms(w, side.cells, mix.n_atoms), atoms, z_coef, z.data)
+            for (w, z_coef), side in zip(_side_weights(zf, sigma, sides), sides)
+        ]
         full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
 
@@ -383,13 +380,11 @@ class _MixturePair(DenoiserPair):
         except (KeyError, TypeError):
             raise ConfigError(f"unknown class {condition}; have {list(self.by_class)}") from None
 
-    def both(
-        self, z: Tensor4, sigma: float, condition=None, *, work: Workspace | None = None
-    ) -> tuple[Tensor4, Tensor4]:
+    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
         if condition is None:
-            d_u = posterior_mean(z, sigma, self.mix, work=work)
+            d_u = posterior_mean(z, sigma, self.mix)
             return d_u, d_u
-        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition), work=work)
+        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition))
 
     def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
         """[atoms; L·atoms] for ``cfg`` (``_lifted_basis``), or None when
@@ -404,41 +399,35 @@ class _MixturePair(DenoiserPair):
                 self.bases[key] = _lifted_basis(mix, operator(cfg, *mix.image_shape[1:])[1])
             return self.bases[key]
 
-    def guided(
-        self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig, *, work: Workspace | None = None
-    ) -> Tensor4:
+    def guided(self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
         basis = None
         if condition is not None and sigma > 0 and z.dims[1:] == self.mix.image_shape:
             basis = self.component_basis(cfg)
         # anything else, and an output that overflows, goes to the band path, which raises its own errors
         if basis is not None:
-            work = Workspace() if work is None else work
-            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, cfg, work)
+            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, cfg)
             if np.isfinite(out).all():
                 return Tensor4(out, checked=True)
-        return super().guided(z, sigma, condition, cfg, work=work)
+        return super().guided(z, sigma, condition, cfg)
 
 
 def _component_guided(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, cfg: GuidanceConfig, work: Workspace
+    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, cfg: GuidanceConfig
 ) -> np.ndarray:
-    """d_c + M·Δ under ``cfg`` into ``work`` array ``"guided"``:
+    """d_c + M·Δ under ``cfg``:
     ``posterior_mean``'s prelude gives the weights of ``subset`` and
     ``mix``, which ``_to_atoms`` takes to the A atoms as c_c and c_u, and
     [c_c + (s_0 - 1)·Δc | Δc], Δc = c_c - c_u, goes against ``basis``
     [atoms; L·atoms].  Raises the prelude's ``DomainError``; the output is
     not checked finite."""
     b, a = z.dims[0], mix.n_atoms
-    zf = z.data.reshape(b, -1)
-    out = work.get("guided", z.dims)
     with np.errstate(over="ignore", invalid="ignore"):
-        (w_u, _), (w_c, z_coef) = _side_weights(zf, sigma, [mix, subset])
-        coef = work.get("coef", (b, 2 * a))
+        (w_u, _), (w_c, z_coef) = _side_weights(z.data.reshape(b, -1), sigma, [mix, subset])
+        coef = np.empty((b, 2 * a))
         coef[:, :a] = _to_atoms(w_c, subset.cells, a)
         np.subtract(coef[:, :a], _to_atoms(w_u, mix.cells, a), out=coef[:, a:])
         coef[:, :a] += (cfg.scales[0] - 1.0) * coef[:, a:]
-        _atom_product(coef, basis, z_coef, zf, out, work)
-    return out
+        return _atom_product(coef, basis, z_coef, z.data)
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:

@@ -33,7 +33,7 @@ from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
 from .tensor import (
-    Tensor4, TensorReader, Workspace, atomic_write_bytes, blocks, tensor_writer, write_csv, write_tensor,
+    Tensor4, TensorReader, atomic_write_bytes, blocks, tensor_writer, write_csv, write_tensor,
 )
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
@@ -316,14 +316,11 @@ def cmd_combine(args) -> int:
             raise UsageError(str(exc)) from exc
         if cond.dims != uncond.dims:
             raise ShapeError(f"dims mismatch: {cond.dims} vs {uncond.dims}")
-        work = Workspace()
         # freqcfg_combine is batch-invariant, so the blocks give the bytes of one whole-batch call
         with tensor_writer(args.out, cond.dims) as append:
             for items in blocks(cond.dims[0], cond.dims[1:]):
-                shape = (len(items),) + cond.dims[1:]
-                d_c = cond.read(items.start, items.stop, out=work.get("cond", shape))
-                d_u = uncond.read(items.start, items.stop, out=work.get("uncond", shape))
-                append(freqcfg_combine(d_c, d_u, guidance, work=work))
+                d_c, d_u = cond.read(items.start, items.stop), uncond.read(items.start, items.stop)
+                append(freqcfg_combine(d_c, d_u, guidance))
     flags = {
         "combine.cond": args.cond,
         "combine.uncond": args.uncond,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
-from .tensor import Tensor4, Workspace, blocks, philox
+from .tensor import Tensor4, blocks, philox
 
 _MAX_SEED = 2**63
 
@@ -100,7 +100,11 @@ class SampleRunConfig:
 
 def item_noise(seed: int, item: int, shape: tuple[int, int, int]) -> np.ndarray:
     """Standard normal draw from the counter-based stream keyed by (seed,
-    item); raises ``UsageError`` when (seed << 64) + item leaves [0, 2**128)."""
+    item); raises ``UsageError`` when ``item`` leaves [0, 2**64), where it
+    would key another (seed, item) stream, or (seed << 64) + item leaves
+    [0, 2**128)."""
+    if not 0 <= item < 2**64:
+        raise UsageError(f"item {item} is outside [0, 2**64)")
     return philox((int(seed) << 64) + int(item)).standard_normal(shape)
 
 
@@ -134,25 +138,23 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     values per image-sized array, each block through every step; every
     block observes into ``recorder``, which sums each step's band norms.
     A batch of one block returns its final state as is; otherwise each
-    block's state is copied into one new output.  One ``Workspace`` serves
-    every step of every block; the state is a new array each step, so no
-    ``Tensor4`` the pair is given changes afterwards.
+    block's state is copied into one new output.  The state is a new array
+    each step, and every other array of a step is released once it is used.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
-    work = Workspace()
 
     def denoise(z: Tensor4, sigma: float, i: int, step: int | None) -> np.ndarray:
         if run.guidance is None:
             return pair.cond(z, sigma, run.condition).data
         return guided_denoise(
-            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=recorder, step=step,
-            work=work,
+            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=recorder, step=step
         ).data
 
-    def drift(z: Tensor4, x0: np.ndarray, sigma: float, name: str) -> np.ndarray:
-        out = np.subtract(z.data, x0, out=work.get(name, z.dims))
-        out /= sigma
+    def drift(z: Tensor4, x0: np.ndarray, sigma: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.subtract(z.data, x0)
+            out /= sigma
         return out
 
     def finite(state: np.ndarray, sigma: float) -> Tensor4:
@@ -160,26 +162,25 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
         return Tensor4(state, checked=True)
 
+    def advance(z: Tensor4, i: int) -> Tensor4:
+        s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
+        d_cur = drift(z, denoise(z, s_cur, i, step=i), s_cur)
+        corrector = run.sampler == "heun" and s_next > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
+            z_euler = finite(z.data + np.multiply(s_next - s_cur, d_cur, out=None if corrector else d_cur), s_next)
+        if not corrector:
+            return z_euler
+        # corrector never records: one band-norm record per step
+        d_next = drift(z_euler, denoise(z_euler, s_next, i, step=None), s_next)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_next = np.add(d_cur, d_next, out=d_next)
+            return finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
+
     def integrate(items: range) -> Tensor4:
         z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
         for i in range(run.steps):
-            s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            x0 = denoise(z, s_cur, i, step=i)
-            corrector = run.sampler == "heun" and s_next > 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                d_cur = drift(z, x0, s_cur, "drift")
-                # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
-                h_drift = np.multiply(s_next - s_cur, d_cur, out=work.get("step", z.dims) if corrector else d_cur)
-                z_euler = finite(z.data + h_drift, s_next)
-            if not corrector:
-                z = z_euler
-            else:
-                # corrector never records: one band-norm record per step
-                x0_next = denoise(z_euler, s_next, i, step=None)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    d_next = drift(z_euler, x0_next, s_next, "step")
-                    d_next = np.add(d_cur, d_next, out=d_next)
-                    z = finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
+            z = advance(z, i)
         return z
 
     spans = blocks(run.batch, run.shape)

@@ -16,10 +16,10 @@ with read-only per-axis matrices built once per size (``lru_cache``):
 The step table ``step_matrices`` is the one place these are chosen: per
 size, (D_h, D_w, U_h, U_w) for each of the N down/up steps.  Every band
 operation reads it: ``low_pass_chain``, ``up_step`` and ``chain_band`` (the
-band path of guidance; each writes into named ``Workspace`` arrays),
-``low_pass_operators`` (U^k D^k per axis, for ``guidance.operator``) and
-pyramid ``synthesize``.  ``analyze``/``synthesize`` are ``transform_bands``/
-``inverse_bands`` on raw arrays, the band-space reference, into new arrays.
+band path of guidance), ``low_pass_operators`` (U^k D^k per axis, for
+``guidance.operator``) and pyramid ``synthesize``.  ``analyze``/``synthesize``
+are ``transform_bands``/``inverse_bands`` on raw arrays, the band-space
+reference.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .tensor import Tensor4, Workspace
+from .tensor import Tensor4
 
 # Burt-Adelson binomial kernel; sums to 1.
 BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -103,12 +103,9 @@ def _haar(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(0.5 * np.vstack(rows)), _frozen(np.vstack(cols))
 
 
-def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray, work: Workspace, name) -> np.ndarray:
-    """A_h @ arr @ A_wᵀ into ``work`` array ``name``.  The left product is
-    consumed at once, so every call shares one array per left shape."""
-    b, c, _, w = arr.shape
-    left = np.matmul(a_h, arr, out=work.get(("left", len(a_h), w), (b, c, len(a_h), w)))
-    return np.matmul(left, a_w.T, out=work.get(name, (b, c, len(a_h), len(a_w))))
+def _apply(arr: np.ndarray, a_h: np.ndarray, a_w: np.ndarray) -> np.ndarray:
+    """A_h @ arr @ A_wᵀ."""
+    return np.matmul(a_h, arr) @ a_w.T
 
 
 def max_pyramid_levels(height: int, width: int) -> int:
@@ -151,30 +148,26 @@ def step_matrices(kind: TransformKind, height: int, width: int) -> tuple[tuple[n
     return tuple(steps)
 
 
-def low_pass_chain(
-    arr: np.ndarray, kind: TransformKind, work: Workspace | None = None, tag: str = ""
-) -> list[np.ndarray]:
+def low_pass_chain(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
     """[x, D x, ..., D^N x]: the N down-steps of ``kind`` on a raw array.
 
     D is blur-then-decimate (ceil(H/2) x ceil(W/2)) for the pyramid and the ll
-    analysis for Haar.  D^k x goes to ``work`` array ``tag + f"down{k}"``
-    (a new ``Workspace`` when None, as for ``up_step``).  Raises the
-    ``check_fit`` error for sizes ``kind`` cannot decompose.
+    analysis for Haar.  Raises the ``check_fit`` error for sizes ``kind``
+    cannot decompose.
     """
-    work = Workspace() if work is None else work
     chain = [arr]
-    for k, (d_h, d_w, _, _) in enumerate(step_matrices(kind, *arr.shape[2:]), 1):
-        chain.append(_apply(chain[-1], d_h, d_w, work, f"{tag}down{k}"))
+    for d_h, d_w, _, _ in step_matrices(kind, *arr.shape[2:]):
+        chain.append(_apply(chain[-1], d_h, d_w))
     return chain
 
 
-def up_step(arr: np.ndarray, step: tuple, work: Workspace | None = None, name="up") -> np.ndarray:
+def up_step(arr: np.ndarray, step: tuple) -> np.ndarray:
     """U, the synthesis partner of the down-step ``step`` (an entry of
-    ``step_matrices``), into ``work`` array ``name``: for the pyramid a gain-2
-    blur of the zero-stuffed double grid cropped to the finer size, for Haar
-    ll-only synthesis (whose U D is the 2x2 block mean)."""
+    ``step_matrices``): for the pyramid a gain-2 blur of the zero-stuffed
+    double grid cropped to the finer size, for Haar ll-only synthesis (whose
+    U D is the 2x2 block mean)."""
     _, _, u_h, u_w = step
-    return _apply(arr, u_h, u_w, Workspace() if work is None else work, name)
+    return _apply(arr, u_h, u_w)
 
 
 def low_pass_operators(kind: TransformKind, height: int, width: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -191,36 +184,34 @@ def low_pass_operators(kind: TransformKind, height: int, width: int) -> list[tup
     return ops
 
 
-def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind, work: Workspace | None, name) -> np.ndarray:
+def chain_band(chain: list[np.ndarray], k: int, kind: TransformKind) -> np.ndarray:
     """Band k of x from its ``low_pass_chain`` [x, D x, ..., D^N x]:
-    D^k x - U D^{k+1} x into ``work`` array ``name``, and D^N x itself for
-    k = N.  For Haar, band 0 is the image-space detail (I - U D) x, the
-    synthesis of the lh/hl/hh coefficients."""
+    D^k x - U D^{k+1} x as a new array, and D^N x itself for k = N.  For
+    Haar, band 0 is the image-space detail (I - U D) x, the synthesis of the
+    lh/hl/hh coefficients."""
     if k == len(chain) - 1:
         return chain[k]
-    up = up_step(chain[k + 1], step_matrices(kind, *chain[0].shape[2:])[k], work, name)
+    up = up_step(chain[k + 1], step_matrices(kind, *chain[0].shape[2:])[k])
     return np.subtract(chain[k], up, out=up)
 
 
 def analyze(arr: np.ndarray, kind: TransformKind) -> list[np.ndarray]:
-    """``transform_bands`` on a raw array, into new arrays."""
-    work = Workspace()
+    """``transform_bands`` on a raw array."""
     if kind.kind == "pyramid":
-        g = low_pass_chain(arr, kind, work)
-        return [chain_band(g, k, kind, work, f"band{k}") for k in range(len(g))]
+        g = low_pass_chain(arr, kind)
+        return [chain_band(g, k, kind) for k in range(len(g))]
     h, w = arr.shape[2:]
     check_fit(kind, h, w)
-    y = _apply(arr, *_haar(h, w), work, "haar")
+    y = _apply(arr, *_haar(h, w))
     h2, w2 = h // 2, w // 2
     details = np.concatenate([y[:, :, :h2, w2:], y[:, :, h2:, :w2], y[:, :, h2:, w2:]], axis=1)
     return [details, y[:, :, :h2, :w2]]
 
 
 def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
-    """``inverse_bands`` on raw arrays, into new arrays."""
+    """``inverse_bands`` on raw arrays."""
     if len(bands) != kind.band_count:
         raise ShapeError(f"expected {kind.band_count} bands, got {len(bands)}")
-    work = Workspace()
     *details, g = bands
     if kind.kind == "pyramid":
         steps = step_matrices(kind, *details[0].shape[2:])
@@ -229,7 +220,7 @@ def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
         if [band.shape for band in bands] != [details[0].shape[:2] + size for size in sizes]:
             raise ShapeError(f"band dims {[band.shape for band in bands]} do not chain from {details[0].shape}")
         for i in reversed(range(len(details))):
-            up = up_step(g, steps[i], work, f"up{i}")
+            up = up_step(g, steps[i])
             g = np.add(details[i], up, out=up)
         return g
     b, c, h, w = g.shape
@@ -237,7 +228,7 @@ def synthesize(bands: list[np.ndarray], kind: TransformKind) -> np.ndarray:
         raise ShapeError(f"haar detail stack {details[0].shape} does not fit ll {g.shape}")
     lh, hl, hh = np.split(details[0], 3, axis=1)
     a_h, a_w = _haar(2 * h, 2 * w)
-    return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T, work, "haar")
+    return _apply(np.block([[g, lh], [hl, hh]]), a_h.T, a_w.T)
 
 
 def transform_bands(x: Tensor4, kind: TransformKind) -> list[Tensor4]:

@@ -12,7 +12,7 @@ from .errors import DomainError, ShapeError, UsageError
 from .frequency import (
     TransformKind, analyze, chain_band, low_pass_chain, low_pass_operators, step_matrices, up_step
 )
-from .tensor import Tensor4, Workspace
+from .tensor import Tensor4
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,16 @@ class DenoiserPair:
     cond: object
     uncond: object
 
-    def both(
-        self, z: Tensor4, sigma: float, condition=None, *, work: Workspace | None = None
-    ) -> tuple[Tensor4, Tensor4]:
+    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
         """(cond, uncond) at one noise level; a pair whose two predictions
-        share work overrides this, as a neural model runs one doubled batch.
-        An override may put its outputs in the arrays of ``work``; this one
-        ignores it."""
+        share work overrides this, as a neural model runs one doubled batch."""
         return self.cond(z, sigma, condition), self.uncond(z, sigma)
 
-    def guided(
-        self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig, *, work: Workspace | None = None
-    ) -> Tensor4:
+    def guided(self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
         """The per-band CFG prediction under ``cfg``: ``freqcfg_combine`` of
-        ``both``, each given ``work``.  Raises ``DomainError`` when it
-        overflows."""
-        d_c, d_u = self.both(z, sigma, condition, work=work)
-        return freqcfg_combine(d_c, d_u, cfg, work=work)
+        ``both``.  Raises ``DomainError`` when it overflows."""
+        d_c, d_u = self.both(z, sigma, condition)
+        return freqcfg_combine(d_c, d_u, cfg)
 
 
 @dataclass(frozen=True)
@@ -186,24 +179,21 @@ def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> li
     return guided
 
 
-def _parallel_terms(c: np.ndarray, g: list[np.ndarray], cfg: GuidanceConfig, work: Workspace) -> dict:
+def _parallel_terms(c: np.ndarray, g: list[np.ndarray], cfg: GuidanceConfig) -> dict:
     """{k: p_k = (s_k - 1)(w_k - 1) par(b_k, bc_k)} over the bands with w_k != 1.
     b_k is band k of Δ read off its low-pass chain ``g``, bc_k that of ``c`` =
-    d_c.  p_k goes to ``work`` array ``f"p{k}"``; b_k passes through
-    ``f"up{k + 1}"``, which the recursion overwrites only after this."""
+    d_c.  p_k is computed in the array of bc_k, which no later band reads."""
     kind, bands = cfg.transform, [k for k, w in enumerate(cfg.weights) if w != 1.0]
-    gc = low_pass_chain(c, kind, work, "c.") if bands else []
+    gc = low_pass_chain(c, kind) if bands else []
     terms = {}
     for k in bands:
-        band = chain_band(g, k, kind, work, f"up{k + 1}")
-        par = _parallel(band, chain_band(gc, k, kind, work, f"p{k}"), out=work.get(f"p{k}", band.shape))
+        band_c = chain_band(gc, k, kind)
+        par = _parallel(chain_band(g, k, kind), band_c, out=band_c)
         terms[k] = np.multiply((cfg.scales[k] - 1.0) * (cfg.weights[k] - 1.0), par, out=par)
     return terms
 
 
-def freqcfg_combine(
-    d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig, *, work: Workspace | None = None
-) -> Tensor4:
+def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
     """Per-band CFG; raises ``DomainError`` when the guided output overflows.
 
     Both transforms are linear, so per-band CFG is a recursion over the
@@ -213,27 +203,23 @@ def freqcfg_combine(
 
         out = d_c + (s_0 - 1) Δ + p_0 + U(c_1 G_1 + p_1 + U(... + U(c_N G_N + p_N)))
 
-    This equals ``inverse_bands(freqcfg_combine_bands(...))``.  Every
-    image-sized array, the output included, goes to ``work`` (a new
-    ``Workspace`` when None).
+    This equals ``inverse_bands(freqcfg_combine_bands(...))``.
     """
     if d_c.dims != d_u.dims:
         raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
-    if work is None:
-        work = Workspace()
     s, kind = cfg.scales, cfg.transform
     steps = step_matrices(kind, *d_c.dims[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         # Δ, then the guided output
-        out = np.subtract(d_c.data, d_u.data, out=work.get("guided", d_c.dims))
-        g = low_pass_chain(out, kind, work)
-        p = _parallel_terms(d_c.data, g, cfg, work)
+        out = np.subtract(d_c.data, d_u.data)
+        g = low_pass_chain(out, kind)
+        p = _parallel_terms(d_c.data, g, cfg)
         correction = 0.0
         for k in range(len(g) - 1, 0, -1):
             term = np.multiply(s[k] - s[k - 1], g[k], out=g[k])
             if k in p:
                 np.add(term, p[k], out=term)
-            correction = up_step(np.add(correction, term, out=term), steps[k - 1], work, f"up{k}")
+            correction = up_step(np.add(correction, term, out=term), steps[k - 1])
         np.multiply(s[0] - 1.0, out, out=out)
         np.add(d_c.data, out, out=out)
         if 0 in p:
@@ -261,25 +247,22 @@ def guided_denoise(
     condition=None,
     recorder: NormRecorder | None = None,
     step: int | None = 0,
-    *,
-    work: Workspace | None = None,
 ) -> Tensor4:
     """One guided x0 prediction; returns the bare conditional output when the
     interval gate is closed, and ``pair.guided`` otherwise.  Given a
     ``recorder`` it takes the band path, ``freqcfg_combine`` of
     ``pair.both``, and records the difference d_c - d_u under sampler step
-    ``step`` (nothing when ``step`` is None).  ``work`` goes on to the pair
-    and ``freqcfg_combine``."""
+    ``step`` (nothing when ``step`` is None)."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not cfg.active_at(t):
         return pair.cond(z, sigma, condition)
     if recorder is None:
-        return pair.guided(z, sigma, condition, cfg, work=work)
-    d_c, d_u = pair.both(z, sigma, condition, work=work)
+        return pair.guided(z, sigma, condition, cfg)
+    d_c, d_u = pair.both(z, sigma, condition)
     if step is not None:
         recorder.observe(step, t, sigma, d_c.data - d_u.data, cfg.transform)
-    return freqcfg_combine(d_c, d_u, cfg, work=work)
+    return freqcfg_combine(d_c, d_u, cfg)
 
 
 def crossover_step(records: Sequence[BandNormRecord]) -> int:

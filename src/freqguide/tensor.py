@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import math
 import os
@@ -27,12 +28,37 @@ _HEADER = struct.Struct("<4sBB4I")  # magic, dtype code, ndim, dims
 # the walks over a mixture's means hold at once: each goes in ``blocks``
 BLOCK_VALUES = 2**17
 
+# glibc's malloc hands a freed block above its mmap threshold (128 KiB at
+# first) back to the kernel and trims a free heap top past twice that, so a
+# step faulted in again the pages of the block-sized temporaries the step
+# before had freed: a `combine` of 2000 3x32x32 items made 43,978 minor
+# faults and ran 1.3-1.6x slower.  With a 1 GiB trim threshold and an mmap
+# threshold of 32 MiB, glibc's largest (so whole-run arrays come from the
+# same heap), freed blocks serve the next step and that `combine` makes 11.
+_MALLOPT = ((-1, 2**30), (-3, 2**25))  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+
+def _keep_freed_blocks():
+    """Apply ``_MALLOPT`` where the C library has glibc's ``mallopt``, and
+    nothing elsewhere.  A refused value leaves that threshold as it was: the
+    policy changes the page faults of a run, never its results."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
+_keep_freed_blocks()
+
 
 def blocks(n_items: int, item_shape) -> list[range]:
     """Items 0..n_items-1 in consecutive blocks of at most ``BLOCK_VALUES``
     values each, as few as that cap allows; an item bigger than the cap is
     a block on its own.  Block sizes differ by at most one, the larger
-    blocks first, so a workspace reallocates at most once along them."""
+    blocks first."""
     per_block = max(1, BLOCK_VALUES // math.prod(item_shape))
     count = -(-n_items // per_block)
     size, extra = divmod(n_items, count)
@@ -74,33 +100,6 @@ class Tensor4:
 
     def __eq__(self, other):
         return isinstance(other, Tensor4) and np.array_equal(self.data, other.data)
-
-
-class Workspace:
-    """Scratch float64 arrays that one run reuses from call to call.
-
-    ``get(name, shape)`` returns the array it last returned for ``name``
-    when the shape is the same, and otherwise drops it for a new one, as on
-    the shorter last chunk of a stream.  Callers write into it with numpy
-    ``out=``, so a run stops handing freed temporaries back to the
-    allocator only to fault their pages in again on the next step.
-    Whatever a call wrote into a workspace, a ``Tensor4`` wrapping it
-    included, holds only until the next call given that workspace: ``get``
-    makes an array such a ``Tensor4`` froze writeable again.
-    """
-
-    __slots__ = ("_arrays",)
-
-    def __init__(self):
-        self._arrays: dict = {}
-
-    def get(self, name, shape) -> np.ndarray:
-        shape = tuple(shape)
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
-        arr.flags.writeable = True
-        return arr
 
 
 def philox(key: int) -> np.random.Generator:
@@ -207,19 +206,13 @@ class TensorReader:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> Tensor4:
-        """Items [start, stop) as float64, read into ``out`` (a C-contiguous
-        float64 array of their shape) when it is given."""
-        shape = (stop - start,) + self.dims[1:]
-        if out is None:
-            out = np.empty(shape)
-        arr = out if self._dtype == out.dtype else np.empty(shape, dtype=self._dtype)
+    def read(self, start: int, stop: int) -> Tensor4:
+        """Items [start, stop) as float64."""
+        arr = np.empty((stop - start,) + self.dims[1:], dtype=self._dtype)
         self._fh.seek(_HEADER.size + start * arr[0].nbytes)
         if self._fh.readinto(arr) != arr.nbytes:
             raise FormatError(f"file ends before item {stop} (offset {self._fh.tell()})")
-        if arr is not out:
-            out[...] = arr
-        return Tensor4(out)
+        return Tensor4(arr)
 
 
 def read_tensor(path) -> Tensor4:

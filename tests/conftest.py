@@ -85,9 +85,9 @@ def spy_combine_batches(monkeypatch) -> list:
     batches = []
     real = guidance.freqcfg_combine
 
-    def spy(d_c, d_u, cfg, *, work=None):
+    def spy(d_c, d_u, cfg):
         batches.append(d_c.dims[0])
-        return real(d_c, d_u, cfg, work=work)
+        return real(d_c, d_u, cfg)
 
     monkeypatch.setattr(guidance, "freqcfg_combine", spy)
     return batches
@@ -108,8 +108,8 @@ class OraclePair(DenoiserPair):
     inner: DenoiserPair | None = None
     gaps: list = field(default_factory=list)
 
-    def guided(self, z, sigma, condition, cfg, *, work=None):
-        got = self.inner.guided(z, sigma, condition, cfg, work=work)
+    def guided(self, z, sigma, condition, cfg):
+        got = self.inner.guided(z, sigma, condition, cfg)
         want = freqcfg_combine(*self.inner.both(z, sigma, condition), cfg).data
         self.gaps.append(float(np.abs(got.data - want).max() / np.abs(want).max()))
         return got

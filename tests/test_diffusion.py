@@ -26,7 +26,6 @@ from freqguide import (
 )
 from freqguide import diffusion, tensor
 from freqguide.diffusion import item_noise
-from freqguide.tensor import Workspace
 
 rng = np.random.default_rng(3)
 
@@ -140,11 +139,21 @@ class TestNoise:
     def test_counter_based_reproducible(self):
         assert np.array_equal(item_noise(9, 3, (2, 2, 2)), item_noise(9, 3, (2, 2, 2)))
 
-    @pytest.mark.parametrize("seed, first", [(-1, 0), (0, -1), (2**64, 0)])
-    def test_key_outside_the_philox_range_is_usage_error(self, seed, first):
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_key_outside_the_philox_range_is_usage_error(self, seed):
         """(seed << 64) + item must be a Philox key in [0, 2**128)."""
         with pytest.raises(UsageError, match="outside Philox's range"):
+            initial_noise(seed, 2, (1, 2, 2), 1.0)
+
+    @pytest.mark.parametrize("seed, first", [(0, -1), (1, -1), (1, 2**64 - 1)])
+    def test_item_outside_its_range_is_usage_error(self, seed, first):
+        """Item -1 of seed 1 had the stream of item 2**64 - 1 of seed 0, and
+        item 2**64 of seed 1 that of item 0 of seed 2."""
+        with pytest.raises(UsageError, match=r"item -?\d+ is outside \[0, 2\*\*64\)"):
             initial_noise(seed, 2, (1, 2, 2), 1.0, first=first)
+
+    def test_items_at_both_ends_of_the_range_draw(self):
+        assert not np.array_equal(item_noise(1, 0, (1, 2, 2)), item_noise(1, 2**64 - 1, (1, 2, 2)))
 
 
 class TestSampler:
@@ -212,9 +221,9 @@ class TestSampler:
         log = []
 
         class SpyPair(DenoiserPair):
-            def both(self, z, sigma, condition=None, *, work=None):
+            def both(self, z, sigma, condition=None):
                 log.append("both")
-                return pair.both(z, sigma, condition, work=work)
+                return pair.both(z, sigma, condition)
 
         def cond(z, sigma, condition=None):
             log.append("cond")
@@ -490,25 +499,6 @@ class TestBlockedSampling:
         monkeypatch.setattr(diffusion, "Tensor4", keep)
         out = sample(pair, self.run(mix, 42, sampler="euler"))
         assert out is states[-1]
-
-    def test_workspace_reallocates_once_when_blocks_shrink(self, monkeypatch):
-        mix, pair = blob_model(factored=True)
-        allocated = []
-
-        class Counting(Workspace):
-            def get(self, name, shape):
-                arr = super().get(name, shape)
-                if not any(arr is a for a in allocated):
-                    allocated.append(arr)
-                return arr
-
-        monkeypatch.setattr(diffusion, "Workspace", Counting)
-        counts = []
-        for batch in (28, 84, 85):  # one block; 28, 28, 28; 29, 28, 28
-            allocated.clear()
-            sample(pair, self.run(mix, batch, steps=3))
-            counts.append(len(allocated))
-        assert counts[0] == counts[1] > 0 and counts[2] == 2 * counts[0]
 
     def test_recorder_merges_blocks(self, monkeypatch):
         mix, pair = blob_model(factored=False)

@@ -419,7 +419,7 @@ class TestGuidedDenoise:
         log = []
 
         class SpyPair(DenoiserPair):
-            def both(self, z, sigma, condition=None, *, work=None):
+            def both(self, z, sigma, condition=None):
                 log.append("both")
                 return d_c, d_u
 
