@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .guidance import DenoiserPair, GuidanceConfig, operator
+from .guidance import DenoiserPair
 from .tensor import Tensor4, blocks, philox
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -209,11 +209,12 @@ def _weights(
 
 def _atom_dots(zf: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
     """z_b · atom_a as (B, A) for flat (B, D) ``zf``: against the rows of
-    ``table``, or for plane (r, q), entry (r, q) of rows · (Σ_c z_bc) · colsᵀ."""
+    ``table``, or for plane (r, q), entry (r, q) of rows · (Σ_c z_bc) · colsᵀ.
+    One product per item, so an item's dots do not depend on the batch."""
     if mix.table is not None:
-        return zf @ mix.table.T
+        return np.matmul(zf[:, None], mix.table.T)[:, 0]
     z = zf.reshape((len(zf),) + mix.image_shape)
-    return (mix.rows @ z.sum(axis=1) @ mix.cols.T).reshape(len(zf), -1)  # one product per item
+    return (mix.rows @ z.sum(axis=1) @ mix.cols.T).reshape(len(zf), -1)
 
 
 def _sq_dists(zf: np.ndarray, *sides: IsotropicGaussianMixture) -> tuple:
@@ -247,26 +248,33 @@ def _side_weights(zf: np.ndarray, sigma: float, sides: list) -> list:
     return [_weights(d, noise_var, side) for d, side in zip(dists, sides)]
 
 
-def _to_atoms(w: np.ndarray, cells: np.ndarray, n_atoms: int) -> np.ndarray:
+def _atom_index(cells: np.ndarray, b: int, n_atoms: int) -> np.ndarray:
+    """``_to_atoms``' flat (T, b, K) bincount index for a batch of ``b``
+    items under a mixture with ``cells``: entry (t, i, k) is
+    i·n_atoms + cells[k, t]."""
+    return (np.ascontiguousarray(cells.T)[:, None, :] + np.arange(0, b * n_atoms, n_atoms)[:, None]).ravel()
+
+
+def _to_atoms(w: np.ndarray, index: np.ndarray, n_atoms: int) -> np.ndarray:
     """The (B, K) component weights ``w`` as (B, n_atoms) weights on the
-    atoms: entry (b, a) sums w_bk over the components k with a cell a.
+    atoms: entry (b, a) sums w_bk over the components k with a cell a, at
+    the positions ``index`` (``_atom_index`` of their cells and B).
     bincount adds each item's terms in the same order whatever the batch."""
-    b, t = len(w), cells.shape[1]
-    index = np.ascontiguousarray(cells.T)[:, None, :] + np.arange(0, b * n_atoms, n_atoms)[:, None]
-    grid = np.bincount(index.ravel(), np.concatenate([w.ravel()] * t), minlength=b * n_atoms)
+    b = len(w)
+    grid = np.bincount(index, np.concatenate([w.ravel()] * (len(index) // w.size)), minlength=b * n_atoms)
     return grid.reshape(b, n_atoms)
 
 
 def _atom_product(coef: np.ndarray, basis, z_coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``coef`` (B, T·A), weights on T blocks of A atoms, times ``basis``,
-    plus z_coef_b·z_b, for (B, C, H, W) ``z``: one product with a dense
-    (T·A, D) basis.  Factors (left, right) of n lifts of the planes read
-    block t of an item as an (nr, nq) grid G_t, and every channel gets the
-    plane left·[G_0·right_0; G_{T-1}·right_1; …].  T = n = 1 for the
+    plus z_coef_b·z_b, for (B, C, H, W) ``z``: one product per item with a
+    dense (T·A, D) basis.  Factors (left, right) of n lifts of the planes
+    read block t of an item as an (nr, nq) grid G_t, and every channel gets
+    the plane left·[G_0·right_0; G_{T-1}·right_1; …].  T = n = 1 for the
     posterior mean, T = 2 for a guided step."""
     b, c = z.shape[:2]
     if isinstance(basis, np.ndarray):
-        flat = coef @ basis
+        flat = np.matmul(coef[:, None], basis)[:, 0]
         flat += z_coef[:, None] * z.reshape(b, -1)
         return flat.reshape(z.shape)
     left, right = basis
@@ -310,19 +318,19 @@ def posterior_mean(
     if sigma == 0.0:
         return z if subset is None else (z, z)
     sides = [mix] if subset is None else [mix, subset]
-    zf = z.data.reshape(z.dims[0], -1)  # (B, D)
+    b, a = z.dims[0], mix.n_atoms
     atoms = mix.table if mix.table is not None else (mix.rows.T, mix.cols[None])
     with np.errstate(over="ignore", invalid="ignore"):
         outs = [
-            _atom_product(_to_atoms(w, side.cells, mix.n_atoms), atoms, z_coef, z.data)
-            for (w, z_coef), side in zip(_side_weights(zf, sigma, sides), sides)
+            _atom_product(_to_atoms(w, _atom_index(side.cells, b, a), a), atoms, z_coef, z.data)
+            for (w, z_coef), side in zip(_side_weights(z.data.reshape(b, -1), sigma, sides), sides)
         ]
         full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
 
 
 def _lifted_basis(mix: IsotropicGaussianMixture, terms: list) -> np.ndarray | tuple | None:
-    """[atoms; L·atoms] over the A atoms of ``mix``, read-only, where L =
+    """[atoms; L·atoms] over the A atoms of ``mix``, where L =
     Σ_k c_k·P_{h,k} ⊗ P_{w,k} applies the ``terms`` of ``guidance.operator``
     to every plane; None when a part is not finite.
 
@@ -342,36 +350,21 @@ def _lifted_basis(mix: IsotropicGaussianMixture, terms: list) -> np.ndarray | tu
             parts = (basis,)
     if not all(np.isfinite(part).all() for part in parts):
         return None
-    for part in parts:
-        part.flags.writeable = False
     return parts if len(parts) > 1 else parts[0]
 
 
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
     """Pair from one mixture whose ``both`` shares a single pass of atom
-    dots, and whose ``guided`` works in the basis of the mixture's atoms.
-
-    At unit parallel weights per-band CFG is d_c + M·Δ, Δ = d_c - d_u, with
-    M = (s_0 - 1)·I + L (``guidance.operator``).  When all the mixture's
-    components share one scale, z_coef·z is the same in d_c and d_u, so Δ
-    is the atoms weighted by Δc = c_c - c_u, the difference of the two
-    sides' weights on the atoms (``_to_atoms``).  A guided step is then
-    ``posterior_mean``'s ``_atom_product`` with [c_c + (s_0 - 1)·Δc | Δc]
-    against [atoms; L·atoms] (``_lifted_basis``), and no band transform.
-    ``bases`` keeps the basis of the last guidance (transform, scales) asked
-    for.  Other pairs of mixture and guidance, a null condition and an
-    output that overflows take the band path of ``DenoiserPair.guided``,
-    which raises its own errors.
-
-    ``by_class`` maps each class id to its subset of ``mix``, built with
-    the pair and sharing its atoms.  The lock guards only the basis cache,
-    so callers may share one pair across their own threads.
+    dots.  ``by_class`` maps each class id to its subset of ``mix``, built
+    with the pair and sharing its atoms.  ``spans`` keeps the
+    ``span.Span`` of the last guidance ``span.span_of`` was asked for; the
+    lock guards only it, so callers may share one pair across threads.
     """
 
     mix: IsotropicGaussianMixture
     by_class: dict
-    bases: dict = field(default_factory=dict, repr=False)
+    spans: dict = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def class_mixture(self, condition) -> IsotropicGaussianMixture:
@@ -385,49 +378,6 @@ class _MixturePair(DenoiserPair):
             d_u = posterior_mean(z, sigma, self.mix)
             return d_u, d_u
         return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition))
-
-    def component_basis(self, cfg: GuidanceConfig) -> np.ndarray | tuple | None:
-        """[atoms; L·atoms] for ``cfg`` (``_lifted_basis``), or None when
-        a guided step under ``cfg`` cannot run in the atom basis."""
-        mix = self.mix
-        if np.any(mix.scales != mix.scales[0]) or any(w != 1.0 for w in cfg.weights):
-            return None
-        key = (cfg.transform, cfg.scales)
-        with self.lock:
-            if key not in self.bases:
-                self.bases.clear()
-                self.bases[key] = _lifted_basis(mix, operator(cfg, *mix.image_shape[1:])[1])
-            return self.bases[key]
-
-    def guided(self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
-        basis = None
-        if condition is not None and sigma > 0 and z.dims[1:] == self.mix.image_shape:
-            basis = self.component_basis(cfg)
-        # anything else, and an output that overflows, goes to the band path, which raises its own errors
-        if basis is not None:
-            out = _component_guided(z, sigma, self.mix, self.class_mixture(condition), basis, cfg)
-            if np.isfinite(out).all():
-                return Tensor4(out, checked=True)
-        return super().guided(z, sigma, condition, cfg)
-
-
-def _component_guided(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset, basis, cfg: GuidanceConfig
-) -> np.ndarray:
-    """d_c + M·Δ under ``cfg``:
-    ``posterior_mean``'s prelude gives the weights of ``subset`` and
-    ``mix``, which ``_to_atoms`` takes to the A atoms as c_c and c_u, and
-    [c_c + (s_0 - 1)·Δc | Δc], Δc = c_c - c_u, goes against ``basis``
-    [atoms; L·atoms].  Raises the prelude's ``DomainError``; the output is
-    not checked finite."""
-    b, a = z.dims[0], mix.n_atoms
-    with np.errstate(over="ignore", invalid="ignore"):
-        (w_u, _), (w_c, z_coef) = _side_weights(z.data.reshape(b, -1), sigma, [mix, subset])
-        coef = np.empty((b, 2 * a))
-        coef[:, :a] = _to_atoms(w_c, subset.cells, a)
-        np.subtract(coef[:, :a], _to_atoms(w_u, mix.cells, a), out=coef[:, a:])
-        coef[:, :a] += (cfg.scales[0] - 1.0) * coef[:, a:]
-        return _atom_product(coef, basis, z_coef, z.data)
 
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:

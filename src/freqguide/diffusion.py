@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
+from .span import span_of
 from .tensor import Tensor4, blocks, philox
 
 _MAX_SEED = 2**63
@@ -98,14 +99,14 @@ class SampleRunConfig:
             raise UsageError(f"shape must be (channels, height, width), got {self.shape}")
 
 
-def item_noise(seed: int, item: int, shape: tuple[int, int, int]) -> np.ndarray:
+def item_noise(seed: int, item: int, shape: tuple[int, int, int], out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal draw from the counter-based stream keyed by (seed,
-    item); raises ``UsageError`` when ``item`` leaves [0, 2**64), where it
-    would key another (seed, item) stream, or (seed << 64) + item leaves
-    [0, 2**128)."""
+    item), made in ``out`` when given; raises ``UsageError`` when ``item``
+    leaves [0, 2**64), where it would key another (seed, item) stream, or
+    (seed << 64) + item leaves [0, 2**128)."""
     if not 0 <= item < 2**64:
         raise UsageError(f"item {item} is outside [0, 2**64)")
-    return philox((int(seed) << 64) + int(item)).standard_normal(shape)
+    return philox((int(seed) << 64) + int(item)).standard_normal(shape, out=out)
 
 
 def initial_noise(
@@ -114,7 +115,9 @@ def initial_noise(
     """sigma_max * eps for items first..first+batch-1, with one RNG stream per
     item, so batch size and blocking never perturb an item's noise.  Raises
     ``DomainError`` when it overflows float64, ``UsageError`` as ``item_noise``."""
-    eps = np.stack([item_noise(seed, i, shape) for i in range(first, first + batch)])
+    eps = np.empty((batch,) + tuple(shape))
+    for item, out in enumerate(eps, first):
+        item_noise(seed, item, shape, out=out)
     with np.errstate(over="ignore"):
         z = np.multiply(sigma_max, eps, out=eps)
     if not np.isfinite(z).all():
@@ -137,18 +140,24 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     The batch runs in ``tensor.blocks`` of items, at most ``BLOCK_VALUES``
     values per image-sized array, each block through every step; every
     block observes into ``recorder``, which sums each step's band norms.
-    A batch of one block returns its final state as is; otherwise each
-    block's state is copied into one new output.  The state is a new array
-    each step, and every other array of a step is released once it is used.
+    When ``span.span_of`` gives the span of the pair's predictions and no
+    ``recorder`` is given, a block steps the coordinates u of its items in
+    that span (``span.Span``): one projection of the initial noise,
+    every step on u, one reconstruction.  A block whose coordinates or
+    endpoint are not finite runs again in image space, where the error a
+    user sees is raised.  A batch of one block returns its final state as
+    is; otherwise each block's state is copied into one new output.  The
+    state is a new array each step, and every other array of a step is
+    released once it is used.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
 
-    def denoise(z: Tensor4, sigma: float, i: int, step: int | None) -> np.ndarray:
+    def denoise(p, z: Tensor4, sigma: float, i: int, step: int | None) -> np.ndarray:
         if run.guidance is None:
-            return pair.cond(z, sigma, run.condition).data
+            return p.cond(z, sigma, run.condition).data
         return guided_denoise(
-            z, sigma, float(ts[i]), pair, run.guidance, condition=run.condition, recorder=recorder, step=step
+            z, sigma, float(ts[i]), p, run.guidance, condition=run.condition, recorder=recorder, step=step
         ).data
 
     def drift(z: Tensor4, x0: np.ndarray, sigma: float) -> np.ndarray:
@@ -162,9 +171,9 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
         return Tensor4(state, checked=True)
 
-    def advance(z: Tensor4, i: int) -> Tensor4:
+    def advance(p, z: Tensor4, i: int) -> Tensor4:
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-        d_cur = drift(z, denoise(z, s_cur, i, step=i), s_cur)
+        d_cur = drift(z, denoise(p, z, s_cur, i, step=i), s_cur)
         corrector = run.sampler == "heun" and s_next > 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
@@ -172,21 +181,34 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
         if not corrector:
             return z_euler
         # corrector never records: one band-norm record per step
-        d_next = drift(z_euler, denoise(z_euler, s_next, i, step=None), s_next)
+        d_next = drift(z_euler, denoise(p, z_euler, s_next, i, step=None), s_next)
         with np.errstate(over="ignore", invalid="ignore"):
             d_next = np.add(d_cur, d_next, out=d_next)
             return finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
 
-    def integrate(items: range) -> Tensor4:
-        z = initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
+    def integrate(p, z: Tensor4) -> Tensor4:
         for i in range(run.steps):
-            z = advance(z, i)
+            z = advance(p, z, i)
         return z
+
+    def endpoint(items: range) -> Tensor4:
+        def noise() -> Tensor4:
+            return initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
+
+        span = None if recorder is not None else span_of(pair, run.guidance, run.shape)
+        if span is not None:
+            z = noise().data
+            z.flags.writeable = True  # the block's own noise array takes z_⊥, then the endpoint
+            try:
+                return span.reconstruct(integrate(span.block(len(items), run.condition), span.project(z)), z)
+            except DomainError:
+                pass  # image space raises the error a user sees
+        return integrate(pair, noise())
 
     spans = blocks(run.batch, run.shape)
     if len(spans) == 1:
-        return integrate(spans[0])
+        return endpoint(spans[0])
     out = np.empty((run.batch,) + run.shape)
     for items in spans:
-        out[items.start : items.stop] = integrate(items).data
+        out[items.start : items.stop] = endpoint(items).data
     return Tensor4(out, checked=True)

@@ -77,8 +77,7 @@ class DenoiserPair:
 
     ``cond(z, sigma, condition)`` and ``uncond(z, sigma)`` must return
     tensors matching ``z``; ``uncond`` may come from a degraded model.
-    ``guided`` is one guided prediction; a pair that can form it without
-    both predictions (``analytic._MixturePair``) overrides it.
+    ``guided`` is one guided prediction.
     """
 
     cond: object

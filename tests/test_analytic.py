@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
-    ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, assert_runs_match_the_band_path, spy_combine_batches,
+    ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, assert_endpoints_match_the_band_path, spy_combine_batches,
 )
 
 from freqguide import (
@@ -17,6 +17,7 @@ from freqguide import (
     DomainError,
     GuidanceConfig,
     IsotropicGaussianMixture,
+    NoiseSchedule,
     NormRecorder,
     SampleRunConfig,
     ShapeError,
@@ -28,6 +29,7 @@ from freqguide import (
     degrade,
     freqcfg_combine,
     guided_denoise,
+    initial_noise,
     make_denoiser_pair,
     mode_report,
     posterior_mean,
@@ -37,6 +39,8 @@ from freqguide import (
 from freqguide import analytic, tensor
 from freqguide.cli import EXIT_CODES, build_pair
 from freqguide.config import Config
+from freqguide.guidance import operator
+from freqguide.span import _row_space, span_of
 
 rng = np.random.default_rng(42)
 
@@ -406,15 +410,16 @@ class TestJointEvaluation:
     @pytest.mark.parametrize("kind", ["dense", "factored"])
     def test_sigma_squared_overflow_is_domain_error(self, many_modes, kind):
         """σ² past float64 at finite ‖z‖²: the library call, the joint pass,
-        the component step and the band path all raise it."""
+        the guided step in the span and the band path all raise it."""
         spec, mix, labels, pair = many_modes
         if kind == "dense":
             spec, mix, labels, pair = model_of(acceptance_spec())
-            assert pair.component_basis(HAAR) is not None
         z = Tensor4(np.zeros((2,) + spec.image_shape))
+        span = span_of(pair, HAAR, spec.image_shape)
         calls = [
             lambda: posterior_mean(z, 1e160, mix),
             lambda: pair.both(z, 1e160, 1),
+            lambda: span.block(2, 1).guided(span.project(np.zeros(z.dims)), 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, replace(HAAR, parallel_weights=(0.5, 1.0))),
         ]
@@ -464,128 +469,218 @@ def overflow_spec() -> BlobTextureSpec:
     )
 
 
-class TestComponentBasis:
-    """A mixture whose components share one scale runs a guided step at
-    unit parallel weights in the basis of its atoms: the rows of ``table``,
-    or the planes of a factored mixture."""
+def lifted_planes(mix, cfg) -> np.ndarray:
+    """M·atom - (s_0 - 1)·atom = L·atom for every atom of ``mix``, through
+    the band engine: M·x = freqcfg_combine(x, 0) - x."""
+    atoms = all_means(mix) if mix.table is not None else np.repeat(
+        (mix.rows[:, None, :, None] * mix.cols[None, :, None, :]).reshape((-1, 1) + mix.image_shape[1:]),
+        mix.image_shape[0], axis=1,
+    )
+    return freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - cfg.scales[0] * atoms
+
+
+def assert_frame(span, noise: np.ndarray):
+    """``project`` then ``reconstruct`` gives ``noise`` back, and the state
+    u has the norm of each item."""
+    z = noise.copy()
+    u = span.project(z)
+    norms = np.sqrt(np.einsum("bd,bd->b", u.data.reshape(len(u.data), -1), u.data.reshape(len(u.data), -1)))
+    assert np.abs(norms - np.linalg.norm(noise.reshape(len(noise), -1), axis=1)).max() <= 1e-13 * norms.max()
+    assert np.abs(span.reconstruct(u, z).data - noise).max() <= 1e-13 * np.abs(noise).max()
+
+
+class TestSpan:
+    """A pair whose components share one scale integrates ``sample``'s ODE
+    in the span of its predictions: the rows of ``table`` and their lifts,
+    or the planes of a factored mixture and theirs."""
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
     @pytest.mark.parametrize("sampler", ["euler", "heun"])
-    def test_every_guided_evaluation_of_a_run_matches_the_band_path(self, blob_model, cfg, sampler):
+    def test_endpoints_match_the_band_path(self, blob_model, monkeypatch, cfg, sampler):
         spec, _, _, pair = blob_model
-        assert_runs_match_the_band_path(pair, spec, cfg, sampler)
+        assert_endpoints_match_the_band_path(monkeypatch, pair, spec, cfg, sampler)
+
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_unguided_and_null_condition_endpoints_match(self, blob_model, many_modes, monkeypatch, sampler):
+        for spec, _, _, pair in (blob_model, many_modes):
+            check = dict(sampler=sampler, batch=3)
+            assert_endpoints_match_the_band_path(monkeypatch, pair, spec, None, conditions=(None, 1), **check)
+            assert_endpoints_match_the_band_path(monkeypatch, pair, spec, HAAR, conditions=(None,), **check)
+
+    def test_several_blocks_match_the_band_path(self, blob_model, many_modes, monkeypatch):
+        """Blocks of 2, 2 and 1 items, each with its own noise, frame and
+        ``_to_atoms`` index."""
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", 2 * 3 * 32 * 32)
+        for spec, _, _, pair in (blob_model, many_modes):
+            assert_endpoints_match_the_band_path(monkeypatch, pair, spec, HAAR, "heun", conditions=(1,), batch=5)
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
-    def test_a_restricted_mixture_steps_in_the_basis_of_all_its_atoms(self, blob_model, cfg):
+    def test_a_restricted_mixture_steps_in_the_span_of_all_its_atoms(self, blob_model, monkeypatch, cfg):
         """The pair of a subset of 6 of the 8 components: its cells pick 6 of
-        the A = 8 atoms, in another order, and its basis holds all 8."""
+        the A = 8 atoms, in another order, and its span holds all 8."""
         spec, mix, labels, _ = blob_model
         idx = [7, 1, 2, 4, 6, 5]
         sub = mix.restricted(idx)
         pair = make_denoiser_pair(sub, labels[idx])
-        basis = pair.component_basis(cfg)
-        assert basis.shape == (2 * mix.n_components, mix.dim) and sub.table is mix.table
+        span = span_of(pair, cfg, spec.image_shape)
+        assert len(span.mix.table) == mix.n_components and sub.table is mix.table
         assert sub.cells.tolist() == [[k] for k in idx]
-        assert_runs_match_the_band_path(pair, spec, cfg, "heun")
+        assert_endpoints_match_the_band_path(monkeypatch, pair, spec, cfg, "heun")
 
     @pytest.mark.parametrize("cfg", [PYRAMID2, HAAR], ids=["pyramid2", "haar"])
     @pytest.mark.parametrize("sampler", ["euler", "heun"])
-    def test_factored_runs_match_the_band_path(self, many_modes, cfg, sampler):
+    def test_factored_endpoints_match_the_band_path(self, many_modes, monkeypatch, cfg, sampler):
         spec, mix, _, pair = many_modes
         assert mix.table is None
-        assert_runs_match_the_band_path(pair, spec, cfg, sampler, conditions=(0, 3), steps=6, batch=3)
+        assert_endpoints_match_the_band_path(monkeypatch, pair, spec, cfg, sampler, conditions=(0, 3), batch=3)
 
-    def test_a_restricted_factored_mixture_steps_in_the_planes_of_its_parent(self, many_modes):
+    def test_a_restricted_factored_mixture_steps_in_the_planes_of_its_parent(self, many_modes, monkeypatch):
         """A subset of 300 of the 1024 components in shuffled order: its
-        cells are unsorted, and its basis lifts all the parent's planes."""
+        cells are unsorted, and its span lifts all the parent's planes."""
         spec, mix, labels, _ = many_modes
         idx = np.random.default_rng(5).permutation(mix.n_components)[:300]
         sub = mix.restricted(idx)
         assert np.any(np.diff(sub.cells[:, 0]) < 0) and sub.rows is mix.rows
         pair = make_denoiser_pair(sub, labels[idx])
-        assert_runs_match_the_band_path(pair, spec, HAAR, "heun", conditions=(0, 3), steps=6, batch=3)
+        assert_endpoints_match_the_band_path(monkeypatch, pair, spec, HAAR, "heun", conditions=(0, 3), batch=3)
 
-    def test_basis_is_cached_read_only_and_lifts_the_means(self, blob_model):
-        _, mix, _, pair = blob_model
-        basis = pair.component_basis(PYRAMID3)
+    def test_lifted_basis_lifts_the_means(self, blob_model):
+        _, mix, _, _ = blob_model
+        basis = analytic._lifted_basis(mix, operator(PYRAMID3, 32, 32)[1])
         k = mix.n_components
-        assert basis.shape == (2 * k, mix.dim) and not basis.flags.writeable
-        assert pair.component_basis(replace(PYRAMID3, parallel_weights=(1.0,) * 4)) is basis
+        assert basis.shape == (2 * k, mix.dim)
         assert np.array_equal(basis[:k], mix.table)
-        # L·x = M·x - (s_0 - 1)·x, with M·x = freqcfg_combine(x, 0) - x
-        guided = freqcfg_combine(Tensor4(mix.means), Tensor4(np.zeros_like(mix.means)), PYRAMID3).data
-        lifted = guided - PYRAMID3.scales[0] * mix.means
-        assert np.abs(basis[k:] - lifted.reshape(k, -1)).max() <= 1e-14
-        # the pair keeps the basis of the last guidance only
-        assert pair.component_basis(HAAR) is not basis and list(pair.bases) == [(HAAR.transform, HAAR.scales)]
+        assert np.abs(basis[k:] - lifted_planes(mix, PYRAMID3).reshape(k, -1)).max() <= 1e-14
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
-    def test_factored_basis_is_small_read_only_and_lifts_the_planes(self, many_modes, cfg):
+    def test_factored_lifted_basis_is_small_and_lifts_the_planes(self, many_modes, cfg):
         """The lifted factors of the 19 x 19 planes hold at most 40 KB, not a
-        (2A, D) array, and give M·plane for every plane: (s_0 - 1)·plane
-        plus Σ_k outer(column r of left block k, row q of right block k)."""
-        spec, mix, _, pair = many_modes
-        left, right = basis = pair.component_basis(cfg)
-        assert pair.component_basis(cfg) is basis
+        (2A, D) array, and give L·plane for every plane:
+        Σ_k outer(column r of left block k, row q of right block k)."""
+        spec, mix, _, _ = many_modes
+        left, right = analytic._lifted_basis(mix, operator(cfg, 32, 32)[1])
         nr, nq, (c, h, w), n = len(mix.rows), len(mix.cols), spec.image_shape, len(cfg.scales) - 1
         assert left.shape == (h, (n + 1) * nr) and right.shape == (n + 1, nq, w)
-        assert not (left.flags.writeable or right.flags.writeable)
         assert left.nbytes + right.nbytes <= 40_000
         assert np.array_equal(left[:, :nr], mix.rows.T) and np.array_equal(right[0], mix.cols)
-        planes = mix.rows[:, None, :, None] * mix.cols[None, :, None, :]  # (nr, nq, H, W)
-        atoms = np.repeat(planes.reshape(-1, 1, h, w), c, axis=1)
-        want = freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - atoms
-        blocks = left.reshape(h, n + 1, nr)
-        got = (cfg.scales[0] - 1.0) * planes + np.einsum("hkr,kqw->rqhw", blocks[:, 1:], right[1:])
+        want = lifted_planes(mix, cfg)
+        got = np.einsum("hkr,kqw->rqhw", left.reshape(h, n + 1, nr)[:, 1:], right[1:])
         assert np.abs(got.reshape(-1, 1, h, w) - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_threads_alternating_guidance_get_their_own_basis(self):
+    @pytest.mark.parametrize(
+        "shape, rank", [((16, 300), 16), ((16, 300), 5), ((40, 12), 12), ((40, 12), 7), ((3, 3), 0), ((1, 1), 1)]
+    )
+    def test_row_space_is_the_svd_row_space(self, shape, rank):
+        """Against LAPACK's SVD: the rank by ``matrix_rank``'s rule on rows
+        scaled to a largest entry of 1, and the same span, for wide and tall
+        matrices, a rank-deficient one with a row 1e-9 the size of the others,
+        and a zero one."""
+        gen = np.random.default_rng(rank)
+        a = gen.standard_normal((shape[0], rank)) @ gen.standard_normal((rank, shape[1]))
+        a[0] *= 1e-9
+        q = _row_space(a)
+        unit = a / np.maximum(np.abs(a).max(axis=1, keepdims=True), np.finfo(float).tiny)
+        want = np.linalg.svd(unit)[2][: np.linalg.matrix_rank(unit)]
+        assert len(q) == len(want) == rank
+        assert np.abs(q @ q.T - np.eye(rank)).max(initial=0.0) <= 1e-14
+        assert np.abs(want - want @ q.T @ q).max(initial=0.0) <= 1e-12
+
+    def test_dense_span_is_an_orthonormal_frame_of_the_basis(self, blob_model):
+        """Rank 9 under pyramid(3): the 16 rows of [atoms; L·atoms] lie in
+        9 orthonormal rows, cached read-only for the last guidance."""
+        spec, mix, _, pair = blob_model
+        span = span_of(pair, PYRAMID3, spec.image_shape)
+        basis = analytic._lifted_basis(mix, operator(PYRAMID3, 32, 32)[1])
+        q = span.q
+        assert q.shape == (9, mix.dim) and span.mix.image_shape == (1, 2, 10)
+        assert np.abs(q @ q.T - np.eye(9)).max() <= 1e-14
+        assert np.abs(basis - basis @ q.T @ q).max() <= 1e-13 * np.abs(basis).max()
+        planes = span.basis.reshape(-1, 2, 10)  # the coordinates in row 0, zeros elsewhere
+        assert np.abs(planes[:, 0, :-1] - basis @ q.T).max() <= 1e-14 * np.abs(basis).max()
+        assert not (np.any(planes[:, 0, -1]) or np.any(planes[:, 1])) and not q.flags.writeable
+        assert np.shares_memory(span.mix.table, span.basis)
+        assert np.array_equal(span.mix.table, span.basis[: mix.n_components])
+        assert span_of(pair, replace(PYRAMID3, parallel_weights=(1.0,) * 4), spec.image_shape) is span
+        assert_frame(span, np.random.default_rng(1).standard_normal((4,) + spec.image_shape))
+        # the pair keeps the span of the last guidance only
+        assert span_of(pair, HAAR, spec.image_shape) is not span and list(pair.spans) == [(HAAR.transform, HAAR.scales)]
+
+    def test_factored_span_is_16_by_16_plane_coordinates_under_haar(self, many_modes):
+        spec, mix, _, pair = many_modes
+        span = span_of(pair, HAAR, spec.image_shape)
+        q_h, q_w = span.q
+        assert q_h.shape == (32, 16) and q_w.shape == (16, 32) and span.mix.image_shape == (1, 17, 17)
+        for q in (q_h.T, q_w):
+            assert np.abs(q @ q.T - np.eye(16)).max() <= 1e-14
+        left, right = analytic._lifted_basis(mix, operator(HAAR, 32, 32)[1])
+        assert np.abs(left - q_h @ q_h.T @ left).max() <= 1e-13 * np.abs(left).max()
+        assert np.abs(right - right @ q_w.T @ q_w).max() <= 1e-13 * np.abs(right).max()
+        assert_frame(span, np.random.default_rng(1).standard_normal((4,) + spec.image_shape))
+
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_span_of_the_whole_space(self, monkeypatch, sampler):
+        """One 1 x 1 x 1 Gaussian (unguided) spans its space, so z_⊥ is
+        exactly zero; three 1 x 2 x 2 components and their Haar lifts, which
+        add the constant plane, span all four dimensions."""
+        single = make_denoiser_pair(mixture([1.0], np.full((1, 1, 1, 1), 0.7), [2.0]), [0])
+        span = span_of(single, None, (1, 1, 1))
+        noise = initial_noise(4, 6, (1, 1, 1), 80.0).data.copy()
+        span.project(noise)
+        assert span.q.shape == (1, 1) and not np.any(noise)
+        spec = BlobTextureSpec(height=1, width=1, channels=1, centers=((0.0, 0.0),), n_classes=1)
+        assert_endpoints_match_the_band_path(monkeypatch, single, spec, None, sampler, conditions=(None, 0))
+        means = np.random.default_rng(3).standard_normal((3, 1, 2, 2))
+        pair = make_denoiser_pair(mixture([0.3, 0.3, 0.4], means, [0.3, 0.3, 0.3]), [0, 1, 1])
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 0.5))
+        assert span_of(pair, cfg, (1, 2, 2)).q.shape == (4, 4)
+        spec = replace(spec, height=2, width=2, centers=((0.0, 0.0),))
+        assert_endpoints_match_the_band_path(monkeypatch, pair, spec, cfg, sampler)
+
+    def test_threads_alternating_guidance_get_their_own_span(self):
         spec = acceptance_spec()
         mix = blob_mixture_from_spec(spec)
-        z = Tensor4(np.random.default_rng(6).standard_normal((2,) + spec.image_shape))
-        want = {}
-        for cfg in (PYRAMID3, HAAR):
-            alone = make_denoiser_pair(mix, class_labels(spec))
-            want[cfg] = (alone.component_basis(cfg).tobytes(), alone.guided(z, 0.5, 1, cfg).data.tobytes())
+
+        def run(cfg):
+            return SampleRunConfig(
+                steps=3, schedule=ACCEPTANCE_SCHEDULE, seed=6, batch=2, shape=spec.image_shape,
+                guidance=cfg, condition=1, sampler="euler",
+            )
+
+        want = {cfg: sample(make_denoiser_pair(mix, class_labels(spec)), run(cfg)).data.tobytes() for cfg in (PYRAMID3, HAAR)}
         configs = [(PYRAMID3, HAAR)[i % 2] for i in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
                 pair = make_denoiser_pair(mix, class_labels(spec))
-
-                def call(cfg):
-                    return pair.component_basis(cfg).tobytes(), pair.guided(z, 0.5, 1, cfg).data.tobytes()
-
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    got = [f.result(timeout=60) for f in [pool.submit(call, cfg) for cfg in configs]]
+                    futures = [pool.submit(sample, pair, run(cfg)) for cfg in configs]
+                    got = [f.result(timeout=60).data.tobytes() for f in futures]
                 assert all(result == want[cfg] for result, cfg in zip(got, configs))
         finally:
             sys.setswitchinterval(interval)
 
-    def test_unit_weights_take_the_component_path(self, blob_model, many_modes, monkeypatch):
-        spec, _, _, pair = blob_model
-        for case_pair in (pair, many_modes[3]):
-            for cfg in (PYRAMID3, replace(HAAR, parallel_weights=(1.0, 1.0))):
-                assert not band_path_ran(monkeypatch, case_pair, cfg, spec.image_shape)
-
-    def test_other_pairs_and_guidance_take_the_band_path(self, blob_model, many_modes, monkeypatch):
+    def test_which_pairs_have_a_span(self, blob_model, many_modes):
         spec, mix, labels, pair = blob_model
         factored = many_modes[3]
-        autoguided = build_pair(Config({"autoguide.enabled": "true"}), mix, labels)
-        cases = {
-            "parallel weight 0.5": (pair, replace(HAAR, parallel_weights=(0.5, 1.0))),
-            "factored, parallel weight 0.5": (factored, replace(HAAR, parallel_weights=(0.5, 1.0))),
-            "hand-built pair": (DenoiserPair(cond=pair.cond, uncond=pair.uncond), HAAR),
-            "autoguided pair": (autoguided, HAAR),
-        }
-        for name, (case_pair, cfg) in cases.items():
-            assert band_path_ran(monkeypatch, case_pair, cfg, spec.image_shape), name
         for case_pair in (pair, factored):
-            assert band_path_ran(monkeypatch, case_pair, HAAR, spec.image_shape, recorder=NormRecorder())
+            for cfg in (None, PYRAMID3, replace(HAAR, parallel_weights=(1.0, 1.0))):
+                assert span_of(case_pair, cfg, spec.image_shape) is not None
+            assert span_of(case_pair, replace(HAAR, parallel_weights=(0.5, 1.0)), spec.image_shape) is None
+            assert span_of(case_pair, HAAR, (3, 16, 16)) is None
+        autoguided = build_pair(Config({"autoguide.enabled": "true"}), mix, labels)
+        for other in (DenoiserPair(cond=pair.cond, uncond=pair.uncond), autoguided):
+            assert span_of(other, HAAR, spec.image_shape) is None
         unequal = make_denoiser_pair(mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.6]), [0, 1])
-        assert unequal.component_basis(HAAR) is None
-        assert band_path_ran(monkeypatch, unequal, HAAR, SHAPE)
+        assert span_of(unequal, HAAR, SHAPE) is None and span_of(unequal, None, SHAPE) is None
+
+    def test_a_guided_evaluation_takes_the_band_path(self, blob_model, many_modes, monkeypatch):
+        """Outside ``sample``'s span a mixture pair's guided prediction is
+        ``freqcfg_combine`` of ``both``, with or without a recorder."""
+        spec = blob_model[0]
+        for case_pair in (blob_model[3], many_modes[3]):
+            assert band_path_ran(monkeypatch, case_pair, HAAR, spec.image_shape)
+            assert band_path_ran(monkeypatch, case_pair, HAAR, spec.image_shape, recorder=NormRecorder())
 
     def test_a_recorded_run_takes_the_band_path_at_every_evaluation(self, blob_model, monkeypatch):
         """``analyze-norms`` keeps the trajectory of the band path, the Heun
@@ -600,33 +695,32 @@ class TestComponentBasis:
         sample(pair, run, recorder=recorder)
         assert batches == [3] * (2 * run.steps - 1) and len(recorder.records) == run.steps
 
-    def test_overflow_is_the_band_path_error(self):
-        # means ±1 and z near -1: Δ ≈ 2, which the scales lift past float64
-        mix = mixture([0.5, 0.5], np.stack([np.ones(SHAPE), -np.ones(SHAPE)]), [0.1, 0.1])
-        pair = make_denoiser_pair(mix, [0, 1])
+    @pytest.mark.parametrize("kind", ["dense", "factored"])
+    def test_overflow_is_the_band_path_error(self, kind, monkeypatch):
+        """The guided prediction overflows in the span too, so the block
+        reruns in image space and raises the band path's error."""
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.5e308, 1.5e308))
-        assert pair.component_basis(cfg) is not None
-        z = Tensor4(-np.ones((2,) + SHAPE))
+        if kind == "dense":
+            # means ±1: Δ ≈ 2, which the scales lift past float64
+            spec = BlobTextureSpec(height=4, width=4, channels=1, centers=((0.0, 0.0),), n_classes=1)
+            pair = make_denoiser_pair(mixture([0.5, 0.5], np.stack([np.ones(SHAPE), -np.ones(SHAPE)]), [0.1, 0.1]), [0, 1])
+        else:
+            # the factors lift finitely (c_1 = 0), but (s_0 - 1)·Δ of the blobs of amplitude 10 does not
+            spec, mix, _, pair = model_of(overflow_spec())
+            assert mix.table is None
+        assert span_of(pair, cfg, spec.image_shape) is not None
+        run = SampleRunConfig(
+            steps=2, schedule=NoiseSchedule.linear(1.0), seed=0, batch=2, shape=spec.image_shape,
+            guidance=cfg, condition=0, sampler="euler",
+        )
+        batches = spy_combine_batches(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="guided output overflows float64") as exc:
-                guided_denoise(z, 1.0, 1.0, pair, cfg, condition=0)
-        assert EXIT_CODES[exc.value.category] == 6
+                sample(pair, run)
+        assert EXIT_CODES[exc.value.category] == 6 and batches == [2]
 
-    def test_factored_overflow_is_the_band_path_error(self):
-        """The factors lift finitely (c_1 = 0), but (s_0 - 1)·G_Δ times the
-        blobs of amplitude 10 does not: the band path raises."""
-        spec, mix, _, pair = model_of(overflow_spec())
-        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.5e308, 1.5e308))
-        assert mix.table is None and pair.component_basis(cfg) is not None
-        z = Tensor4(np.zeros((2,) + spec.image_shape))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="guided output overflows float64") as exc:
-                guided_denoise(z, 80.0, 1.0, pair, cfg, condition=0)
-        assert EXIT_CODES[exc.value.category] == 6
-
-    def test_overflowing_lift_leaves_the_band_path(self):
+    def test_overflowing_lift_has_no_span(self):
         """L·means overflows, but Δ = 0 at z on a mean of the class: the band
         path gives d_c."""
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 10.0)]), [0.1, 0.1])
@@ -635,11 +729,11 @@ class TestComponentBasis:
         z = Tensor4(np.full((1,) + SHAPE, 10.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pair.component_basis(cfg) is None
+            assert span_of(pair, cfg, SHAPE) is None
             out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
         assert np.array_equal(out.data, pair.cond(z, 0.2, 1).data)
 
-    def test_overflowing_factored_lift_leaves_the_band_path(self):
+    def test_overflowing_factored_lift_has_no_span(self):
         """c_1·P_{h,1}·rowsᵀ overflows for blobs of amplitude 10, but Δ = 0
         at z on a mean of class 1, which alone has weight there: the band
         path's bytes, d_c."""
@@ -649,7 +743,7 @@ class TestComponentBasis:
         assert labels[[3, 9]].tolist() == [1, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pair.component_basis(cfg) is None
+            assert span_of(pair, cfg, spec.image_shape) is None
             out = guided_denoise(z, 0.02, 1.0, pair, cfg, condition=1)
             d_c, d_u = pair.both(z, 0.02, 1)
         assert np.array_equal(d_c.data, d_u.data)
@@ -669,7 +763,8 @@ def test_to_atoms_is_the_per_item_sum(many_modes, subset):
     for b in range(5):
         for t in range(mix.cells.shape[1]):
             np.add.at(want[b], mix.cells[:, t], w[b])
-    assert analytic._to_atoms(w, mix.cells, mix.n_atoms).tobytes() == want.tobytes()
+    index = analytic._atom_index(mix.cells, 5, mix.n_atoms)
+    assert analytic._to_atoms(w, index, mix.n_atoms).tobytes() == want.tobytes()
 
 
 class TestCachedConstants:

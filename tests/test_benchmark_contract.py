@@ -5,26 +5,26 @@ workload marks set-up done at the first call of its ``ready_at`` name in
 package names with keywords.  An untraced run would not notice a renamed
 traced name, so these tests read those files (without running them) and
 look the names up.
-They also hold the guided workloads, dense and factored, to the
-component-basis step, which a change that sent them back to the band
-engine would slow down unnoticed.
+They also hold the guided workloads, dense and factored, to stepping in
+the span of their predictions, which a change that sent them back to
+image space would slow down unnoticed.
 """
 
 import ast
 import importlib
 import inspect
+import math
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from conftest import spy_combine_batches
 
 from freqguide import (
-    BlobTextureSpec, GuidanceConfig, Tensor4, TransformKind, blob_mixture_from_spec, class_labels, guided_denoise,
-    make_denoiser_pair,
+    BlobTextureSpec, GuidanceConfig, NoiseSchedule, SampleRunConfig, TransformKind, blob_mixture_from_spec,
+    class_labels, make_denoiser_pair, sample,
 )
-from freqguide import analytic
+from freqguide import analytic, span
 from freqguide.cli import build_guidance, build_model, build_pair, build_run
 from freqguide.config import Config
 
@@ -139,33 +139,42 @@ def sweep_cli(workloads):
     return build_pair(cfg, mix, labels), points, build_run(cfg, mix.image_shape, base).condition
 
 
-@pytest.mark.parametrize("build", [sample_pyr3, sweep_cli], ids=["sample-pyr3", "sweep-cli"])
-def test_guided_workloads_take_the_component_path(workloads, monkeypatch, build):
+def sample_manymodes(workloads):
+    pair, configs, condition = library_workload(workloads, "sample-manymodes")
+    assert pair.mix.table is None
+    return pair, configs, condition
+
+
+@pytest.mark.parametrize(
+    "build", [sample_pyr3, sweep_cli, sample_manymodes], ids=["sample-pyr3", "sweep-cli", "sample-manymodes"]
+)
+def test_guided_workloads_step_in_the_span(workloads, monkeypatch, build):
+    """Every guided workload, dense and factored, integrates in the
+    coordinates of its predictions' span: no (B, D) array enters the mixture
+    weights inside the loop, and no step calls ``posterior_mean`` (so the
+    traced ``analytic.posterior_mean.calls`` reads 0) or combines a batch."""
     pair, configs, condition = build(workloads)
-    batches = spy_combine_batches(monkeypatch)
-    z = Tensor4(np.random.default_rng(0).standard_normal((3,) + pair.mix.image_shape))
-    for cfg in configs:
-        assert pair.component_basis(cfg) is not None
-        guided_denoise(z, 1.0, 1.0, pair, cfg, condition=condition)
-    assert batches == []
+    shape = pair.mix.image_shape
+    widths, calls = [], []
+    side_weights, posterior_mean = span._side_weights, analytic.posterior_mean
 
+    def spy_weights(zf, *args):
+        widths.append(zf.shape[1])
+        return side_weights(zf, *args)
 
-def test_many_mode_guided_evaluation_takes_the_component_path(workloads, monkeypatch):
-    """sample-manymodes, whose mixture is factored, steps in the lifted
-    factors of its planes: a guided evaluation calls no ``posterior_mean``,
-    so the traced ``analytic.posterior_mean.calls`` reads 0, and combines
-    no batch."""
-    pair, (cfg,), condition = library_workload(workloads, "sample-manymodes")
-    assert pair.mix.table is None and pair.component_basis(cfg) is not None
-    real, calls = analytic.posterior_mean, []
-
-    def spy(*args, **kwargs):
+    def spy_posterior(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        return posterior_mean(*args, **kwargs)
 
-    monkeypatch.setattr(analytic, "posterior_mean", spy)
+    monkeypatch.setattr(span, "_side_weights", spy_weights)
+    monkeypatch.setattr(analytic, "posterior_mean", spy_posterior)
     batches = spy_combine_batches(monkeypatch)
-    z = Tensor4(np.random.default_rng(0).standard_normal((3,) + pair.mix.image_shape))
-    for sigma in (80.0, 1.0):
-        guided_denoise(z, sigma, 1.0, pair, cfg, condition=condition)
+    for cfg in configs:
+        assert span.span_of(pair, cfg, shape) is not None
+        run = SampleRunConfig(
+            steps=3, schedule=NoiseSchedule.karras(0.02, 80.0), seed=0, batch=3, shape=shape,
+            guidance=cfg, condition=condition, sampler="heun",
+        )
+        sample(pair, run)
+    assert len(widths) == 5 * len(configs) and max(widths) < math.prod(shape)
     assert calls == [] and batches == []

@@ -42,9 +42,11 @@ guidance.scales = 3,1.5
 """.format(centers=",".join(f"{r + 0.5}:{c + 0.5}" for r in range(0, 32, 2) for c in range(0, 32, 2)))
 
 HAAR_GUIDANCE = "guidance.transform = haar\nguidance.scales = 3,1.5\n"
-MANY_MODES_GUIDANCE = {
-    "haar": MANY_MODES,
-    "pyramid2_unit_weights": MANY_MODES.replace(
+BATCH_INVARIANT = {
+    "acceptance": ACCEPTANCE,
+    "acceptance_autoguided": ACCEPTANCE + "autoguide.enabled = true\n",  # the band path
+    "many_modes_haar": MANY_MODES,
+    "many_modes_pyramid2_unit_weights": MANY_MODES.replace(
         HAAR_GUIDANCE, "guidance.transform = pyramid\nguidance.levels = 2\nguidance.scales = 3,2,1.5\n"
     ),
 }
@@ -82,14 +84,15 @@ def test_sample_rerun_identical_across_blas_threads(tmp_path, name):
     assert one == two
 
 
-@pytest.mark.parametrize("guidance", sorted(MANY_MODES_GUIDANCE))
+@pytest.mark.parametrize("model", sorted(BATCH_INVARIANT))
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_factored_sample_is_batch_invariant(tmp_path, threads, guidance):
-    """On the many-mode model, whose denoiser and component step run on
-    separable factors, items 0-2 have the same bytes in a batch of 3 and in
-    a batch of 64."""
-    cfg = tmp_path / "many_modes.cfg"
-    cfg.write_text(MANY_MODES_GUIDANCE[guidance])
+def test_sample_is_batch_invariant(tmp_path, threads, model):
+    """Every product of the denoisers, of the span and of the band path is
+    per item, so on the dense acceptance model (in the span, and
+    autoguided on the band path) and on the factored many-mode model items
+    0-2 have the same bytes in a batch of 3 and in a batch of 64."""
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(BATCH_INVARIANT[model])
     outs = []
     for batch in ("3", "64"):
         argv = ("sample", "--config", str(cfg), "--seed", "5", "--steps", "6", "--batch", batch)

@@ -203,10 +203,9 @@ class TestSampler:
 
     def test_each_array_is_scanned_for_finiteness_once(self, monkeypatch):
         scans, steps = self.count_scans(monkeypatch, make_denoiser_pair(single_gaussian(0.7, 2.0), [0]))
-        # the initial noise, then per step the guided output, which the
-        # component basis forms with no separate d_c and d_u, and the new
-        # state, each raising its own error
-        assert scans == 1 + 2 * steps
+        # the initial noise and the endpoint made from the state's
+        # coordinates: every step runs on those coordinates alone
+        assert scans == 2
 
     def test_each_array_is_scanned_for_finiteness_once_on_the_band_path(self, monkeypatch):
         mixture_pair = make_denoiser_pair(single_gaussian(0.7, 2.0), [0])
@@ -476,8 +475,9 @@ class TestBlockedSampling:
         monkeypatch.setattr(diffusion, "initial_noise", spy)
         return calls
 
-    def test_factored_blocks_give_one_block_bytes(self, monkeypatch):
-        mix, pair = blob_model(factored=True)
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
+    def test_blocks_give_one_block_bytes(self, monkeypatch, factored):
+        mix, pair = blob_model(factored=factored)
         run = self.run(mix, 85)
         calls = self.spy_noise(monkeypatch)
         blocked = sample(pair, run)
@@ -488,6 +488,8 @@ class TestBlockedSampling:
         assert calls[3:] == [(85, 0)]
 
     def test_one_block_returns_its_state(self, monkeypatch):
+        """In image space the last state, in the span the noise array the
+        endpoint is made in: no copy either way."""
         mix, pair = blob_model(factored=False)
         states = []
         finite = diffusion.Tensor4
@@ -497,8 +499,16 @@ class TestBlockedSampling:
             return states[-1]
 
         monkeypatch.setattr(diffusion, "Tensor4", keep)
-        out = sample(pair, self.run(mix, 42, sampler="euler"))
+        out = sample(DenoiserPair(cond=pair.cond, uncond=pair.uncond), self.run(mix, 42, sampler="euler"))
         assert out is states[-1]
+        noises = []
+
+        def spy(*args, **kwargs):
+            noises.append(initial_noise(*args, **kwargs).data)
+            return Tensor4(noises[-1], checked=True)
+
+        monkeypatch.setattr(diffusion, "initial_noise", spy)
+        assert sample(pair, self.run(mix, 42, sampler="euler")).data is noises[0]
 
     def test_recorder_merges_blocks(self, monkeypatch):
         mix, pair = blob_model(factored=False)

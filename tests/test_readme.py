@@ -2,7 +2,8 @@ import shlex
 from pathlib import Path
 
 from freqguide import Tensor4
-from freqguide.cli import build_parser
+from freqguide.cli import CONFIG_KEYS, build_guidance, build_model, build_parser, build_run
+from freqguide.config import Config, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +29,15 @@ def test_cli_block_parses():
     parser = build_parser()
     parsed = {parser.parse_args(argv[1:]).command for argv in commands}
     assert parsed == {"gen-data", "sample", "combine", "analyze-norms", "sweep"}
+
+
+def test_config_block_builds_a_run():
+    """README's "Config keys" block is a config as written: every key is
+    known, and it builds the model, the guidance and the run."""
+    section = README.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    block = section.split("```ini", 1)[1].split("```", 1)[0]
+    cfg = Config(parse_config_text(block, "README.md (Config keys)"))
+    assert set(cfg.values) <= CONFIG_KEYS
+    mix, _ = build_model(cfg)
+    run = build_run(cfg, mix.image_shape, build_guidance(cfg, mix.image_shape))
+    assert run.shape == mix.image_shape == (3, 32, 32) and run.guidance.scales == (3.0, 1.5)
