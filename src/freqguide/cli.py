@@ -185,8 +185,10 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
         raise ConfigError(str(exc)) from exc
 
 
-def build_pair(cfg: Config, mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
-    pair = make_denoiser_pair(mix, labels)
+def build_pair(cfg: Config, pair: DenoiserPair) -> DenoiserPair:
+    """``make_denoiser_pair``'s ``pair``, or with autoguide.* its cond
+    against a degraded copy of its mixture."""
+    mix = pair.mix
     if not cfg.get_bool("autoguide.enabled", False):
         for name in ("jitter", "jitter_rel", "inflate", "seed"):
             if cfg.has(f"autoguide.{name}"):
@@ -290,7 +292,7 @@ def cmd_sample(args) -> int:
     mix, labels = build_model(cfg)
     guidance = build_guidance(cfg, mix.image_shape)
     run = build_run(cfg, mix.image_shape, guidance)
-    pair = build_pair(cfg, mix, labels)
+    pair = build_pair(cfg, make_denoiser_pair(mix, labels))
     out = sample(pair, run)
     write_tensor(args.out, out)
     write_manifest(args.out + ".manifest.json", "sample", cfg.resolved(), run.seed, [args.out])
@@ -339,7 +341,7 @@ def cmd_analyze_norms(args) -> int:
     guidance = build_guidance(cfg, mix.image_shape, required=True)
     run = build_run(cfg, mix.image_shape, guidance)
     _require_guidance_signal(cfg, run, "analyze-norms", "every guidance norm is zero")
-    pair = build_pair(cfg, mix, labels)
+    pair = build_pair(cfg, make_denoiser_pair(mix, labels))
     recorder = NormRecorder()
     sample(pair, run, recorder=recorder)
     if len(recorder.records) < 2:
@@ -377,8 +379,9 @@ def cmd_sweep(args) -> int:
     except UsageError as exc:
         raise ConfigError(f"sweep.samples: {exc}") from exc
     _require_guidance_signal(cfg, run, "sweep", "every grid point gives the same row")
-    pair = build_pair(cfg, mix, labels)
-    target = mix if run.condition is None else make_denoiser_pair(mix, labels).class_mixture(run.condition)
+    mixture_pair = make_denoiser_pair(mix, labels)
+    pair = build_pair(cfg, mixture_pair)
+    target = mix if run.condition is None else mixture_pair.class_mixture(run.condition)
     tau = cfg.get_float("sweep.tau", None)
     if tau is None:
         tau = default_tau(mix)

@@ -110,14 +110,16 @@ def item_noise(seed: int, item: int, shape: tuple[int, int, int], out: np.ndarra
 
 
 def initial_noise(
-    seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float, *, first: int = 0
+    seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float, *, first: int = 0,
+    out: np.ndarray | None = None,
 ) -> Tensor4:
     """sigma_max * eps for items first..first+batch-1, with one RNG stream per
-    item, so batch size and blocking never perturb an item's noise.  Raises
-    ``DomainError`` when it overflows float64, ``UsageError`` as ``item_noise``."""
-    eps = np.empty((batch,) + tuple(shape))
-    for item, out in enumerate(eps, first):
-        item_noise(seed, item, shape, out=out)
+    item, so batch size and blocking never perturb an item's noise; made in
+    ``out`` when given.  Raises ``DomainError`` when it overflows float64,
+    ``UsageError`` as ``item_noise``."""
+    eps = np.empty((batch,) + tuple(shape)) if out is None else out
+    for item, row in enumerate(eps, first):
+        item_noise(seed, item, shape, out=row)
     with np.errstate(over="ignore"):
         z = np.multiply(sigma_max, eps, out=eps)
     if not np.isfinite(z).all():
@@ -137,18 +139,20 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     one takes the band path at every guided evaluation, the corrector's
     included (``guided_denoise``).
 
-    The batch runs in ``tensor.blocks`` of items, at most ``BLOCK_VALUES``
-    values per image-sized array, each block through every step; every
-    block observes into ``recorder``, which sums each step's band norms.
     When ``span.span_of`` gives the span of the pair's predictions and no
-    ``recorder`` is given, a block steps the coordinates u of its items in
-    that span (``span.Span``): one projection of the initial noise,
-    every step on u, one reconstruction.  A block whose coordinates or
-    endpoint are not finite runs again in image space, where the error a
-    user sees is raised.  A batch of one block returns its final state as
-    is; otherwise each block's state is copied into one new output.  The
-    state is a new array each step, and every other array of a step is
-    released once it is used.
+    ``recorder`` is given, ``sample`` steps the coordinates u of the items
+    in that span (``span.Span``): each ``tensor.blocks`` block of images,
+    at most ``BLOCK_VALUES`` values per image-sized array, draws its noise
+    in its rows of the output and projects it there, leaving z_⊥; every
+    item then walks the steps in blocks of ``Span.item_values``-sized
+    items, one block for most batches; each image block's endpoints are
+    then made in place.  If a coordinate or endpoint is not finite, the
+    batch runs again in image space, where the error a user sees is raised.
+    In image space each image block runs through every step, observing
+    into ``recorder``, which sums each step's band norms; a batch of one
+    block returns its final state as is, otherwise each block's state is
+    copied into one new output.  The state is a new array each step, and
+    every other array of a step is released once it is used.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
@@ -191,24 +195,34 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
             z = advance(p, z, i)
         return z
 
-    def endpoint(items: range) -> Tensor4:
-        def noise() -> Tensor4:
-            return initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start)
+    images = blocks(run.batch, run.shape)
 
-        span = None if recorder is not None else span_of(pair, run.guidance, run.shape)
-        if span is not None:
-            z = noise().data
-            z.flags.writeable = True  # the block's own noise array takes z_⊥, then the endpoint
-            try:
-                return span.reconstruct(integrate(span.block(len(items), run.condition), span.project(z)), z)
-            except DomainError:
-                pass  # image space raises the error a user sees
-        return integrate(pair, noise())
+    def noise(items: range, out: np.ndarray | None = None) -> Tensor4:
+        return initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start, out=out)
 
-    spans = blocks(run.batch, run.shape)
-    if len(spans) == 1:
-        return endpoint(spans[0])
+    def in_span(span) -> Tensor4:
+        out, u = np.empty((run.batch,) + run.shape), np.empty((run.batch,) + span.mix.image_shape)
+        for items in images:
+            rows = slice(items.start, items.stop)
+            noise(items, out[rows])  # a new view of the rows, which stays writable, goes to project
+            u[rows] = span.project(out[rows]).data
+        for items in blocks(run.batch, (span.item_values,)):
+            rows = slice(items.start, items.stop)
+            u[rows] = integrate(span.block(len(items), run.condition), Tensor4(u[rows], checked=True)).data
+        for items in images:
+            rows = slice(items.start, items.stop)
+            span.reconstruct(Tensor4(u[rows], checked=True), out[rows])
+        return Tensor4(out, checked=True)
+
+    span = None if recorder is not None else span_of(pair, run.guidance, run.shape)
+    if span is not None:
+        try:
+            return in_span(span)
+        except DomainError:
+            pass  # image space raises the error a user sees
+    if len(images) == 1:
+        return integrate(pair, noise(images[0]))
     out = np.empty((run.batch,) + run.shape)
-    for items in spans:
-        out[items.start : items.stop] = endpoint(items).data
+    for items in images:
+        out[items.start : items.stop] = integrate(pair, noise(items)).data
     return Tensor4(out, checked=True)

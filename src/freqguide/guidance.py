@@ -9,9 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-from .frequency import (
-    TransformKind, analyze, chain_band, low_pass_chain, low_pass_operators, step_matrices, up_step
-)
+from .frequency import TransformKind, analyze, chain_band, low_pass_chain, step_matrices, up_step
 from .tensor import Tensor4
 
 
@@ -226,15 +224,13 @@ def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
         return Tensor4(_finite(np.add(out, correction, out=out)), checked=True)
 
 
-def operator(cfg: GuidanceConfig, height: int, width: int) -> tuple[float, list]:
-    """Per-band CFG at unit parallel weights on height x width planes as
-    d_c + M·Δ, M = (s_0 - 1)·I + Σ_k c_k·P_{h,k} ⊗ P_{w,k}, c_k = s_k - s_{k-1},
-    where P_{h,k} @ x @ P_{w,k}ᵀ is U^k D^k x (``low_pass_operators``, which
-    raises for sizes the transform cannot decompose).  Returns s_0 - 1 and
-    [(c_k, P_{h,k}, P_{w,k}) for k = 1..N]."""
-    s = cfg.scales
-    ops = low_pass_operators(cfg.transform, height, width)
-    return s[0] - 1.0, [(s[k] - s[k - 1], p_h, p_w) for k, (p_h, p_w) in enumerate(ops, 1)]
+def operator(cfg: GuidanceConfig) -> np.ndarray:
+    """Per-band CFG at unit parallel weights as d_c + M·Δ,
+    M = (s_0 - 1)·I + Σ_k c_k·P_k, c_k = s_k - s_{k-1}, where P_k =
+    P_{h,k} ⊗ P_{w,k} applies U^k D^k to every plane
+    (``frequency.low_pass_operators``): the gains [s_0 - 1, c_1, …, c_N]."""
+    s = np.array(cfg.scales)
+    return np.concatenate([s[:1] - 1.0, np.diff(s)])
 
 
 def guided_denoise(

@@ -12,47 +12,78 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (
-    IsotropicGaussianMixture, _atom_index, _atom_product, _checked, _lifted_basis, _MixturePair, _side_weights,
-    _to_atoms,
+    IsotropicGaussianMixture, _atom_basis, _atom_index, _atom_product, _checked, _lifted_basis, _MixturePair,
+    _side_weights, _to_atoms,
 )
 from .errors import DomainError
+from .frequency import low_pass_operators
 from .guidance import DenoiserPair, GuidanceConfig, operator
 from .tensor import Tensor4
 
 
 def span_of(pair: DenoiserPair, cfg: GuidanceConfig | None, shape: tuple) -> Span | None:
-    """The ``Span`` of ``pair`` under ``cfg`` (None: unguided, L = 0) for
-    items of ``shape``, kept in ``pair.spans`` for the last guidance asked
-    for; None unless ``pair`` is ``make_denoiser_pair``'s, ``shape`` is its
+    """The ``Span`` of ``pair`` under ``cfg``'s transform (None: unguided)
+    for items of ``shape``, kept in ``pair.spans`` for the last transform
+    asked for: one span serves every scale and gate state of a transform.
+    None unless ``pair`` is ``make_denoiser_pair``'s, ``shape`` is its
     mixture's, the components share one scale, every parallel weight is 1
-    and [atoms; L·atoms] is finite."""
+    and the lifted atoms are finite."""
     if not isinstance(pair, _MixturePair) or any(w != 1.0 for w in (cfg.weights if cfg else ())):
         return None
     mix = pair.mix
     if shape != mix.image_shape or np.any(mix.scales != mix.scales[0]):
         return None
     with pair.lock:
-        if (key := cfg and (cfg.transform, cfg.scales)) not in pair.spans:
+        if (key := cfg and cfg.transform) not in pair.spans:
             pair.spans.clear()
-            terms = operator(cfg, *shape[1:])[1] if cfg else [(0.0, np.eye(shape[1]), np.eye(shape[2]))]
-            pair.spans[key] = Span.of(mix, pair.by_class, terms)
+            ops = low_pass_operators(cfg.transform, *shape[1:]) if cfg else []
+            pair.spans[key] = Span.of(mix, pair.by_class, ops)
         return pair.spans[key]
+
+
+def _lq(b: np.ndarray) -> tuple[list, np.ndarray]:
+    """Householder vectors h_j and the (k, k) lower triangle L of a (k, m)
+    ``b``, k <= m, with b = [L 0]·H_{k-1}⋯H_0, H_j = I - 2·h_j·h_jᵀ on
+    entries j.. of a row (h_j None: H_j = I).  Its dots are numpy's
+    pairwise sums: with einsum's running sums the acceptance model's span
+    projectors strayed up to 9.8e-14 from those of Jacobi on the whole
+    matrix, with them 5.5e-15."""
+    b, vectors = b.copy(), []
+    for j in range(len(b)):
+        x = b[j, j:]
+        norm = math.sqrt((x * x).sum())
+        if norm == 0.0:
+            vectors.append(None)
+            continue
+        h = x.copy()
+        h[0] += math.copysign(norm, h[0])
+        h /= math.sqrt((h * h).sum())
+        b[j:, j:] -= (b[j:, j:] * h).sum(axis=1)[:, None] * (2.0 * h)
+        vectors.append(h)
+    return vectors, np.tril(b[:, : len(b)])
 
 
 def _row_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``a``, as many as
     ``np.linalg.matrix_rank``'s rule counts with each row scaled to a
-    largest entry of 1: one-sided Jacobi (Hestenes 1958) in round-robin
-    rounds, on [aᵀ | I] for a tall ``a``; a row below the rule's bound
-    turns no more.  Plain numpy: LAPACK would page 1 MB of code into RSS."""
+    largest entry of 1.  QR-preconditioned one-sided Jacobi (Drmač and
+    Veselić 2008) in round-robin rounds, on k x k triangles, k =
+    min(a.shape), from ``_lq``: a wide ``a`` is [L 0]·H, L = Q_2·T, and
+    Jacobi turns the rows of T to ``a``'s right singular vectors, which H
+    carries back; a tall ``a`` is Hᵀ·[L 0]ᵀ, whose columns dot as the rows
+    of L, and Jacobi turns [L | I] as it would [aᵀ | I].  A row below the
+    rule's bound turns no more.  Plain numpy: LAPACK would page 1 MB of
+    code into RSS."""
     eps, (rows, cols), peak = np.finfo(np.float64).eps, a.shape, np.abs(a).max(axis=1, keepdims=True)
-    tall, m = rows > cols, min(rows, cols) + min(rows, cols) % 2
-    x, d = np.zeros((m, rows + cols if tall else cols)), rows if tall else cols  # d: the columns dotted
-    if tall:
-        np.divide(a.T, peak.T, out=x[:cols, :rows], where=peak.T > 0)
-        x[:cols, rows:] = np.eye(cols)
+    wide, d = rows <= cols, min(rows, cols)  # d: the columns dotted
+    unit = np.divide(a, peak, out=np.zeros(a.shape), where=peak > 0)
+    vectors, lower = _lq(unit if wide else unit.T)
+    m = d + d % 2
+    x = np.zeros((m, d if wide else 2 * d))
+    if wide:
+        x[:d] = _lq(lower.T)[1].T
     else:
-        np.divide(a, peak, out=x[:rows], where=peak > 0)
+        x[:d, :d], x[:d, d:] = lower, np.eye(d)
     floor = np.einsum("ij,ij->i", x[:, :d], x[:, :d]).max() * (max(a.shape) * eps) ** 2
     order, rounds = np.arange(m), []
     for _ in range(m - 1):  # a sweep turns every pair once, in rounds of disjoint pairs
@@ -75,20 +106,29 @@ def _row_space(a: np.ndarray) -> np.ndarray:
         x[i[turn]], x[j[turn]] = cos * (xi - tan * xj), cos * (tan * xi + xj)
     s = np.sqrt(np.einsum("ij,ij->i", x[:, :d], x[:, :d]))
     keep = s > s.max() * max(a.shape) * eps
-    return x[keep, d:] if tall else x[keep] / s[keep, None]
+    if not wide:
+        return x[keep, d:]
+    y = np.zeros((np.count_nonzero(keep), cols))
+    y[:, :d] = x[keep] / s[keep, None]
+    for j, h in reversed(list(enumerate(vectors))):
+        if h is not None:
+            y[:, j:] -= (y[:, j:] * h).sum(axis=1)[:, None] * (2.0 * h)
+    return y
 
 
 @dataclass(frozen=True, eq=False)
 class Span:
-    """The coordinates in which ``sample`` steps a mixture pair.  ``q`` is
-    an orthonormal basis of the span of [atoms; L·atoms]: (r, D) rows, or
-    for factored atoms (Q_h, Q_w) on the unit channel mean.  An item's state
-    u, its z in the frame [Q | z_⊥/‖z_⊥‖], is a (1, 2, r + 1) or
-    (1, r_h + 1, r_w + 1) plane: the coordinates in [:-1, :-1], ‖z_⊥‖ in
+    """The coordinates in which ``sample`` steps a mixture pair under one
+    transform.  ``q`` is an orthonormal basis of the span of
+    [atoms; P_1·atoms; …; P_N·atoms], P_k = U^k D^k of the transform: (r, D)
+    rows, or for factored atoms (Q_h, Q_w) on the unit channel mean.  An
+    item's state u, its z in the frame [Q | z_⊥/‖z_⊥‖], is a (1, 2, r + 1)
+    or (1, r_h + 1, r_w + 1) plane: the coordinates in [:-1, :-1], ‖z_⊥‖ in
     its last corner.  ``mix``, ``by_class`` and ``basis`` are the pair's in
     these coordinates.  ``block`` binds the span to a block's ``side`` and
-    each side's ``_to_atoms`` index; ``guided`` then weighs [atoms; L·atoms]
-    by [c_c + (s_0 - 1)·Δc | Δc] and ``cond`` by [c_c | 0]."""
+    each side's ``_to_atoms`` index; ``guided`` then weighs the N + 1
+    blocks of the basis by [c_c + (s_0 - 1)·Δc | c_1·Δc | … | c_N·Δc]
+    (``guidance.operator``'s gains), and ``cond`` weighs the atoms by c_c."""
 
     q: np.ndarray | tuple
     mix: IsotropicGaussianMixture
@@ -99,9 +139,9 @@ class Span:
     class_mixture = _MixturePair.class_mixture
 
     @classmethod
-    def of(cls, mix: IsotropicGaussianMixture, by_class: dict, terms: list) -> "Span | None":
-        """The span under the ``guidance.operator`` ``terms``, or None."""
-        if (basis := _lifted_basis(mix, terms)) is None:
+    def of(cls, mix: IsotropicGaussianMixture, by_class: dict, ops: list) -> "Span | None":
+        """The span under the ``frequency.low_pass_operators`` ``ops``, or None."""
+        if (basis := _lifted_basis(mix, ops)) is None:
             return None
         if isinstance(basis, np.ndarray):
             q = _row_space(basis)
@@ -124,6 +164,19 @@ class Span:
         for m, (name, value) in itertools.product(moved, dict(atoms, image_shape=(1,) + shape).items()):
             object.__setattr__(m, name, value)  # the same cells, weights, scales, ‖m_k‖² and dim
         return cls(q, moved[0], dict(zip(by_class, moved[1:])), coords)
+
+    @property
+    def item_values(self) -> int:
+        """The most values an item has in any array of a step: the state,
+        the (T·K) ``_to_atoms`` index, the guided coefficients and, for
+        factored atoms, the lifted grids.  ``sample`` walks the span in
+        ``tensor.blocks`` of items of this size."""
+        if isinstance(self.basis, np.ndarray):
+            widths = (len(self.basis),)
+        else:
+            left, right = self.basis
+            widths = (left.shape[1] * right.shape[1], left.shape[1] * right.shape[2])
+        return max(math.prod(self.mix.image_shape), self.mix.cells.size, *widths)
 
     def _add_image(self, g: np.ndarray, z: np.ndarray):
         """Add to ``z`` the images of its items' span coordinates ``g``."""
@@ -163,14 +216,19 @@ class Span:
         return replace(self, side=side, index=[_atom_index(m.cells, b, self.mix.n_atoms) for m in (self.mix, side)])
 
     def cond(self, u: Tensor4, sigma: float, condition=None) -> Tensor4:
-        return self._predict(u, sigma, [self.side], 0.0)
+        return self._predict(u, sigma, [self.side], None)
 
     def guided(self, u: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
-        return self._predict(u, sigma, [self.mix, self.side], cfg.scales[0] - 1.0)
+        return self._predict(u, sigma, [self.mix, self.side], operator(cfg))
 
-    def _predict(self, u: Tensor4, sigma: float, sides: list, shift: float) -> Tensor4:
+    def _predict(self, u: Tensor4, sigma: float, sides: list, gains: np.ndarray | None) -> Tensor4:
         with np.errstate(over="ignore", invalid="ignore"):
             weights = _side_weights(u.data.reshape(u.dims[0], -1), sigma, sides)
             c = [_to_atoms(w, i, self.mix.n_atoms) for (w, _), i in zip(weights, self.index[-len(sides) :])]
-            coef = np.hstack([c[-1] + shift * (c[-1] - c[0]), c[-1] - c[0]])
-            return _checked(_atom_product(coef, self.basis, weights[-1][1], u.data), sigma)
+            if gains is None:
+                coef, basis = c[0], _atom_basis(self.mix)
+            else:
+                coef = (c[1] - c[0])[:, None] * gains[:, None]
+                coef[:, 0] += c[1]
+                coef, basis = coef.reshape(len(coef), -1), self.basis
+            return _checked(_atom_product(coef, basis, weights[-1][1], u.data), sigma)

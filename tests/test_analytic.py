@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -39,8 +41,8 @@ from freqguide import (
 from freqguide import analytic, tensor
 from freqguide.cli import EXIT_CODES, build_pair
 from freqguide.config import Config
-from freqguide.guidance import operator
-from freqguide.span import _row_space, span_of
+from freqguide.frequency import low_pass_operators
+from freqguide.span import Span, _row_space, span_of
 
 rng = np.random.default_rng(42)
 
@@ -238,6 +240,25 @@ class TestDenoiserPair:
         with pytest.raises(ConfigError, match=r"unknown class \[5\]; have \[0\]"):
             pair.cond(z, 1.0, [5])
         assert list(pair.by_class) == [0]
+
+    def test_a_guided_run_imports_no_numpy_ma(self):
+        """``np.unique`` imports ``numpy.ma``, 9-16 ms and 1.25 MB of RSS;
+        building the acceptance pair and sampling it guided, in a fresh
+        interpreter, does not, and the classes come out sorted."""
+        script = f"""
+import sys
+from freqguide import *
+spec = {acceptance_spec()!r}
+pair = make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec)[::-1])
+cfg = GuidanceConfig(transform=TransformKind.pyramid(1), scales=(3.0, 1.5))
+run = SampleRunConfig(steps=2, schedule=NoiseSchedule.linear(80.0), seed=0, batch=2, shape=spec.image_shape,
+                      guidance=cfg, condition=0)
+sample(pair, run)
+print(list(pair.by_class), "numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["[0,", "1]", "False"]
 
     def test_class_subsets_built_with_the_pair(self):
         mix = mixture([0.2, 0.3, 0.5], rng.normal(size=(3,) + SHAPE), [0.5, 0.5, 0.5])
@@ -469,14 +490,16 @@ def overflow_spec() -> BlobTextureSpec:
     )
 
 
-def lifted_planes(mix, cfg) -> np.ndarray:
-    """M·atom - (s_0 - 1)·atom = L·atom for every atom of ``mix``, through
-    the band engine: M·x = freqcfg_combine(x, 0) - x."""
+def lifted_planes(mix, transform, k) -> np.ndarray:
+    """P_k·atom = U^k D^k atom for every atom of ``mix``, through the band
+    engine: at scales 1 below band k and 2 from it on, M = P_k, and
+    M·x = freqcfg_combine(x, 0) - x."""
     atoms = all_means(mix) if mix.table is not None else np.repeat(
         (mix.rows[:, None, :, None] * mix.cols[None, :, None, :]).reshape((-1, 1) + mix.image_shape[1:]),
         mix.image_shape[0], axis=1,
     )
-    return freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - cfg.scales[0] * atoms
+    cfg = GuidanceConfig(transform=transform, scales=[1.0 + (j >= k) for j in range(transform.band_count)])
+    return freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - atoms
 
 
 def assert_frame(span, noise: np.ndarray):
@@ -545,27 +568,32 @@ class TestSpan:
         assert_endpoints_match_the_band_path(monkeypatch, pair, spec, HAAR, "heun", conditions=(0, 3), batch=3)
 
     def test_lifted_basis_lifts_the_means(self, blob_model):
+        """[atoms; P_1·atoms; P_2·atoms; P_3·atoms] under pyramid(3): no
+        scale enters the basis."""
         _, mix, _, _ = blob_model
-        basis = analytic._lifted_basis(mix, operator(PYRAMID3, 32, 32)[1])
+        basis = analytic._lifted_basis(mix, low_pass_operators(PYRAMID3.transform, 32, 32))
         k = mix.n_components
-        assert basis.shape == (2 * k, mix.dim)
+        assert basis.shape == (4 * k, mix.dim)
         assert np.array_equal(basis[:k], mix.table)
-        assert np.abs(basis[k:] - lifted_planes(mix, PYRAMID3).reshape(k, -1)).max() <= 1e-14
+        for j in range(1, 4):
+            want = lifted_planes(mix, PYRAMID3.transform, j).reshape(k, -1)
+            assert np.abs(basis[j * k : (j + 1) * k] - want).max() <= 1e-14
 
     @pytest.mark.parametrize("cfg", [PYRAMID3, HAAR], ids=["pyramid3", "haar"])
     def test_factored_lifted_basis_is_small_and_lifts_the_planes(self, many_modes, cfg):
         """The lifted factors of the 19 x 19 planes hold at most 40 KB, not a
         (2A, D) array, and give L·plane for every plane:
-        Σ_k outer(column r of left block k, row q of right block k)."""
+        outer(column r of left block k, row q of right block k) is P_k·plane."""
         spec, mix, _, _ = many_modes
-        left, right = analytic._lifted_basis(mix, operator(cfg, 32, 32)[1])
+        left, right = analytic._lifted_basis(mix, low_pass_operators(cfg.transform, 32, 32))
         nr, nq, (c, h, w), n = len(mix.rows), len(mix.cols), spec.image_shape, len(cfg.scales) - 1
         assert left.shape == (h, (n + 1) * nr) and right.shape == (n + 1, nq, w)
         assert left.nbytes + right.nbytes <= 40_000
         assert np.array_equal(left[:, :nr], mix.rows.T) and np.array_equal(right[0], mix.cols)
-        want = lifted_planes(mix, cfg)
-        got = np.einsum("hkr,kqw->rqhw", left.reshape(h, n + 1, nr)[:, 1:], right[1:])
-        assert np.abs(got.reshape(-1, 1, h, w) - want).max() <= 1e-14 * np.abs(want).max()
+        for k in range(1, n + 1):
+            want = lifted_planes(mix, cfg.transform, k)
+            got = np.einsum("hr,qw->rqhw", left[:, k * nr : (k + 1) * nr], right[k])
+            assert np.abs(got.reshape(-1, 1, h, w) - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "shape, rank", [((16, 300), 16), ((16, 300), 5), ((40, 12), 12), ((40, 12), 7), ((3, 3), 0), ((1, 1), 1)]
@@ -585,25 +613,106 @@ class TestSpan:
         assert np.abs(q @ q.T - np.eye(rank)).max(initial=0.0) <= 1e-14
         assert np.abs(want - want @ q.T @ q).max(initial=0.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "transform, part, shape, rank",
+        [
+            (TransformKind.pyramid(3), None, (32, 3072), 17),
+            (TransformKind.pyramid(1), None, (16, 3072), 9),
+            (TransformKind.haar(), 0, (38, 32), 16),
+            (TransformKind.haar(), 1, (38, 32), 16),
+        ],
+        ids=["pyramid3-union", "pyramid1-union", "haar-left", "haar-right"],
+    )
+    def test_row_space_of_the_span_bases(self, blob_model, many_modes, transform, part, shape, rank):
+        """The matrices the spans are built from: the acceptance model's
+        union [atoms; P_k·atoms …], and the 1024-component model's lifted
+        Haar factors ``left.T`` and ``right``.  Against LAPACK's SVD of the
+        rows scaled to a largest entry of 1: the rank, an orthonormal frame,
+        and the projector.  The dense unions' kept singular values reach
+        down to 1.9e-4 of the largest, so their projector is well defined
+        and agrees within 5e-14.  The factors keep values down to 2.2e-12
+        of the largest, where rounding alone moves the subspace by about
+        ε/2.2e-12 (LAPACK and the whole-matrix Jacobi this build replaced
+        differed by 7.3e-5 there): their rows lie in the span within 1e-13,
+        and the projector within 64·ε·σ_1/σ_r."""
+        mix = (blob_model if part is None else many_modes)[1]
+        basis = analytic._lifted_basis(mix, low_pass_operators(transform, 32, 32))
+        a = basis if part is None else (basis[0].T, basis[1].reshape(-1, 32))[part]
+        assert a.shape == shape
+        q = _row_space(a)
+        peak = np.abs(a).max(axis=1, keepdims=True)
+        unit = np.divide(a, peak, out=np.zeros(a.shape), where=peak > 0)
+        _, sv, vt = np.linalg.svd(unit, full_matrices=False)
+        assert len(q) == np.linalg.matrix_rank(unit) == rank
+        assert np.abs(q @ q.T - np.eye(rank)).max() <= 1e-14
+        assert np.abs(unit - unit @ q.T @ q).max() <= 1e-13
+        bound = 5e-14 if part is None else 64 * np.finfo(float).eps * sv[0] / sv[rank - 1]
+        assert np.abs(vt[:rank].T @ vt[:rank] - q.T @ q).max() <= bound
+
+    def test_row_space_at_the_rank_bound(self):
+        """Hadamard rows h_j of 64 entries and two near copies
+        (h_0 + τ·h_1)/(1 + τ), (h_2 + τ'·h_3)/(1 + τ'), each row scaled
+        anew: one singular value of the scaled rows sits at twice the rank
+        rule's bound and one at half of it, so 5 of the 6 rows count."""
+        eps, d = np.finfo(float).eps, 64
+        h = np.ones((1, 1))
+        while len(h) < d:
+            h = np.block([[h, h], [h, -h]])
+        above, below = 4 * d * eps, d * eps
+        a = np.stack([h[0], (h[0] + above * h[1]) / (1 + above), h[2], (h[2] + below * h[3]) / (1 + below), h[4], h[5]])
+        a *= np.array([3.0, 1e-3, 7.0, 0.5, 1.0, 2.0])[:, None]
+        unit = a / np.abs(a).max(axis=1, keepdims=True)
+        sv = np.linalg.svd(unit, compute_uv=False)
+        bound = sv[0] * max(a.shape) * eps
+        assert 1.5 * bound < sv[4] < 3 * bound and bound / 3 < sv[5] < bound / 1.5
+        q = _row_space(a)
+        assert len(q) == np.linalg.matrix_rank(unit) == 5
+        assert np.abs(q @ q.T - np.eye(5)).max() <= 1e-14
+        # h_0, h_2, h_4 and h_5 lie in it; the fifth row, at 2·bound, is
+        # known only to about ε·σ_1/σ_5 = 1/128 of its length
+        assert np.abs(unit[[0, 2, 4, 5]] - unit[[0, 2, 4, 5]] @ q.T @ q).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["dense", "factored"])
+    def test_one_span_per_transform(self, blob_model, many_modes, kind):
+        """Every scale, parallel weights of 1 and every gate of a transform
+        share one span; another transform, or unguided, builds another."""
+        spec, _, _, pair = blob_model if kind == "dense" else many_modes
+        for base in (PYRAMID3, HAAR):
+            span = span_of(pair, base, spec.image_shape)
+            n = base.transform.band_count
+            for cfg in (
+                replace(base, scales=(1.0,) * n),
+                replace(base, scales=tuple(np.linspace(-3.0, 7.0, n))),
+                replace(base, interval=(0.5, 0.1)),
+                replace(base, parallel_weights=(1.0,) * n, interval=(1.0, 0.0)),
+            ):
+                assert span_of(pair, cfg, spec.image_shape) is span
+            assert list(pair.spans) == [base.transform]
+        unguided = span_of(pair, None, spec.image_shape)
+        assert unguided is not span and list(pair.spans) == [None]
+
     def test_dense_span_is_an_orthonormal_frame_of_the_basis(self, blob_model):
-        """Rank 9 under pyramid(3): the 16 rows of [atoms; L·atoms] lie in
-        9 orthonormal rows, cached read-only for the last guidance."""
+        """Rank 17 under pyramid(3): the 32 rows of [atoms; P_1·atoms;
+        P_2·atoms; P_3·atoms] lie in 17 orthonormal rows, cached read-only
+        for the last transform and shared by all its scales and gates."""
         spec, mix, _, pair = blob_model
         span = span_of(pair, PYRAMID3, spec.image_shape)
-        basis = analytic._lifted_basis(mix, operator(PYRAMID3, 32, 32)[1])
+        basis = analytic._lifted_basis(mix, low_pass_operators(PYRAMID3.transform, 32, 32))
         q = span.q
-        assert q.shape == (9, mix.dim) and span.mix.image_shape == (1, 2, 10)
-        assert np.abs(q @ q.T - np.eye(9)).max() <= 1e-14
+        assert q.shape == (17, mix.dim) and span.mix.image_shape == (1, 2, 18)
+        assert np.abs(q @ q.T - np.eye(17)).max() <= 1e-14
         assert np.abs(basis - basis @ q.T @ q).max() <= 1e-13 * np.abs(basis).max()
-        planes = span.basis.reshape(-1, 2, 10)  # the coordinates in row 0, zeros elsewhere
+        planes = span.basis.reshape(-1, 2, 18)  # the coordinates in row 0, zeros elsewhere
         assert np.abs(planes[:, 0, :-1] - basis @ q.T).max() <= 1e-14 * np.abs(basis).max()
         assert not (np.any(planes[:, 0, -1]) or np.any(planes[:, 1])) and not q.flags.writeable
         assert np.shares_memory(span.mix.table, span.basis)
         assert np.array_equal(span.mix.table, span.basis[: mix.n_components])
-        assert span_of(pair, replace(PYRAMID3, parallel_weights=(1.0,) * 4), spec.image_shape) is span
+        for cfg in (replace(PYRAMID3, parallel_weights=(1.0,) * 4), replace(PYRAMID3, scales=(1.0, 5.0, -2.0, 0.5)),
+                    replace(PYRAMID3, interval=(0.8, 0.3))):
+            assert span_of(pair, cfg, spec.image_shape) is span
         assert_frame(span, np.random.default_rng(1).standard_normal((4,) + spec.image_shape))
-        # the pair keeps the span of the last guidance only
-        assert span_of(pair, HAAR, spec.image_shape) is not span and list(pair.spans) == [(HAAR.transform, HAAR.scales)]
+        # the pair keeps the span of the last transform only
+        assert span_of(pair, HAAR, spec.image_shape) is not span and list(pair.spans) == [HAAR.transform]
 
     def test_factored_span_is_16_by_16_plane_coordinates_under_haar(self, many_modes):
         spec, mix, _, pair = many_modes
@@ -612,7 +721,7 @@ class TestSpan:
         assert q_h.shape == (32, 16) and q_w.shape == (16, 32) and span.mix.image_shape == (1, 17, 17)
         for q in (q_h.T, q_w):
             assert np.abs(q @ q.T - np.eye(16)).max() <= 1e-14
-        left, right = analytic._lifted_basis(mix, operator(HAAR, 32, 32)[1])
+        left, right = analytic._lifted_basis(mix, low_pass_operators(HAAR.transform, 32, 32))
         assert np.abs(left - q_h @ q_h.T @ left).max() <= 1e-13 * np.abs(left).max()
         assert np.abs(right - right @ q_w.T @ q_w).max() <= 1e-13 * np.abs(right).max()
         assert_frame(span, np.random.default_rng(1).standard_normal((4,) + spec.image_shape))
@@ -660,6 +769,44 @@ class TestSpan:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_threads_alternating_scales_share_one_span(self, monkeypatch):
+        """Threads that alternate scales and gates of one transform share
+        the pair's one span, built once, and each gets the bytes of its own
+        guidance."""
+        spec = acceptance_spec()
+        mix = blob_mixture_from_spec(spec)
+        guidances = (PYRAMID3, replace(PYRAMID3, scales=(1.5, 4.0, 1.0, 2.5)), replace(PYRAMID3, interval=(0.8, 0.3)))
+
+        def run(cfg):
+            return SampleRunConfig(
+                steps=3, schedule=ACCEPTANCE_SCHEDULE, seed=6, batch=2, shape=spec.image_shape,
+                guidance=cfg, condition=1, sampler="euler",
+            )
+
+        want = {cfg: sample(make_denoiser_pair(mix, class_labels(spec)), run(cfg)).data.tobytes() for cfg in guidances}
+        assert len(set(want.values())) == 3
+        builds, build = [], Span.of.__func__
+
+        def spy(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Span, "of", classmethod(spy))
+        configs = [guidances[i % 3] for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                pair = make_denoiser_pair(mix, class_labels(spec))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(sample, pair, run(cfg)) for cfg in configs]
+                    got = [f.result(timeout=60).data.tobytes() for f in futures]
+                assert all(result == want[cfg] for result, cfg in zip(got, configs))
+                assert list(pair.spans) == [PYRAMID3.transform]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 3  # one per pair
+
     def test_which_pairs_have_a_span(self, blob_model, many_modes):
         spec, mix, labels, pair = blob_model
         factored = many_modes[3]
@@ -668,7 +815,7 @@ class TestSpan:
                 assert span_of(case_pair, cfg, spec.image_shape) is not None
             assert span_of(case_pair, replace(HAAR, parallel_weights=(0.5, 1.0)), spec.image_shape) is None
             assert span_of(case_pair, HAAR, (3, 16, 16)) is None
-        autoguided = build_pair(Config({"autoguide.enabled": "true"}), mix, labels)
+        autoguided = build_pair(Config({"autoguide.enabled": "true"}), pair)
         for other in (DenoiserPair(cond=pair.cond, uncond=pair.uncond), autoguided):
             assert span_of(other, HAAR, spec.image_shape) is None
         unequal = make_denoiser_pair(mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), [0.5, 0.6]), [0, 1])
@@ -720,35 +867,46 @@ class TestSpan:
                 sample(pair, run)
         assert EXIT_CODES[exc.value.category] == 6 and batches == [2]
 
-    def test_overflowing_lift_has_no_span(self):
-        """L·means overflows, but Δ = 0 at z on a mean of the class: the band
-        path gives d_c."""
+    def test_overflowing_scales_stay_in_the_coefficients(self):
+        """Scales whose L·means would overflow reach only a guided step's
+        coefficients, not the span: the pair keeps its one Haar span, and
+        at z on a mean of class 1, where Δ = 0, the guided step in the span
+        and the band path both give d_c."""
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 10.0)]), [0.1, 0.1])
         pair = make_denoiser_pair(mix, [0, 1])
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1e308))
         z = Tensor4(np.full((1,) + SHAPE, 10.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert span_of(pair, cfg, SHAPE) is None
+            span = span_of(pair, cfg, SHAPE)
+            assert span is span_of(pair, HAAR, SHAPE)
             out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
+            u, block = span.project(z.data.copy()), span.block(1, 1)
+            guided, cond = block.guided(u, 0.2, 1, cfg), block.cond(u, 0.2, 1)
         assert np.array_equal(out.data, pair.cond(z, 0.2, 1).data)
+        assert np.array_equal(guided.data, cond.data)
 
     def test_overflowing_factored_lift_has_no_span(self):
-        """c_1·P_{h,1}·rowsᵀ overflows for blobs of amplitude 10, but Δ = 0
-        at z on a mean of class 1, which alone has weight there: the band
-        path's bytes, d_c."""
-        spec, mix, labels, pair = model_of(overflow_spec())
-        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1e308))
-        z = Tensor4(all_means(mix)[[3, 9]])
-        assert labels[[3, 9]].tolist() == [1, 1]
+        """Factors whose planes are about 1e8 but whose columns' Haar lift
+        adds two entries of 1.2e308 or more: no span, so ``sample`` takes
+        image space and gives the band path's bytes."""
+        gen = np.random.default_rng(7)
+        factors = {
+            "rows": 1e-300 * gen.uniform(0.5, 1.0, (2, 4)),
+            "cols": 1.5e308 * gen.uniform(0.8, 1.0, (2, 4)),
+            "cells": np.array([[0, 3], [1, 2]]),
+        }
+        mix = IsotropicGaussianMixture._from_factors([0.5, 0.5], [0.1, 0.1], factors, 1)
+        pair = make_denoiser_pair(mix, [0, 1])
+        run = SampleRunConfig(
+            steps=4, schedule=NoiseSchedule.linear(1e9), seed=0, batch=2, shape=SHAPE,
+            guidance=HAAR, condition=0, sampler="heun",
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert span_of(pair, cfg, spec.image_shape) is None
-            out = guided_denoise(z, 0.02, 1.0, pair, cfg, condition=1)
-            d_c, d_u = pair.both(z, 0.02, 1)
-        assert np.array_equal(d_c.data, d_u.data)
-        assert out.data.tobytes() == freqcfg_combine(d_c, d_u, cfg).data.tobytes()
-        assert np.array_equal(out.data, pair.cond(z, 0.02, 1).data)
+            assert span_of(pair, HAAR, SHAPE) is None
+            got = sample(pair, run)
+        assert got.data.tobytes() == sample(DenoiserPair(cond=pair.cond, uncond=pair.uncond), run).data.tobytes()
 
 
 @pytest.mark.parametrize("subset", ["mixture", "restricted"])

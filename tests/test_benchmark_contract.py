@@ -18,13 +18,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import spy_combine_batches
+from conftest import acceptance_spec, assert_endpoints_match_the_band_path, spy_combine_batches
 
 from freqguide import (
     BlobTextureSpec, GuidanceConfig, NoiseSchedule, SampleRunConfig, TransformKind, blob_mixture_from_spec,
     class_labels, make_denoiser_pair, sample,
 )
-from freqguide import analytic, span
+from freqguide import analytic, cli, span
 from freqguide.cli import build_guidance, build_model, build_pair, build_run
 from freqguide.config import Config
 
@@ -136,7 +136,7 @@ def sweep_cli(workloads):
     mix, labels = build_model(cfg)
     base = build_guidance(cfg, mix.image_shape)
     points = [replace(base, scales=(w_high, w_low)) for w_low, w_high in workloads.SWEEP_GRID]
-    return build_pair(cfg, mix, labels), points, build_run(cfg, mix.image_shape, base).condition
+    return build_pair(cfg, make_denoiser_pair(mix, labels)), points, build_run(cfg, mix.image_shape, base).condition
 
 
 def sample_manymodes(workloads):
@@ -168,6 +168,7 @@ def test_guided_workloads_step_in_the_span(workloads, monkeypatch, build):
 
     monkeypatch.setattr(span, "_side_weights", spy_weights)
     monkeypatch.setattr(analytic, "posterior_mean", spy_posterior)
+    builds = spy_span_builds(monkeypatch)
     batches = spy_combine_batches(monkeypatch)
     for cfg in configs:
         assert span.span_of(pair, cfg, shape) is not None
@@ -178,3 +179,45 @@ def test_guided_workloads_step_in_the_span(workloads, monkeypatch, build):
         sample(pair, run)
     assert len(widths) == 5 * len(configs) and max(widths) < math.prod(shape)
     assert calls == [] and batches == []
+    assert len(builds) == 1  # sweep-cli's three points share one span
+
+
+def spy_span_builds(monkeypatch) -> list:
+    """The arguments of each later ``Span.of`` call."""
+    builds, build = [], span.Span.of.__func__
+
+    def spy(cls, *args):
+        builds.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(span.Span, "of", classmethod(spy))
+    return builds
+
+
+def test_sweep_cli_samples_once_per_point_in_one_span(workloads, monkeypatch, tmp_path):
+    """sweep-cli's set-up ends at the first call of ``cli.sample``
+    (``ready_at``), so ``freqguide sweep`` calls it once per grid point;
+    the points share one span, built once."""
+    builds = spy_span_builds(monkeypatch)
+    points, sample_call = [], cli.sample
+
+    def spy(pair, run, *args, **kwargs):
+        points.append(run.guidance.scales)
+        return sample_call(pair, run, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample", spy)
+    grid = ",".join(f"{lo:g}:{hi:g}" for lo, hi in workloads.SWEEP_GRID)
+    argv = ["sweep", "--config", str(PERFBENCH / "sweep.cfg"), "--seed", "3", "--steps", "4",
+            "--set", "sweep.samples=4", "--grid", grid, "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == 0
+    assert points == [(hi, lo) for lo, hi in workloads.SWEEP_GRID]
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("sampler", ["euler", "heun"])
+def test_sweep_points_match_the_band_path(workloads, monkeypatch, sampler):
+    """At every sweep-cli grid point, gated and not, the span's endpoints
+    are those of the image-space loop within 1e-12."""
+    pair, points, condition = sweep_cli(workloads)
+    for cfg in points:
+        assert_endpoints_match_the_band_path(monkeypatch, pair, acceptance_spec(), cfg, sampler, conditions=(condition,))

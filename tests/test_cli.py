@@ -26,6 +26,7 @@ from freqguide import (
     default_tau,
     degrade,
     freqcfg_combine,
+    make_denoiser_pair,
     mode_report,
     read_tensor,
     sample,
@@ -553,7 +554,7 @@ class TestAnalyzeNorms:
                 norms = [float(np.sqrt(np.einsum("i,i->", b.ravel(), b.ravel()))) for b in analyze(delta, kind)]
                 rows.append((step, t, sigma, norms[-1], float(np.sqrt(sum(n**2 for n in norms[:-1])))))
 
-        sample(cli.build_pair(cfg, mix, labels), run, recorder=WholeBatchNorms())
+        sample(cli.build_pair(cfg, make_denoiser_pair(mix, labels)), run, recorder=WholeBatchNorms())
         assert out.read_bytes() == tensor.csv_to_bytes(["step", "t", "sigma", "low_norm", "high_norm"], rows)
 
     @pytest.mark.parametrize("interval", ["0.8:abc", "0.8", "0.8:0.2:0.1"])
@@ -839,7 +840,7 @@ class TestAutoguideConfig:
         monkeypatch.setattr(cli, "degrade", spy)
         tracemalloc.start()
         try:
-            cli.build_pair(cfg, mix, labels)
+            cli.build_pair(cfg, make_denoiser_pair(mix, labels))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import acceptance_spec
 
 from freqguide import GuidanceConfig, Tensor4, TransformKind, freqcfg_combine
 
@@ -107,6 +108,35 @@ def test_sweep_rerun_identical_across_blas_threads(tmp_path):
     argv = ("sweep", "--config", str(cfg), "--steps", "8", "--grid", "1:1,1:3,3:3")
     one, two = (run_cli(tmp_path, "sweep", "OPENBLAS_NUM_THREADS", n, argv) for n in ("1", "2"))
     assert one == two
+
+
+# 100 items of 3 x 32 x 32: three image blocks, one block of states in the span
+SPAN_WALK = """
+import hashlib, sys
+from freqguide import *
+from freqguide.span import Span
+spec = {spec!r}
+pair = make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec))
+cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(0.8, 0.3))
+run = SampleRunConfig(steps=8, schedule=NoiseSchedule.karras(0.02, 80.0), seed=5, batch=100, shape=spec.image_shape,
+                      guidance=cfg, condition=0, sampler="heun")
+walked = sample(pair, run).data.tobytes()
+Span.item_values = 3 * 32 * 32  # the span walked one image block at a time
+print(hashlib.sha256(walked).hexdigest(), walked == sample(pair, run).data.tobytes())
+"""
+
+
+def test_span_walk_is_the_walk_of_its_image_blocks():
+    """A batch walked once in the span has the bytes of its image blocks
+    walked one after another, at 1 and 2 BLAS threads alike."""
+    script = SPAN_WALK.format(spec=acceptance_spec())
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout.split())
+    assert outs[0] == outs[1] and outs[0][1] == "True"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -26,6 +27,7 @@ from freqguide import (
 )
 from freqguide import diffusion, tensor
 from freqguide.diffusion import item_noise
+from freqguide.span import Span
 
 rng = np.random.default_rng(3)
 
@@ -488,8 +490,8 @@ class TestBlockedSampling:
         assert calls[3:] == [(85, 0)]
 
     def test_one_block_returns_its_state(self, monkeypatch):
-        """In image space the last state, in the span the noise array the
-        endpoint is made in: no copy either way."""
+        """In image space the last state, in the span the output array the
+        noise was drawn in and the endpoint made in: no copy either way."""
         mix, pair = blob_model(factored=False)
         states = []
         finite = diffusion.Tensor4
@@ -508,7 +510,30 @@ class TestBlockedSampling:
             return Tensor4(noises[-1], checked=True)
 
         monkeypatch.setattr(diffusion, "initial_noise", spy)
-        assert sample(pair, self.run(mix, 42, sampler="euler")).data is noises[0]
+        assert sample(pair, self.run(mix, 42, sampler="euler")).data is noises[0].base
+
+    @pytest.mark.parametrize("sampler, predictions", [("euler", 6), ("heun", 11)])
+    def test_the_span_walks_a_batch_once(self, monkeypatch, sampler, predictions):
+        """100 items are three image blocks (34, 33, 33) but one block of
+        (1, 2, 10) states in the span: one prediction per evaluation of the
+        batch.  Walked a block of images at a time, three each, with the
+        same bytes (every product in the span is per item)."""
+        mix, pair = blob_model(factored=False)
+        run = self.run(mix, 100, sampler=sampler, transform=TransformKind.pyramid(1))
+        batches, predict = [], Span._predict
+
+        def spy(span, u, *args):
+            batches.append(len(u.data))
+            return predict(span, u, *args)
+
+        monkeypatch.setattr(Span, "_predict", spy)
+        noise = self.spy_noise(monkeypatch)
+        walked = sample(pair, run)
+        assert batches == [100] * predictions and noise == [(34, 0), (33, 34), (33, 67)]
+        del batches[:]
+        monkeypatch.setattr(Span, "item_values", math.prod(run.shape))
+        assert sample(pair, run).data.tobytes() == walked.data.tobytes()
+        assert batches == [34] * predictions + [33] * 2 * predictions
 
     def test_recorder_merges_blocks(self, monkeypatch):
         mix, pair = blob_model(factored=False)

@@ -24,7 +24,7 @@ from freqguide import (
     project,
     transform_bands,
 )
-from freqguide.frequency import low_pass_chain, step_matrices, up_step
+from freqguide.frequency import low_pass_chain, low_pass_operators, step_matrices, up_step
 
 rng = np.random.default_rng(7)
 
@@ -74,8 +74,9 @@ class TestCfgCombine:
 
 
 class TestOperator:
-    """``guidance.operator`` is per-band CFG at unit parallel weights as
-    one linear map: M·x = freqcfg_combine(x, 0) - x."""
+    """``guidance.operator``'s gains on ``frequency.low_pass_operators``
+    are per-band CFG at unit parallel weights as one linear map:
+    M·x = freqcfg_combine(x, 0) - x."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -89,9 +90,9 @@ class TestOperator:
         h, w = (2 * (n // 2) for n in size) if kind == "haar" else size
         cfg = GuidanceConfig(transform=transform, scales=scales[: transform.band_count])
         x = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, 3, h, w))
-        gain, terms = guidance.operator(cfg, h, w)
-        assert gain == cfg.scales[0] - 1.0 and len(terms) == transform.band_count - 1
-        got = gain * x + sum(c * (p_h @ x @ p_w.T) for c, p_h, p_w in terms)
+        gains, ops = guidance.operator(cfg), low_pass_operators(transform, h, w)
+        assert gains[0] == cfg.scales[0] - 1.0 and len(gains) == len(ops) + 1 == transform.band_count
+        got = gains[0] * x + sum(c * (p_h @ x @ p_w.T) for c, (p_h, p_w) in zip(gains[1:], ops))
         want = freqcfg_combine(Tensor4(x), Tensor4(np.zeros_like(x)), cfg).data - x
         bound = 1e-13 * np.abs(x).max() * max(1.0, *np.abs(cfg.scales))
         assert np.abs(got - want).max() <= bound
