@@ -124,6 +124,9 @@ def build_schedule(cfg: Config) -> NoiseSchedule:
     kind = cfg.get_str("schedule.kind", "karras")
     sigma_max = cfg.get_float("schedule.sigma_max", 10.0)
     if kind == "linear":
+        for name in ("sigma_min", "rho"):
+            if cfg.has(f"schedule.{name}"):
+                raise ConfigError(f"schedule.{name} given but schedule.kind = linear")
         return NoiseSchedule.linear(sigma_max)
     if kind == "karras":
         return NoiseSchedule.karras(

@@ -41,79 +41,21 @@ def span_of(pair: DenoiserPair, cfg: GuidanceConfig | None, shape: tuple) -> Spa
         return pair.spans[key]
 
 
-def _lq(b: np.ndarray) -> tuple[list, np.ndarray]:
-    """Householder vectors h_j and the (k, k) lower triangle L of a (k, m)
-    ``b``, k <= m, with b = [L 0]·H_{k-1}⋯H_0, H_j = I - 2·h_j·h_jᵀ on
-    entries j.. of a row (h_j None: H_j = I).  Its dots are numpy's
-    pairwise sums: with einsum's running sums the acceptance model's span
-    projectors strayed up to 9.8e-14 from those of Jacobi on the whole
-    matrix, with them 5.5e-15."""
-    b, vectors = b.copy(), []
-    for j in range(len(b)):
-        x = b[j, j:]
-        norm = math.sqrt((x * x).sum())
-        if norm == 0.0:
-            vectors.append(None)
-            continue
-        h = x.copy()
-        h[0] += math.copysign(norm, h[0])
-        h /= math.sqrt((h * h).sum())
-        b[j:, j:] -= (b[j:, j:] * h).sum(axis=1)[:, None] * (2.0 * h)
-        vectors.append(h)
-    return vectors, np.tril(b[:, : len(b)])
-
-
 def _row_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``a``, as many as
     ``np.linalg.matrix_rank``'s rule counts with each row scaled to a
-    largest entry of 1.  QR-preconditioned one-sided Jacobi (Drmač and
-    Veselić 2008) in round-robin rounds, on k x k triangles, k =
-    min(a.shape), from ``_lq``: a wide ``a`` is [L 0]·H, L = Q_2·T, and
-    Jacobi turns the rows of T to ``a``'s right singular vectors, which H
-    carries back; a tall ``a`` is Hᵀ·[L 0]ᵀ, whose columns dot as the rows
-    of L, and Jacobi turns [L | I] as it would [aᵀ | I].  A row below the
-    rule's bound turns no more.  Plain numpy: LAPACK would page 1 MB of
-    code into RSS."""
-    eps, (rows, cols), peak = np.finfo(np.float64).eps, a.shape, np.abs(a).max(axis=1, keepdims=True)
-    wide, d = rows <= cols, min(rows, cols)  # d: the columns dotted
+    largest entry of 1.  LAPACK's QR of the scaled matrix's long side,
+    then the SVD of its k x k triangle, k = min(a.shape): a wide ``a`` is
+    Rᵀ·Qᵀ, whose right singular vectors are Rᵀ's carried back by Qᵀ; a
+    tall one is Q·R, whose are R's.  The SVD of the whole scaled matrix
+    left rows at the rank bound out of the span by 1.2e-14, this 9.1e-15."""
+    peak = np.abs(a).max(axis=1, keepdims=True)
     unit = np.divide(a, peak, out=np.zeros(a.shape), where=peak > 0)
-    vectors, lower = _lq(unit if wide else unit.T)
-    m = d + d % 2
-    x = np.zeros((m, d if wide else 2 * d))
-    if wide:
-        x[:d] = _lq(lower.T)[1].T
-    else:
-        x[:d, :d], x[:d, d:] = lower, np.eye(d)
-    floor = np.einsum("ij,ij->i", x[:, :d], x[:, :d]).max() * (max(a.shape) * eps) ** 2
-    order, rounds = np.arange(m), []
-    for _ in range(m - 1):  # a sweep turns every pair once, in rounds of disjoint pairs
-        rounds.append((order[: m // 2], order[: m // 2 - 1 : -1]))
-        order = np.concatenate([order[:1], order[-1:], order[1:-1]])
-    quiet = 0
-    for r in range(64 * (m - 1)):  # 64 sweeps at most; ten or so reach rounding level
-        if quiet == m - 1:  # a whole sweep turned no pair
-            break
-        i, j = rounds[r % (m - 1)]
-        xi, xj = x[i], x[j]
-        alpha, beta, gamma = (np.einsum("ij,ij->i", v[:, :d], w[:, :d]) for v, w in ((xi, xi), (xj, xj), (xi, xj)))
-        turn = (np.abs(gamma) > eps * np.sqrt(alpha * beta)) & (np.minimum(alpha, beta) > floor)
-        if not turn.any():
-            quiet += 1
-            continue
-        quiet, zeta = 0, (beta - alpha)[turn] / (2.0 * gamma[turn])
-        tan = (np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)))[:, None]
-        cos, xi, xj = 1.0 / np.hypot(1.0, tan), xi[turn], xj[turn]
-        x[i[turn]], x[j[turn]] = cos * (xi - tan * xj), cos * (tan * xi + xj)
-    s = np.sqrt(np.einsum("ij,ij->i", x[:, :d], x[:, :d]))
-    keep = s > s.max() * max(a.shape) * eps
-    if not wide:
-        return x[keep, d:]
-    y = np.zeros((np.count_nonzero(keep), cols))
-    y[:, :d] = x[keep] / s[keep, None]
-    for j, h in reversed(list(enumerate(vectors))):
-        if h is not None:
-            y[:, j:] -= (y[:, j:] * h).sum(axis=1)[:, None] * (2.0 * h)
-    return y
+    wide = a.shape[0] <= a.shape[1]
+    q, r = np.linalg.qr(unit.T if wide else unit)
+    _, s, vt = np.linalg.svd(r.T if wide else r)
+    keep = s > s.max() * max(a.shape) * np.finfo(np.float64).eps
+    return vt[keep] @ q.T if wide else vt[keep]
 
 
 @dataclass(frozen=True, eq=False)

@@ -620,21 +620,26 @@ class TestSpan:
             (TransformKind.pyramid(1), None, (16, 3072), 9),
             (TransformKind.haar(), 0, (38, 32), 16),
             (TransformKind.haar(), 1, (38, 32), 16),
+            (TransformKind.pyramid(2), 0, (57, 32), 32),
+            (TransformKind.pyramid(2), 1, (57, 32), 32),
+            (TransformKind.pyramid(3), 0, (76, 32), 32),
+            (TransformKind.pyramid(3), 1, (76, 32), 32),
         ],
-        ids=["pyramid3-union", "pyramid1-union", "haar-left", "haar-right"],
+        ids=["pyramid3-union", "pyramid1-union", "haar-left", "haar-right",
+             "pyramid2-left", "pyramid2-right", "pyramid3-left", "pyramid3-right"],
     )
     def test_row_space_of_the_span_bases(self, blob_model, many_modes, transform, part, shape, rank):
         """The matrices the spans are built from: the acceptance model's
         union [atoms; P_k·atoms …], and the 1024-component model's lifted
-        Haar factors ``left.T`` and ``right``.  Against LAPACK's SVD of the
-        rows scaled to a largest entry of 1: the rank, an orthonormal frame,
-        and the projector.  The dense unions' kept singular values reach
-        down to 1.9e-4 of the largest, so their projector is well defined
-        and agrees within 5e-14.  The factors keep values down to 2.2e-12
-        of the largest, where rounding alone moves the subspace by about
-        ε/2.2e-12 (LAPACK and the whole-matrix Jacobi this build replaced
-        differed by 7.3e-5 there): their rows lie in the span within 1e-13,
-        and the projector within 64·ε·σ_1/σ_r."""
+        Haar and pyramid(2)/(3) factors ``left.T`` and ``right``.  Against
+        LAPACK's SVD of the whole matrix of rows scaled to a largest entry
+        of 1: the rank, an orthonormal frame, and the projector.  The dense
+        unions' kept singular values reach down to 1.9e-4 of the largest,
+        so their projector is well defined and agrees within 5e-14.  The
+        factors keep values down to 2.2e-12 (Haar), 7.7e-13 (pyramid(2))
+        and 9.0e-11 (pyramid(3)) of the largest, where rounding alone moves
+        the subspace by about ε·σ_1/σ_r: their rows lie in the span within
+        1e-13, and the projector within 64·ε·σ_1/σ_r."""
         mix = (blob_model if part is None else many_modes)[1]
         basis = analytic._lifted_basis(mix, low_pass_operators(transform, 32, 32))
         a = basis if part is None else (basis[0].T, basis[1].reshape(-1, 32))[part]

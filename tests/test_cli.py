@@ -222,6 +222,23 @@ class TestSampleCommand:
         assert "error [config]" in err and message in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("name", ["sigma_min", "rho"])
+    def test_karras_keys_under_a_linear_schedule_are_config_errors(self, tmp_path, capsys, name):
+        """A linear schedule reads neither ``schedule.sigma_min`` nor
+        ``schedule.rho``; giving one is an error, not a silent default."""
+        karras = {"sigma_min": "schedule.sigma_min = 0.02\n", "rho": "schedule.rho = 7\n"}
+        linear = BASE_CONFIG.replace("schedule.kind = karras", "schedule.kind = linear")
+        for line in karras.values():
+            linear = linear.replace(line, "")
+        cfg, out = tmp_path / "run.cfg", str(tmp_path / "x.fqg")
+        cfg.write_text(linear + karras[name])
+        assert run_cli("sample", "--config", str(cfg), "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error [config]" in err and f"schedule.{name} given but schedule.kind = linear" in err
+        assert not os.path.exists(out)
+        cfg.write_text(linear)
+        assert run_cli("sample", "--config", str(cfg), "--out", out) == 0
+
 
 class TestOverrideFlags:
     """Each command takes only the ``sample.*`` override flags it reads."""

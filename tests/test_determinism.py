@@ -67,8 +67,16 @@ def run_cli(tmp_path, name, env_var, value, argv):
     return out.read_bytes(), manifest
 
 
+# 4: GitHub's hosted runners have 4 vCPUs, and OpenBLAS may split a product's
+# updates differently there
+THREADS = ("1", "2", "4")
 SAMPLE_RUNS = {
     "acceptance": (ACCEPTANCE, ("--steps", "10", "--batch", "16", "--sampler", "euler")),
+    # the 32-row pyramid(3) union: the widest QR of a span's frame, (3072, 32)
+    "acceptance_pyramid3": (
+        ACCEPTANCE.replace("guidance.scales = 3,1.5\n", "guidance.levels = 3\nguidance.scales = 3,2,1.5,1\n"),
+        ("--steps", "10", "--batch", "25", "--sampler", "euler"),
+    ),
     # 3 blocks of items (29, 28, 28) on the dense path
     "acceptance_blocks": (ACCEPTANCE, ("--steps", "6", "--batch", "85", "--sampler", "heun")),
     "many_modes": (MANY_MODES, ("--steps", "6", "--batch", "32", "--sampler", "heun")),
@@ -81,8 +89,8 @@ def test_sample_rerun_identical_across_blas_threads(tmp_path, name):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(config)
     argv = ("sample", "--config", str(cfg), "--seed", "5", *flags)
-    one, two = (run_cli(tmp_path, name, "OPENBLAS_NUM_THREADS", n, argv) for n in ("1", "2"))
-    assert one == two
+    one, *others = (run_cli(tmp_path, name, "OPENBLAS_NUM_THREADS", n, argv) for n in THREADS)
+    assert all(other == one for other in others)
 
 
 @pytest.mark.parametrize("model", sorted(BATCH_INVARIANT))
@@ -106,8 +114,8 @@ def test_sweep_rerun_identical_across_blas_threads(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(ACCEPTANCE.replace("guidance.scales = 3,1.5\n", "sweep.samples = 12\n"))
     argv = ("sweep", "--config", str(cfg), "--steps", "8", "--grid", "1:1,1:3,3:3")
-    one, two = (run_cli(tmp_path, "sweep", "OPENBLAS_NUM_THREADS", n, argv) for n in ("1", "2"))
-    assert one == two
+    one, *others = (run_cli(tmp_path, "sweep", "OPENBLAS_NUM_THREADS", n, argv) for n in THREADS)
+    assert all(other == one for other in others)
 
 
 # 100 items of 3 x 32 x 32: three image blocks, one block of states in the span
@@ -128,15 +136,15 @@ print(hashlib.sha256(walked).hexdigest(), walked == sample(pair, run).data.tobyt
 
 def test_span_walk_is_the_walk_of_its_image_blocks():
     """A batch walked once in the span has the bytes of its image blocks
-    walked one after another, at 1 and 2 BLAS threads alike."""
+    walked one after another, at 1, 2 and 4 BLAS threads alike."""
     script = SPAN_WALK.format(spec=acceptance_spec())
     outs = []
-    for threads in ("1", "2"):
+    for threads in THREADS:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout.split())
-    assert outs[0] == outs[1] and outs[0][1] == "True"
+    assert all(out == outs[0] for out in outs) and outs[0][1] == "True"
 
 
 @pytest.mark.parametrize(
