@@ -19,7 +19,6 @@ from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair
 from .tensor import Tensor4, blocks, philox
 
-LOG_2PI = math.log(2.0 * math.pi)
 # below this np.exp returns a subnormal, which is slow to compute and which a
 # responsibility sum of at least 1 rounds away: such logits become exp(-inf) = 0
 EXP_FLOOR = -708.0
@@ -27,7 +26,7 @@ EXP_FLOOR = -708.0
 
 @dataclass(frozen=True, eq=False)
 class IsotropicGaussianMixture:
-    """Components (weight, mean image, isotropic scale); weights sum to 1.
+    """Components (weight, mean image) sharing one isotropic ``scale``; weights sum to 1.
 
     Every mixture is read-only *atoms*, which the subsets that
     ``restricted`` makes share, plus its own ``cells`` (K, T): mean k is the
@@ -52,7 +51,7 @@ class IsotropicGaussianMixture:
 
     weights: np.ndarray  # (K,)
     means: np.ndarray = field(repr=False)  # (K, C, H, W); only on a mixture given them
-    scales: np.ndarray  # (K,)
+    scale: float
     sq_norms: np.ndarray = field(init=False, repr=False)
     log_weights: np.ndarray = field(init=False, repr=False)
     image_shape: tuple[int, int, int] = field(init=False, repr=False)
@@ -65,7 +64,7 @@ class IsotropicGaussianMixture:
 
     def __post_init__(self):
         means = np.ascontiguousarray(self.means, dtype=np.float64)
-        self._set_components(self.weights, self.scales, means.shape)
+        self._set_components(self.weights, self.scale, means.shape)
         self._freeze({
             "means": means,
             "table": means.reshape(len(means), -1),
@@ -74,34 +73,35 @@ class IsotropicGaussianMixture:
         })
 
     @classmethod
-    def _from_factors(cls, weights, scales, factors: dict, channels: int):
+    def _from_factors(cls, weights, scale, factors: dict, channels: int):
         """A mixture of ``channels``-channel means defined by the separable
         ``factors`` (``rows``, ``cols``, ``cells``)."""
         mix = object.__new__(cls)
         rows, cols, cells = factors["rows"], factors["cols"], factors["cells"]
-        mix._set_components(weights, scales, (len(cells), channels, rows.shape[1], cols.shape[1]))
+        mix._set_components(weights, scale, (len(cells), channels, rows.shape[1], cols.shape[1]))
         mix._freeze(factors)
         mix._freeze({"sq_norms": np.concatenate([_sq_norms(chunk) for _, chunk in mix.mean_chunks()])})
         return mix
 
-    def _set_components(self, weights, scales, shape: tuple) -> None:
-        """Checks and freezes ``weights`` (normalized), ``scales``,
+    def _set_components(self, weights, scale, shape: tuple) -> None:
+        """Checks and freezes ``weights`` (normalized), ``scale``,
         ``log_weights``, ``image_shape`` and ``dim`` for means of ``shape``."""
         weights = np.ascontiguousarray(weights, dtype=np.float64)
-        scales = np.ascontiguousarray(scales, dtype=np.float64)
-        if weights.ndim != 1 or len(shape) != 4 or scales.ndim != 1:
-            raise ShapeError("weights (K,), means (K,C,H,W), scales (K,) required")
+        scale = np.asarray(scale, dtype=np.float64)
+        if weights.ndim != 1 or len(shape) != 4 or scale.ndim != 0:
+            raise ShapeError("weights (K,), means (K,C,H,W) and one scale required")
         k = weights.shape[0]
-        if shape[0] != k or scales.shape[0] != k or k < 1:
+        if shape[0] != k or k < 1:
             raise ShapeError("component counts disagree")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(scales))):
+        if not (np.all(np.isfinite(weights)) and np.isfinite(scale)):
             raise DomainError("non-finite mixture parameters")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
-        if np.any(scales <= 0):
-            raise DomainError("scales must be positive")
+        if scale <= 0:
+            raise DomainError("scale must be positive")
         weights = weights / weights.sum()
-        self._freeze({"weights": weights, "scales": scales, "log_weights": np.log(weights)})
+        self._freeze({"weights": weights, "log_weights": np.log(weights)})
+        object.__setattr__(self, "scale", float(scale))
         object.__setattr__(self, "image_shape", tuple(shape[1:]))
         object.__setattr__(self, "dim", math.prod(shape[1:]))
 
@@ -133,9 +133,9 @@ class IsotropicGaussianMixture:
 
     def restricted(self, indices) -> "IsotropicGaussianMixture":
         """The renormalized mixture of the components at ``indices``, in that
-        order.  It shares this mixture's atoms and takes the weights, scales,
-        ‖m_k‖² and ``cells`` of the components it keeps.  It copies no
-        means."""
+        order.  It shares this mixture's atoms and scale and takes the
+        weights, ‖m_k‖² and ``cells`` of the components it keeps.  It copies
+        no means."""
         idx = _integers(indices, "component index")  # a copy: the caller may reuse theirs
         if idx.size == 0:
             raise ConfigError("component subset is empty")
@@ -146,7 +146,7 @@ class IsotropicGaussianMixture:
         if counts.max() > 1:
             raise ConfigError(f"component index {values[counts > 1][0]} given more than once")
         sub = object.__new__(type(self))
-        sub._set_components(self.weights[idx], self.scales[idx], (len(idx),) + self.image_shape)
+        sub._set_components(self.weights[idx], self.scale, (len(idx),) + self.image_shape)
         sub._freeze({"cells": self.cells[idx], "sq_norms": self.sq_norms[idx]})
         for atoms in ("table", "rows", "cols"):
             object.__setattr__(sub, atoms, getattr(self, atoms))
@@ -189,22 +189,19 @@ def _integers(values, what: str) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def _weights(
-    sq_dist: np.ndarray, noise_var: np.float64, mix: IsotropicGaussianMixture
-) -> tuple[np.ndarray, np.ndarray]:
+def _weights(sq_dist: np.ndarray, noise_var: np.float64, mix: IsotropicGaussianMixture) -> tuple:
     """Given ‖z_b - m_k‖² as (B, K) and the noise variance σ², the (B, K)
-    weights w and (B,) z_coef of the posterior mean Σ_k w_bk m_k + z_coef_b z_b
-    under ``mix``."""
-    var = mix.scales**2 + noise_var  # (K,)
-    logits = mix.log_weights[None, :] - 0.5 * (
-        mix.dim * (LOG_2PI + np.log(var))[None, :] + sq_dist / var[None, :]
-    )
+    weights w and the scalar z_coef of the posterior mean Σ_k w_bk m_k +
+    z_coef z_b under ``mix``.  With var = s² + σ², w is σ²/var times the
+    softmax over k of log w_k − ‖z_b − m_k‖²/(2 var), and z_coef = s²/var."""
+    s_sq = np.float64(mix.scale) ** 2  # a Python float raises OverflowError past 1.3e154
+    var = s_sq + noise_var
+    logits = mix.log_weights - sq_dist / (2.0 * var)
     logits -= logits.max(axis=1, keepdims=True)
     logits[logits < EXP_FLOOR] = -np.inf
     resp = np.exp(logits)
     resp /= resp.sum(axis=1, keepdims=True)
-    # a per-item sum, unlike a (B, K) GEMV, gives each item the same bytes at any batch
-    return resp * (noise_var / var)[None, :], np.einsum("bk,k->b", resp, mix.scales**2 / var)
+    return resp * (noise_var / var), s_sq / var
 
 
 def _atom_dots(zf: np.ndarray, mix: IsotropicGaussianMixture) -> np.ndarray:
@@ -265,9 +262,9 @@ def _to_atoms(w: np.ndarray, index: np.ndarray, n_atoms: int) -> np.ndarray:
     return grid.reshape(b, n_atoms)
 
 
-def _atom_product(coef: np.ndarray, basis, z_coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _atom_product(coef: np.ndarray, basis, z_coef: np.float64, z: np.ndarray) -> np.ndarray:
     """``coef`` (B, T·A), weights on T blocks of A atoms, times ``basis``,
-    plus z_coef_b·z_b, for (B, C, H, W) ``z``: one product per item with a
+    plus z_coef·z, for (B, C, H, W) ``z``: one product per item with a
     dense (T·A, D) basis.  Factors (left, right) of T lifts of the planes
     read block t of an item as an (nr, nq) grid G_t, and every channel gets
     the plane left·[G_0·right_0; …; G_{T-1}·right_{T-1}].  T = 1 for the
@@ -276,12 +273,12 @@ def _atom_product(coef: np.ndarray, basis, z_coef: np.ndarray, z: np.ndarray) ->
     b, c = z.shape[:2]
     if isinstance(basis, np.ndarray):
         flat = np.matmul(coef[:, None], basis)[:, 0]
-        flat += z_coef[:, None] * z.reshape(b, -1)
+        flat += z_coef * z.reshape(b, -1)
         return flat.reshape(z.shape)
     left, right = basis
     n, nq, width = right.shape
     lifted = np.matmul(coef.reshape(b, n, -1, nq), right)
-    channels = z_coef[:, None, None] * z.reshape(b, c, -1)
+    channels = z_coef * z.reshape(b, c, -1)
     channels += (left @ lifted.reshape(b, -1, width)).reshape(b, 1, -1)
     return channels.reshape(z.shape)
 
@@ -411,7 +408,7 @@ def degrade(
     mix: IsotropicGaussianMixture, jitter_scale: float, inflate_factor: float, seed: int
 ) -> IsotropicGaussianMixture:
     """Deliberately worsened mixture: means jittered by seeded Gaussian noise,
-    scales inflated; weights untouched; a seed outside [0, 2**128) is a ``UsageError``."""
+    the scale inflated; weights untouched; a seed outside [0, 2**128) is a ``UsageError``."""
     if jitter_scale < 0:
         raise DomainError("jitter_scale must be >= 0")
     if inflate_factor < 1:
@@ -423,7 +420,7 @@ def degrade(
         noise = gen.standard_normal(chunk.shape)
         np.add(chunk, np.multiply(jitter_scale, noise, out=noise), out=means[items.start : items.stop])
     return IsotropicGaussianMixture(
-        weights=mix.weights, means=means, scales=mix.scales * inflate_factor
+        weights=mix.weights, means=means, scale=mix.scale * inflate_factor
     )
 
 
@@ -522,7 +519,7 @@ def class_labels(spec: BlobTextureSpec) -> np.ndarray:
 
 def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     """Cartesian (center x class) mixture with deterministic means and the
-    spec noise scale on every component.
+    spec's noise scale.
 
     Each channel of mean (j, k) is blob_j + texture(j mod 2, k), two rank-1
     planes; ``_separable_factors`` gives the row and column profiles and
@@ -535,11 +532,10 @@ def blob_mixture_from_spec(spec: BlobTextureSpec) -> IsotropicGaussianMixture:
     factors = _separable_factors(spec)
     weights = np.stack([spec.center_weights(k) for k in range(n_classes)], axis=1) / n_classes
     weights = weights.reshape(-1)
-    scales = np.full(len(weights), spec.noise_scale)
     if n_centers + min(2, n_centers) * n_classes < len(weights):
-        return IsotropicGaussianMixture._from_factors(weights, scales, factors, spec.channels)
+        return IsotropicGaussianMixture._from_factors(weights, spec.noise_scale, factors, spec.channels)
     means = _factor_means(**factors, channels=spec.channels)
-    return IsotropicGaussianMixture(weights=weights, means=means, scales=scales)
+    return IsotropicGaussianMixture(weights=weights, means=means, scale=spec.noise_scale)
 
 
 def _separable_factors(spec: BlobTextureSpec) -> dict:

@@ -38,12 +38,16 @@ from .tensor import (
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
 
+# the mixture.* keys only one mixture.kind reads; the other kind rejects them
+KIND_KEYS = {
+    "blob": "centers blob_radius blob_amplitude texture_freq texture_amplitude classes class_center_weights blob_block",
+    "single": "mean_value",
+}
 # every key some command reads; any other key in a config is a typo
 CONFIG_KEYS = frozenset(
     f"{section}.{name}"
     for section, names in (
-        ("mixture", "kind height width channels centers blob_radius blob_amplitude texture_freq "
-         "texture_amplitude classes noise_scale class_center_weights blob_block mean_value"),
+        ("mixture", "kind height width channels noise_scale " + " ".join(KIND_KEYS.values())),
         ("schedule", "kind sigma_min sigma_max rho"),
         ("sample", "steps seed batch sampler condition"),
         ("guidance", "transform levels scales w_low w_high parallel_weights interval"),
@@ -99,25 +103,21 @@ def build_blob_spec(cfg: Config) -> BlobTextureSpec:
 
 
 def build_model(cfg: Config):
-    """Returns (mixture, labels) from the mixture.* section."""
+    """Returns (mixture, labels) from the mixture.* section; a key that only
+    the other mixture kind reads is a ``ConfigError``."""
     kind = cfg.get_str("mixture.kind", "blob")
+    if kind not in KIND_KEYS:
+        raise ConfigError(f"mixture.kind must be blob or single, got {kind!r}")
+    for name in KIND_KEYS["single" if kind == "blob" else "blob"].split():
+        if cfg.has(f"mixture.{name}"):
+            raise ConfigError(f"mixture.{name} given but mixture.kind = {kind}")
     if kind == "blob":
         spec = build_blob_spec(cfg)
         return blob_mixture_from_spec(spec), class_labels(spec)
-    if kind == "single":
-        shape = (
-            cfg.get_int("mixture.channels", 1),
-            cfg.get_int("mixture.height", 8),
-            cfg.get_int("mixture.width", 8),
-        )
-        mean = np.full((1,) + shape, cfg.get_float("mixture.mean_value", 0.0))
-        mix = IsotropicGaussianMixture(
-            weights=np.array([1.0]),
-            means=mean,
-            scales=np.array([cfg.get_float("mixture.noise_scale", 1.0)]),
-        )
-        return mix, np.array([0])
-    raise ConfigError(f"mixture.kind must be blob or single, got {kind!r}")
+    shape = (cfg.get_int("mixture.channels", 1), cfg.get_int("mixture.height", 8), cfg.get_int("mixture.width", 8))
+    mean = np.full((1,) + shape, cfg.get_float("mixture.mean_value", 0.0))
+    scale = cfg.get_float("mixture.noise_scale", 1.0)
+    return IsotropicGaussianMixture(weights=np.array([1.0]), means=mean, scale=scale), np.array([0])
 
 
 def build_schedule(cfg: Config) -> NoiseSchedule:
@@ -428,9 +428,8 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     if cfg.get_str("mixture.kind", "blob") != "blob":
         raise ConfigError("gen-data needs mixture.kind = blob")
-    spec = build_blob_spec(cfg)
-    mix = blob_mixture_from_spec(spec)
-    labels = class_labels(spec)
+    mix, labels = build_model(cfg)
+    channels, height, width = mix.image_shape
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     lines = []
@@ -441,15 +440,15 @@ def cmd_gen_data(args) -> int:
         write_tensor(path, Tensor4(mean[None]))
         outputs.append(path)
         lines.append(f"component.{idx}.weight = {format(float(mix.weights[idx]), '.17g')}")
-        lines.append(f"component.{idx}.scale = {format(float(mix.scales[idx]), '.17g')}")
+        lines.append(f"component.{idx}.scale = {format(mix.scale, '.17g')}")
         lines.append(f"component.{idx}.class = {int(labels[idx])}")
         lines.append(f"component.{idx}.mean_file = {name}")
     spec_path = os.path.join(args.out, "mixture.txt")
     header = [
         f"mixture.components = {mix.n_components}",
-        f"mixture.channels = {spec.channels}",
-        f"mixture.height = {spec.height}",
-        f"mixture.width = {spec.width}",
+        f"mixture.channels = {channels}",
+        f"mixture.height = {height}",
+        f"mixture.width = {width}",
     ]
     atomic_write_bytes(spec_path, ("\n".join(header + lines) + "\n").encode("utf-8"))
     outputs.append(spec_path)

@@ -26,7 +26,7 @@ class ModeReport:
 def default_tau(mix: IsotropicGaussianMixture) -> float:
     # a Euclidean 3-sigma ball in D dims has radius ~ 3 * s * sqrt(D); the
     # per-coordinate radius 3 * s would contain essentially no within-mode mass
-    return 3.0 * float(mix.scales.max()) * float(np.sqrt(mix.dim))
+    return 3.0 * mix.scale * float(np.sqrt(mix.dim))
 
 
 def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> ModeReport:
@@ -73,17 +73,16 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
 
 def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> float:
     """Mean absolute gap between per-channel (mean, std) of the samples and of
-    the weight-averaged mixture means, averaged over channels.  The means'
-    weighted sums walk ``reference.mean_chunks()``, so no mixture builds
-    all its means for them."""
+    the weight-averaged mixture means, averaged over channels.  The samples
+    are copied a channel at a time and the means' weighted sums walk
+    ``reference.mean_chunks()``, so neither is held whole."""
     if samples.dims[1:] != reference.image_shape:
         raise UsageError(
             f"sample shape {samples.dims[1:]} != mixture shape {reference.image_shape}"
         )
     channels = samples.dims[1]
-    s = samples.data.transpose(1, 0, 2, 3).reshape(channels, -1)
-    s_mean = s.mean(axis=1)
-    s_std = s.std(axis=1)
+    planes = (np.ascontiguousarray(samples.data[:, c]) for c in range(channels))
+    s_mean, s_std = np.array([(plane.mean(), plane.std()) for plane in planes]).T
     r_mean, r_sq = np.zeros(channels), np.zeros(channels)
     for items, chunk in reference.mean_chunks():
         m = chunk.transpose(1, 0, 2, 3).reshape(channels, len(chunk), -1)

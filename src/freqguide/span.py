@@ -26,18 +26,16 @@ def span_of(pair: DenoiserPair, cfg: GuidanceConfig | None, shape: tuple) -> Spa
     for items of ``shape``, kept in ``pair.spans`` for the last transform
     asked for: one span serves every scale and gate state of a transform.
     None unless ``pair`` is ``make_denoiser_pair``'s, ``shape`` is its
-    mixture's, the components share one scale, every parallel weight is 1
-    and the lifted atoms are finite."""
+    mixture's, every parallel weight is 1 and the lifted atoms are finite."""
     if not isinstance(pair, _MixturePair) or any(w != 1.0 for w in (cfg.weights if cfg else ())):
         return None
-    mix = pair.mix
-    if shape != mix.image_shape or np.any(mix.scales != mix.scales[0]):
+    if shape != pair.mix.image_shape:
         return None
     with pair.lock:
         if (key := cfg and cfg.transform) not in pair.spans:
             pair.spans.clear()
             ops = low_pass_operators(cfg.transform, *shape[1:]) if cfg else []
-            pair.spans[key] = Span.of(mix, pair.by_class, ops)
+            pair.spans[key] = Span.of(pair.mix, pair.by_class, ops)
         return pair.spans[key]
 
 
@@ -104,7 +102,7 @@ class Span:
                  else {"rows": coords[0][:, : len(mix.rows)].T, "cols": coords[1][0]})
         moved = [copy.copy(m) for m in (mix, *by_class.values())]
         for m, (name, value) in itertools.product(moved, dict(atoms, image_shape=(1,) + shape).items()):
-            object.__setattr__(m, name, value)  # the same cells, weights, scales, ‖m_k‖² and dim
+            object.__setattr__(m, name, value)  # the same cells, weights, scale, ‖m_k‖² and dim
         return cls(q, moved[0], dict(zip(by_class, moved[1:])), coords)
 
     @property

@@ -114,14 +114,21 @@ def philox(key: int) -> np.random.Generator:
 def _atomic_open(path):
     """Binary handle on a same-directory temp file that is renamed to
     ``path`` when the block exits cleanly and unlinked when it raises.  The
-    temp file is created with mode 0o666 less the umask, as ``open`` does."""
+    temp file is created with mode 0o666 less the umask, as ``open`` does.
+    An ``OSError`` creating or renaming it names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

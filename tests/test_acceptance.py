@@ -171,7 +171,7 @@ def test_c05_sampler_accuracy():
     mu, s, sigma_max = 0.7, 2.0, 10.0
     shape = (1, 4, 4)
     mix = IsotropicGaussianMixture(
-        weights=np.array([1.0]), means=np.full((1,) + shape, mu), scales=np.array([s])
+        weights=np.array([1.0]), means=np.full((1,) + shape, mu), scale=s
     )
     pair = make_denoiser_pair(mix, [0])
     sched = NoiseSchedule.karras(0.01, sigma_max, 7.0)

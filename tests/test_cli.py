@@ -155,6 +155,22 @@ class TestConfigKeys:
         read = set(re.findall(r'(?:get_\w+|has)\("([a-z_]+\.[a-z_]+)"', source))
         assert read == cli.CONFIG_KEYS
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("single", f"mixture.{name}") for name in cli.KIND_KEYS["blob"].split()] + [("blob", "mixture.mean_value")],
+    )
+    def test_keys_of_the_other_mixture_kind_are_config_errors(self, tmp_path, capsys, monkeypatch, kind, key):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled with a key the mixture kind does not read")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        config = tmp_path / "run.cfg"
+        config.write_text(TestSingleGaussianConfig.CONFIG if kind == "single" else BASE_CONFIG)
+        out = str(tmp_path / "x.fqg")
+        assert run_cli("sample", "--config", str(config), "--set", f"{key}=1", "--out", out) == 3
+        assert f"error [config]: {key} given but mixture.kind = {kind}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestSampleCommand:
     def test_writes_tensor_and_manifest(self, tmp_path):
@@ -649,7 +665,11 @@ class TestMalformedNumbers:
         monkeypatch.setattr(cli, "sample", no_sampling)
         overrides = [arg for setting in settings for arg in ("--set", setting)]
         out = str(tmp_path / "s.csv")
-        argv = ("sweep", "--config", write_config(tmp_path), *overrides, "--grid", "1:1", "--out", out)
+        config = write_config(tmp_path)
+        if "mixture.kind=single" in settings:  # a single Gaussian rejects the blob keys
+            config = str(tmp_path / "single.cfg")
+            Path(config).write_text(TestSingleGaussianConfig.CONFIG)
+        argv = ("sweep", "--config", config, *overrides, "--grid", "1:1", "--out", out)
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
         if code == 3:
@@ -1072,3 +1092,60 @@ class TestProcessBoundary:
         )
         assert proc.returncode == 3
         assert "error [config]" in proc.stderr
+
+
+class TestErrorPaths:
+    """Errors that end before any output, each in its category's exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("sample", "--set", "mixture.kind=gmm"), 3, "[config]: mixture.kind must be blob or single, got 'gmm'"),
+            (("sample", "--set", "schedule.kind=cosine"), 3,
+             "[config]: schedule.kind must be linear or karras, got 'cosine'"),
+            (("sample", "--set", "guidance.transform=wavelet"), 3,
+             "[config]: guidance.transform must be pyramid, haar or none, got 'wavelet'"),
+            (("sample", "--set", "sample.condition=abc"), 3,
+             "[config]: sample.condition must be an integer or 'null', got 'abc'"),
+            (("sample", "--set", "guidance.transform=pyramid", "--set", "guidance.levels=2", "--set", "guidance.w_low=2"),
+             3, "[config]: guidance.w_low/w_high need a 2-band transform"),
+            (("sample", "--set", "guidance.scales"), 3, "[config]: override 'guidance.scales' must look like key=value"),
+            (("sample", "--config", "{missing}"), 3, "[config]: cannot read config {missing}"),
+            (("gen-data", "--config", "{single}"), 3, "[config]: gen-data needs mixture.kind = blob"),
+            (("sweep", "--grid", "1:1", "--set", "sweep.samples=0"), 3, "[config]: sweep.samples: batch must be >= 1"),
+            (("sweep", "--grid", "1"), 2, "[usage]: '--grid': '1' in '1' must have 2 ':'-separated numbers"),
+            (("combine", "--cond", "{cond}", "--uncond", "{cond}"), 2, "[usage]: give --scales or --w-low/--w-high"),
+            (("combine", "--cond", "{missing}", "--uncond", "{cond}", "--scales", "2,1"), 7,
+             "[io]: [Errno 2] No such file or directory: '{missing}'"),
+        ],
+        ids=[
+            "mixture-kind", "schedule-kind", "guidance-transform", "condition", "w-low-at-two-levels", "set-without-equals",
+            "missing-config", "gen-data-single", "sweep-no-samples", "grid-one-number", "combine-no-scales",
+            "combine-missing-input",
+        ],
+    )
+    def test_category_code_and_message(self, tmp_path, capsys, monkeypatch, argv, code, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the error")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        single = tmp_path / "single.cfg"
+        single.write_text(TestSingleGaussianConfig.CONFIG)
+        cond = str(tmp_path / "c.fqg")
+        write_tensor(cond, Tensor4(np.zeros((1, 1, 4, 4))))
+        names = {"missing": str(tmp_path / "nope"), "single": str(single), "cond": cond}
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] != "combine" and "--config" not in argv:
+            argv[1:1] = ["--config", write_config(tmp_path)]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == code
+        assert f"freqguide: error {message.format(**names)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, target):
+        out = tmp_path / "no" / "such" / "x.fqg" if target == "missing-directory" else tmp_path
+        assert run_cli("sample", "--config", write_config(tmp_path), "--out", str(out)) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("freqguide: error [io]: [Errno ") and err.endswith(f": {str(out)!r}\n")
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]

@@ -34,7 +34,7 @@ rng = np.random.default_rng(3)
 
 def single_gaussian(mu, s, shape=(1, 4, 4)):
     return IsotropicGaussianMixture(
-        weights=np.array([1.0]), means=np.full((1,) + shape, mu), scales=np.array([s])
+        weights=np.array([1.0]), means=np.full((1,) + shape, mu), scale=s
     )
 
 
@@ -288,7 +288,7 @@ class TestSampler:
         mix = IsotropicGaussianMixture(
             weights=np.array([0.5, 0.5]),
             means=np.stack([np.zeros((1, 8, 8)), np.ones((1, 8, 8))]),
-            scales=np.array([0.3, 0.3]),
+            scale=0.3,
         )
         pair = make_denoiser_pair(mix, [0, 1])
         sched = NoiseSchedule.karras(0.02, 10.0)

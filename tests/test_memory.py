@@ -25,6 +25,7 @@ from freqguide import (
     make_denoiser_pair,
     posterior_mean,
     sample,
+    saturation_proxy,
 )
 from freqguide import tensor
 from freqguide.tensor import BLOCK_VALUES, blocks
@@ -221,6 +222,15 @@ class TestSample:
         kept = first.data.tobytes()
         sample(pair, replace(run, seed=2))
         assert first.data.tobytes() == kept
+
+
+def test_saturation_proxy_peaks_below_three_quarters_of_its_input():
+    """One channel at a time: 0.67 of the 500-item batch, where a transposed
+    copy of the batch peaked at 2.00 (23.4 MiB)."""
+    mix = blob_mixture_from_spec(acceptance_spec())
+    samples = Tensor4(rng.normal(size=(500,) + mix.image_shape))
+    peak = traced_peak(lambda: saturation_proxy(samples, mix))
+    assert peak < 0.75 * samples.data.nbytes, f"{peak / samples.data.nbytes:.2f} outputs"
 
 
 def posterior_bytes(model) -> bytes:

@@ -27,7 +27,7 @@ SHAPE = (2, 4, 4)
 def four_mode_mix():
     means = np.stack([np.full(SHAPE, v) for v in (0.0, 10.0, 20.0, 30.0)])
     return IsotropicGaussianMixture(
-        weights=np.full(4, 0.25), means=means, scales=np.full(4, 0.05)
+        weights=np.full(4, 0.25), means=means, scale=0.05
     )
 
 
@@ -142,6 +142,18 @@ class TestSaturationProxy:
         a = saturation_proxy(Tensor4(samples), mix)
         b = saturation_proxy(Tensor4(samples[::-1].copy()), mix)
         assert a == pytest.approx(b, abs=1e-15)
+
+    def test_channel_statistics_have_the_whole_batch_bytes(self):
+        """Channel by channel, the proxy has the bytes of the formula on the
+        transposed batch it once copied."""
+        mix = four_mode_mix()
+        samples = Tensor4(mix.means[rng.integers(0, 4, size=50)] + 0.3 * rng.normal(size=(50,) + SHAPE))
+        s = samples.data.transpose(1, 0, 2, 3).reshape(SHAPE[0], -1)
+        m = mix.means.reshape(4, SHAPE[0], -1)
+        r_mean = np.einsum("k,kcd->c", mix.weights, m) / m.shape[2]
+        r_std = np.sqrt(np.maximum(np.einsum("k,kcd->c", mix.weights, m**2) / m.shape[2] - r_mean**2, 0.0))
+        want = np.mean(0.5 * (np.abs(s.mean(axis=1) - r_mean) + np.abs(s.std(axis=1) - r_std)))
+        assert saturation_proxy(samples, mix) == want
 
     def test_factored_reference_builds_no_means(self):
         """Class 1 of the 1024-component model held 6.0 MiB of means and
