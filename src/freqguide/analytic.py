@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
 from .guidance import DenoiserPair
-from .tensor import Tensor4, blocks, philox
+from .tensor import blocks, finite, philox
 
 # below this np.exp returns a subnormal, which is slow to compute and which a
 # responsibility sum of at least 1 rounds away: such logits become exp(-inf) = 0
@@ -168,9 +168,7 @@ def _factor_means(rows: np.ndarray, cols: np.ndarray, cells: np.ndarray, channel
 
 def _sq_norms(means: np.ndarray) -> np.ndarray:
     """‖m_k‖² of (k, C, H, W) ``means``; a ``DomainError`` if any is non-finite."""
-    if not np.all(np.isfinite(means)):
-        raise DomainError("non-finite mixture parameters")
-    flat = means.reshape(len(means), -1)
+    flat = finite(means, "non-finite mixture parameters").reshape(len(means), -1)
     return np.einsum("kd,kd->k", flat, flat)
 
 
@@ -238,10 +236,8 @@ def _side_weights(zf: np.ndarray, sigma: float, sides: list) -> list:
     float64; the caller ignores numpy's overflow warnings."""
     noise_var = np.float64(sigma) ** 2  # a Python float raises OverflowError past 1.3e154
     z_sq, *dists = _sq_dists(zf, *sides)
-    if not np.isfinite(z_sq).all():
-        raise DomainError(f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
-    if not np.isfinite(noise_var):
-        raise DomainError(f"sigma^2 overflows float64 at sigma={sigma:g}")
+    finite(z_sq, f"|z|^2 overflows float64 at sigma={sigma:g}; reduce the scales")
+    finite(noise_var, f"sigma^2 overflows float64 at sigma={sigma:g}")
     return [_weights(d, noise_var, side) for d, side in zip(dists, sides)]
 
 
@@ -289,19 +285,19 @@ def _atom_basis(mix: IsotropicGaussianMixture) -> np.ndarray | tuple:
     return mix.table if mix.table is not None else (mix.rows.T, mix.cols[None])
 
 
-def _checked(out: np.ndarray, sigma: float) -> Tensor4:
-    if not np.isfinite(out).all():
-        raise DomainError(f"posterior mean overflows float64 at sigma={sigma:g}")
-    return Tensor4(out, checked=True)
+def _checked(out: np.ndarray, sigma: float) -> np.ndarray:
+    return finite(out, f"posterior mean overflows float64 at sigma={sigma:g}")
 
 
 def posterior_mean(
-    z: Tensor4, sigma: float, mix: IsotropicGaussianMixture, subset=None
-) -> Tensor4 | tuple[Tensor4, Tensor4]:
-    """Exact E[x | z] under z = x + sigma * eps, x ~ mix.
+    z: np.ndarray, sigma: float, mix: IsotropicGaussianMixture, subset=None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Exact E[x | z] under z = x + sigma * eps, x ~ mix, for the
+    (B, C, H, W) float64 array ``z``, as a new array.
 
     Responsibilities are computed in log space with max subtraction so tiny
-    sigma against distant components stays finite.  At sigma = 0 returns z.
+    sigma against distant components stays finite.  At sigma = 0 returns a
+    copy of z.
 
     ``subset``, a mixture that shares the atoms of ``mix`` (any
     ``restricted`` subset, at any depth, or ``mix`` itself), makes the call
@@ -312,18 +308,18 @@ def posterior_mean(
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if z.dims[1:] != mix.image_shape:
-        raise ShapeError(f"z image shape {z.dims[1:]} != mixture shape {mix.image_shape}")
+    if z.shape[1:] != mix.image_shape:
+        raise ShapeError(f"z image shape {z.shape[1:]} != mixture shape {mix.image_shape}")
     if subset is not None and any(getattr(subset, a) is not getattr(mix, a) for a in ("table", "rows", "cols")):
         raise UsageError("subset must share the atoms of mix")
     if sigma == 0.0:
-        return z if subset is None else (z, z)
+        return z.copy() if subset is None else (z.copy(), z.copy())
     sides = [mix] if subset is None else [mix, subset]
-    b, a, atoms = z.dims[0], mix.n_atoms, _atom_basis(mix)
+    b, a, atoms = len(z), mix.n_atoms, _atom_basis(mix)
     with np.errstate(over="ignore", invalid="ignore"):
         outs = [
-            _atom_product(_to_atoms(w, _atom_index(side.cells, b, a), a), atoms, z_coef, z.data)
-            for (w, z_coef), side in zip(_side_weights(z.data.reshape(b, -1), sigma, sides), sides)
+            _atom_product(_to_atoms(w, _atom_index(side.cells, b, a), a), atoms, z_coef, z)
+            for (w, z_coef), side in zip(_side_weights(z.reshape(b, -1), sigma, sides), sides)
         ]
         full, *part = (_checked(out, sigma) for out in outs)
     return full if subset is None else (part[0], full)
@@ -374,7 +370,7 @@ class _MixturePair(DenoiserPair):
         except (KeyError, TypeError):
             raise ConfigError(f"unknown class {condition}; have {list(self.by_class)}") from None
 
-    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+    def both(self, z: np.ndarray, sigma: float, condition=None) -> tuple[np.ndarray, np.ndarray]:
         if condition is None:
             d_u = posterior_mean(z, sigma, self.mix)
             return d_u, d_u
@@ -394,10 +390,10 @@ def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     # a sorted set, not np.unique, which imports numpy.ma (9-16 ms, 1.25 MB)
     by_class = {c: mix.restricted(np.flatnonzero(labels == c)) for c in sorted(set(labels.tolist()))}
 
-    def cond(z: Tensor4, sigma: float, condition=None) -> Tensor4:
+    def cond(z: np.ndarray, sigma: float, condition=None) -> np.ndarray:
         return posterior_mean(z, sigma, mix if condition is None else pair.class_mixture(condition))
 
-    def uncond(z: Tensor4, sigma: float) -> Tensor4:
+    def uncond(z: np.ndarray, sigma: float) -> np.ndarray:
         return posterior_mean(z, sigma, mix)
 
     pair = _MixturePair(cond=cond, uncond=uncond, mix=mix, by_class=by_class)

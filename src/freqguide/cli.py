@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import difflib
 import json
+import math
 import os
 import sys
 
@@ -56,6 +57,10 @@ CONFIG_KEYS = frozenset(
     )
     for name in names.split()
 )
+IMAGE_KEYS = ("mixture.channels", "mixture.height", "mixture.width")
+# float64 values one array may hold: 2**47 bytes (128 TiB) is all that a
+# process can address on x86-64 Linux, so no machine could allocate more
+MAX_ARRAY_VALUES = 2**44
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +84,16 @@ def _parse_rows(
     return tuple(rows)
 
 
-def build_blob_spec(cfg: Config) -> BlobTextureSpec:
+def _check_sizes(sizes: dict) -> None:
+    """A ``ConfigError`` naming the keys of ``sizes`` unless each value is
+    at least 1 and an array of their product of float64 values, at most
+    ``MAX_ARRAY_VALUES``, could be addressed."""
+    if min(sizes.values()) < 1 or math.prod(sizes.values()) > MAX_ARRAY_VALUES:
+        named = " x ".join(f"{key} = {n}" for key, n in sizes.items())
+        raise ConfigError(f"{named}: each must be >= 1 and their product at most 2**44 float64 values (128 TiB)")
+
+
+def build_blob_spec(cfg: Config, shape: tuple) -> BlobTextureSpec:
     centers = _parse_rows(
         cfg.get_str("mixture.centers", "8:8,8:24,24:8,24:24"), ",", 2, ConfigError, "mixture.centers"
     )
@@ -87,9 +101,9 @@ def build_blob_spec(cfg: Config) -> BlobTextureSpec:
     if weights is not None:
         weights = _parse_rows(weights, ";", len(centers), ConfigError, "mixture.class_center_weights")
     return BlobTextureSpec(
-        height=cfg.get_int("mixture.height", 32),
-        width=cfg.get_int("mixture.width", 32),
-        channels=cfg.get_int("mixture.channels", 3),
+        channels=shape[0],
+        height=shape[1],
+        width=shape[2],
         centers=centers,
         blob_radius=cfg.get_float("mixture.blob_radius", 8.0),
         blob_amplitude=cfg.get_float("mixture.blob_amplitude", 1.0),
@@ -104,17 +118,20 @@ def build_blob_spec(cfg: Config) -> BlobTextureSpec:
 
 def build_model(cfg: Config):
     """Returns (mixture, labels) from the mixture.* section; a key that only
-    the other mixture kind reads is a ``ConfigError``."""
+    the other mixture kind reads is a ``ConfigError``, and so are image
+    sizes ``_check_sizes`` rejects."""
     kind = cfg.get_str("mixture.kind", "blob")
     if kind not in KIND_KEYS:
         raise ConfigError(f"mixture.kind must be blob or single, got {kind!r}")
     for name in KIND_KEYS["single" if kind == "blob" else "blob"].split():
         if cfg.has(f"mixture.{name}"):
             raise ConfigError(f"mixture.{name} given but mixture.kind = {kind}")
+    c, h, w = (3, 32, 32) if kind == "blob" else (1, 8, 8)
+    shape = (cfg.get_int("mixture.channels", c), cfg.get_int("mixture.height", h), cfg.get_int("mixture.width", w))
+    _check_sizes(dict(zip(IMAGE_KEYS, shape)))
     if kind == "blob":
-        spec = build_blob_spec(cfg)
+        spec = build_blob_spec(cfg, shape)
         return blob_mixture_from_spec(spec), class_labels(spec)
-    shape = (cfg.get_int("mixture.channels", 1), cfg.get_int("mixture.height", 8), cfg.get_int("mixture.width", 8))
     mean = np.full((1,) + shape, cfg.get_float("mixture.mean_value", 0.0))
     scale = cfg.get_float("mixture.noise_scale", 1.0)
     return IsotropicGaussianMixture(weights=np.array([1.0]), means=mean, scale=scale), np.array([0])
@@ -226,7 +243,7 @@ def _parse_condition(raw: str) -> int | None:
 
 def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> SampleRunConfig:
     try:
-        return SampleRunConfig(
+        run = SampleRunConfig(
             steps=cfg.get_int("sample.steps", 40),
             schedule=build_schedule(cfg),
             seed=cfg.get_int("sample.seed", 0),
@@ -238,15 +255,18 @@ def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> Samp
         )
     except UsageError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_sizes({"sample.batch": run.batch, **dict(zip(IMAGE_KEYS, image_shape))})
+    return run
 
 
-def _require_guidance_signal(cfg: Config, run: SampleRunConfig, command: str, consequence: str) -> None:
-    """A ``ConfigError`` for a run whose guidance difference is zero: with a
-    null condition and autoguide off, d_c = d_u."""
-    if run.condition is None and not cfg.get_bool("autoguide.enabled", False):
+def _require_guidance_signal(cfg: Config, run: SampleRunConfig, labels, command: str, consequence: str) -> None:
+    """A ``ConfigError`` for a run whose guidance difference is zero: with
+    autoguide off, d_c = d_u when the condition is null or its class, by
+    ``labels``, holds every component."""
+    if not cfg.get_bool("autoguide.enabled", False) and (run.condition is None or (labels == run.condition).all()):
         raise ConfigError(
-            f"{command} needs a class in sample.condition: with a null condition and autoguide off, "
-            f"d_c = d_u and {consequence}"
+            f"{command} needs a class in sample.condition that is not the whole mixture: with a null condition "
+            f"or a class of every component, and autoguide off, d_c = d_u and {consequence}"
         )
 
 
@@ -325,7 +345,7 @@ def cmd_combine(args) -> int:
         with tensor_writer(args.out, cond.dims) as append:
             for items in blocks(cond.dims[0], cond.dims[1:]):
                 d_c, d_u = cond.read(items.start, items.stop), uncond.read(items.start, items.stop)
-                append(freqcfg_combine(d_c, d_u, guidance))
+                append(Tensor4(freqcfg_combine(d_c.data, d_u.data, guidance), checked=True))
     flags = {
         "combine.cond": args.cond,
         "combine.uncond": args.uncond,
@@ -343,7 +363,7 @@ def cmd_analyze_norms(args) -> int:
     mix, labels = build_model(cfg)
     guidance = build_guidance(cfg, mix.image_shape, required=True)
     run = build_run(cfg, mix.image_shape, guidance)
-    _require_guidance_signal(cfg, run, "analyze-norms", "every guidance norm is zero")
+    _require_guidance_signal(cfg, run, labels, "analyze-norms", "every guidance norm is zero")
     pair = build_pair(cfg, make_denoiser_pair(mix, labels))
     recorder = NormRecorder()
     sample(pair, run, recorder=recorder)
@@ -357,14 +377,8 @@ def cmd_analyze_norms(args) -> int:
     rows = [(r.step, r.t, r.sigma, r.low_norm, r.high_norm) for r in recorder.records]
     write_csv(args.out, ["step", "t", "sigma", "low_norm", "high_norm"], rows)
     print(f"crossover_step={crossover}")
-    write_manifest(
-        args.out + ".manifest.json",
-        "analyze-norms",
-        cfg.resolved(),
-        run.seed,
-        [args.out],
-        extra={"crossover_step": crossover},
-    )
+    extra = {"crossover_step": crossover}
+    write_manifest(args.out + ".manifest.json", "analyze-norms", cfg.resolved(), run.seed, [args.out], extra=extra)
     return 0
 
 
@@ -381,7 +395,8 @@ def cmd_sweep(args) -> int:
         run = dataclasses.replace(run, batch=cfg.get_int("sweep.samples", 500))
     except UsageError as exc:
         raise ConfigError(f"sweep.samples: {exc}") from exc
-    _require_guidance_signal(cfg, run, "sweep", "every grid point gives the same row")
+    _check_sizes({"sweep.samples": run.batch, **dict(zip(IMAGE_KEYS, mix.image_shape))})
+    _require_guidance_signal(cfg, run, labels, "sweep", "every grid point gives the same row")
     mixture_pair = make_denoiser_pair(mix, labels)
     pair = build_pair(cfg, mixture_pair)
     target = mix if run.condition is None else mixture_pair.class_mixture(run.condition)
@@ -398,29 +413,12 @@ def cmd_sweep(args) -> int:
         out = sample(pair, dataclasses.replace(run, guidance=guidance))
         report = mode_report(out, target, tau)
         low_frac, high_frac = band_energy_fraction(out, base.transform)
-        return (
-            w_low,
-            w_high,
-            report.recall,
-            report.precision,
-            saturation_proxy(out, target),
-            low_frac,
-            high_frac,
-        )
+        return w_low, w_high, report.recall, report.precision, saturation_proxy(out, target), low_frac, high_frac
 
-    write_csv(
-        args.out,
-        ["w_low", "w_high", "recall", "precision", "saturation", "low_energy", "high_energy"],
-        [run_point(point) for point in points],
-    )
-    write_manifest(
-        args.out + ".manifest.json",
-        "sweep",
-        cfg.resolved(),
-        run.seed,
-        [args.out],
-        extra={"grid": [[p[0], p[1]] for p in points]},
-    )
+    columns = ["w_low", "w_high", "recall", "precision", "saturation", "low_energy", "high_energy"]
+    write_csv(args.out, columns, [run_point(point) for point in points])
+    extra = {"grid": [[p[0], p[1]] for p in points]}
+    write_manifest(args.out + ".manifest.json", "sweep", cfg.resolved(), run.seed, [args.out], extra=extra)
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
 from .span import span_of
-from .tensor import Tensor4, blocks, philox
+from .tensor import Tensor4, blocks, finite, philox
 
 _MAX_SEED = 2**63
 
@@ -99,32 +99,27 @@ class SampleRunConfig:
             raise UsageError(f"shape must be (channels, height, width), got {self.shape}")
 
 
-def item_noise(seed: int, item: int, shape: tuple[int, int, int], out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal draw from the counter-based stream keyed by (seed,
-    item), made in ``out`` when given; raises ``UsageError`` when ``item``
-    leaves [0, 2**64), where it would key another (seed, item) stream, or
-    (seed << 64) + item leaves [0, 2**128)."""
-    if not 0 <= item < 2**64:
-        raise UsageError(f"item {item} is outside [0, 2**64)")
-    return philox((int(seed) << 64) + int(item)).standard_normal(shape, out=out)
-
-
-def initial_noise(
-    seed: int, batch: int, shape: tuple[int, int, int], sigma_max: float, *, first: int = 0,
-    out: np.ndarray | None = None,
-) -> Tensor4:
-    """sigma_max * eps for items first..first+batch-1, with one RNG stream per
-    item, so batch size and blocking never perturb an item's noise; made in
-    ``out`` when given.  Raises ``DomainError`` when it overflows float64,
-    ``UsageError`` as ``item_noise``."""
-    eps = np.empty((batch,) + tuple(shape)) if out is None else out
-    for item, row in enumerate(eps, first):
-        item_noise(seed, item, shape, out=row)
+def _noise(seed: int, items: range, shape: tuple, sigma_max: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma_max * eps for ``items``, made in ``out`` when given: item i's
+    eps is the standard normal draw of the counter-based stream keyed by
+    (seed << 64) + i, so batch size and blocking never perturb it.  Raises
+    ``UsageError`` when an item leaves [0, 2**64), where it would key
+    another (seed, item) stream, or a key leaves [0, 2**128), and
+    ``DomainError`` when sigma_max * eps overflows float64."""
+    eps = np.empty((len(items),) + tuple(shape)) if out is None else out
+    for item, row in zip(items, eps):
+        if not 0 <= item < 2**64:
+            raise UsageError(f"item {item} is outside [0, 2**64)")
+        philox((int(seed) << 64) + item).standard_normal(shape, out=row)
     with np.errstate(over="ignore"):
         z = np.multiply(sigma_max, eps, out=eps)
-    if not np.isfinite(z).all():
-        raise DomainError(f"initial noise sigma_max * eps overflows float64 at sigma_max={sigma_max:g}")
-    return Tensor4(z, checked=True)
+    return finite(z, f"initial noise sigma_max * eps overflows float64 at sigma_max={sigma_max:g}")
+
+
+def initial_noise(seed: int, batch: int, shape: tuple, sigma_max: float, *, first: int = 0) -> Tensor4:
+    """sigma_max * eps for items first..first+batch-1, one stream per item
+    (``_noise``)."""
+    return Tensor4(_noise(seed, range(first, first + batch), shape, sigma_max), checked=True)
 
 
 def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | None = None) -> Tensor4:
@@ -151,78 +146,76 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     In image space each image block runs through every step, observing
     into ``recorder``, which sums each step's band norms; a batch of one
     block returns its final state as is, otherwise each block's state is
-    copied into one new output.  The state is a new array each step, and
-    every other array of a step is released once it is used.
+    copied into one new output.  The state is a new float64 array each
+    step, and every other array of a step is released once it is used;
+    only the endpoints are wrapped, in one ``Tensor4``.
     """
     sigmas = run.schedule.grid(run.steps)
     ts = 1.0 - np.arange(run.steps + 1) / run.steps
 
-    def denoise(p, z: Tensor4, sigma: float, i: int, step: int | None) -> np.ndarray:
+    def denoise(p, z: np.ndarray, sigma: float, i: int, step: int | None) -> np.ndarray:
         if run.guidance is None:
-            return p.cond(z, sigma, run.condition).data
+            return p.cond(z, sigma, run.condition)
         return guided_denoise(
             z, sigma, float(ts[i]), p, run.guidance, condition=run.condition, recorder=recorder, step=step
-        ).data
+        )
 
-    def drift(z: Tensor4, x0: np.ndarray, sigma: float) -> np.ndarray:
+    def drift(z: np.ndarray, x0: np.ndarray, sigma: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.subtract(z.data, x0)
+            out = np.subtract(z, x0)
             out /= sigma
         return out
 
-    def finite(state: np.ndarray, sigma: float) -> Tensor4:
-        if not np.isfinite(state).all():
-            raise DomainError(f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
-        return Tensor4(state, checked=True)
+    def checked(state: np.ndarray, sigma: float) -> np.ndarray:
+        return finite(state, f"sampler state overflows float64 at sigma={sigma:g}; reduce the scales")
 
-    def advance(p, z: Tensor4, i: int) -> Tensor4:
+    def advance(p, z: np.ndarray, i: int) -> np.ndarray:
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
         d_cur = drift(z, denoise(p, z, s_cur, i, step=i), s_cur)
         corrector = run.sampler == "heun" and s_next > 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             # the corrector needs the drift itself, a plain Euler step only (s_next - s_cur)·drift
-            z_euler = finite(z.data + np.multiply(s_next - s_cur, d_cur, out=None if corrector else d_cur), s_next)
+            z_euler = checked(z + np.multiply(s_next - s_cur, d_cur, out=None if corrector else d_cur), s_next)
         if not corrector:
             return z_euler
         # corrector never records: one band-norm record per step
         d_next = drift(z_euler, denoise(p, z_euler, s_next, i, step=None), s_next)
         with np.errstate(over="ignore", invalid="ignore"):
             d_next = np.add(d_cur, d_next, out=d_next)
-            return finite(z.data + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
+            return checked(z + np.multiply((s_next - s_cur) * 0.5, d_next, out=d_next), s_next)
 
-    def integrate(p, z: Tensor4) -> Tensor4:
+    def integrate(p, z: np.ndarray) -> np.ndarray:
         for i in range(run.steps):
             z = advance(p, z, i)
         return z
 
-    images = blocks(run.batch, run.shape)
+    images, sigma_max = blocks(run.batch, run.shape), float(sigmas[0])
 
-    def noise(items: range, out: np.ndarray | None = None) -> Tensor4:
-        return initial_noise(run.seed, len(items), run.shape, float(sigmas[0]), first=items.start, out=out)
-
-    def in_span(span) -> Tensor4:
+    def in_span(span) -> np.ndarray:
         out, u = np.empty((run.batch,) + run.shape), np.empty((run.batch,) + span.mix.image_shape)
         for items in images:
             rows = slice(items.start, items.stop)
-            noise(items, out[rows])  # a new view of the rows, which stays writable, goes to project
-            u[rows] = span.project(out[rows]).data
+            u[rows] = span.project(_noise(run.seed, items, run.shape, sigma_max, out[rows]))
         for items in blocks(run.batch, (span.item_values,)):
             rows = slice(items.start, items.stop)
-            u[rows] = integrate(span.block(len(items), run.condition), Tensor4(u[rows], checked=True)).data
+            u[rows] = integrate(span.block(len(items), run.condition), u[rows])
         for items in images:
             rows = slice(items.start, items.stop)
-            span.reconstruct(Tensor4(u[rows], checked=True), out[rows])
-        return Tensor4(out, checked=True)
+            span.reconstruct(u[rows], out[rows])
+        return out
 
-    span = None if recorder is not None else span_of(pair, run.guidance, run.shape)
-    if span is not None:
-        try:
-            return in_span(span)
-        except DomainError:
-            pass  # image space raises the error a user sees
-    if len(images) == 1:
-        return integrate(pair, noise(images[0]))
-    out = np.empty((run.batch,) + run.shape)
-    for items in images:
-        out[items.start : items.stop] = integrate(pair, noise(items)).data
-    return Tensor4(out, checked=True)
+    def endpoints() -> np.ndarray:
+        span = None if recorder is not None else span_of(pair, run.guidance, run.shape)
+        if span is not None:
+            try:
+                return in_span(span)
+            except DomainError:
+                pass  # image space raises the error a user sees
+        if len(images) == 1:
+            return integrate(pair, _noise(run.seed, images[0], run.shape, sigma_max))
+        out = np.empty((run.batch,) + run.shape)
+        for items in images:
+            out[items.start : items.stop] = integrate(pair, _noise(run.seed, items, run.shape, sigma_max))
+        return out
+
+    return Tensor4(endpoints(), checked=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 from .frequency import TransformKind, analyze, chain_band, low_pass_chain, step_matrices, up_step
-from .tensor import Tensor4
+from .tensor import Tensor4, finite
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,22 @@ class GuidanceConfig:
 class DenoiserPair:
     """Conditional and unconditional x0-prediction callables.
 
-    ``cond(z, sigma, condition)`` and ``uncond(z, sigma)`` must return
-    tensors matching ``z``; ``uncond`` may come from a degraded model.
-    ``guided`` is one guided prediction.
+    ``cond(z, sigma, condition)`` and ``uncond(z, sigma)`` take a
+    (B, C, H, W) float64 array ``z`` and return a float64 array of its
+    shape; neither they nor their callers write to ``z`` or a prediction.
+    ``uncond`` may come from a degraded model.  ``guided`` is one guided
+    prediction.
     """
 
     cond: object
     uncond: object
 
-    def both(self, z: Tensor4, sigma: float, condition=None) -> tuple[Tensor4, Tensor4]:
+    def both(self, z: np.ndarray, sigma: float, condition=None) -> tuple[np.ndarray, np.ndarray]:
         """(cond, uncond) at one noise level; a pair whose two predictions
         share work overrides this, as a neural model runs one doubled batch."""
         return self.cond(z, sigma, condition), self.uncond(z, sigma)
 
-    def guided(self, z: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
+    def guided(self, z: np.ndarray, sigma: float, condition, cfg: GuidanceConfig) -> np.ndarray:
         """The per-band CFG prediction under ``cfg``: ``freqcfg_combine`` of
         ``both``.  Raises ``DomainError`` when it overflows."""
         d_c, d_u = self.both(z, sigma, condition)
@@ -155,9 +157,7 @@ def project(v0: Tensor4, v1: Tensor4) -> tuple[Tensor4, Tensor4]:
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise DomainError("guided output overflows float64; reduce the guidance scales")
-    return arr
+    return finite(arr, "guided output overflows float64; reduce the guidance scales")
 
 
 def freqcfg_combine_bands(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> list[Tensor4]:
@@ -190,8 +190,10 @@ def _parallel_terms(c: np.ndarray, g: list[np.ndarray], cfg: GuidanceConfig) -> 
     return terms
 
 
-def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
-    """Per-band CFG; raises ``DomainError`` when the guided output overflows.
+def freqcfg_combine(d_c: np.ndarray, d_u: np.ndarray, cfg: GuidanceConfig) -> np.ndarray:
+    """Per-band CFG of two (B, C, H, W) float64 arrays, as a new array;
+    raises ``ShapeError`` unless they are 4-D of one shape, and
+    ``DomainError`` when the guided output is not finite.
 
     Both transforms are linear, so per-band CFG is a recursion over the
     transform's down/up steps D and U.  With Δ = d_c - d_u, G_k = D^k Δ,
@@ -202,15 +204,15 @@ def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
 
     This equals ``inverse_bands(freqcfg_combine_bands(...))``.
     """
-    if d_c.dims != d_u.dims:
-        raise ShapeError(f"dims mismatch: {d_c.dims} vs {d_u.dims}")
+    if d_c.ndim != 4 or d_c.shape != d_u.shape:
+        raise ShapeError(f"need two (B, C, H, W) arrays of one shape, got {d_c.shape} and {d_u.shape}")
     s, kind = cfg.scales, cfg.transform
-    steps = step_matrices(kind, *d_c.dims[2:])
+    steps = step_matrices(kind, *d_c.shape[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         # Δ, then the guided output
-        out = np.subtract(d_c.data, d_u.data)
+        out = np.subtract(d_c, d_u)
         g = low_pass_chain(out, kind)
-        p = _parallel_terms(d_c.data, g, cfg)
+        p = _parallel_terms(d_c, g, cfg)
         correction = 0.0
         for k in range(len(g) - 1, 0, -1):
             term = np.multiply(s[k] - s[k - 1], g[k], out=g[k])
@@ -218,10 +220,10 @@ def freqcfg_combine(d_c: Tensor4, d_u: Tensor4, cfg: GuidanceConfig) -> Tensor4:
                 np.add(term, p[k], out=term)
             correction = up_step(np.add(correction, term, out=term), steps[k - 1])
         np.multiply(s[0] - 1.0, out, out=out)
-        np.add(d_c.data, out, out=out)
+        np.add(d_c, out, out=out)
         if 0 in p:
             np.add(out, p[0], out=out)
-        return Tensor4(_finite(np.add(out, correction, out=out)), checked=True)
+        return _finite(np.add(out, correction, out=out))
 
 
 def operator(cfg: GuidanceConfig) -> np.ndarray:
@@ -234,7 +236,7 @@ def operator(cfg: GuidanceConfig) -> np.ndarray:
 
 
 def guided_denoise(
-    z: Tensor4,
+    z: np.ndarray,
     sigma: float,
     t: float,
     pair: DenoiserPair,
@@ -242,7 +244,7 @@ def guided_denoise(
     condition=None,
     recorder: NormRecorder | None = None,
     step: int | None = 0,
-) -> Tensor4:
+) -> np.ndarray:
     """One guided x0 prediction; returns the bare conditional output when the
     interval gate is closed, and ``pair.guided`` otherwise.  Given a
     ``recorder`` it takes the band path, ``freqcfg_combine`` of
@@ -256,7 +258,7 @@ def guided_denoise(
         return pair.guided(z, sigma, condition, cfg)
     d_c, d_u = pair.both(z, sigma, condition)
     if step is not None:
-        recorder.observe(step, t, sigma, d_c.data - d_u.data, cfg.transform)
+        recorder.observe(step, t, sigma, d_c - d_u, cfg.transform)
     return freqcfg_combine(d_c, d_u, cfg)
 
 

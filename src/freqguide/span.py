@@ -15,10 +15,9 @@ from .analytic import (
     IsotropicGaussianMixture, _atom_basis, _atom_index, _atom_product, _checked, _lifted_basis, _MixturePair,
     _side_weights, _to_atoms,
 )
-from .errors import DomainError
 from .frequency import low_pass_operators
 from .guidance import DenoiserPair, GuidanceConfig, operator
-from .tensor import Tensor4
+from .tensor import finite
 
 
 def span_of(pair: DenoiserPair, cfg: GuidanceConfig | None, shape: tuple) -> Span | None:
@@ -125,7 +124,7 @@ class Span:
         else:
             z += (self.q[0] @ g @ self.q[1])[:, None] / math.sqrt(z.shape[1])
 
-    def project(self, noise: np.ndarray) -> Tensor4:
+    def project(self, noise: np.ndarray) -> np.ndarray:
         """The states u of the (B, C, H, W) ``noise``, which is left holding
         each item's unit z_⊥ (or 0); ``DomainError`` when one is not finite."""
         u, flat = np.zeros((len(noise),) + self.mix.image_shape), noise.reshape(len(noise), -1)
@@ -137,33 +136,29 @@ class Span:
             self._add_image(-u[:, 0, :-1, :-1], noise)
             norm = u[:, 0, -1, -1] = np.sqrt(np.einsum("bd,bd->b", flat, flat))
             np.divide(flat, norm[:, None], out=flat, where=norm[:, None] > 0)
-        if not np.isfinite(u).all():
-            raise DomainError("span coordinates overflow float64")
-        return Tensor4(u, checked=True)
+        return finite(u, "span coordinates overflow float64")
 
-    def reconstruct(self, u: Tensor4, noise: np.ndarray) -> Tensor4:
+    def reconstruct(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """The images of the states ``u``, made in the ``noise`` that
         ``project`` left; ``DomainError`` when one is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            noise *= u.data[:, :, -1:, -1:]
-            self._add_image(u.data[:, 0, :-1, :-1], noise)
-        if not np.isfinite(noise).all():
-            raise DomainError("sampler state overflows float64")
-        return Tensor4(noise, checked=True)
+            noise *= u[:, :, -1:, -1:]
+            self._add_image(u[:, 0, :-1, :-1], noise)
+        return finite(noise, "sampler state overflows float64")
 
     def block(self, b: int, condition) -> "Span":
         side = self.mix if condition is None else self.class_mixture(condition)
         return replace(self, side=side, index=[_atom_index(m.cells, b, self.mix.n_atoms) for m in (self.mix, side)])
 
-    def cond(self, u: Tensor4, sigma: float, condition=None) -> Tensor4:
+    def cond(self, u: np.ndarray, sigma: float, condition=None) -> np.ndarray:
         return self._predict(u, sigma, [self.side], None)
 
-    def guided(self, u: Tensor4, sigma: float, condition, cfg: GuidanceConfig) -> Tensor4:
+    def guided(self, u: np.ndarray, sigma: float, condition, cfg: GuidanceConfig) -> np.ndarray:
         return self._predict(u, sigma, [self.mix, self.side], operator(cfg))
 
-    def _predict(self, u: Tensor4, sigma: float, sides: list, gains: np.ndarray | None) -> Tensor4:
+    def _predict(self, u: np.ndarray, sigma: float, sides: list, gains: np.ndarray | None) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = _side_weights(u.data.reshape(u.dims[0], -1), sigma, sides)
+            weights = _side_weights(u.reshape(len(u), -1), sigma, sides)
             c = [_to_atoms(w, i, self.mix.n_atoms) for (w, _), i in zip(weights, self.index[-len(sides) :])]
             if gains is None:
                 coef, basis = c[0], _atom_basis(self.mix)
@@ -171,4 +166,4 @@ class Span:
                 coef = (c[1] - c[0])[:, None] * gains[:, None]
                 coef[:, 0] += c[1]
                 coef, basis = coef.reshape(len(coef), -1), self.basis
-            return _checked(_atom_product(coef, basis, weights[-1][1], u.data), sigma)
+            return _checked(_atom_product(coef, basis, weights[-1][1], u), sigma)

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, UsageError
+from .errors import DomainError, FormatError, ShapeError, UsageError
 
 MAGIC = b"FQG1"
 DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}  # written files are always code 0
@@ -64,6 +64,13 @@ def blocks(n_items: int, item_shape) -> list[range]:
     size, extra = divmod(n_items, count)
     starts = [k * size + min(k, extra) for k in range(count + 1)]
     return [range(start, stop) for start, stop in zip(starts, starts[1:])]
+
+
+def finite(arr, message: str):
+    """``arr``, scanned once: a ``DomainError(message)`` if a value is not finite."""
+    if not np.isfinite(arr).all():
+        raise DomainError(message)
+    return arr
 
 
 class Tensor4:

@@ -86,7 +86,7 @@ def spy_combine_batches(monkeypatch) -> list:
     real = guidance.freqcfg_combine
 
     def spy(d_c, d_u, cfg):
-        batches.append(d_c.dims[0])
+        batches.append(len(d_c))
         return real(d_c, d_u, cfg)
 
     monkeypatch.setattr(guidance, "freqcfg_combine", spy)

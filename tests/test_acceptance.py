@@ -74,14 +74,14 @@ def test_c02_cfg_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        d_c = Tensor4(rng.uniform(-3.0, 3.0, (1, 3, 32, 32)))
-        d_u = Tensor4(rng.uniform(-3.0, 3.0, (1, 3, 32, 32)))
+        d_c = rng.uniform(-3.0, 3.0, (1, 3, 32, 32))
+        d_u = rng.uniform(-3.0, 3.0, (1, 3, 32, 32))
         for w in (0.0, 1.0, 2.0, 7.5):
-            ref = d_u.data + w * (d_c.data - d_u.data)  # plain CFG
+            ref = d_u + w * (d_c - d_u)  # plain CFG
             for kind in BOTH_TRANSFORMS:
                 cfg = GuidanceConfig(transform=kind, scales=(w,) * kind.band_count)
                 got = freqcfg_combine(d_c, d_u, cfg)
-                worst = max(worst, float(np.abs(got.data - ref).max()))
+                worst = max(worst, float(np.abs(got - ref).max()))
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -109,7 +109,7 @@ def test_c03_projection_identities():
         d_u = Tensor4(rng.uniform(-2.0, 2.0, (2, 3, 32, 32)))
         scales = (3.0, 0.5)
         with_proj = freqcfg_combine(
-            d_c, d_u, GuidanceConfig(transform=kind, scales=scales, parallel_weights=(1.0, 1.0))
+            d_c.data, d_u.data, GuidanceConfig(transform=kind, scales=scales, parallel_weights=(1.0, 1.0))
         )
         bands_c = transform_bands(d_c, kind)
         bands_u = transform_bands(d_u, kind)
@@ -120,7 +120,7 @@ def test_c03_projection_identities():
             ],
             kind,
         )
-        worst_neutral = max(worst_neutral, float(np.abs(with_proj.data - no_proj.data).max()))
+        worst_neutral = max(worst_neutral, float(np.abs(with_proj - no_proj.data).max()))
     ok = worst_sum < 1e-12 and worst_dot < 1e-10 and worst_neutral < 1e-10
     report(
         3,
@@ -153,8 +153,8 @@ def test_c04_band_locality():
     for _ in range(10):
         d_c = Tensor4(rng.uniform(-2.0, 2.0, (1, 3, 32, 32)))
         d_u = Tensor4(rng.uniform(-2.0, 2.0, (1, 3, 32, 32)))
-        out = freqcfg_combine(d_c, d_u, GuidanceConfig(transform=haar, scales=(4.0, 1.0)))
-        out_ll = transform_bands(out, haar)[-1]
+        out = freqcfg_combine(d_c.data, d_u.data, GuidanceConfig(transform=haar, scales=(4.0, 1.0)))
+        out_ll = transform_bands(Tensor4(out), haar)[-1]
         c_ll = transform_bands(d_c, haar)[-1]
         worst_haar = max(worst_haar, float(np.abs(out_ll.data - c_ll.data).max()))
     ok = worst_low < 1e-9 and worst_high < 1e-9 and worst_haar < 1e-9
@@ -322,9 +322,9 @@ def test_c09_process_boundary_fidelity(tmp_path):
     out = str(tmp_path / "guided.fqg")
     run(["combine", "--cond", pc, "--uncond", pu, "--w-low", "1.5", "--w-high", "4.0", "--out", out])
     lib = freqcfg_combine(
-        d_c, d_u, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(4.0, 1.5))
+        d_c.data, d_u.data, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(4.0, 1.5))
     )
-    combine_exact = read_tensor(out).data.tobytes() == lib.data.tobytes()
+    combine_exact = read_tensor(out).data.tobytes() == lib.tobytes()
 
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
@@ -375,8 +375,8 @@ def test_c10_zero_band_ablation(blob_model):
     for i in range(steps):
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
         if i in (2, 35):
-            states[i] = (Tensor4(z.copy()), s_cur)
-        x0 = guided_denoise(Tensor4(z), s_cur, float(ts[i]), pair, guidance, condition=0).data
+            states[i] = (z.copy(), s_cur)
+        x0 = guided_denoise(z, s_cur, float(ts[i]), pair, guidance, condition=0)
         z = z + (s_next - s_cur) * (z - x0) / s_cur
 
     def update_fractions(state_key, scales):
@@ -384,7 +384,7 @@ def test_c10_zero_band_ablation(blob_model):
         d_c = pair.cond(z_state, sigma, 0)
         d_u = pair.uncond(z_state, sigma)
         guided = freqcfg_combine(d_c, d_u, GuidanceConfig(transform=kind, scales=scales))
-        update = Tensor4(guided.data - d_c.data)
+        update = Tensor4(guided - d_c)
         return band_energy_fraction(update, kind)
 
     low_frac, _ = update_fractions(2, (0.0, 3.0))  # keep only low-band guidance

@@ -117,18 +117,19 @@ class TestMixtureValidation:
 
 
 class TestPosteriorMean:
-    def test_sigma_zero_returns_input(self):
+    def test_sigma_zero_returns_a_copy_of_the_input(self):
         mix = mixture([1.0], rng.normal(size=(1,) + SHAPE), 0.5)
-        z = Tensor4(rng.normal(size=(2,) + SHAPE))
-        assert posterior_mean(z, 0.0, mix) is z
+        z = rng.normal(size=(2,) + SHAPE)
+        out = posterior_mean(z, 0.0, mix)
+        assert np.array_equal(out, z) and not np.shares_memory(out, z)
 
     def test_single_component_conjugate_formula(self):
         mu = rng.normal(size=SHAPE)
         s, sigma = 0.8, 1.3
         mix = mixture([1.0], mu[None], s)
-        z = Tensor4(rng.normal(size=(3,) + SHAPE))
-        got = posterior_mean(z, sigma, mix).data
-        expected = (s**2 * z.data + sigma**2 * mu) / (s**2 + sigma**2)
+        z = rng.normal(size=(3,) + SHAPE)
+        got = posterior_mean(z, sigma, mix)
+        expected = (s**2 * z + sigma**2 * mu) / (s**2 + sigma**2)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_against_monte_carlo(self):
@@ -140,13 +141,13 @@ class TestPosteriorMean:
             0.8,
         )
         sigma = 0.8
-        z = Tensor4(mc_rng.normal(size=(1,) + SHAPE))
-        got = posterior_mean(z, sigma, mix).data.ravel()
+        z = mc_rng.normal(size=(1,) + SHAPE)
+        got = posterior_mean(z, sigma, mix).ravel()
 
         n = 1_000_000
         ks = mc_rng.choice(2, size=n, p=mix.weights)
         xs = mix.means[ks].reshape(n, -1) + mix.scale * mc_rng.normal(size=(n, DIM))
-        logw = -np.sum((z.data.ravel()[None, :] - xs) ** 2, axis=1) / (2 * sigma**2)
+        logw = -np.sum((z.ravel()[None, :] - xs) ** 2, axis=1) / (2 * sigma**2)
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
@@ -165,8 +166,8 @@ class TestPosteriorMean:
         # z on the mirror hyperplane (first coordinate zero)
         z_flat = rng.normal(size=DIM)
         z_flat[0] = 0.0
-        z = Tensor4(z_flat.reshape((1,) + SHAPE))
-        out = posterior_mean(z, 0.9, mix).data.ravel()
+        z = z_flat.reshape((1,) + SHAPE)
+        out = posterior_mean(z, 0.9, mix).ravel()
         assert abs(out[0]) < 1e-12  # output stays on the hyperplane
 
     def test_large_sigma_approaches_prior_mean(self):
@@ -175,53 +176,53 @@ class TestPosteriorMean:
             np.stack([rng.normal(size=SHAPE), rng.normal(size=SHAPE)]),
             0.6,
         )
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
-        out = posterior_mean(z, 1e6, mix).data[0]
+        z = rng.normal(size=(1,) + SHAPE)
+        out = posterior_mean(z, 1e6, mix)[0]
         prior_mean = np.tensordot(mix.weights, mix.means, axes=1)
         assert np.abs(out - prior_mean).max() <= 1e-3 * np.abs(prior_mean).max() + 1e-6
 
     def test_tiny_sigma_far_z_stays_finite_and_continuous(self):
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 100.0)]), 0.01)
-        z = Tensor4(np.full((1,) + SHAPE, 57.0))
+        z = np.full((1,) + SHAPE, 57.0)
         out = posterior_mean(z, 1e-6, mix)
-        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(out))
         # continuous approach to the sigma = 0 identity
-        assert np.abs(out.data - z.data).max() < 1e-6
+        assert np.abs(out - z).max() < 1e-6
 
     def test_negative_sigma_rejected(self):
         mix = mixture([1.0], np.zeros((1,) + SHAPE), 1.0)
         with pytest.raises(DomainError):
-            posterior_mean(Tensor4(np.zeros((1,) + SHAPE)), -0.1, mix)
+            posterior_mean(np.zeros((1,) + SHAPE), -0.1, mix)
 
 
 class TestDenoiserPair:
     def test_single_class_makes_cond_equal_uncond(self):
         mix = mixture([0.4, 0.6], np.stack([rng.normal(size=SHAPE)] * 2), 0.7)
         pair = make_denoiser_pair(mix, [0, 0])
-        z = Tensor4(rng.normal(size=(2,) + SHAPE))
+        z = rng.normal(size=(2,) + SHAPE)
         cond = pair.cond(z, 0.7, 0)
         uncond = pair.uncond(z, 0.7)
-        assert np.abs(cond.data - uncond.data).max() < 1e-12
+        assert np.abs(cond - uncond).max() < 1e-12
 
     def test_null_condition_equals_uncond(self):
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.ones(SHAPE)]), 0.5)
         pair = make_denoiser_pair(mix, [0, 1])
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
-        assert np.array_equal(pair.cond(z, 1.1, None).data, pair.uncond(z, 1.1).data)
+        z = rng.normal(size=(1,) + SHAPE)
+        assert np.array_equal(pair.cond(z, 1.1, None), pair.uncond(z, 1.1))
 
     def test_far_separated_guidance_direction(self):
         mu1 = np.zeros(SHAPE)
         mu2 = np.full(SHAPE, 10.0)
         mix = mixture([0.5, 0.5], np.stack([mu1, mu2]), 0.1)
         pair = make_denoiser_pair(mix, [0, 1])
-        z = Tensor4((mu1 + 0.05 * rng.normal(size=SHAPE))[None])  # near mu1
+        z = (mu1 + 0.05 * rng.normal(size=SHAPE))[None]  # near mu1
         sigma = 0.2
         cond = pair.cond(z, sigma, 1)  # condition on the far class
         uncond = pair.uncond(z, sigma)
-        assert np.linalg.norm(cond.data - mu2) < np.linalg.norm(cond.data - mu1)
+        assert np.linalg.norm(cond - mu2) < np.linalg.norm(cond - mu1)
         # uncond stays close to the occupied mode (within the Wiener residue)
-        assert np.linalg.norm(uncond.data - mu1) < 0.05 * np.linalg.norm(mu2 - mu1)
-        diff = (cond.data - uncond.data).ravel()
+        assert np.linalg.norm(uncond - mu1) < 0.05 * np.linalg.norm(mu2 - mu1)
+        diff = (cond - uncond).ravel()
         direction = (mu2 - mu1).ravel()
         cosine = diff @ direction / (np.linalg.norm(diff) * np.linalg.norm(direction))
         assert cosine > 0.9
@@ -229,16 +230,16 @@ class TestDenoiserPair:
     def test_cfg_w1_is_cond(self):
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.ones(SHAPE)]), 0.5)
         pair = make_denoiser_pair(mix, [0, 1])
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        z = rng.normal(size=(1,) + SHAPE)
         cond = pair.cond(z, 0.9, 1)
         uncond = pair.uncond(z, 0.9)
         plain_cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))
-        assert np.abs(freqcfg_combine(cond, uncond, plain_cfg).data - cond.data).max() < 1e-12
+        assert np.abs(freqcfg_combine(cond, uncond, plain_cfg) - cond).max() < 1e-12
 
     def test_unknown_class_rejected(self):
         mix = mixture([1.0], np.zeros((1,) + SHAPE), 1.0)
         pair = make_denoiser_pair(mix, [0])
-        z = Tensor4(np.zeros((1,) + SHAPE))
+        z = np.zeros((1,) + SHAPE)
         with pytest.raises(ConfigError):
             pair.cond(z, 1.0, 5)
         with pytest.raises(ConfigError):
@@ -272,7 +273,7 @@ print(list(pair.by_class), "numpy.ma" in sys.modules)
         assert list(pair.by_class) == [0, 1]
         sub = pair.by_class[0]
         assert sub.cells.tolist() == [[1], [2]] and sub.table is mix.table
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        z = rng.normal(size=(1,) + SHAPE)
         pair.both(z, 1.0, 0)
         pair.cond(z, 1.0, 0)
         assert pair.class_mixture(0) is sub and list(pair.by_class) == [0, 1]
@@ -351,19 +352,19 @@ class TestJointEvaluation:
             members = np.flatnonzero(labels == (condition or 0))
             x = means[gen.choice(members, size=4)]
             x = x + spec.noise_scale * gen.standard_normal(x.shape)
-            z = Tensor4(x + sigma * gen.standard_normal(x.shape))
+            z = x + sigma * gen.standard_normal(x.shape)
             d_c, d_u = pair.both(z, sigma, condition)
-            full = posterior_mean(z, sigma, mix).data
-            assert np.array_equal(d_u.data, full)
-            assert np.abs(full - posterior_mean(z, sigma, dense).data).max() <= 1e-12
+            full = posterior_mean(z, sigma, mix)
+            assert np.array_equal(d_u, full)
+            assert np.abs(full - posterior_mean(z, sigma, dense)).max() <= 1e-12
             for got, want in zip((d_c, d_u), dense_pair.both(z, sigma, condition)):
-                assert np.abs(got.data - want.data).max() <= 1e-12
+                assert np.abs(got - want).max() <= 1e-12
             if condition is None:
-                assert np.array_equal(d_c.data, full)
+                assert np.array_equal(d_c, full)
                 continue
             idx = np.flatnonzero(labels == condition)
             for reference in (mix.restricted(idx), dense.restricted(idx)):
-                assert np.abs(d_c.data - posterior_mean(z, sigma, reference).data).max() <= 1e-12
+                assert np.abs(d_c - posterior_mean(z, sigma, reference)).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", ["dense", "factored"])
     @pytest.mark.parametrize("sigma", [3.0, 0.3, 0.02])
@@ -378,7 +379,7 @@ class TestJointEvaluation:
             pair = make_denoiser_pair(mix, labels)
         nested = pair.class_mixture(1).restricted([3, 0, 200, 17])
         gen = np.random.default_rng(23)
-        z = Tensor4(all_means(mix)[[1, 5, 600]] + sigma * gen.standard_normal((3,) + spec.image_shape))
+        z = all_means(mix)[[1, 5, 600]] + sigma * gen.standard_normal((3,) + spec.image_shape)
         joint = [
             (mix, nested),
             (pair.class_mixture(0), pair.class_mixture(3)),
@@ -388,31 +389,33 @@ class TestJointEvaluation:
         for outer, inner in joint:
             assert same_atoms(outer, inner)
             got = posterior_mean(z, sigma, outer, subset=inner)
-            want = [posterior_mean(z, sigma, m).data.tobytes() for m in (inner, outer)]
-            assert [t.data.tobytes() for t in got] == want
+            want = [posterior_mean(z, sigma, m).tobytes() for m in (inner, outer)]
+            assert [t.tobytes() for t in got] == want
             for side, t in zip((inner, outer), got):
                 given = IsotropicGaussianMixture(side.weights, all_means(side), side.scale)
-                assert np.abs(t.data - posterior_mean(z, sigma, given).data).max() <= 1e-12
+                assert np.abs(t - posterior_mean(z, sigma, given)).max() <= 1e-12
 
     def test_subset_must_share_the_atoms_of_mix(self, many_modes):
         a = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
         b = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
+        z = rng.normal(size=(1,) + SHAPE)
         for other in (b, b.restricted([0]), degrade(a, 0.0, 1.0, seed=0)):
             with pytest.raises(UsageError, match="subset must share the atoms of mix"):
                 posterior_mean(z, 1.0, a, subset=other)
         spec, mix, _, _ = many_modes
         again = blob_mixture_from_spec(spec)  # equal factors, other arrays
         dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scale)
-        z = Tensor4(np.zeros((1,) + spec.image_shape))
+        z = np.zeros((1,) + spec.image_shape)
         for outer, inner in ((mix, again.restricted([0])), (mix, dense), (dense, mix.restricted([2]))):
             with pytest.raises(UsageError):
                 posterior_mean(z, 1.0, outer, subset=inner)
 
-    def test_sigma_zero_returns_input_twice(self):
+    def test_sigma_zero_returns_two_copies_of_the_input(self):
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
-        z = Tensor4(rng.normal(size=(1,) + SHAPE))
-        assert posterior_mean(z, 0.0, mix, subset=mix.restricted([1])) == (z, z)
+        z = rng.normal(size=(1,) + SHAPE)
+        part, full = posterior_mean(z, 0.0, mix, subset=mix.restricted([1]))
+        assert np.array_equal(part, z) and np.array_equal(full, z)
+        assert not any(np.shares_memory(a, b) for a, b in ((part, z), (full, z), (part, full)))
 
     @pytest.mark.parametrize(
         "value, sigma, message",
@@ -426,7 +429,7 @@ class TestJointEvaluation:
     def test_overflow_on_factored_path(self, many_modes, value, sigma, message):
         spec, mix, labels, pair = many_modes
         assert mix.table is None
-        z = Tensor4(np.full((2,) + spec.image_shape, value))
+        z = np.full((2,) + spec.image_shape, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (lambda: posterior_mean(z, sigma, mix), lambda: pair.both(z, sigma, 2)):
@@ -441,12 +444,12 @@ class TestJointEvaluation:
         spec, mix, labels, pair = many_modes
         if kind == "dense":
             spec, mix, labels, pair = model_of(acceptance_spec())
-        z = Tensor4(np.zeros((2,) + spec.image_shape))
+        z = np.zeros((2,) + spec.image_shape)
         span = span_of(pair, HAAR, spec.image_shape)
         calls = [
             lambda: posterior_mean(z, 1e160, mix),
             lambda: pair.both(z, 1e160, 1),
-            lambda: span.block(2, 1).guided(span.project(np.zeros(z.dims)), 1e160, 1, HAAR),
+            lambda: span.block(2, 1).guided(span.project(np.zeros(z.shape)), 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, replace(HAAR, parallel_weights=(0.5, 1.0))),
         ]
@@ -460,7 +463,7 @@ class TestJointEvaluation:
     def test_overflow_is_domain_error(self, value):
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.ones(SHAPE)]), 0.5)
         pair = make_denoiser_pair(mix, [0, 1])
-        z = Tensor4(np.full((1,) + SHAPE, value))
+        z = np.full((1,) + SHAPE, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
@@ -473,7 +476,7 @@ def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
     """Whether one guided evaluation of a batch of 3 ran ``freqcfg_combine``
     on that batch."""
     batches = spy_combine_batches(monkeypatch)
-    z = Tensor4(np.random.default_rng(8).standard_normal((3,) + shape))
+    z = np.random.default_rng(8).standard_normal((3,) + shape)
     guided_denoise(z, 0.5, 1.0, pair, cfg, condition=0, recorder=recorder)
     return 3 in batches
 
@@ -505,7 +508,7 @@ def lifted_planes(mix, transform, k) -> np.ndarray:
         mix.image_shape[0], axis=1,
     )
     cfg = GuidanceConfig(transform=transform, scales=[1.0 + (j >= k) for j in range(transform.band_count)])
-    return freqcfg_combine(Tensor4(atoms), Tensor4(np.zeros_like(atoms)), cfg).data - atoms
+    return freqcfg_combine(atoms, np.zeros_like(atoms), cfg) - atoms
 
 
 def assert_frame(span, noise: np.ndarray):
@@ -513,9 +516,9 @@ def assert_frame(span, noise: np.ndarray):
     u has the norm of each item."""
     z = noise.copy()
     u = span.project(z)
-    norms = np.sqrt(np.einsum("bd,bd->b", u.data.reshape(len(u.data), -1), u.data.reshape(len(u.data), -1)))
+    norms = np.sqrt(np.einsum("bd,bd->b", u.reshape(len(u), -1), u.reshape(len(u), -1)))
     assert np.abs(norms - np.linalg.norm(noise.reshape(len(noise), -1), axis=1)).max() <= 1e-13 * norms.max()
-    assert np.abs(span.reconstruct(u, z).data - noise).max() <= 1e-13 * np.abs(noise).max()
+    assert np.abs(span.reconstruct(u, z) - noise).max() <= 1e-13 * np.abs(noise).max()
 
 
 class TestSpan:
@@ -884,16 +887,16 @@ class TestSpan:
         mix = mixture([0.5, 0.5], np.stack([np.zeros(SHAPE), np.full(SHAPE, 10.0)]), 0.1)
         pair = make_denoiser_pair(mix, [0, 1])
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1e308))
-        z = Tensor4(np.full((1,) + SHAPE, 10.0))
+        z = np.full((1,) + SHAPE, 10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             span = span_of(pair, cfg, SHAPE)
             assert span is span_of(pair, HAAR, SHAPE)
             out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
-            u, block = span.project(z.data.copy()), span.block(1, 1)
+            u, block = span.project(z.copy()), span.block(1, 1)
             guided, cond = block.guided(u, 0.2, 1, cfg), block.cond(u, 0.2, 1)
-        assert np.array_equal(out.data, pair.cond(z, 0.2, 1).data)
-        assert np.array_equal(guided.data, cond.data)
+        assert np.array_equal(out, pair.cond(z, 0.2, 1))
+        assert np.array_equal(guided, cond)
 
     def test_overflowing_factored_lift_has_no_span(self):
         """Factors whose planes are about 1e8 but whose columns' Haar lift
@@ -1007,12 +1010,12 @@ class TestMeansOnDemand:
         subs.append(subs[1].restricted([5, 0, 17]))
         gen = np.random.default_rng(3)
         x = loop_mixture(spec)[1][gen.choice(1024, size=8)]
-        z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape))
+        z = x + spec.noise_scale * gen.standard_normal(x.shape)
         pair.both(z, 0.3, 1)
         posterior_mean(z, 0.3, subs[-1])
         for m in [mix] + subs:
             m.n_components, m.image_shape, m.dim, m.sq_norms, m.cells
-            mode_report(z, m, tau=1.0)
+            mode_report(Tensor4(z), m, tau=1.0)
         assert all("means" not in vars(m) for m in [mix] + subs)
         # the class subsets take the parent's constants: the bytes a dense subset computes
         dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scale)
@@ -1021,7 +1024,7 @@ class TestMeansOnDemand:
             for name in ("weights", "sq_norms", "log_weights"):
                 assert getattr(sub, name).tobytes() == getattr(want, name).tobytes()
             assert sub.scale == want.scale
-            assert mode_report(z, sub, tau=1.7) == mode_report(z, want, tau=1.7)
+            assert mode_report(Tensor4(z), sub, tau=1.7) == mode_report(Tensor4(z), want, tau=1.7)
 
     @pytest.mark.parametrize("kind", ["factored", "dense"])
     def test_subset_means_are_the_spec_means(self, kind):
@@ -1049,7 +1052,7 @@ class TestMeansOnDemand:
     def test_build_subset_and_joint_call_stay_small(self):
         """About 36 MiB when the build kept all K means and each subset its own rows."""
         spec = many_modes_spec()
-        z = Tensor4(np.random.default_rng(5).standard_normal((32,) + spec.image_shape))
+        z = np.random.default_rng(5).standard_normal((32,) + spec.image_shape)
         tracemalloc.start()
         try:
             mix = blob_mixture_from_spec(spec)
@@ -1121,15 +1124,15 @@ class TestOneClassPosterior:
         for batch in (1, 3, 25, 42):
             x = gen.standard_normal((batch,) + spec.image_shape)
             for sigma in (80.0, 3.0, 0.3, 0.02):
-                z = Tensor4(sigma * x)
+                z = sigma * x
                 for condition in range(spec.n_classes):
-                    got = pair.both(z, sigma, condition)[0].data.tobytes()
-                    assert got == pair.cond(z, sigma, condition).data.tobytes(), (batch, sigma, condition)
+                    got = pair.both(z, sigma, condition)[0].tobytes()
+                    assert got == pair.cond(z, sigma, condition).tobytes(), (batch, sigma, condition)
 
     def test_dense_pair_holds_no_means(self, many_modes_dense):
         """25.9 MiB when each dense class subset copied its means."""
         spec, dense, labels, _ = many_modes_dense
-        z = Tensor4(np.random.default_rng(2).standard_normal((1,) + spec.image_shape))
+        z = np.random.default_rng(2).standard_normal((1,) + spec.image_shape)
         tracemalloc.start()
         try:
             pair = make_denoiser_pair(dense, labels)
@@ -1155,14 +1158,14 @@ def test_clamped_exponent_keeps_bytes(many_modes, monkeypatch, path):
     sigma = 0.3
     gen = np.random.default_rng(11)
     x = means[gen.choice(np.flatnonzero(labels == 0), size=4)]
-    z = Tensor4(x + spec.noise_scale * gen.standard_normal(x.shape) + sigma * gen.standard_normal(x.shape))
+    z = x + spec.noise_scale * gen.standard_normal(x.shape) + sigma * gen.standard_normal(x.shape)
     # equal weights: the logits less their row maximum are -Δ‖z - m_k‖² / 2var
-    _, sq = analytic._sq_dists(z.data.reshape(4, -1), mix)
+    _, sq = analytic._sq_dists(z.reshape(4, -1), mix)
     logits = -(sq - sq.min(axis=1, keepdims=True)) / (2 * (spec.noise_scale**2 + sigma**2))
     assert np.any((logits < analytic.EXP_FLOOR) & (np.exp(logits) > 0))
 
     def outputs():
-        return [t.data.copy() for c in range(spec.n_classes) for t in pair.both(z, sigma, c)]
+        return [t.copy() for c in range(spec.n_classes) for t in pair.both(z, sigma, c)]
 
     clamped = outputs()
     monkeypatch.setattr(analytic, "EXP_FLOOR", -np.inf)
@@ -1232,11 +1235,11 @@ class TestBlobTextureSpec:
         means1 = mix.means[labels == 1]
         assert np.array_equal(means0, means1)
         pair = make_denoiser_pair(mix, labels)
-        z = Tensor4(rng.normal(size=(2,) + spec.image_shape))
+        z = rng.normal(size=(2,) + spec.image_shape)
         for sigma in (0.1, 1.0, 20.0):
             cond = pair.cond(z, sigma, 0)
             uncond = pair.uncond(z, sigma)
-            assert np.abs(cond.data - uncond.data).max() < 1e-9
+            assert np.abs(cond - uncond).max() < 1e-9
 
     def test_zero_blob_amplitude_has_no_residual_energy(self):
         spec = BlobTextureSpec(blob_amplitude=0.0)

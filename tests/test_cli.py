@@ -318,9 +318,9 @@ class TestCombineCommand:
                 "--scales", "2.5,0.5", "--transform", "pyramid", "--levels", "1",
                 "--out", out)
         lib = freqcfg_combine(
-            d_c, d_u, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(2.5, 0.5))
+            d_c.data, d_u.data, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(2.5, 0.5))
         )
-        assert read_tensor(out).data.tobytes() == lib.data.tobytes()
+        assert read_tensor(out).data.tobytes() == lib.tobytes()
 
     def test_conflicting_flags(self, tmp_path):
         _, _, pc, pu = self.make_dumps(tmp_path)
@@ -373,9 +373,9 @@ class TestCombineCommand:
         run_cli("combine", "--cond", pc, "--uncond", pu, "--transform", "haar",
                 "--w-low", "0.5", "--w-high", "2", "--out", out)
         ref = freqcfg_combine(
-            d_c, d_u, GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
+            d_c.data, d_u.data, GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
         )
-        assert read_tensor(out).data.tobytes() == ref.data.tobytes()
+        assert read_tensor(out).data.tobytes() == ref.tobytes()
 
 
 class TestStreamedCombine:
@@ -416,8 +416,8 @@ class TestStreamedCombine:
         out = str(tmp_path / "g.fqg")
         assert run_cli("combine", "--cond", pc, "--uncond", pu, *flags, "--out", out) == 0
         cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
-        whole = freqcfg_combine(Tensor4(d_c), Tensor4(d_u), cfg)
-        assert Path(out).read_bytes() == fqg1_bytes(whole.data)
+        whole = freqcfg_combine(d_c, d_u, cfg)
+        assert Path(out).read_bytes() == fqg1_bytes(whole)
 
     def assert_nothing_written(self, tmp_path, out, before):
         assert out.read_bytes() == before
@@ -460,7 +460,7 @@ class TestStreamedCombine:
         sizes = []
 
         def spy(d_c, d_u, cfg, **kwargs):
-            sizes.append(d_c.dims[0])
+            sizes.append(len(d_c))
             return freqcfg_combine(d_c, d_u, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "freqcfg_combine", spy)
@@ -1011,9 +1011,9 @@ class TestProcessBoundary:
         )
         assert proc.returncode == 0, proc.stderr
         lib = freqcfg_combine(
-            d_c, d_u, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(4.0, 1.5))
+            d_c.data, d_u.data, GuidanceConfig(transform=TransformKind.pyramid(1), scales=(4.0, 1.5))
         )
-        assert read_tensor(out).data.tobytes() == lib.data.tobytes()
+        assert read_tensor(out).data.tobytes() == lib.tobytes()
 
     def test_overflow_mid_run_is_domain_error(self, tmp_path):
         cfg = write_config(tmp_path, extra="guidance.transform = pyramid\nguidance.scales = 3,1.5\n")
@@ -1117,11 +1117,32 @@ class TestErrorPaths:
             (("combine", "--cond", "{cond}", "--uncond", "{cond}"), 2, "[usage]: give --scales or --w-low/--w-high"),
             (("combine", "--cond", "{missing}", "--uncond", "{cond}", "--scales", "2,1"), 7,
              "[io]: [Errno 2] No such file or directory: '{missing}'"),
+            # a condition whose class holds every component: d_c = d_u, as for a null condition
+            (("sweep", "--config", "{sweep}", "--grid", "1:1,1:3,3:3", "--set", "mixture.classes=1",
+              "--set", "mixture.class_center_weights=0.45:0.3:0.05:0.2"), 3,
+             "[config]: sweep needs a class in sample.condition that is not the whole mixture"),
+            (("analyze-norms", "--config", "{single}", "--set", "mixture.height=8", "--set", "mixture.width=8",
+              "--set", "sample.condition=0", "--set", "guidance.transform=haar"), 3,
+             "[config]: analyze-norms needs a class in sample.condition that is not the whole mixture"),
+            # sizes past the 128 TiB user address space: nothing is allocated
+            (("sample", "--set", "mixture.channels=1000000000000000"), 3,
+             "[config]: mixture.channels = 1000000000000000 x mixture.height = 16 x mixture.width = 16: "
+             "each must be >= 1 and their product at most 2**44 float64 values"),
+            (("sample", "--config", "{single}", "--set", "mixture.height=100000000000000000000"), 3,
+             "[config]: mixture.channels = 1 x mixture.height = 100000000000000000000 x mixture.width = 4: each"),
+            (("sample", "--config", "{single}", "--set", "mixture.channels=-1"), 3,
+             "[config]: mixture.channels = -1 x mixture.height = 4 x mixture.width = 4: each must be >= 1"),
+            (("sample", "--batch", "1000000000000000"), 3,
+             "[config]: sample.batch = 1000000000000000 x mixture.channels = 1 x mixture.height = 16 x "
+             "mixture.width = 16: each"),
+            (("sweep", "--grid", "1:1", "--set", "sweep.samples=1000000000000000"), 3,
+             "[config]: sweep.samples = 1000000000000000 x mixture.channels = 1 x"),
         ],
         ids=[
             "mixture-kind", "schedule-kind", "guidance-transform", "condition", "w-low-at-two-levels", "set-without-equals",
             "missing-config", "gen-data-single", "sweep-no-samples", "grid-one-number", "combine-no-scales",
-            "combine-missing-input",
+            "combine-missing-input", "sweep-one-class", "analyze-norms-single-kind", "channels-past-address-space",
+            "height-past-address-space", "negative-channels", "batch-past-address-space", "samples-past-address-space",
         ],
     )
     def test_category_code_and_message(self, tmp_path, capsys, monkeypatch, argv, code, message):
@@ -1133,7 +1154,8 @@ class TestErrorPaths:
         single.write_text(TestSingleGaussianConfig.CONFIG)
         cond = str(tmp_path / "c.fqg")
         write_tensor(cond, Tensor4(np.zeros((1, 1, 4, 4))))
-        names = {"missing": str(tmp_path / "nope"), "single": str(single), "cond": cond}
+        sweep = str(ROOT / "perfbench" / "sweep.cfg")
+        names = {"missing": str(tmp_path / "nope"), "single": str(single), "cond": cond, "sweep": sweep}
         argv = [arg.format(**names) for arg in argv]
         if argv[0] != "combine" and "--config" not in argv:
             argv[1:1] = ["--config", write_config(tmp_path)]

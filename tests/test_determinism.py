@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import acceptance_spec
 
-from freqguide import GuidanceConfig, Tensor4, TransformKind, freqcfg_combine
+from freqguide import GuidanceConfig, TransformKind, freqcfg_combine
 
 # the acceptance blob model (tests/conftest.py::acceptance_spec)
 ACCEPTANCE = """
@@ -161,9 +161,9 @@ def test_combine_is_batch_invariant(kind, weights):
     d_c, d_u = (gen.uniform(-2, 2, (64, 3, 32, 32)) for _ in range(2))
     scales = (3.0, 1.5, 0.5)[-kind.band_count :]
     cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
-    whole = freqcfg_combine(Tensor4(d_c), Tensor4(d_u), cfg).data
+    whole = freqcfg_combine(d_c, d_u, cfg)
     for chunk in (1, 7):
         for start in range(0, 64, chunk):
             part = slice(start, start + chunk)
-            got = freqcfg_combine(Tensor4(d_c[part]), Tensor4(d_u[part]), cfg).data
+            got = freqcfg_combine(d_c[part], d_u[part], cfg)
             assert got.tobytes() == whole[part].tobytes()

@@ -20,14 +20,15 @@ from freqguide import (
     UsageError,
     blob_mixture_from_spec,
     class_labels,
+    degrade,
     freqcfg_combine,
     initial_noise,
     make_denoiser_pair,
+    posterior_mean,
     sample,
 )
 from freqguide import diffusion, tensor
-from freqguide.diffusion import item_noise
-from freqguide.span import Span
+from freqguide.span import Span, span_of
 
 rng = np.random.default_rng(3)
 
@@ -119,11 +120,9 @@ class TestOdeRhs:
         # probability-flow ODE of a single Gaussian in closed form
         mu, s, sigma = 0.4, 0.8, 1.3
         mix = single_gaussian(mu, s)
-        z = Tensor4(rng.normal(size=(2, 1, 4, 4)))
-        from freqguide import posterior_mean
-
-        drift = (z.data - posterior_mean(z, sigma, mix).data) / sigma
-        expected = sigma * (z.data - mu) / (s**2 + sigma**2)
+        z = rng.normal(size=(2, 1, 4, 4))
+        drift = (z - posterior_mean(z, sigma, mix)) / sigma
+        expected = sigma * (z - mu) / (s**2 + sigma**2)
         assert np.abs(drift - expected).max() < 1e-12
 
 
@@ -139,7 +138,7 @@ class TestNoise:
         assert not np.array_equal(a.data, b.data)
 
     def test_counter_based_reproducible(self):
-        assert np.array_equal(item_noise(9, 3, (2, 2, 2)), item_noise(9, 3, (2, 2, 2)))
+        assert initial_noise(9, 1, (2, 2, 2), 1.0, first=3) == initial_noise(9, 1, (2, 2, 2), 1.0, first=3)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_key_outside_the_philox_range_is_usage_error(self, seed):
@@ -155,13 +154,13 @@ class TestNoise:
             initial_noise(seed, 2, (1, 2, 2), 1.0, first=first)
 
     def test_items_at_both_ends_of_the_range_draw(self):
-        assert not np.array_equal(item_noise(1, 0, (1, 2, 2)), item_noise(1, 2**64 - 1, (1, 2, 2)))
+        assert initial_noise(1, 1, (1, 2, 2), 1.0) != initial_noise(1, 1, (1, 2, 2), 1.0, first=2**64 - 1)
 
 
 class TestSampler:
     def test_one_step_collapses_to_prediction(self):
         c = 0.37
-        const = Tensor4(np.full((2, 1, 4, 4), c))
+        const = np.full((2, 1, 4, 4), c)
         pair = DenoiserPair(cond=lambda z, s, y=None: const, uncond=lambda z, s: const)
         run = SampleRunConfig(
             steps=1, schedule=NoiseSchedule.linear(5.0), seed=0, batch=2, shape=(1, 4, 4),
@@ -172,7 +171,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("sampler", ["euler", "heun"])
     def test_non_finite_state_is_domain_error(self, sampler):
-        huge = Tensor4(np.full((1, 1, 2, 2), 1e308))
+        huge = np.full((1, 1, 2, 2), 1e308)
         pair = DenoiserPair(cond=lambda z, s, y=None: huge, uncond=lambda z, s: huge)
         run = SampleRunConfig(
             steps=2, schedule=NoiseSchedule.linear(0.5), seed=0, batch=1, shape=(1, 2, 2),
@@ -310,9 +309,9 @@ class TestSampler:
         z = initial_noise(2, 2, (1, 8, 8), float(sigmas[0])).data
         for i in range(12):
             s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            d_c = pair.cond(Tensor4(z), s_cur, 0)
-            d_u = pair.uncond(Tensor4(z), s_cur)
-            x0 = d_u.data + 1.0 * (d_c.data - d_u.data)
+            d_c = pair.cond(z, s_cur, 0)
+            d_u = pair.uncond(z, s_cur)
+            x0 = d_u + 1.0 * (d_c - d_u)
             z = z + (s_next - s_cur) * (z - x0) / s_cur
         assert np.abs(z - bypass.data).max() <= 1e-9
 
@@ -321,9 +320,9 @@ class TestSampler:
 
         def cond(z, s, y=None):
             seen.append(s)
-            return Tensor4(np.zeros(z.dims))
+            return np.zeros(z.shape)
 
-        pair = DenoiserPair(cond=cond, uncond=lambda z, s: Tensor4(np.zeros(z.dims)))
+        pair = DenoiserPair(cond=cond, uncond=lambda z, s: np.zeros(z.shape))
         run = SampleRunConfig(
             steps=4, schedule=NoiseSchedule.linear(3.0), seed=0, batch=1, shape=(1, 4, 4),
             sampler="heun",
@@ -337,9 +336,9 @@ class TestSampler:
 
         def cond(z, s, y=None):
             calls.append(s)
-            return Tensor4(np.zeros(z.dims))
+            return np.zeros(z.shape)
 
-        pair = DenoiserPair(cond=cond, uncond=lambda z, s: Tensor4(np.zeros(z.dims)))
+        pair = DenoiserPair(cond=cond, uncond=lambda z, s: np.zeros(z.shape))
         run = SampleRunConfig(
             steps=3, schedule=NoiseSchedule.linear(3.0), seed=0, batch=1, shape=(1, 4, 4),
             sampler="heun",
@@ -383,7 +382,7 @@ class TestGuidedEndpoint:
         self.m_c, self.m_u = gen.uniform(-1.0, 1.0, self.SHAPE), gen.uniform(-1.0, 1.0, self.SHAPE)
 
         def posterior(m):
-            return lambda z, sigma, *condition: Tensor4(m + self.S**2 / (self.S**2 + sigma**2) * (z.data - m))
+            return lambda z, sigma, *condition: m + self.S**2 / (self.S**2 + sigma**2) * (z - m)
 
         self.pair = DenoiserPair(cond=posterior(self.m_c), uncond=posterior(self.m_u))
 
@@ -397,7 +396,7 @@ class TestGuidedEndpoint:
         )
         out = sample(self.pair, run).data
         delta = (self.m_c - self.m_u)[None]
-        m_delta = freqcfg_combine(Tensor4(delta), Tensor4(np.zeros_like(delta)), guidance).data[0] - delta[0]
+        m_delta = freqcfg_combine(delta, np.zeros_like(delta), guidance)[0] - delta[0]
         sigmas = self.SCHEDULE.grid(steps)
         # the sampler's step i runs from sigma_i to sigma_{i+1} with the gate at t = 1 - i/steps
         gates = [guidance.active_at(1.0 - (i - shift) / steps) if piecewise else True for i in range(steps)]
@@ -468,13 +467,14 @@ class TestBlockedSampling:
         )
 
     def spy_noise(self, monkeypatch):
-        calls = []
+        """(items, first item) of each later noise draw."""
+        calls, noise = [], diffusion._noise
 
-        def spy(seed, batch, shape, sigma_max, **kwargs):
-            calls.append((batch, kwargs.get("first", 0)))
-            return initial_noise(seed, batch, shape, sigma_max, **kwargs)
+        def spy(seed, items, *args):
+            calls.append((len(items), items.start))
+            return noise(seed, items, *args)
 
-        monkeypatch.setattr(diffusion, "initial_noise", spy)
+        monkeypatch.setattr(diffusion, "_noise", spy)
         return calls
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
@@ -493,24 +493,64 @@ class TestBlockedSampling:
         """In image space the last state, in the span the output array the
         noise was drawn in and the endpoint made in: no copy either way."""
         mix, pair = blob_model(factored=False)
-        states = []
-        finite = diffusion.Tensor4
+        scans, isfinite = [], np.isfinite
 
-        def keep(data, **kwargs):
-            states.append(finite(data, **kwargs))
-            return states[-1]
+        def scan(x, *args, **kwargs):
+            scans.append(x)
+            return isfinite(x, *args, **kwargs)
 
-        monkeypatch.setattr(diffusion, "Tensor4", keep)
+        monkeypatch.setattr(np, "isfinite", scan)
         out = sample(DenoiserPair(cond=pair.cond, uncond=pair.uncond), self.run(mix, 42, sampler="euler"))
-        assert out is states[-1]
-        noises = []
+        assert out.data is scans[-1]  # the last state, which the sampler's own check scanned
+        noises, noise = [], diffusion._noise
 
-        def spy(*args, **kwargs):
-            noises.append(initial_noise(*args, **kwargs).data)
-            return Tensor4(noises[-1], checked=True)
+        def spy(*args):
+            noises.append(noise(*args))
+            return noises[-1]
 
-        monkeypatch.setattr(diffusion, "initial_noise", spy)
+        monkeypatch.setattr(diffusion, "_noise", spy)
         assert sample(pair, self.run(mix, 42, sampler="euler")).data is noises[0].base
+
+    @pytest.mark.parametrize("steps", [4, 40])
+    def test_a_span_run_wraps_only_its_output(self, monkeypatch, steps):
+        """Every state and prediction inside ``sample`` is a plain array: a
+        run in the span builds one ``Tensor4``, its output, at any step
+        count."""
+        mix, pair = blob_model(factored=False)
+        built, init = [], Tensor4.__init__
+
+        def count(self, data, **kwargs):
+            built.append(np.shape(data))
+            init(self, data, **kwargs)
+
+        run = self.run(mix, 30, steps=steps, transform=TransformKind.pyramid(2))
+        assert span_of(pair, run.guidance, run.shape) is not None
+        monkeypatch.setattr(Tensor4, "__init__", count)
+        sample(pair, run)
+        assert built == [(30,) + mix.image_shape]
+
+    def test_a_pair_of_array_callables_samples_in_image_space(self):
+        """A hand-built pair, like the CLI's autoguidance pair, is called
+        with plain (B, C, H, W) arrays and returns them; its run has the
+        bytes of the image-space Euler loop written out here."""
+        mix, pair = blob_model(factored=False)
+        degraded = degrade(mix, jitter_scale=0.01, inflate_factor=1.5, seed=1)
+        seen = []
+
+        def uncond(z, sigma):
+            seen.append((type(z), z.shape))
+            return posterior_mean(z, sigma, degraded)
+
+        auto, run = DenoiserPair(cond=pair.cond, uncond=uncond), self.run(mix, 3, sampler="euler")
+        assert span_of(auto, run.guidance, run.shape) is None
+        out = sample(auto, run)
+        assert seen == [(np.ndarray, (3,) + mix.image_shape)] * run.steps
+        sigmas = run.schedule.grid(run.steps)
+        z = initial_noise(run.seed, 3, mix.image_shape, float(sigmas[0])).data
+        for s_cur, s_next in zip(sigmas[:-1], sigmas[1:]):
+            x0 = freqcfg_combine(pair.cond(z, s_cur, 1), posterior_mean(z, s_cur, degraded), run.guidance)
+            z = z + (s_next - s_cur) * ((z - x0) / s_cur)
+        assert out.data.tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("sampler, predictions", [("euler", 6), ("heun", 11)])
     def test_the_span_walks_a_batch_once(self, monkeypatch, sampler, predictions):
@@ -523,7 +563,7 @@ class TestBlockedSampling:
         batches, predict = [], Span._predict
 
         def spy(span, u, *args):
-            batches.append(len(u.data))
+            batches.append(len(u))
             return predict(span, u, *args)
 
         monkeypatch.setattr(Span, "_predict", spy)

@@ -30,7 +30,11 @@ rng = np.random.default_rng(7)
 
 
 def rand(dims=(2, 3, 32, 32), lo=-2.0, hi=2.0):
-    return Tensor4(rng.uniform(lo, hi, dims))
+    return rng.uniform(lo, hi, dims)
+
+
+def rand4(dims=(2, 3, 32, 32)):
+    return Tensor4(rand(dims))
 
 
 def make_records(low, high):
@@ -45,28 +49,28 @@ ALL_KINDS = (TransformKind.pyramid(1), TransformKind.pyramid(2), TransformKind.h
 
 def plain_cfg(d_c, d_u, w, kind):
     """Plain CFG at scale w: ``freqcfg_combine`` with one scale on every band."""
-    return freqcfg_combine(d_c, d_u, GuidanceConfig(transform=kind, scales=(w,) * kind.band_count)).data
+    return freqcfg_combine(d_c, d_u, GuidanceConfig(transform=kind, scales=(w,) * kind.band_count))
 
 
 class TestCfgCombine:
     def test_w_one_is_conditional(self):
         d_c, d_u = rand(), rand()
         for kind in ALL_KINDS:
-            assert np.array_equal(plain_cfg(d_c, d_u, 1.0, kind), d_c.data)
+            assert np.array_equal(plain_cfg(d_c, d_u, 1.0, kind), d_c)
 
     def test_w_zero_is_unconditional(self):
         # d_c + (0 - 1)(d_c - d_u): exactly that rounding, within it of d_u
         d_c, d_u = rand(), rand()
         for kind in ALL_KINDS:
             out = plain_cfg(d_c, d_u, 0.0, kind)
-            assert np.array_equal(out, d_c.data - (d_c.data - d_u.data))
-            assert np.abs(out - d_u.data).max() <= 1e-15
+            assert np.array_equal(out, d_c - (d_c - d_u))
+            assert np.abs(out - d_u).max() <= 1e-15
 
     def test_equal_inputs_fixed_point(self):
         d = rand()
         for w in (0.0, 1.0, 3.5, -2.0):
             for kind in ALL_KINDS:
-                assert np.abs(plain_cfg(d, d, w, kind) - d.data).max() == 0.0
+                assert np.abs(plain_cfg(d, d, w, kind) - d).max() == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -93,21 +97,21 @@ class TestOperator:
         gains, ops = guidance.operator(cfg), low_pass_operators(transform, h, w)
         assert gains[0] == cfg.scales[0] - 1.0 and len(gains) == len(ops) + 1 == transform.band_count
         got = gains[0] * x + sum(c * (p_h @ x @ p_w.T) for c, (p_h, p_w) in zip(gains[1:], ops))
-        want = freqcfg_combine(Tensor4(x), Tensor4(np.zeros_like(x)), cfg).data - x
+        want = freqcfg_combine(x, np.zeros_like(x), cfg) - x
         bound = 1e-13 * np.abs(x).max() * max(1.0, *np.abs(cfg.scales))
         assert np.abs(got - want).max() <= bound
 
 
 class TestProject:
     def test_collinear(self):
-        v1 = rand()
+        v1 = rand4()
         v0 = Tensor4(2.0 * v1.data)
         par, orth = project(v0, v1)
         assert np.abs(par.data - v0.data).max() < 1e-12
         assert np.abs(orth.data).max() < 1e-12
 
     def test_orthogonal_case(self):
-        v1 = rand((1, 1, 2, 2))
+        v1 = rand4((1, 1, 2, 2))
         # explicit orthogonal complement in 4 dims
         a, b, c, d = v1.data.ravel()
         v0 = Tensor4(np.array([-b, a, -d, c]).reshape(1, 1, 2, 2))
@@ -116,7 +120,7 @@ class TestProject:
         assert np.array_equal(orth.data, v0.data - par.data)
 
     def test_inner_product_identities(self):
-        v0, v1 = rand(), rand()
+        v0, v1 = rand4(), rand4()
         par, orth = project(v0, v1)
         assert np.abs(par.data + orth.data - v0.data).max() < 1e-12
         for i in range(v0.dims[0]):
@@ -125,7 +129,7 @@ class TestProject:
             assert abs(dot) <= bound
 
     def test_zero_direction_item(self):
-        v0 = rand((2, 1, 4, 4))
+        v0 = rand4((2, 1, 4, 4))
         v1_data = rng.uniform(-1, 1, (2, 1, 4, 4))
         v1_data[1] = 0.0
         par, orth = project(v0, Tensor4(v1_data))
@@ -136,10 +140,10 @@ class TestProject:
 def manual_single_level_combine(d_c, d_u, w_high, w_low):
     """Hand-rolled decompose -> per-band cfg -> reconstruct oracle."""
     kind = TransformKind.pyramid(1)
-    (step,) = step_matrices(kind, *d_c.dims[2:])
-    g1_c, g1_u = low_pass_chain(d_c.data, kind)[1], low_pass_chain(d_u.data, kind)[1]
-    l0_c = d_c.data - up_step(g1_c, step)
-    l0_u = d_u.data - up_step(g1_u, step)
+    (step,) = step_matrices(kind, *d_c.shape[2:])
+    g1_c, g1_u = low_pass_chain(d_c, kind)[1], low_pass_chain(d_u, kind)[1]
+    l0_c = d_c - up_step(g1_c, step)
+    l0_u = d_u - up_step(g1_u, step)
     band0 = l0_u + w_high * (l0_c - l0_u)
     band1 = g1_u + w_low * (g1_c - g1_u)
     return band0 + up_step(band1, step)
@@ -154,20 +158,20 @@ class TestFreqCfgCombine:
         d_c, d_u = rand(), rand()
         cfg = GuidanceConfig(transform=kind, scales=(w,) * kind.band_count)
         got = freqcfg_combine(d_c, d_u, cfg)
-        ref = d_u.data + w * (d_c.data - d_u.data)
-        assert np.abs(got.data - ref).max() < 1e-8
+        ref = d_u + w * (d_c - d_u)
+        assert np.abs(got - ref).max() < 1e-8
 
     def test_all_ones_returns_conditional(self):
         d_c, d_u = rand(), rand()
         cfg = GuidanceConfig(transform=TransformKind.pyramid(1), scales=(1.0, 1.0))
-        assert np.abs(freqcfg_combine(d_c, d_u, cfg).data - d_c.data).max() < 1e-9
+        assert np.abs(freqcfg_combine(d_c, d_u, cfg) - d_c).max() < 1e-9
 
     def test_equal_inputs_fixed_point(self):
         d = rand()
         cfg = GuidanceConfig(
             transform=TransformKind.haar(), scales=(4.0, 0.5), parallel_weights=(0.3, 2.0)
         )
-        assert np.abs(freqcfg_combine(d, d, cfg).data - d.data).max() < 1e-9
+        assert np.abs(freqcfg_combine(d, d, cfg) - d).max() < 1e-9
 
     def test_against_hand_rolled_single_level_oracle(self):
         d_c, d_u = rand(), rand()
@@ -175,7 +179,7 @@ class TestFreqCfgCombine:
         cfg = GuidanceConfig(transform=TransformKind.pyramid(1), scales=(w_high, w_low))
         got = freqcfg_combine(d_c, d_u, cfg)
         oracle = manual_single_level_combine(d_c, d_u, w_high, w_low)
-        assert np.abs(got.data - oracle).max() < 1e-10
+        assert np.abs(got - oracle).max() < 1e-10
 
     def test_scale_count_validated(self):
         with pytest.raises(UsageError):
@@ -185,11 +189,13 @@ class TestFreqCfgCombine:
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))
         with pytest.raises(ShapeError):
             freqcfg_combine(rand((1, 1, 8, 8)), rand((1, 1, 8, 10)), cfg)
+        with pytest.raises(ShapeError):
+            freqcfg_combine(rand((1, 8, 8)), rand((1, 8, 8)), cfg)
 
 
 class TestBandLocality:
     def test_unit_low_scale_keeps_residual_coefficients(self):
-        d_c, d_u = rand(), rand()
+        d_c, d_u = rand4(), rand4()
         for kind in (TransformKind.pyramid(1), TransformKind.haar()):
             cfg = GuidanceConfig(transform=kind, scales=(5.0, 1.0))
             guided = freqcfg_combine_bands(d_c, d_u, cfg)
@@ -197,7 +203,7 @@ class TestBandLocality:
             assert np.abs(guided[-1].data - bands_c[-1].data).max() < 1e-9
 
     def test_unit_high_scale_keeps_detail_coefficients(self):
-        d_c, d_u = rand(), rand()
+        d_c, d_u = rand4(), rand4()
         for kind in (TransformKind.pyramid(1), TransformKind.haar()):
             cfg = GuidanceConfig(transform=kind, scales=(1.0, 5.0))
             guided = freqcfg_combine_bands(d_c, d_u, cfg)
@@ -211,12 +217,12 @@ class TestBandLocality:
         d_c, d_u = rand(), rand()
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(5.0, 1.0))
         out = freqcfg_combine(d_c, d_u, cfg)
-        out_bands = transform_bands(out, cfg.transform)
-        c_bands = transform_bands(d_c, cfg.transform)
+        out_bands = transform_bands(Tensor4(out), cfg.transform)
+        c_bands = transform_bands(Tensor4(d_c), cfg.transform)
         assert np.abs(out_bands[-1].data - c_bands[-1].data).max() < 1e-9
 
     def test_detail_update_scales_linearly_in_w_high(self):
-        d_c, d_u = rand(), rand()
+        d_c, d_u = rand4(), rand4()
         kind = TransformKind.pyramid(1)
         bands_c = transform_bands(d_c, kind)
         deltas = []
@@ -231,7 +237,7 @@ class TestBandLocality:
 
 
 def band_space_combine(d_c, d_u, cfg):
-    return inverse_bands(freqcfg_combine_bands(d_c, d_u, cfg), cfg.transform)
+    return inverse_bands(freqcfg_combine_bands(Tensor4(d_c), Tensor4(d_u), cfg), cfg.transform).data
 
 
 def weight_sets(gen, n):
@@ -261,7 +267,7 @@ class TestClosedForm:
         for weights in weight_sets(rng, kind.band_count):
             cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
             closed = freqcfg_combine(d_c, d_u, cfg)
-            assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+            assert np.abs(closed - band_space_combine(d_c, d_u, cfg)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -276,20 +282,20 @@ class TestClosedForm:
         else:
             kind = TransformKind.haar()
             dims = (2, 2, 2 * (2 + extra_h), 2 * (2 + extra_w))
-        d_c, d_u = Tensor4(gen.uniform(-2, 2, dims)), Tensor4(gen.uniform(-2, 2, dims))
+        d_c, d_u = gen.uniform(-2, 2, dims), gen.uniform(-2, 2, dims)
         scales = tuple(gen.uniform(-1.0, 6.0, kind.band_count))
         for weights in weight_sets(gen, kind.band_count):
             cfg = GuidanceConfig(transform=kind, scales=scales, parallel_weights=weights)
             closed = freqcfg_combine(d_c, d_u, cfg)
-            assert np.abs(closed.data - band_space_combine(d_c, d_u, cfg).data).max() <= 1e-12
+            assert np.abs(closed - band_space_combine(d_c, d_u, cfg)).max() <= 1e-12
 
     def test_haar_low_pass_is_block_mean(self):
         d_c, d_u = rand((2, 3, 8, 10)), rand((2, 3, 8, 10))
-        delta = d_c.data - d_u.data
+        delta = d_c - d_u
         block_mean = delta.reshape(2, 3, 4, 2, 5, 2).mean(axis=(3, 5))
-        expected = d_c.data + np.repeat(np.repeat(block_mean, 2, axis=2), 2, axis=3)
+        expected = d_c + np.repeat(np.repeat(block_mean, 2, axis=2), 2, axis=3)
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 2.0))
-        assert np.abs(freqcfg_combine(d_c, d_u, cfg).data - expected).max() < 1e-14
+        assert np.abs(freqcfg_combine(d_c, d_u, cfg) - expected).max() < 1e-14
 
     def test_infeasible_levels_raise_shape_error(self):
         cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(2.0, 1.0, 1.0, 1.0))
@@ -313,20 +319,19 @@ class TestOverflow:
             with pytest.raises(DomainError):
                 freqcfg_combine(d_c, d_u, cfg)
             with pytest.raises(DomainError):
-                freqcfg_combine_bands(d_c, d_u, cfg)
+                freqcfg_combine_bands(Tensor4(d_c), Tensor4(d_u), cfg)
 
     def test_reconstruction_overflow_is_domain_error(self):
         # a checkerboard on a constant: both bands peak at 1, their sum at 2, so
         # every guided band is finite and only the synthesis overflows
         yy, xx = np.mgrid[0:16, 0:16]
         d = (1.0 + (-1.0) ** (yy + xx))[None, None]
-        d_c, d_u = Tensor4(d), Tensor4(-d)
         cfg = GuidanceConfig(
             transform=TransformKind.pyramid(1), scales=(6.7e307, 6.7e307), parallel_weights=(0.9, 0.9)
         )
-        assert all(np.isfinite(b.data).all() for b in freqcfg_combine_bands(d_c, d_u, cfg))
+        assert all(np.isfinite(b.data).all() for b in freqcfg_combine_bands(Tensor4(d), Tensor4(-d), cfg))
         with pytest.raises(DomainError):
-            freqcfg_combine(d_c, d_u, cfg)
+            freqcfg_combine(d, -d, cfg)
 
 
 class TestParallelWeights:
@@ -336,19 +341,17 @@ class TestParallelWeights:
         cfg = GuidanceConfig(transform=kind, scales=(3.0, 2.0), parallel_weights=(1.0, 1.0))
         got = freqcfg_combine(d_c, d_u, cfg)
         # projection-free oracle: band_c + (scale - 1) * raw diff
-        bands_c = transform_bands(d_c, kind)
-        bands_u = transform_bands(d_u, kind)
+        bands_c = transform_bands(Tensor4(d_c), kind)
+        bands_u = transform_bands(Tensor4(d_u), kind)
         guided = [
             Tensor4(c.data + (s - 1.0) * (c.data - u.data))
             for c, u, s in zip(bands_c, bands_u, (3.0, 2.0))
         ]
-        from freqguide import inverse_bands
-
         oracle = inverse_bands(guided, kind)
-        assert np.abs(got.data - oracle.data).max() < 1e-10
+        assert np.abs(got - oracle.data).max() < 1e-10
 
     def test_zero_weight_removes_parallel_component(self):
-        d_c, d_u = rand(), rand()
+        d_c, d_u = rand4(), rand4()
         cfg = GuidanceConfig(
             transform=TransformKind.haar(), scales=(2.0, 2.0), parallel_weights=(0.0, 0.0)
         )
@@ -362,7 +365,7 @@ class TestParallelWeights:
 
 
 class FixedPair:
-    """Denoiser pair returning preset tensors and counting calls."""
+    """Denoiser pair returning preset arrays and counting calls."""
 
     def __init__(self, d_c, d_u):
         self.d_c, self.d_u = d_c, d_u
@@ -397,7 +400,7 @@ class TestGuidedDenoise:
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
         out = guided_denoise(rand(), 1.0, 0.5, FixedPair(d_c, d_u).pair(), cfg)
         ref = freqcfg_combine(d_c, d_u, cfg)
-        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(out, ref)
 
     def test_gate_boundaries_inclusive(self):
         d_c, d_u = rand(), rand()
@@ -412,7 +415,8 @@ class TestGuidedDenoise:
     def test_default_both_is_cond_then_uncond(self):
         d_c, d_u = rand(), rand()
         fixture = FixedPair(d_c, d_u)
-        assert fixture.pair().both(rand(), 1.0, 0) == (d_c, d_u)
+        got = fixture.pair().both(rand(), 1.0, 0)
+        assert got[0] is d_c and got[1] is d_u
         assert (fixture.cond_calls, fixture.uncond_calls) == (1, 1)
 
     def test_one_both_call_per_open_gate_and_cond_only_when_closed(self):
@@ -454,7 +458,7 @@ class TestGuidedDenoise:
         assert [r.step for r in recorder.records] == list(range(10))
         assert [r.t for r in recorder.records] == ts
         # Haar is orthonormal: the band norms split ||d_c - d_u|| exactly
-        delta = d_c.data - d_u.data
+        delta = d_c - d_u
         detail, ll = transform_bands(Tensor4(delta), cfg.transform)
         assert recorder.records[0].low_norm == pytest.approx(np.linalg.norm(ll.data))
         assert recorder.records[0].high_norm == pytest.approx(np.linalg.norm(detail.data))

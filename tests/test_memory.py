@@ -44,7 +44,7 @@ COMBINE_CONFIGS = {
 
 
 def rand(dims):
-    return Tensor4(rng.uniform(-2.0, 2.0, dims))
+    return rng.uniform(-2.0, 2.0, dims)
 
 
 def factored_model():
@@ -131,20 +131,20 @@ class TestCombine:
     def test_blocks_of_35_and_34_items(self, cfg):
         # combine's blocks of 173 items of 3 x 32 x 32: 35, 35, 35, 34, 34
         d_c, d_u = rand((173, 3, 32, 32)), rand((173, 3, 32, 32))
-        whole = freqcfg_combine(d_c, d_u, cfg).data
+        whole = freqcfg_combine(d_c, d_u, cfg)
         for items in blocks(173, (3, 32, 32)):
             part = slice(items.start, items.stop)
-            chunk = freqcfg_combine(Tensor4(d_c.data[part]), Tensor4(d_u.data[part]), cfg)
-            assert chunk.data.tobytes() == whole[part].tobytes()
+            chunk = freqcfg_combine(d_c[part], d_u[part], cfg)
+            assert chunk.tobytes() == whole[part].tobytes()
 
     @pytest.mark.parametrize("cfg", COMBINE_CONFIGS.values(), ids=COMBINE_CONFIGS)
     def test_public_result_keeps_its_bytes(self, cfg):
         d_c, d_u = rand((2, 3, 32, 32)), rand((2, 3, 32, 32))
         first = freqcfg_combine(d_c, d_u, cfg)
-        kept = first.data.tobytes()
+        kept = first.tobytes()
         for _ in range(2):
             freqcfg_combine(rand((2, 3, 32, 32)), rand((2, 3, 32, 32)), cfg)
-        assert first.data.tobytes() == kept
+        assert first.tobytes() == kept
 
     @pytest.mark.parametrize("name", ["weighted-pyramid2", "weighted-haar"])
     def test_weighted_combine_peaks_below_five_image_sized_arrays(self, name):
@@ -162,10 +162,10 @@ class TestPosterior:
     def test_public_result_keeps_its_bytes(self, model):
         mix, pair = model()
         first = pair.both(rand((3,) + mix.image_shape), 0.5, 0)
-        kept = [t.data.tobytes() for t in first]
+        kept = [t.tobytes() for t in first]
         for _ in range(2):
             pair.both(rand((3,) + mix.image_shape), 0.5, 0)
-        assert [t.data.tobytes() for t in first] == kept
+        assert [t.tobytes() for t in first] == kept
 
 
 class TestSample:
@@ -240,9 +240,9 @@ def posterior_bytes(model) -> bytes:
     noise = np.random.default_rng(5)
     out = b""
     for sigma in (3.0, 0.3, 0.05):
-        z = Tensor4(noise.uniform(-2.0, 2.0, (5,) + mix.image_shape))
+        z = noise.uniform(-2.0, 2.0, (5,) + mix.image_shape)
         part, full = posterior_mean(z, sigma, mix, subset)
-        out += part.data.tobytes() + full.data.tobytes() + posterior_mean(z, sigma, mix).data.tobytes()
+        out += part.tobytes() + full.tobytes() + posterior_mean(z, sigma, mix).tobytes()
     return out
 
 
