@@ -34,7 +34,7 @@ from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
 from .tensor import (
-    Tensor4, TensorReader, atomic_write_bytes, blocks, tensor_writer, write_csv, write_tensor,
+    MAX_ARRAY_VALUES, Tensor4, TensorReader, atomic_write_bytes, blocks, tensor_writer, write_csv, write_tensor,
 )
 
 EXIT_CODES = {"usage": 2, "config": 3, "shape": 4, "format": 5, "domain": 6, "io": 7, "error": 1}
@@ -58,9 +58,6 @@ CONFIG_KEYS = frozenset(
     for name in names.split()
 )
 IMAGE_KEYS = ("mixture.channels", "mixture.height", "mixture.width")
-# float64 values one array may hold: 2**47 bytes (128 TiB) is all that a
-# process can address on x86-64 Linux, so no machine could allocate more
-MAX_ARRAY_VALUES = 2**44
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +239,14 @@ def _parse_condition(raw: str) -> int | None:
 
 
 def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> SampleRunConfig:
+    batch = cfg.get_int("sample.batch", 8)
+    _check_sizes({"sample.batch": batch, **dict(zip(IMAGE_KEYS, image_shape))})
     try:
-        run = SampleRunConfig(
+        return SampleRunConfig(
             steps=cfg.get_int("sample.steps", 40),
             schedule=build_schedule(cfg),
             seed=cfg.get_int("sample.seed", 0),
-            batch=cfg.get_int("sample.batch", 8),
+            batch=batch,
             shape=tuple(image_shape),
             guidance=guidance,
             condition=_parse_condition(cfg.get_str("sample.condition", "null")),
@@ -255,8 +254,6 @@ def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> Samp
         )
     except UsageError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_sizes({"sample.batch": run.batch, **dict(zip(IMAGE_KEYS, image_shape))})
-    return run
 
 
 def _require_guidance_signal(cfg: Config, run: SampleRunConfig, labels, command: str, consequence: str) -> None:
@@ -391,11 +388,9 @@ def cmd_sweep(args) -> int:
     if base.transform.band_count != 2:
         raise ConfigError("sweep needs a 2-band transform (guidance.levels = 1)")
     run = build_run(cfg, mix.image_shape, base)
-    try:
-        run = dataclasses.replace(run, batch=cfg.get_int("sweep.samples", 500))
-    except UsageError as exc:
-        raise ConfigError(f"sweep.samples: {exc}") from exc
-    _check_sizes({"sweep.samples": run.batch, **dict(zip(IMAGE_KEYS, mix.image_shape))})
+    samples = cfg.get_int("sweep.samples", 500)
+    _check_sizes({"sweep.samples": samples, **dict(zip(IMAGE_KEYS, mix.image_shape))})
+    run = dataclasses.replace(run, batch=samples)
     _require_guidance_signal(cfg, run, labels, "sweep", "every grid point gives the same row")
     mixture_pair = make_denoiser_pair(mix, labels)
     pair = build_pair(cfg, mixture_pair)

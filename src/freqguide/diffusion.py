@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, guided_denoise
 from .span import span_of
-from .tensor import Tensor4, blocks, finite, philox
+from .tensor import MAX_ARRAY_VALUES, Tensor4, blocks, finite, philox
 
 _MAX_SEED = 2**63
 
@@ -97,6 +97,16 @@ class SampleRunConfig:
             raise UsageError(f"unknown sampler {self.sampler!r}")
         if len(self.shape) != 3 or min(self.shape) < 1:
             raise UsageError(f"shape must be (channels, height, width), got {self.shape}")
+        _check_values(self.batch, self.shape)
+
+
+def _check_values(batch: int, shape: tuple) -> None:
+    """A ``UsageError`` unless ``batch`` items of ``shape`` fit in an array
+    of at most ``MAX_ARRAY_VALUES`` float64 values."""
+    if batch * math.prod(shape) > MAX_ARRAY_VALUES:
+        raise UsageError(
+            f"{batch} items of {tuple(shape)} are more than 2**44 float64 values (128 TiB), past any address space"
+        )
 
 
 def _noise(seed: int, items: range, shape: tuple, sigma_max: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,7 +128,8 @@ def _noise(seed: int, items: range, shape: tuple, sigma_max: float, out: np.ndar
 
 def initial_noise(seed: int, batch: int, shape: tuple, sigma_max: float, *, first: int = 0) -> Tensor4:
     """sigma_max * eps for items first..first+batch-1, one stream per item
-    (``_noise``)."""
+    (``_noise``); a ``UsageError`` past ``MAX_ARRAY_VALUES`` values."""
+    _check_values(batch, shape)
     return Tensor4(_noise(seed, range(first, first + batch), shape, sigma_max), checked=True)
 
 

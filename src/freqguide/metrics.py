@@ -48,24 +48,37 @@ def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> 
     )
 
 
+def _item_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each item's values: a row's sum never depends on the rows
+    beside it, so neither does a total of these over a batch."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
 def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, float]:
     """(low, high) squared-norm shares: residual band vs all detail bands.
 
     Haar shares are relative to the input energy (orthonormal, so they sum to
     1); pyramid bands are not orthogonal, so shares are relative to the sum of
-    band energies instead of implying a Parseval identity.  Energies are
-    summed over ``tensor.blocks`` of items, so the bands of the whole batch
-    never exist at once.
+    band energies instead of implying a Parseval identity.  The bands are
+    made a ``tensor.blocks`` block of items at a time, so the bands of the
+    whole batch never exist at once; each item's energies are summed on
+    their own and then over the batch, so the shares do not depend on the
+    blocks.
     """
     haar = transform.kind == "haar"
-    energies, total = np.zeros(transform.band_count), 0.0
-    for items in blocks(x.dims[0], x.dims[1:]):
+    n = x.dims[0]
+    # each item's energy in each band and, for haar, in the whole item
+    energies, totals = np.zeros((n, transform.band_count)), np.zeros(n)
+    for items in blocks(n, x.dims[1:]):
         part = x.data[items.start : items.stop]
-        energies += [float(np.sum(b.data**2)) for b in transform_bands(Tensor4(part, checked=True), transform)]
-        total += float(np.sum(part**2)) if haar else 0.0
+        for k, band in enumerate(transform_bands(Tensor4(part, checked=True), transform)):
+            energies[items.start : items.stop, k] = _item_sums(band.data**2)
+        if haar:
+            totals[items.start : items.stop] = _item_sums(part**2)
+    energies = energies.sum(axis=0)
     low = float(energies[-1])
     high = float(energies[:-1].sum())
-    denom = total if haar else low + high
+    denom = float(totals.sum()) if haar else low + high
     if denom == 0.0:
         return (0.0, 0.0)
     return (low / denom, high / denom)
@@ -74,8 +87,9 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
 def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> float:
     """Mean absolute gap between per-channel (mean, std) of the samples and of
     the weight-averaged mixture means, averaged over channels.  The samples
-    are copied a channel at a time and the means' weighted sums walk
-    ``reference.mean_chunks()``, so neither is held whole."""
+    are copied a channel at a time and the means' sums walk
+    ``reference.mean_chunks()``, so neither is held whole; each component's
+    sums are weighted and added up once, whatever the chunks."""
     if samples.dims[1:] != reference.image_shape:
         raise UsageError(
             f"sample shape {samples.dims[1:]} != mixture shape {reference.image_shape}"
@@ -83,14 +97,11 @@ def saturation_proxy(samples: Tensor4, reference: IsotropicGaussianMixture) -> f
     channels = samples.dims[1]
     planes = (np.ascontiguousarray(samples.data[:, c]) for c in range(channels))
     s_mean, s_std = np.array([(plane.mean(), plane.std()) for plane in planes]).T
-    r_mean, r_sq = np.zeros(channels), np.zeros(channels)
+    # each component's per-channel sums of its mean and of its square
+    sums = np.zeros((2, reference.n_components, channels))
     for items, chunk in reference.mean_chunks():
-        m = chunk.transpose(1, 0, 2, 3).reshape(channels, len(chunk), -1)
-        w = reference.weights[items.start : items.stop]
-        r_mean += np.einsum("k,ckd->c", w, m)
-        r_sq += np.einsum("k,ckd->c", w, m**2)
-    pixels = math.prod(reference.image_shape[1:])
-    r_mean /= pixels
-    r_sq /= pixels
+        m = chunk.reshape(len(chunk), channels, -1)
+        sums[:, items.start : items.stop] = m.sum(axis=2), (m**2).sum(axis=2)
+    r_mean, r_sq = np.einsum("k,skc->sc", reference.weights, sums) / math.prod(reference.image_shape[1:])
     r_std = np.sqrt(np.maximum(r_sq - r_mean**2, 0.0))
     return float(np.mean(0.5 * (np.abs(s_mean - r_mean) + np.abs(s_std - r_std))))

@@ -24,9 +24,20 @@ DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}  # written files are alwa
 
 _HEADER = struct.Struct("<4sBB4I")  # magic, dtype code, ndim, dims
 
-# float64 values (1 MiB) per image-sized array that `sample`, `combine` and
-# the walks over a mixture's means hold at once: each goes in ``blocks``
-BLOCK_VALUES = 2**17
+# float64 values (512 KiB) per image-sized array that `sample`, `combine`
+# and the walks over a mixture's means hold at once: each goes in
+# ``blocks``.  A `combine` block holds about six such arrays (d_c, d_u,
+# their difference, band 0 of d_c and of the difference, the correction),
+# so the cap sets that command's memory: on 2000 items of 3 x 32 x 32 its
+# traced peak is 6.3 MiB at 2**17 and 3.2 MiB here, and its peak RSS fell
+# 37.8 -> 34.1 MB at the same speed.  2**15 would split the span walk of a
+# 32-item batch of the 1024-component model (2048 values an item) in two,
+# about 7 % slower.
+BLOCK_VALUES = 2**16
+
+# float64 values one array may hold: 2**47 bytes (128 TiB) is all that a
+# process can address on x86-64 Linux, so no machine could allocate more
+MAX_ARRAY_VALUES = 2**44
 
 # glibc's malloc hands a freed block above its mmap threshold (128 KiB at
 # first) back to the kernel and trims a free heap top past twice that, so a

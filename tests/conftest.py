@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from freqguide import (
     make_denoiser_pair,
     sample,
 )
+from freqguide import tensor
 from freqguide.span import Span, span_of
 
 
@@ -77,6 +79,18 @@ def fqg1_bytes(values, code=0, ndim=4, magic=b"FQG1") -> bytes:
     writes malformed headers."""
     dtype = "<f8" if code == 0 else "<f4"
     return struct.pack("<4sBB4I", magic, code, ndim, *values.shape) + values.astype(dtype).tobytes()
+
+
+def per_block(item_shape) -> int:
+    """Items of ``item_shape`` in a full ``tensor.blocks`` block."""
+    return tensor.BLOCK_VALUES // math.prod(item_shape)
+
+
+def three_blocks(item_shape) -> int:
+    """The fewest items of ``item_shape`` that ``tensor.blocks`` splits into
+    three blocks of unequal sizes, the larger first."""
+    batch = 2 * per_block(item_shape) + 1
+    return batch + (batch % 3 == 0)
 
 
 def spy_combine_batches(monkeypatch) -> list:

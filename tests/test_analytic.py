@@ -1043,10 +1043,10 @@ class TestMeansOnDemand:
         _, want = loop_mixture(spec)
         assert np.abs(all_means(sub) - want[[300, 1023]]).max() <= oracle_bound(want)
         assert all_means(sub).tobytes() == whole[[300, 1023]].tobytes()
-        # a class subset of 7 blocks: each chunk comes with its range of components
+        # a class subset of several blocks: each chunk comes with its range of components
         members = mix.restricted(range(3, 1024, 4))
         spans = [items for items, _ in members.mean_chunks()]
-        assert len(spans) == 7 and spans == tensor.blocks(256, spec.image_shape)
+        assert len(spans) > 1 and spans == tensor.blocks(256, spec.image_shape)
         assert all_means(members).tobytes() == whole[3::4].tobytes()
 
     def test_build_subset_and_joint_call_stay_small(self):

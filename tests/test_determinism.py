@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import acceptance_spec
+from conftest import acceptance_spec, three_blocks
 
 from freqguide import GuidanceConfig, TransformKind, freqcfg_combine
 
@@ -77,8 +77,8 @@ SAMPLE_RUNS = {
         ACCEPTANCE.replace("guidance.scales = 3,1.5\n", "guidance.levels = 3\nguidance.scales = 3,2,1.5,1\n"),
         ("--steps", "10", "--batch", "25", "--sampler", "euler"),
     ),
-    # 3 blocks of items (29, 28, 28) on the dense path
-    "acceptance_blocks": (ACCEPTANCE, ("--steps", "6", "--batch", "85", "--sampler", "heun")),
+    # three blocks of items on the dense path
+    "acceptance_blocks": (ACCEPTANCE, ("--steps", "6", "--batch", str(three_blocks((3, 32, 32))), "--sampler", "heun")),
     "many_modes": (MANY_MODES, ("--steps", "6", "--batch", "32", "--sampler", "heun")),
 }
 
@@ -118,7 +118,7 @@ def test_sweep_rerun_identical_across_blas_threads(tmp_path):
     assert all(other == one for other in others)
 
 
-# 100 items of 3 x 32 x 32: three image blocks, one block of states in the span
+# three image blocks of 3 x 32 x 32 items, one block of states in the span
 SPAN_WALK = """
 import hashlib, sys
 from freqguide import *
@@ -126,7 +126,7 @@ from freqguide.span import Span
 spec = {spec!r}
 pair = make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec))
 cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(0.8, 0.3))
-run = SampleRunConfig(steps=8, schedule=NoiseSchedule.karras(0.02, 80.0), seed=5, batch=100, shape=spec.image_shape,
+run = SampleRunConfig(steps=8, schedule=NoiseSchedule.karras(0.02, 80.0), seed=5, batch={batch}, shape=spec.image_shape,
                       guidance=cfg, condition=0, sampler="heun")
 walked = sample(pair, run).data.tobytes()
 Span.item_values = 3 * 32 * 32  # the span walked one image block at a time
@@ -137,7 +137,7 @@ print(hashlib.sha256(walked).hexdigest(), walked == sample(pair, run).data.tobyt
 def test_span_walk_is_the_walk_of_its_image_blocks():
     """A batch walked once in the span has the bytes of its image blocks
     walked one after another, at 1, 2 and 4 BLAS threads alike."""
-    script = SPAN_WALK.format(spec=acceptance_spec())
+    script = SPAN_WALK.format(spec=acceptance_spec(), batch=three_blocks((3, 32, 32)))
     outs = []
     for threads in THREADS:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))

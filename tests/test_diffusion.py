@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, per_block, three_blocks
 
 from freqguide import (
     DenoiserPair,
@@ -155,6 +155,12 @@ class TestNoise:
 
     def test_items_at_both_ends_of_the_range_draw(self):
         assert initial_noise(1, 1, (1, 2, 2), 1.0) != initial_noise(1, 1, (1, 2, 2), 1.0, first=2**64 - 1)
+
+    @pytest.mark.parametrize("batch, shape", [(10**15, (1, 8, 8)), (1, (3, 2**22, 2**22))])
+    def test_noise_past_the_address_space_is_usage_error(self, batch, shape):
+        """numpy ended the first in an ``_ArrayMemoryError`` (455 PiB)."""
+        with pytest.raises(UsageError, match=r"more than 2\*\*44 float64 values"):
+            initial_noise(0, batch, shape, 1.0)
 
 
 class TestSampler:
@@ -356,6 +362,15 @@ class TestSampler:
         with pytest.raises(UsageError):
             SampleRunConfig(steps=1, schedule=sched, seed=0, batch=1, shape=(1, 4, 4), sampler="rk4")
 
+    def test_batch_past_the_address_space_is_usage_error(self):
+        """A config allocates nothing, so it may name exactly 2**44 values
+        (128 TiB); one item more could not be addressed."""
+        sched = NoiseSchedule.linear(1.0)
+        SampleRunConfig(steps=1, schedule=sched, seed=0, batch=2**38, shape=(1, 8, 8))
+        for batch in (2**38 + 1, 10**15):
+            with pytest.raises(UsageError, match=r"more than 2\*\*44 float64 values"):
+                SampleRunConfig(steps=1, schedule=sched, seed=0, batch=batch, shape=(1, 8, 8))
+
 
 class TestGuidedEndpoint:
     """Per-band CFG between two Gaussians with one spread s, N(m_c, s²I) and
@@ -457,7 +472,7 @@ def blob_model(factored: bool):
 
 class TestBlockedSampling:
     """``sample`` runs a batch of more than ``BLOCK_VALUES`` values per image
-    in ``tensor.blocks`` of items; 42 items of 3 x 32 x 32 fit in one."""
+    in ``tensor.blocks`` of items; ``per_block`` items fit in one."""
 
     def run(self, mix, batch, sampler="heun", steps=6, transform=TransformKind.haar()):
         scales = (3.0, 1.5, 2.0)[: transform.band_count]
@@ -480,14 +495,14 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("factored", [True, False], ids=["factored", "dense"])
     def test_blocks_give_one_block_bytes(self, monkeypatch, factored):
         mix, pair = blob_model(factored=factored)
-        run = self.run(mix, 85)
+        run = self.run(mix, three_blocks(mix.image_shape))
         calls = self.spy_noise(monkeypatch)
         blocked = sample(pair, run)
         # one noise draw per block, keyed by the block's items
-        assert calls == [(29, 0), (28, 29), (28, 57)]
-        monkeypatch.setattr(tensor, "BLOCK_VALUES", 85 * mix.dim)
+        assert len(calls) == 3 and calls == [(len(items), items.start) for items in tensor.blocks(run.batch, run.shape)]
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", run.batch * mix.dim)
         assert sample(pair, run).data.tobytes() == blocked.data.tobytes()
-        assert calls[3:] == [(85, 0)]
+        assert calls[3:] == [(run.batch, 0)]
 
     def test_one_block_returns_its_state(self, monkeypatch):
         """In image space the last state, in the span the output array the
@@ -500,7 +515,8 @@ class TestBlockedSampling:
             return isfinite(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", scan)
-        out = sample(DenoiserPair(cond=pair.cond, uncond=pair.uncond), self.run(mix, 42, sampler="euler"))
+        run = self.run(mix, per_block(mix.image_shape), sampler="euler")
+        out = sample(DenoiserPair(cond=pair.cond, uncond=pair.uncond), run)
         assert out.data is scans[-1]  # the last state, which the sampler's own check scanned
         noises, noise = [], diffusion._noise
 
@@ -509,7 +525,7 @@ class TestBlockedSampling:
             return noises[-1]
 
         monkeypatch.setattr(diffusion, "_noise", spy)
-        assert sample(pair, self.run(mix, 42, sampler="euler")).data is noises[0].base
+        assert sample(pair, run).data is noises[0].base
 
     @pytest.mark.parametrize("steps", [4, 40])
     def test_a_span_run_wraps_only_its_output(self, monkeypatch, steps):
@@ -554,12 +570,12 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("sampler, predictions", [("euler", 6), ("heun", 11)])
     def test_the_span_walks_a_batch_once(self, monkeypatch, sampler, predictions):
-        """100 items are three image blocks (34, 33, 33) but one block of
-        (1, 2, 10) states in the span: one prediction per evaluation of the
-        batch.  Walked a block of images at a time, three each, with the
-        same bytes (every product in the span is per item)."""
+        """Three image blocks of items are one block of (1, 2, 10) states in
+        the span: one prediction per evaluation of the batch.  Walked a block
+        of images at a time, three each, with the same bytes (every product
+        in the span is per item)."""
         mix, pair = blob_model(factored=False)
-        run = self.run(mix, 100, sampler=sampler, transform=TransformKind.pyramid(1))
+        run = self.run(mix, three_blocks(mix.image_shape), sampler=sampler, transform=TransformKind.pyramid(1))
         batches, predict = [], Span._predict
 
         def spy(span, u, *args):
@@ -569,11 +585,13 @@ class TestBlockedSampling:
         monkeypatch.setattr(Span, "_predict", spy)
         noise = self.spy_noise(monkeypatch)
         walked = sample(pair, run)
-        assert batches == [100] * predictions and noise == [(34, 0), (33, 34), (33, 67)]
+        images = tensor.blocks(run.batch, run.shape)
+        assert len(images) == 3
+        assert batches == [run.batch] * predictions and noise == [(len(items), items.start) for items in images]
         del batches[:]
         monkeypatch.setattr(Span, "item_values", math.prod(run.shape))
         assert sample(pair, run).data.tobytes() == walked.data.tobytes()
-        assert batches == [34] * predictions + [33] * 2 * predictions
+        assert batches == [len(items) for items in images for _ in range(predictions)]
 
     def test_recorder_merges_blocks(self, monkeypatch):
         mix, pair = blob_model(factored=False)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, per_block, three_blocks
 
 from freqguide import (
     GuidanceConfig,
@@ -128,11 +128,12 @@ def test_policy_does_nothing_without_mallopt(monkeypatch, cdll):
 
 class TestCombine:
     @pytest.mark.parametrize("cfg", COMBINE_CONFIGS.values(), ids=COMBINE_CONFIGS)
-    def test_blocks_of_35_and_34_items(self, cfg):
-        # combine's blocks of 173 items of 3 x 32 x 32: 35, 35, 35, 34, 34
-        d_c, d_u = rand((173, 3, 32, 32)), rand((173, 3, 32, 32))
+    def test_blocks_match_the_whole_call(self, cfg):
+        # combine's three blocks of 3 x 32 x 32 items, the larger first
+        batch = three_blocks((3, 32, 32))
+        d_c, d_u = rand((batch, 3, 32, 32)), rand((batch, 3, 32, 32))
         whole = freqcfg_combine(d_c, d_u, cfg)
-        for items in blocks(173, (3, 32, 32)):
+        for items in blocks(batch, (3, 32, 32)):
             part = slice(items.start, items.stop)
             chunk = freqcfg_combine(d_c[part], d_u[part], cfg)
             assert chunk.tobytes() == whole[part].tobytes()
@@ -189,7 +190,7 @@ class TestSample:
         model, guidance, arrays = case
         mix, pair = model()
         run = SampleRunConfig(
-            steps=3, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=42, shape=mix.image_shape,
+            steps=3, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=per_block(mix.image_shape), shape=mix.image_shape,
             guidance=guidance, condition=1, sampler="heun",
         )
         assert len(blocks(run.batch, run.shape)) == 1
@@ -197,13 +198,13 @@ class TestSample:
         peak = traced_peak(lambda: sample(pair, run))
         assert peak < arrays * run.batch * mix.dim * 8
 
-    def test_span_batch_of_100_peaks_below_one_and_a_half_outputs(self):
+    def test_span_batch_of_three_blocks_peaks_below_one_and_a_half_outputs(self):
         """Three image blocks drawn and made in the output, one walk of their
-        states: 1.36 outputs (3.34 MB) where each block's own noise and its
-        copy into the output peaked at 1.69 (4.14 MB)."""
+        states: 1.37 outputs (1.45 MB for 43 items at 2**16) where each
+        block's own noise and its copy into the output peaked at 1.69."""
         mix, pair = dense_model()
         run = SampleRunConfig(
-            steps=6, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=100, shape=mix.image_shape,
+            steps=6, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=three_blocks(mix.image_shape), shape=mix.image_shape,
             guidance=GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0)),
             condition=1, sampler="heun",
         )
@@ -252,13 +253,13 @@ SAMPLE_CASES = {
         GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(0.8, 0.3)),
         "euler",
     ),
-    # three image blocks (34, 33, 33) drawn, projected and made in place in
-    # one output, walked as one block in the span
-    "heun-pyramid1-dense-100": (
+    # three image blocks drawn, projected and made in place in one output,
+    # walked as one block in the span
+    "heun-pyramid1-dense-three-blocks": (
         dense_model,
         GuidanceConfig(transform=TransformKind.pyramid(1), scales=(3.0, 1.5), interval=(0.75, 0.35)),
         "heun",
-        100,
+        three_blocks((3, 32, 32)),
     ),
     "heun-pyramid2-weighted-dense": (
         dense_model,

@@ -18,6 +18,7 @@ from freqguide import (
     mode_report,
     saturation_proxy,
 )
+from freqguide import tensor
 
 rng = np.random.default_rng(77)
 
@@ -182,3 +183,27 @@ class TestSaturationProxy:
         s = samples.data.transpose(1, 0, 2, 3).reshape(spec.channels, -1)
         want = np.mean(0.5 * (np.abs(s.mean(axis=1) - r_mean) + np.abs(s.std(axis=1) - r_std)))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_metrics_do_not_depend_on_the_blocks(monkeypatch):
+    """The energy shares of 300 samples and their saturation against the
+    1024-component model keep their bytes when the blocks of items and of
+    components change: each item's and each component's sums are added up
+    once, after the walk.  Added up a block at a time, both moved by ulps."""
+    spec = replace(
+        acceptance_spec(),
+        centers=tuple((r + 0.5, c + 0.5) for r in range(0, 32, 2) for c in range(0, 32, 2)),
+        n_classes=4,
+        class_center_weights=None,
+    )
+    mix = blob_mixture_from_spec(spec)
+    # near the mixture's channel statistics, so that an ulp of theirs shows
+    samples = Tensor4(np.random.default_rng(5).normal(0.2, 0.3, size=(300,) + spec.image_shape))
+    kinds = (TransformKind.pyramid(1), TransformKind.pyramid(3), TransformKind.haar())
+    shares, saturations = set(), set()
+    for cap in (tensor.BLOCK_VALUES, 3 * mix.dim):
+        monkeypatch.setattr(tensor, "BLOCK_VALUES", cap)
+        assert len(tensor.blocks(mix.n_components, spec.image_shape)) > 1
+        shares.add(np.array([band_energy_fraction(samples, kind) for kind in kinds]).tobytes())
+        saturations.add(saturation_proxy(samples, mix))
+    assert len(shares) == 1 and len(saturations) == 1

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import fqg1_bytes
+from conftest import fqg1_bytes, per_block, three_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,10 +36,12 @@ class TestBlocks:
             assert spans == [range(n_items)]
 
     def test_sizes(self):
-        # 3 x 32 x 32 items: 42 to a block
-        assert [len(items) for items in blocks(500, (3, 32, 32))] == [42] * 8 + [41] * 4
-        assert [len(items) for items in blocks(85, (3, 32, 32))] == [29, 28, 28]
-        assert blocks(42, (3, 32, 32)) == [range(42)]
+        item = (3, 32, 32)
+        per = per_block(item)  # 21 at 2**16
+        assert [len(items) for items in blocks(12 * per - 4, item)] == [per] * 8 + [per - 1] * 4
+        sizes = [len(items) for items in blocks(three_blocks(item), item)]
+        assert len(sizes) == 3 and sizes[0] > sizes[-1]
+        assert blocks(per, item) == [range(per)]
         assert blocks(3, (1, 512, 512)) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
