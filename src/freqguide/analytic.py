@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, UsageError
+from .errors import ConfigError, DomainError, ShapeError
 from .guidance import DenoiserPair
 from .tensor import blocks, finite, philox
 
@@ -45,8 +45,8 @@ class IsotropicGaussianMixture:
     denoiser call needs: ``sq_norms`` (‖m_k‖²), ``log_weights``,
     ``image_shape`` and ``dim``.  Mixtures that share their atoms, such as
     a mixture and its subsets at any depth, can be evaluated together
-    (``posterior_mean``'s ``subset``).  Two mixtures are equal only when
-    they are the same object.
+    (``_side_weights``).  Two mixtures are equal only when they are the
+    same object.
     """
 
     weights: np.ndarray  # (K,)
@@ -289,40 +289,26 @@ def _checked(out: np.ndarray, sigma: float) -> np.ndarray:
     return finite(out, f"posterior mean overflows float64 at sigma={sigma:g}")
 
 
-def posterior_mean(
-    z: np.ndarray, sigma: float, mix: IsotropicGaussianMixture, subset=None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def posterior_mean(z: np.ndarray, sigma: float, mix: IsotropicGaussianMixture) -> np.ndarray:
     """Exact E[x | z] under z = x + sigma * eps, x ~ mix, for the
     (B, C, H, W) float64 array ``z``, as a new array.
 
     Responsibilities are computed in log space with max subtraction so tiny
     sigma against distant components stays finite.  At sigma = 0 returns a
-    copy of z.
-
-    ``subset``, a mixture that shares the atoms of ``mix`` (any
-    ``restricted`` subset, at any depth, or ``mix`` itself), makes the call
-    return ``(E under subset, E under mix)`` from one pass of atom dots,
-    the way a neural CFG step evaluates both predictions in one doubled
-    batch.  Raises ``DomainError`` when ‖z‖², σ² or the output overflows
-    float64.
+    copy of z.  Raises ``DomainError`` when ‖z‖², σ² or the output
+    overflows float64.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if z.shape[1:] != mix.image_shape:
         raise ShapeError(f"z image shape {z.shape[1:]} != mixture shape {mix.image_shape}")
-    if subset is not None and any(getattr(subset, a) is not getattr(mix, a) for a in ("table", "rows", "cols")):
-        raise UsageError("subset must share the atoms of mix")
     if sigma == 0.0:
-        return z.copy() if subset is None else (z.copy(), z.copy())
-    sides = [mix] if subset is None else [mix, subset]
-    b, a, atoms = len(z), mix.n_atoms, _atom_basis(mix)
+        return z.copy()
+    b, a = len(z), mix.n_atoms
     with np.errstate(over="ignore", invalid="ignore"):
-        outs = [
-            _atom_product(_to_atoms(w, _atom_index(side.cells, b, a), a), atoms, z_coef, z)
-            for (w, z_coef), side in zip(_side_weights(z.reshape(b, -1), sigma, sides), sides)
-        ]
-        full, *part = (_checked(out, sigma) for out in outs)
-    return full if subset is None else (part[0], full)
+        [(w, z_coef)] = _side_weights(z.reshape(b, -1), sigma, [mix])
+        out = _atom_product(_to_atoms(w, _atom_index(mix.cells, b, a), a), _atom_basis(mix), z_coef, z)
+    return _checked(out, sigma)
 
 
 def _lifted_basis(mix: IsotropicGaussianMixture, ops: list) -> np.ndarray | tuple | None:
@@ -352,9 +338,10 @@ def _lifted_basis(mix: IsotropicGaussianMixture, ops: list) -> np.ndarray | tupl
 
 @dataclass(frozen=True, eq=False)
 class _MixturePair(DenoiserPair):
-    """Pair from one mixture whose ``both`` shares a single pass of atom
-    dots.  ``by_class`` maps each class id to its subset of ``mix``, built
-    with the pair and sharing its atoms.  ``spans`` keeps the
+    """Pair from one mixture.  ``by_class`` maps each class id to its
+    subset of ``mix``, built with the pair and sharing its atoms, so
+    ``span.Span`` evaluates a class and the whole mixture from one pass of
+    atom dots.  ``spans`` keeps the
     ``span.Span`` of the last transform ``span.span_of`` was asked for; the
     lock guards only it, so callers may share one pair across threads.
     """
@@ -370,20 +357,13 @@ class _MixturePair(DenoiserPair):
         except (KeyError, TypeError):
             raise ConfigError(f"unknown class {condition}; have {list(self.by_class)}") from None
 
-    def both(self, z: np.ndarray, sigma: float, condition=None) -> tuple[np.ndarray, np.ndarray]:
-        if condition is None:
-            d_u = posterior_mean(z, sigma, self.mix)
-            return d_u, d_u
-        return posterior_mean(z, sigma, self.mix, subset=self.class_mixture(condition))
-
 
 def make_denoiser_pair(mix: IsotropicGaussianMixture, labels) -> DenoiserPair:
     """cond = posterior mean under the class-restricted renormalized mixture;
     uncond = posterior mean under the full mixture.  ``labels`` assigns one
     class id per component; a null condition selects the full mixture.
     Every class's subset (``restricted``, which copies no means) is built
-    here.  ``both`` evaluates cond and uncond from one pass of atom dots,
-    and its cond has the bytes of ``cond`` alone."""
+    here."""
     labels = _integers(labels, "class label")
     if labels.shape != (mix.n_components,):
         raise ConfigError(f"labels must cover all {mix.n_components} components")

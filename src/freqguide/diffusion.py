@@ -155,7 +155,7 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     then made in place.  If a coordinate or endpoint is not finite, the
     batch runs again in image space, where the error a user sees is raised.
     In image space each image block runs through every step, observing
-    into ``recorder``, which sums each step's band norms; a batch of one
+    into ``recorder``, which keeps each item's band norms; a batch of one
     block returns its final state as is, otherwise each block's state is
     copied into one new output.  The state is a new float64 array each
     step, and every other array of a step is released once it is used;

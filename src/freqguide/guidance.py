@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 from .frequency import TransformKind, analyze, chain_band, low_pass_chain, step_matrices, up_step
-from .tensor import Tensor4, finite
+from .tensor import Tensor4, finite, item_sums
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,10 @@ class DenoiserPair:
     cond: object
     uncond: object
 
-    def both(self, z: np.ndarray, sigma: float, condition=None) -> tuple[np.ndarray, np.ndarray]:
-        """(cond, uncond) at one noise level; a pair whose two predictions
-        share work overrides this, as a neural model runs one doubled batch."""
-        return self.cond(z, sigma, condition), self.uncond(z, sigma)
-
     def guided(self, z: np.ndarray, sigma: float, condition, cfg: GuidanceConfig) -> np.ndarray:
         """The per-band CFG prediction under ``cfg``: ``freqcfg_combine`` of
-        ``both``.  Raises ``DomainError`` when it overflows."""
-        d_c, d_u = self.both(z, sigma, condition)
-        return freqcfg_combine(d_c, d_u, cfg)
+        ``cond`` and ``uncond``.  Raises ``DomainError`` when it overflows."""
+        return freqcfg_combine(self.cond(z, sigma, condition), self.uncond(z, sigma), cfg)
 
 
 @dataclass(frozen=True)
@@ -109,19 +103,18 @@ class NormRecorder:
     """Collects the band norms of the guidance difference per guided step;
     owned by a single run.
 
-    ``sums`` maps each observed sampler step to its (t, sigma) and the
-    squared norm of each band, summed over every observation of that step,
-    so the blocks of items of one run add into the same entries."""
+    ``squares`` maps each observed sampler step to its (t, sigma) and, per
+    observation of that step, each item's squared norm in each band as a
+    (B, bands) array.  ``records`` sums them over the items once, so the
+    blocks a run walks its items in do not move a record."""
 
-    sums: dict[int, tuple[float, float, list[float]]] = field(default_factory=dict, repr=False)
+    squares: dict[int, tuple[float, float, list[np.ndarray]]] = field(default_factory=dict, repr=False)
 
     def observe(self, step: int, t: float, sigma: float, delta: np.ndarray, kind: TransformKind):
-        """Add, for sampler step ``step``, the squared norm of each band of
-        the guidance difference ``delta`` = d_c - d_u."""
-        sq = [float(np.einsum("i,i->", b.ravel(), b.ravel())) for b in analyze(delta, kind)]
-        total = self.sums.setdefault(step, (t, sigma, [0.0] * len(sq)))[2]
-        for j, v in enumerate(sq):
-            total[j] += v
+        """Keep, for sampler step ``step``, each item's squared norm in each
+        band of the guidance difference ``delta`` = d_c - d_u."""
+        sq = np.stack([item_sums(b**2) for b in analyze(delta, kind)], axis=1)
+        self.squares.setdefault(step, (t, sigma, []))[2].append(sq)
 
     @property
     def records(self) -> list[BandNormRecord]:
@@ -129,8 +122,8 @@ class NormRecorder:
         norm of the residual band and the norm of all detail bands
         concatenated, each the square root of its summed squares."""
         out = []
-        for step, (t, sigma, sq) in self.sums.items():
-            norms = [float(np.sqrt(v)) for v in sq]
+        for step, (t, sigma, parts) in self.squares.items():
+            norms = [float(np.sqrt(v)) for v in np.concatenate(parts).sum(axis=0)]
             high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
             out.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
         return out
@@ -248,15 +241,15 @@ def guided_denoise(
     """One guided x0 prediction; returns the bare conditional output when the
     interval gate is closed, and ``pair.guided`` otherwise.  Given a
     ``recorder`` it takes the band path, ``freqcfg_combine`` of
-    ``pair.both``, and records the difference d_c - d_u under sampler step
-    ``step`` (nothing when ``step`` is None)."""
+    ``pair.cond`` and ``pair.uncond``, and records the difference d_c - d_u
+    under sampler step ``step`` (nothing when ``step`` is None)."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     if not cfg.active_at(t):
         return pair.cond(z, sigma, condition)
     if recorder is None:
         return pair.guided(z, sigma, condition, cfg)
-    d_c, d_u = pair.both(z, sigma, condition)
+    d_c, d_u = pair.cond(z, sigma, condition), pair.uncond(z, sigma)
     if step is not None:
         recorder.observe(step, t, sigma, d_c - d_u, cfg.transform)
     return freqcfg_combine(d_c, d_u, cfg)

@@ -12,7 +12,7 @@ import numpy as np
 from .analytic import IsotropicGaussianMixture, _sq_dists
 from .errors import UsageError
 from .frequency import TransformKind, transform_bands
-from .tensor import Tensor4, blocks
+from .tensor import Tensor4, blocks, item_sums
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ def mode_report(samples: Tensor4, mix: IsotropicGaussianMixture, tau: float) -> 
     )
 
 
-def _item_sums(a: np.ndarray) -> np.ndarray:
-    """The sum of each item's values: a row's sum never depends on the rows
-    beside it, so neither does a total of these over a batch."""
-    return a.reshape(len(a), -1).sum(axis=1)
-
-
 def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, float]:
     """(low, high) squared-norm shares: residual band vs all detail bands.
 
@@ -72,9 +66,9 @@ def band_energy_fraction(x: Tensor4, transform: TransformKind) -> tuple[float, f
     for items in blocks(n, x.dims[1:]):
         part = x.data[items.start : items.stop]
         for k, band in enumerate(transform_bands(Tensor4(part, checked=True), transform)):
-            energies[items.start : items.stop, k] = _item_sums(band.data**2)
+            energies[items.start : items.stop, k] = item_sums(band.data**2)
         if haar:
-            totals[items.start : items.stop] = _item_sums(part**2)
+            totals[items.start : items.stop] = item_sums(part**2)
     energies = energies.sum(axis=0)
     low = float(energies[-1])
     high = float(energies[:-1].sum())

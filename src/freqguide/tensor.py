@@ -77,6 +77,12 @@ def blocks(n_items: int, item_shape) -> list[range]:
     return [range(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
+def item_sums(a: np.ndarray) -> np.ndarray:
+    """The sum of each item's values: a row's sum never depends on the rows
+    beside it, so neither does a total of these over a batch."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
 def finite(arr, message: str):
     """``arr``, scanned once: a ``DomainError(message)`` if a value is not finite."""
     if not np.isfinite(arr).all():

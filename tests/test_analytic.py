@@ -242,8 +242,6 @@ class TestDenoiserPair:
         z = np.zeros((1,) + SHAPE)
         with pytest.raises(ConfigError):
             pair.cond(z, 1.0, 5)
-        with pytest.raises(ConfigError):
-            pair.both(z, 1.0, 5)
         with pytest.raises(ConfigError, match=r"unknown class \[5\]; have \[0\]"):
             pair.cond(z, 1.0, [5])
         assert list(pair.by_class) == [0]
@@ -274,7 +272,6 @@ print(list(pair.by_class), "numpy.ma" in sys.modules)
         sub = pair.by_class[0]
         assert sub.cells.tolist() == [[1], [2]] and sub.table is mix.table
         z = rng.normal(size=(1,) + SHAPE)
-        pair.both(z, 1.0, 0)
         pair.cond(z, 1.0, 0)
         assert pair.class_mixture(0) is sub and list(pair.by_class) == [0, 1]
 
@@ -336,10 +333,14 @@ def model(request):
 
 
 class TestJointEvaluation:
+    """The two sides of a pair, cond and uncond, each evaluated by its own
+    call."""
+
     @pytest.mark.parametrize("sigma", [80.0, 3.0, 0.3, 0.02])
     def test_both_equals_separate_calls(self, model, sigma):
-        """The joint pass equals separate calls, and the many-mode model's
-        factored path equals the dense path through its K means."""
+        """Both sides of the many-mode model's factored pair equal the
+        separate calls of the dense pair through its K means, and cond is
+        the posterior under the class's subset."""
         spec, mix, labels, pair = model
         means = all_means(mix)
         dense = IsotropicGaussianMixture(mix.weights, means, mix.scale)
@@ -353,14 +354,11 @@ class TestJointEvaluation:
             x = means[gen.choice(members, size=4)]
             x = x + spec.noise_scale * gen.standard_normal(x.shape)
             z = x + sigma * gen.standard_normal(x.shape)
-            d_c, d_u = pair.both(z, sigma, condition)
-            full = posterior_mean(z, sigma, mix)
-            assert np.array_equal(d_u, full)
-            assert np.abs(full - posterior_mean(z, sigma, dense)).max() <= 1e-12
-            for got, want in zip((d_c, d_u), dense_pair.both(z, sigma, condition)):
-                assert np.abs(got - want).max() <= 1e-12
+            d_c, d_u = pair.cond(z, sigma, condition), pair.uncond(z, sigma)
+            assert np.abs(d_u - posterior_mean(z, sigma, dense)).max() <= 1e-12
+            assert np.abs(d_c - dense_pair.cond(z, sigma, condition)).max() <= 1e-12
             if condition is None:
-                assert np.array_equal(d_c, full)
+                assert np.array_equal(d_c, d_u)
                 continue
             idx = np.flatnonzero(labels == condition)
             for reference in (mix.restricted(idx), dense.restricted(idx)):
@@ -369,10 +367,9 @@ class TestJointEvaluation:
     @pytest.mark.parametrize("kind", ["dense", "factored"])
     @pytest.mark.parametrize("sigma", [3.0, 0.3, 0.02])
     def test_nested_and_sibling_subsets_equal_separate_calls(self, many_modes, kind, sigma):
-        """Any two mixtures that share their atoms run one joint pass: a
-        subset of a subset beside the root, two classes side by side, a
-        mixture beside itself.  Each side has the bytes of its own call and
-        is the posterior under a mixture given that side's means."""
+        """A subset of a subset, two sibling classes and the root, each
+        evaluated through the atoms it shares, equal a separate call under
+        a mixture given that subset's means."""
         spec, mix, labels, pair = many_modes
         if kind == "dense":
             mix = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scale)
@@ -380,42 +377,21 @@ class TestJointEvaluation:
         nested = pair.class_mixture(1).restricted([3, 0, 200, 17])
         gen = np.random.default_rng(23)
         z = all_means(mix)[[1, 5, 600]] + sigma * gen.standard_normal((3,) + spec.image_shape)
-        joint = [
-            (mix, nested),
-            (pair.class_mixture(0), pair.class_mixture(3)),
-            (nested, pair.class_mixture(2).restricted([9])),
-            (mix, mix),
-        ]
-        for outer, inner in joint:
-            assert same_atoms(outer, inner)
-            got = posterior_mean(z, sigma, outer, subset=inner)
-            want = [posterior_mean(z, sigma, m).tobytes() for m in (inner, outer)]
-            assert [t.tobytes() for t in got] == want
-            for side, t in zip((inner, outer), got):
-                given = IsotropicGaussianMixture(side.weights, all_means(side), side.scale)
-                assert np.abs(t - posterior_mean(z, sigma, given)).max() <= 1e-12
-
-    def test_subset_must_share_the_atoms_of_mix(self, many_modes):
-        a = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
-        b = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
-        z = rng.normal(size=(1,) + SHAPE)
-        for other in (b, b.restricted([0]), degrade(a, 0.0, 1.0, seed=0)):
-            with pytest.raises(UsageError, match="subset must share the atoms of mix"):
-                posterior_mean(z, 1.0, a, subset=other)
-        spec, mix, _, _ = many_modes
-        again = blob_mixture_from_spec(spec)  # equal factors, other arrays
-        dense = IsotropicGaussianMixture(mix.weights, all_means(mix), mix.scale)
-        z = np.zeros((1,) + spec.image_shape)
-        for outer, inner in ((mix, again.restricted([0])), (mix, dense), (dense, mix.restricted([2]))):
-            with pytest.raises(UsageError):
-                posterior_mean(z, 1.0, outer, subset=inner)
+        for side in (mix, nested, pair.class_mixture(0), pair.class_mixture(3), pair.class_mixture(2).restricted([9])):
+            assert same_atoms(mix, side)
+            given = IsotropicGaussianMixture(side.weights, all_means(side), side.scale)
+            assert np.abs(posterior_mean(z, sigma, side) - posterior_mean(z, sigma, given)).max() <= 1e-12
 
     def test_sigma_zero_returns_two_copies_of_the_input(self):
+        """At σ = 0 cond, a null condition and uncond each return their own
+        copy of z, so a guided step never writes into its input."""
         mix = mixture([0.5, 0.5], rng.normal(size=(2,) + SHAPE), 0.5)
+        pair = make_denoiser_pair(mix, [0, 1])
         z = rng.normal(size=(1,) + SHAPE)
-        part, full = posterior_mean(z, 0.0, mix, subset=mix.restricted([1]))
-        assert np.array_equal(part, z) and np.array_equal(full, z)
-        assert not any(np.shares_memory(a, b) for a, b in ((part, z), (full, z), (part, full)))
+        outs = [pair.cond(z, 0.0, 1), pair.cond(z, 0.0, None), pair.uncond(z, 0.0)]
+        assert all(np.array_equal(out, z) for out in outs)
+        arrays = outs + [z]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
 
     @pytest.mark.parametrize(
         "value, sigma, message",
@@ -432,15 +408,16 @@ class TestJointEvaluation:
         z = np.full((2,) + spec.image_shape, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: posterior_mean(z, sigma, mix), lambda: pair.both(z, sigma, 2)):
+            for call in (lambda: posterior_mean(z, sigma, mix), lambda: pair.cond(z, sigma, 2)):
                 with pytest.raises(DomainError, match=message) as exc:
                     call()
                 assert EXIT_CODES[exc.value.category] == 6
 
     @pytest.mark.parametrize("kind", ["dense", "factored"])
     def test_sigma_squared_overflow_is_domain_error(self, many_modes, kind):
-        """σ² past float64 at finite ‖z‖²: the library call, the joint pass,
-        the guided step in the span and the band path all raise it."""
+        """σ² past float64 at finite ‖z‖²: the library call, a class's
+        posterior, the guided step in the span and the band path all raise
+        it."""
         spec, mix, labels, pair = many_modes
         if kind == "dense":
             spec, mix, labels, pair = model_of(acceptance_spec())
@@ -448,7 +425,7 @@ class TestJointEvaluation:
         span = span_of(pair, HAAR, spec.image_shape)
         calls = [
             lambda: posterior_mean(z, 1e160, mix),
-            lambda: pair.both(z, 1e160, 1),
+            lambda: pair.cond(z, 1e160, 1),
             lambda: span.block(2, 1).guided(span.project(np.zeros(z.shape)), 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, HAAR),
             lambda: pair.guided(z, 1e160, 1, replace(HAAR, parallel_weights=(0.5, 1.0))),
@@ -469,7 +446,7 @@ class TestJointEvaluation:
             with pytest.raises(DomainError):
                 posterior_mean(z, 1.0, mix)
             with pytest.raises(DomainError):
-                pair.both(z, 1.0, 0)
+                pair.cond(z, 1.0, 0)
 
 
 def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
@@ -835,7 +812,8 @@ class TestSpan:
 
     def test_a_guided_evaluation_takes_the_band_path(self, blob_model, many_modes, monkeypatch):
         """Outside ``sample``'s span a mixture pair's guided prediction is
-        ``freqcfg_combine`` of ``both``, with or without a recorder."""
+        ``freqcfg_combine`` of ``cond`` and ``uncond``, with or without a
+        recorder."""
         spec = blob_model[0]
         for case_pair in (blob_model[3], many_modes[3]):
             assert band_path_ran(monkeypatch, case_pair, HAAR, spec.image_shape)
@@ -1011,7 +989,8 @@ class TestMeansOnDemand:
         gen = np.random.default_rng(3)
         x = loop_mixture(spec)[1][gen.choice(1024, size=8)]
         z = x + spec.noise_scale * gen.standard_normal(x.shape)
-        pair.both(z, 0.3, 1)
+        pair.cond(z, 0.3, 1)
+        pair.uncond(z, 0.3)
         posterior_mean(z, 0.3, subs[-1])
         for m in [mix] + subs:
             m.n_components, m.image_shape, m.dim, m.sq_norms, m.cells
@@ -1058,7 +1037,8 @@ class TestMeansOnDemand:
             mix = blob_mixture_from_spec(spec)
             pair = make_denoiser_pair(mix, class_labels(spec))
             pair.class_mixture(0)
-            pair.both(z, 3.0, 0)
+            pair.cond(z, 3.0, 0)
+            pair.uncond(z, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1110,11 +1090,15 @@ def many_modes_dense(many_modes):
 
 
 class TestOneClassPosterior:
-    """A class subset of either kind shares its parent's data, so ``cond`` and
-    the joint pass are one definition of the class posterior."""
+    """A class subset of either kind shares its parent's data, so the
+    span's two-sided pass and ``cond`` have one definition of the class
+    posterior."""
 
     @pytest.mark.parametrize("name", ["acceptance", "many_modes_dense", "many_modes"])
-    def test_cond_is_both_cond(self, request, name):
+    def test_two_sided_weights_are_each_sides_own(self, request, name):
+        """``_side_weights`` of (mixture, class), the pass behind
+        ``span.Span.guided``, gives each side the bytes of its one-sided
+        call, the pass behind ``cond``."""
         if name == "acceptance":
             spec, mix, labels, pair = model_of(acceptance_spec())
         else:
@@ -1124,10 +1108,13 @@ class TestOneClassPosterior:
         for batch in (1, 3, 25, 42):
             x = gen.standard_normal((batch,) + spec.image_shape)
             for sigma in (80.0, 3.0, 0.3, 0.02):
-                z = sigma * x
+                zf = (sigma * x).reshape(batch, -1)
                 for condition in range(spec.n_classes):
-                    got = pair.both(z, sigma, condition)[0].tobytes()
-                    assert got == pair.cond(z, sigma, condition).tobytes(), (batch, sigma, condition)
+                    side = pair.class_mixture(condition)
+                    joint = analytic._side_weights(zf, sigma, [mix, side])
+                    alone = [analytic._side_weights(zf, sigma, [m])[0] for m in (mix, side)]
+                    for (w, z_coef), (w1, z_coef1) in zip(joint, alone):
+                        assert w.tobytes() == w1.tobytes() and z_coef == z_coef1, (batch, sigma, condition)
 
     def test_dense_pair_holds_no_means(self, many_modes_dense):
         """25.9 MiB when each dense class subset copied its means."""
@@ -1137,7 +1124,8 @@ class TestOneClassPosterior:
         try:
             pair = make_denoiser_pair(dense, labels)
             for condition in range(spec.n_classes):
-                pair.both(z, 0.3, condition)
+                pair.cond(z, 0.3, condition)
+            pair.uncond(z, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1165,7 +1153,7 @@ def test_clamped_exponent_keeps_bytes(many_modes, monkeypatch, path):
     assert np.any((logits < analytic.EXP_FLOOR) & (np.exp(logits) > 0))
 
     def outputs():
-        return [t.copy() for c in range(spec.n_classes) for t in pair.both(z, sigma, c)]
+        return [pair.cond(z, sigma, c) for c in range(spec.n_classes)] + [pair.uncond(z, sigma)]
 
     clamped = outputs()
     monkeypatch.setattr(analytic, "EXP_FLOOR", -np.inf)

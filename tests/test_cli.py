@@ -571,8 +571,8 @@ class TestAnalyzeNorms:
 
     def test_one_block_csv_holds_whole_batch_norms(self, tmp_path):
         """A batch of one block: each norm is the square root of its band's
-        sum of squares over the batch, and high_norm that of the squared
-        detail-band norms summed."""
+        squares summed over each item, then over the batch in item order,
+        and high_norm that of the squared detail-band norms summed."""
         cfg_path = write_config(
             tmp_path,
             extra="guidance.transform = pyramid\nguidance.levels = 2\nguidance.scales = 3,2,1.5\n",
@@ -588,7 +588,7 @@ class TestAnalyzeNorms:
 
         class WholeBatchNorms(NormRecorder):
             def observe(self, step, t, sigma, delta, kind):
-                norms = [float(np.sqrt(np.einsum("i,i->", b.ravel(), b.ravel()))) for b in analyze(delta, kind)]
+                norms = [float(np.sqrt(sum(np.sum(item**2) for item in b))) for b in analyze(delta, kind)]
                 rows.append((step, t, sigma, norms[-1], float(np.sqrt(sum(n**2 for n in norms[:-1])))))
 
         sample(cli.build_pair(cfg, make_denoiser_pair(mix, labels)), run, recorder=WholeBatchNorms())

@@ -412,23 +412,24 @@ class TestGuidedDenoise:
             guided_denoise(rand(), 1.0, t, fixture.pair(), cfg)
             assert (fixture.uncond_calls == 1) is active
 
-    def test_default_both_is_cond_then_uncond(self):
-        d_c, d_u = rand(), rand()
-        fixture = FixedPair(d_c, d_u)
-        got = fixture.pair().both(rand(), 1.0, 0)
-        assert got[0] is d_c and got[1] is d_u
-        assert (fixture.cond_calls, fixture.uncond_calls) == (1, 1)
+    def test_default_guided_is_cond_then_uncond(self):
+        """``DenoiserPair.guided`` hands z, σ and the condition to ``cond``
+        and z, σ to ``uncond``, once each, and combines their outputs."""
+        d_c, d_u, z = rand(), rand(), rand()
+        calls = []
+        pair = DenoiserPair(
+            cond=lambda *args: calls.append(("cond", args)) or d_c,
+            uncond=lambda *args: calls.append(("uncond", args)) or d_u,
+        )
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
+        got = pair.guided(z, 0.7, 3, cfg)
+        assert calls == [("cond", (z, 0.7, 3)), ("uncond", (z, 0.7))]
+        assert np.array_equal(got, freqcfg_combine(d_c, d_u, cfg))
 
-    def test_one_both_call_per_open_gate_and_cond_only_when_closed(self):
+    def test_cond_then_uncond_per_open_gate_and_cond_only_when_closed(self):
         d_c, d_u = rand(), rand()
         log = []
-
-        class SpyPair(DenoiserPair):
-            def both(self, z, sigma, condition=None):
-                log.append("both")
-                return d_c, d_u
-
-        pair = SpyPair(
+        pair = DenoiserPair(
             cond=lambda z, sigma, condition=None: log.append("cond") or d_c,
             uncond=lambda z, sigma: log.append("uncond") or d_u,
         )
@@ -439,7 +440,7 @@ class TestGuidedDenoise:
         for t in ts:
             log.clear()
             guided_denoise(rand(), 1.0, t, pair, cfg)
-            assert log == (["both"] if cfg.active_at(t) else ["cond"])
+            assert log == (["cond", "uncond"] if cfg.active_at(t) else ["cond"])
 
     def test_sigma_must_be_positive(self):
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))

@@ -162,26 +162,32 @@ class TestPosterior:
     @pytest.mark.parametrize("model", [dense_model, factored_model], ids=["dense", "factored"])
     def test_public_result_keeps_its_bytes(self, model):
         mix, pair = model()
-        first = pair.both(rand((3,) + mix.image_shape), 0.5, 0)
+        z = rand((3,) + mix.image_shape)
+        first = [pair.cond(z, 0.5, 0), pair.uncond(z, 0.5)]
         kept = [t.tobytes() for t in first]
         for _ in range(2):
-            pair.both(rand((3,) + mix.image_shape), 0.5, 0)
+            z = rand((3,) + mix.image_shape)
+            pair.cond(z, 0.5, 0)
+            pair.uncond(z, 0.5)
         assert [t.tobytes() for t in first] == kept
 
 
 class TestSample:
-    # a guided Heun step holds the state, its drift and the Euler state while
-    # the corrector evaluates, plus that evaluation's own arrays
     CASES = {
-        # the product against the basis and z_coef·z: 5.13 arrays
+        # in the span: the output, which the noise is drawn in, and the image
+        # of the noise's span coordinates that the projection takes off it
+        # (2.03 arrays)
         "component-dense": (
-            dense_model, GuidanceConfig(transform=TransformKind.pyramid(2), scales=(3.0, 2.0, 1.5)), 6
+            dense_model, GuidanceConfig(transform=TransformKind.pyramid(2), scales=(3.0, 2.0, 1.5)), 3
         ),
-        # both denoiser outputs, then the weighted combine: 9.32 arrays
+        # in image space a guided Heun step holds the state, its drift and the
+        # Euler state while the corrector evaluates, plus that evaluation's
+        # own arrays: both denoiser outputs, then the weighted combine (9.32)
         "band-path-weighted": (dense_model, COMBINE_CONFIGS["weighted-pyramid2"], 10),
-        # 5.13 arrays
+        # in the span, with the coordinates' image one plane for every
+        # channel, then its scaled copy (1.72 arrays)
         "component-factored": (
-            factored_model, GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 1.5)), 6
+            factored_model, GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 1.5)), 2.5
         ),
     }
 
@@ -235,15 +241,15 @@ def test_saturation_proxy_peaks_below_three_quarters_of_its_input():
 
 
 def posterior_bytes(model) -> bytes:
-    """The joint and the plain posterior mean at three noise levels."""
+    """The posterior mean under a class subset and under the whole mixture
+    at three noise levels."""
     mix, pair = model()
     subset = pair.class_mixture(1)
     noise = np.random.default_rng(5)
     out = b""
     for sigma in (3.0, 0.3, 0.05):
         z = noise.uniform(-2.0, 2.0, (5,) + mix.image_shape)
-        part, full = posterior_mean(z, sigma, mix, subset)
-        out += part.tobytes() + full.tobytes() + posterior_mean(z, sigma, mix).tobytes()
+        out += posterior_mean(z, sigma, subset).tobytes() + posterior_mean(z, sigma, mix).tobytes()
     return out
 
 
