@@ -29,7 +29,7 @@ from .analytic import (
 )
 from .config import Config, parse_floats
 from .diffusion import NoiseSchedule, SampleRunConfig, sample
-from .errors import ConfigError, FreqGuideError, ShapeError, UsageError
+from .errors import ConfigError, DomainError, FreqGuideError, ShapeError, UsageError
 from .frequency import TransformKind, check_fit
 from .guidance import DenoiserPair, GuidanceConfig, NormRecorder, crossover_step, freqcfg_combine
 from .metrics import band_energy_fraction, default_tau, mode_report, saturation_proxy
@@ -79,6 +79,11 @@ def _parse_rows(
             raise error(f"{name!r}: {row!r} in {raw!r} must have {width} ':'-separated numbers")
         rows.append(values)
     return tuple(rows)
+
+
+def _given(cfg: Config, section: str) -> str:
+    """The ``section.*`` keys ``cfg`` gives, as ``key = value``, for an error message."""
+    return ", ".join(f"{key} = {value}" for key, value in cfg.resolved().items() if key.startswith(section + "."))
 
 
 def _check_sizes(sizes: dict) -> None:
@@ -191,20 +196,15 @@ def build_guidance(cfg: Config, image_shape, required: bool = False) -> Guidance
     else:
         scales = (1.0,) * transform.band_count
     weights = cfg.get_floats("guidance.parallel_weights", None)
-    interval = cfg.get_floats("guidance.interval", None, sep=":")
-    if interval is not None and len(interval) != 2:
-        raise ConfigError("guidance.interval must look like t_start:t_end")
     try:
-        return GuidanceConfig(
-            transform=transform, scales=scales, parallel_weights=weights, interval=interval
-        )
+        return GuidanceConfig(transform=transform, scales=scales, parallel_weights=weights)
     except UsageError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_pair(cfg: Config, pair: DenoiserPair) -> DenoiserPair:
     """``make_denoiser_pair``'s ``pair``, or with autoguide.* its cond
-    against a degraded copy of its mixture."""
+    against a degraded copy of its mixture (a ``ConfigError`` if ``degrade`` rejects it)."""
     mix = pair.mix
     if not cfg.get_bool("autoguide.enabled", False):
         for name in ("jitter", "jitter_rel", "inflate", "seed"):
@@ -226,6 +226,8 @@ def build_pair(cfg: Config, pair: DenoiserPair) -> DenoiserPair:
         degraded = degrade(mix, jitter_scale=jitter, inflate_factor=inflate, seed=seed)
     except UsageError as exc:
         raise ConfigError(f"autoguide.seed: {exc}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"{_given(cfg, 'autoguide')}: {exc}") from exc
     return DenoiserPair(cond=pair.cond, uncond=lambda z, s: posterior_mean(z, s, degraded))
 
 
@@ -239,10 +241,13 @@ def _parse_condition(raw: str) -> int | None:
 
 
 def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> SampleRunConfig:
+    """The run of the sample.* and schedule.* sections (a ``ConfigError`` for
+    values the library rejects), gated to the sigmas of the steps i with
+    t_end <= 1 - i/steps <= t_start by ``guidance.interval``, which must open one."""
     batch = cfg.get_int("sample.batch", 8)
     _check_sizes({"sample.batch": batch, **dict(zip(IMAGE_KEYS, image_shape))})
     try:
-        return SampleRunConfig(
+        run = SampleRunConfig(
             steps=cfg.get_int("sample.steps", 40),
             schedule=build_schedule(cfg),
             seed=cfg.get_int("sample.seed", 0),
@@ -252,8 +257,20 @@ def build_run(cfg: Config, image_shape, guidance: GuidanceConfig | None) -> Samp
             condition=_parse_condition(cfg.get_str("sample.condition", "null")),
             sampler=cfg.get_str("sample.sampler", "heun"),
         )
+        sigmas = run.schedule.grid(run.steps)
     except UsageError as exc:
         raise ConfigError(str(exc)) from exc
+    except DomainError as exc:
+        raise ConfigError(f"{_given(cfg, 'schedule')}: {exc}") from exc
+    if not cfg.has("guidance.interval"):
+        return run
+    interval = cfg.get_floats("guidance.interval", sep=":")
+    valid = len(interval) == 2 and 0.0 <= interval[1] < interval[0] <= 1.0
+    opened = [s for i, s in enumerate(sigmas[:-1]) if valid and interval[1] <= 1.0 - i / run.steps <= interval[0]]
+    if not opened:
+        raise ConfigError(f"guidance.interval = {cfg.get_str('guidance.interval')} must be t_start:t_end with "
+                          f"0 <= t_end < t_start <= 1 and open a step of sample.steps = {run.steps}")
+    return dataclasses.replace(run, guidance=dataclasses.replace(guidance, interval=(opened[0], opened[-1])))
 
 
 def _require_guidance_signal(cfg: Config, run: SampleRunConfig, labels, command: str, consequence: str) -> None:
@@ -361,17 +378,17 @@ def cmd_analyze_norms(args) -> int:
     guidance = build_guidance(cfg, mix.image_shape, required=True)
     run = build_run(cfg, mix.image_shape, guidance)
     _require_guidance_signal(cfg, run, labels, "analyze-norms", "every guidance norm is zero")
+    guided = sum(map(run.guidance.active_at, run.schedule.grid(run.steps)[:-1]))
+    if guided < 2:
+        raise ConfigError(
+            f"analyze-norms needs at least 2 guided steps; guidance.interval = "
+            f"{cfg.get_str('guidance.interval', 'none')} opens the gate on {guided} of sample.steps = {run.steps}"
+        )
     pair = build_pair(cfg, make_denoiser_pair(mix, labels))
     recorder = NormRecorder()
     sample(pair, run, recorder=recorder)
-    if len(recorder.records) < 2:
-        raise ConfigError(
-            f"analyze-norms needs at least 2 guided steps; guidance.interval = "
-            f"{cfg.get_str('guidance.interval', 'none')} opens the gate on {len(recorder.records)} "
-            f"of sample.steps = {run.steps}"
-        )
     crossover = crossover_step(recorder.records)
-    rows = [(r.step, r.t, r.sigma, r.low_norm, r.high_norm) for r in recorder.records]
+    rows = [(r.step, 1.0 - r.step / run.steps, r.sigma, r.low_norm, r.high_norm) for r in recorder.records]
     write_csv(args.out, ["step", "t", "sigma", "low_norm", "high_norm"], rows)
     print(f"crossover_step={crossover}")
     extra = {"crossover_step": crossover}
@@ -404,7 +421,7 @@ def cmd_sweep(args) -> int:
 
     def run_point(point):
         w_low, w_high = point
-        guidance = dataclasses.replace(base, scales=(w_high, w_low))
+        guidance = dataclasses.replace(run.guidance, scales=(w_high, w_low))
         out = sample(pair, dataclasses.replace(run, guidance=guidance))
         report = mode_report(out, target, tau)
         low_frac, high_frac = band_energy_fraction(out, base.transform)

@@ -24,14 +24,9 @@ _MAX_SEED = 2**63
 class NoiseSchedule:
     """A step grid of noise levels from sigma_max down to an exact 0.
 
-    ``linear``: evenly spaced, sigma_max * (1 - i/steps).
+    ``linear``: evenly spaced from sigma_max down to 0.
     ``karras``: rho-spaced from sigma_max to sigma_min over the first
     ``steps`` points, then 0.
-
-    The ``t`` that ``sample`` hands to guidance at step i (the interval gate,
-    the norm records), Heun's corrector included, is the step fraction
-    1 - i/steps.  It is not an
-    argument of the schedule; the noise level of step i is ``grid(steps)[i]``.
     """
 
     kind: str
@@ -61,18 +56,19 @@ class NoiseSchedule:
         return cls("karras", sigma_max, sigma_min, rho)
 
     def grid(self, steps: int) -> np.ndarray:
-        """Strictly decreasing sigma_0 > ... > sigma_{steps} with a final exact 0."""
+        """Strictly decreasing sigma_0 > ... > sigma_{steps} = 0; a ``DomainError`` if float64 repeats one."""
         if steps < 1:
             raise UsageError("steps must be >= 1")
         if self.kind == "linear":
-            out = self.sigma_max * (1.0 - np.arange(steps + 1) / steps)
-            out[-1] = 0.0
-            return out
-        if steps == 1:
-            return np.array([self.sigma_max, 0.0])
-        lo, hi = self.sigma_min ** (1 / self.rho), self.sigma_max ** (1 / self.rho)
-        sigmas = (hi + np.arange(steps) / (steps - 1) * (lo - hi)) ** self.rho
-        return np.concatenate([sigmas, [0.0]])
+            out = np.append(self.sigma_max * (1.0 - np.arange(steps) / steps), 0.0)
+        elif steps == 1:
+            out = np.array([self.sigma_max, 0.0])
+        else:
+            lo, hi = self.sigma_min ** (1 / self.rho), self.sigma_max ** (1 / self.rho)
+            out = np.append((hi + np.arange(steps) / (steps - 1) * (lo - hi)) ** self.rho, 0.0)
+        if not (np.diff(out) < 0).all():
+            raise DomainError(f"the {self.kind} grid of {steps} steps repeats a sigma in float64; it must decrease")
+        return out
 
 
 @dataclass(frozen=True)
@@ -138,12 +134,13 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
 
     Heun uses an Euler predictor plus trapezoidal corrector, except for the
     final step to sigma = 0 which stays plain Euler (the corrector would need
-    a denoiser evaluation at zero noise).  The corrector of step i
-    evaluates at sigma_{i+1} but with the guidance gate of the step's start
-    t_i, so each step runs under one gate state.  ``recorder`` gets one record per
-    step whose guidance gate is open, under that sampler step i; a run given
-    one takes the band path at every guided evaluation, the corrector's
-    included (``guided_denoise``).
+    a denoiser evaluation at zero noise).  Step i is guided when
+    ``run.guidance.active_at(sigma_i)``, its start, and otherwise calls
+    ``pair.cond`` alone; its corrector evaluates at sigma_{i+1} but keeps
+    that gate, so each step runs under one gate state.  ``recorder`` gets one
+    record per guided step, under that sampler step i; a run given one takes
+    the band path at every guided evaluation, the corrector's included
+    (``guided_denoise``).
 
     When ``span.span_of`` gives the span of the pair's predictions and no
     ``recorder`` is given, ``sample`` steps the coordinates u of the items
@@ -162,14 +159,11 @@ def sample(pair: DenoiserPair, run: SampleRunConfig, recorder: NormRecorder | No
     only the endpoints are wrapped, in one ``Tensor4``.
     """
     sigmas = run.schedule.grid(run.steps)
-    ts = 1.0 - np.arange(run.steps + 1) / run.steps
 
     def denoise(p, z: np.ndarray, sigma: float, i: int, step: int | None) -> np.ndarray:
-        if run.guidance is None:
+        if run.guidance is None or not run.guidance.active_at(sigmas[i]):
             return p.cond(z, sigma, run.condition)
-        return guided_denoise(
-            z, sigma, float(ts[i]), p, run.guidance, condition=run.condition, recorder=recorder, step=step
-        )
+        return guided_denoise(z, sigma, p, run.guidance, condition=run.condition, recorder=recorder, step=step)
 
     def drift(z: np.ndarray, x0: np.ndarray, sigma: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -21,8 +21,8 @@ class GuidanceConfig:
     residual for the pyramid; detail group then ll for haar).
     ``parallel_weights`` reweight the component of each band difference
     parallel to the conditional band; 1.0 leaves the difference untouched.
-    ``interval`` optionally gates guidance to t in [t_end, t_start], where
-    ``sample`` passes the step fraction t = 1 - i/steps.
+    ``interval`` = (sigma_hi, sigma_lo) optionally gates guidance to noise
+    levels sigma_lo <= sigma <= sigma_hi, which ``sample`` reads at each step's start.
     """
 
     transform: TransformKind
@@ -44,8 +44,8 @@ class GuidanceConfig:
                 raise UsageError("parallel_weights must be finite")
         if self.interval is not None:
             interval = self._floats("interval")
-            if len(interval) != 2 or not (0.0 <= interval[1] < interval[0] <= 1.0):
-                raise UsageError(f"interval needs 0 <= t_end < t_start <= 1, got {interval}")
+            if len(interval) != 2 or not (0.0 <= interval[1] <= interval[0] < np.inf):
+                raise UsageError(f"interval needs 0 <= sigma_lo <= sigma_hi < inf, got {interval}")
 
     def _floats(self, name: str) -> tuple[float, ...]:
         """Field ``name`` as a tuple of floats, set in place."""
@@ -62,11 +62,8 @@ class GuidanceConfig:
             return (1.0,) * len(self.scales)
         return self.parallel_weights
 
-    def active_at(self, t: float) -> bool:
-        if self.interval is None:
-            return True
-        t_start, t_end = self.interval
-        return t_end <= t <= t_start
+    def active_at(self, sigma: float) -> bool:
+        return self.interval is None or self.interval[1] <= sigma <= self.interval[0]
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ class DenoiserPair:
 @dataclass(frozen=True)
 class BandNormRecord:
     step: int
-    t: float
     sigma: float
     low_norm: float
     high_norm: float
@@ -103,18 +99,18 @@ class NormRecorder:
     """Collects the band norms of the guidance difference per guided step;
     owned by a single run.
 
-    ``squares`` maps each observed sampler step to its (t, sigma) and, per
+    ``squares`` maps each observed sampler step to its sigma and, per
     observation of that step, each item's squared norm in each band as a
     (B, bands) array.  ``records`` sums them over the items once, so the
     blocks a run walks its items in do not move a record."""
 
-    squares: dict[int, tuple[float, float, list[np.ndarray]]] = field(default_factory=dict, repr=False)
+    squares: dict[int, tuple[float, list[np.ndarray]]] = field(default_factory=dict, repr=False)
 
-    def observe(self, step: int, t: float, sigma: float, delta: np.ndarray, kind: TransformKind):
+    def observe(self, step: int, sigma: float, delta: np.ndarray, kind: TransformKind):
         """Keep, for sampler step ``step``, each item's squared norm in each
         band of the guidance difference ``delta`` = d_c - d_u."""
         sq = np.stack([item_sums(b**2) for b in analyze(delta, kind)], axis=1)
-        self.squares.setdefault(step, (t, sigma, []))[2].append(sq)
+        self.squares.setdefault(step, (sigma, []))[1].append(sq)
 
     @property
     def records(self) -> list[BandNormRecord]:
@@ -122,10 +118,10 @@ class NormRecorder:
         norm of the residual band and the norm of all detail bands
         concatenated, each the square root of its summed squares."""
         out = []
-        for step, (t, sigma, parts) in self.squares.items():
+        for step, (sigma, parts) in self.squares.items():
             norms = [float(np.sqrt(v)) for v in np.concatenate(parts).sum(axis=0)]
             high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
-            out.append(BandNormRecord(step=step, t=t, sigma=sigma, low_norm=norms[-1], high_norm=high))
+            out.append(BandNormRecord(step=step, sigma=sigma, low_norm=norms[-1], high_norm=high))
         return out
 
 
@@ -229,29 +225,21 @@ def operator(cfg: GuidanceConfig) -> np.ndarray:
 
 
 def guided_denoise(
-    z: np.ndarray,
-    sigma: float,
-    t: float,
-    pair: DenoiserPair,
-    cfg: GuidanceConfig,
-    condition=None,
-    recorder: NormRecorder | None = None,
-    step: int | None = 0,
+    z: np.ndarray, sigma: float, pair: DenoiserPair, cfg: GuidanceConfig, condition=None,
+    recorder: NormRecorder | None = None, step: int | None = 0,
 ) -> np.ndarray:
-    """One guided x0 prediction; returns the bare conditional output when the
-    interval gate is closed, and ``pair.guided`` otherwise.  Given a
-    ``recorder`` it takes the band path, ``freqcfg_combine`` of
+    """One guided x0 prediction, ``pair.guided``, whatever ``cfg.interval``
+    says: the caller reads the gate (``sample`` at each step's start).
+    Given a ``recorder`` it takes the band path, ``freqcfg_combine`` of
     ``pair.cond`` and ``pair.uncond``, and records the difference d_c - d_u
     under sampler step ``step`` (nothing when ``step`` is None)."""
     if sigma <= 0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    if not cfg.active_at(t):
-        return pair.cond(z, sigma, condition)
     if recorder is None:
         return pair.guided(z, sigma, condition, cfg)
     d_c, d_u = pair.cond(z, sigma, condition), pair.uncond(z, sigma)
     if step is not None:
-        recorder.observe(step, t, sigma, d_c - d_u, cfg.transform)
+        recorder.observe(step, sigma, d_c - d_u, cfg.transform)
     return freqcfg_combine(d_c, d_u, cfg)
 
 

@@ -48,6 +48,16 @@ def acceptance_spec() -> BlobTextureSpec:
 
 
 ACCEPTANCE_SCHEDULE = NoiseSchedule.karras(sigma_min=0.02, sigma_max=80.0, rho=7.0)
+# a guidance window (sigma_hi, sigma_lo) that leaves the first and last steps
+# of an ACCEPTANCE_SCHEDULE run of 3 to 12 steps unguided
+SIGMA_WINDOW = (20.0, 0.5)
+
+
+def assert_partly_gated(run: SampleRunConfig) -> None:
+    """``run``'s guidance window opens some of its steps but not all, each
+    read at its start sigma_i, so a gated case stays gated."""
+    gates = [run.guidance.active_at(s) for s in run.schedule.grid(run.steps)[:-1]]
+    assert any(gates) and not all(gates), gates
 
 
 @pytest.fixture(scope="session")
@@ -117,7 +127,7 @@ def assert_endpoints_match_the_band_path(
     monkeypatch, pair, spec, cfg, sampler, conditions=(0, 1), steps=12, batch=6
 ):
     """``sample`` runs of ``pair`` under ``cfg`` (None: unguided), for each
-    of ``conditions``, gated by ``guidance.interval`` and not, step in the
+    of ``conditions``, gated by ``SIGMA_WINDOW`` and not, step in the
     span of the pair's predictions, and each endpoint is within 1e-12 of
     the image-space loop of a pair of its two callables (the band path),
     relative to that endpoint's largest value.  Fewer steps would not do:
@@ -135,11 +145,13 @@ def assert_endpoints_match_the_band_path(
     monkeypatch.setattr(Span, "reconstruct", spy)
     band = DenoiserPair(cond=pair.cond, uncond=pair.uncond)
     for condition in conditions:
-        for interval in (None,) if cfg is None else (None, (0.8, 0.3)):
+        for interval in (None,) if cfg is None else (None, SIGMA_WINDOW):
             run = SampleRunConfig(
                 steps=steps, schedule=ACCEPTANCE_SCHEDULE, seed=4, batch=batch, shape=spec.image_shape,
                 guidance=cfg and replace(cfg, interval=interval), condition=condition, sampler=sampler,
             )
+            if interval:
+                assert_partly_gated(run)
             del blocks[:]
             got = sample(pair, run).data
             assert sum(blocks) == batch  # every block ended in the span

@@ -258,7 +258,7 @@ def test_c07_band_norm_dynamics(blob_model):
         lo = rng.uniform(0, 3, 15)
         hi = rng.uniform(0, 3, 15)
         records = [
-            BandNormRecord(step=i, t=0.0, sigma=1.0, low_norm=a, high_norm=b)
+            BandNormRecord(step=i, sigma=1.0, low_norm=a, high_norm=b)
             for i, (a, b) in enumerate(zip(lo, hi))
         ]
         oracle = min(range(15), key=lambda i: (abs(lo[i] - hi[i]), i))
@@ -369,14 +369,13 @@ def test_c10_zero_band_ablation(blob_model):
     guidance = GuidanceConfig(transform=kind, scales=(2.0, 2.0))
     steps = 40
     sigmas = ACCEPTANCE_SCHEDULE.grid(steps)
-    ts = 1.0 - np.arange(steps + 1) / steps
     z = initial_noise(0, 8, mix.image_shape, float(sigmas[0])).data
     states = {}
     for i in range(steps):
         s_cur, s_next = float(sigmas[i]), float(sigmas[i + 1])
         if i in (2, 35):
             states[i] = (z.copy(), s_cur)
-        x0 = guided_denoise(z, s_cur, float(ts[i]), pair, guidance, condition=0)
+        x0 = guided_denoise(z, s_cur, pair, guidance, condition=0)
         z = z + (s_next - s_cur) * (z - x0) / s_cur
 
     def update_fractions(state_key, scales):

@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
-    ACCEPTANCE_SCHEDULE, acceptance_spec, all_means, assert_endpoints_match_the_band_path, spy_combine_batches,
+    ACCEPTANCE_SCHEDULE, SIGMA_WINDOW, acceptance_spec, all_means, assert_endpoints_match_the_band_path,
+    assert_partly_gated, spy_combine_batches,
 )
 
 from freqguide import (
@@ -454,7 +455,7 @@ def band_path_ran(monkeypatch, pair, cfg, shape, recorder=None) -> bool:
     on that batch."""
     batches = spy_combine_batches(monkeypatch)
     z = np.random.default_rng(8).standard_normal((3,) + shape)
-    guided_denoise(z, 0.5, 1.0, pair, cfg, condition=0, recorder=recorder)
+    guided_denoise(z, 0.5, pair, cfg, condition=0, recorder=recorder)
     return 3 in batches
 
 
@@ -674,8 +675,8 @@ class TestSpan:
             for cfg in (
                 replace(base, scales=(1.0,) * n),
                 replace(base, scales=tuple(np.linspace(-3.0, 7.0, n))),
-                replace(base, interval=(0.5, 0.1)),
-                replace(base, parallel_weights=(1.0,) * n, interval=(1.0, 0.0)),
+                replace(base, interval=SIGMA_WINDOW),
+                replace(base, parallel_weights=(1.0,) * n, interval=(80.0, 0.0)),
             ):
                 assert span_of(pair, cfg, spec.image_shape) is span
             assert list(pair.spans) == [base.transform]
@@ -699,7 +700,7 @@ class TestSpan:
         assert np.shares_memory(span.mix.table, span.basis)
         assert np.array_equal(span.mix.table, span.basis[: mix.n_components])
         for cfg in (replace(PYRAMID3, parallel_weights=(1.0,) * 4), replace(PYRAMID3, scales=(1.0, 5.0, -2.0, 0.5)),
-                    replace(PYRAMID3, interval=(0.8, 0.3))):
+                    replace(PYRAMID3, interval=SIGMA_WINDOW)):
             assert span_of(pair, cfg, spec.image_shape) is span
         assert_frame(span, np.random.default_rng(1).standard_normal((4,) + spec.image_shape))
         # the pair keeps the span of the last transform only
@@ -766,7 +767,7 @@ class TestSpan:
         guidance."""
         spec = acceptance_spec()
         mix = blob_mixture_from_spec(spec)
-        guidances = (PYRAMID3, replace(PYRAMID3, scales=(1.5, 4.0, 1.0, 2.5)), replace(PYRAMID3, interval=(0.8, 0.3)))
+        guidances = (PYRAMID3, replace(PYRAMID3, scales=(1.5, 4.0, 1.0, 2.5)), replace(PYRAMID3, interval=SIGMA_WINDOW))
 
         def run(cfg):
             return SampleRunConfig(
@@ -774,6 +775,7 @@ class TestSpan:
                 guidance=cfg, condition=1, sampler="euler",
             )
 
+        assert_partly_gated(run(guidances[2]))
         want = {cfg: sample(make_denoiser_pair(mix, class_labels(spec)), run(cfg)).data.tobytes() for cfg in guidances}
         assert len(set(want.values())) == 3
         builds, build = [], Span.of.__func__
@@ -870,7 +872,7 @@ class TestSpan:
             warnings.simplefilter("error")
             span = span_of(pair, cfg, SHAPE)
             assert span is span_of(pair, HAAR, SHAPE)
-            out = guided_denoise(z, 0.2, 1.0, pair, cfg, condition=1)
+            out = guided_denoise(z, 0.2, pair, cfg, condition=1)
             u, block = span.project(z.copy()), span.block(1, 1)
             guided, cond = block.guided(u, 0.2, 1, cfg), block.cond(u, 0.2, 1)
         assert np.array_equal(out, pair.cond(z, 0.2, 1))

@@ -79,6 +79,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def forbid_sampling(monkeypatch):
+    """Make any ``cli.sample`` call fail the test."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was rejected")
+
+    monkeypatch.setattr(cli, "sample", no_sampling)
+
+
 class TestConfigParsing:
     def test_basic_values_and_comments(self):
         values = parse_config_text("# comment\na.b = 1\n\nc.d = hello world\n")
@@ -556,7 +565,9 @@ class TestAnalyzeNorms:
         assert manifest["crossover_step"] == crossover
 
 
-    def test_one_guided_step_is_config_error_and_writes_nothing(self, tmp_path, capsys):
+    def test_one_guided_step_is_config_error_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """The resolved gate is counted before any sampling."""
+        forbid_sampling(monkeypatch)
         cfg = write_config(
             tmp_path,
             extra="guidance.transform = haar\nguidance.scales = 2,2\nguidance.interval = 0.1:0.05\n",
@@ -587,9 +598,10 @@ class TestAnalyzeNorms:
         rows = []
 
         class WholeBatchNorms(NormRecorder):
-            def observe(self, step, t, sigma, delta, kind):
+            def observe(self, step, sigma, delta, kind):
                 norms = [float(np.sqrt(sum(np.sum(item**2) for item in b))) for b in analyze(delta, kind)]
-                rows.append((step, t, sigma, norms[-1], float(np.sqrt(sum(n**2 for n in norms[:-1])))))
+                high = float(np.sqrt(sum(n**2 for n in norms[:-1])))
+                rows.append((step, 1.0 - step / run.steps, sigma, norms[-1], high))
 
         sample(cli.build_pair(cfg, make_denoiser_pair(mix, labels)), run, recorder=WholeBatchNorms())
         assert out.read_bytes() == tensor.csv_to_bytes(["step", "t", "sigma", "low_norm", "high_norm"], rows)
@@ -653,9 +665,9 @@ class TestMalformedNumbers:
             (("mixture.blob_amplitude=inf",), 3),
             (("mixture.texture_amplitude=inf",), 3),
             (("mixture.kind=single", "mixture.mean_value=nan"), 6),
-            (("autoguide.enabled=true", "autoguide.jitter=nan"), 6),
-            (("autoguide.enabled=true", "autoguide.jitter_rel=nan"), 6),
-            (("autoguide.enabled=true", "autoguide.inflate=nan"), 6),
+            (("autoguide.enabled=true", "autoguide.jitter=nan"), 3),
+            (("autoguide.enabled=true", "autoguide.jitter_rel=nan"), 3),
+            (("autoguide.enabled=true", "autoguide.inflate=nan"), 3),
             (("sweep.tau=nan",), 3),
             (("sweep.tau=inf",), 3),
             (("sweep.tau=-1",), 3),
@@ -682,6 +694,97 @@ class TestMalformedNumbers:
         else:
             assert "error [domain]" in err
         assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "autoguide.inflate=0.5", "autoguide.inflate=inf", "autoguide.jitter=-1", "autoguide.jitter_rel=nan",
+            "schedule.sigma_max=-1", "schedule.sigma_min=100", "schedule.sigma_max=1e160",
+        ],
+    )
+    def test_out_of_domain_value_is_config_error_naming_its_key(self, tmp_path, capsys, monkeypatch, setting):
+        """A schedule.* or autoguide.* value that the library rejects as out of
+        its domain is a config error (exit 3) whose message names the key, as
+        on the benchmark's sweep config, and nothing is sampled."""
+        forbid_sampling(monkeypatch)
+        autoguide = ("--set", "autoguide.enabled=true") if setting.startswith("autoguide.") else ()
+        out = str(tmp_path / "x.fqg")
+        argv = ("sample", "--config", str(ROOT / "perfbench" / "sweep.cfg"), *autoguide, "--set", setting)
+        assert run_cli(*argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"error [config]: {setting.split('.')[0]}." in err and setting.replace("=", " = ") in err
+        assert not os.path.exists(out)
+
+
+class TestGuidanceInterval:
+    """``guidance.interval = t_start:t_end`` is a window of step fractions
+    t = 1 - i/steps, which ``build_run`` resolves once to the sigmas of the
+    run's own grid."""
+
+    CONFIGS = {
+        "karras": BASE_CONFIG,
+        "linear": BASE_CONFIG.replace("schedule.kind = karras", "schedule.kind = linear")
+        .replace("schedule.sigma_min = 0.02\n", "")
+        .replace("schedule.rho = 7\n", ""),
+    }
+    GUIDED = "guidance.transform = haar\nguidance.scales = 2,2\n"
+
+    @pytest.mark.parametrize("kind", CONFIGS)
+    def test_gate_opens_exactly_the_steps_of_its_t_window(self, kind):
+        """Exhaustive scan: for 1 to 12 steps and every t_end < t_start on a
+        0.05 grid, the sigma gate opens exactly the steps i with
+        t_end <= 1 - i/steps <= t_start, compared in float64 as the t gate
+        of earlier versions compared them; where no step opens, ``build_run``
+        raises a ``ConfigError``."""
+        values = parse_config_text(self.CONFIGS[kind] + self.GUIDED)
+        shape = (1, 16, 16)
+        guidance = cli.build_guidance(Config(values), shape)
+        ts = [k / 20 for k in range(21)]
+        closed = []
+        for steps in range(1, 13):
+            for t_start in ts:
+                for t_end in (t for t in ts if t < t_start):
+                    cfg = Config({**values, "sample.steps": str(steps), "guidance.interval": f"{t_start}:{t_end}"})
+                    want = [i for i in range(steps) if t_end <= 1.0 - i / steps <= t_start]
+                    if not want:
+                        with pytest.raises(ConfigError, match=f"open a step of sample.steps = {steps}"):
+                            cli.build_run(cfg, shape, guidance)
+                        closed.append((steps, t_start, t_end))
+                        continue
+                    run = cli.build_run(cfg, shape, guidance)
+                    assert run.schedule.kind == kind
+                    sigmas = run.schedule.grid(steps)
+                    assert [i for i in range(steps) if run.guidance.active_at(sigmas[i])] == want
+        assert len(closed) > 100
+
+    # 0.1:0.05 opens no step, as t = 1 - i/6 never lies in [0.05, 0.1]; the rest are reversed or leave [0, 1]
+    @pytest.mark.parametrize("interval", ["0.1:0.05", "0.3:0.8", "0.5:0.5", "1.2:0.1", "0.5:-0.1", "nan:0.1"])
+    @pytest.mark.parametrize("command", ["sample", "analyze-norms", "sweep"])
+    def test_window_that_opens_no_step_exits_3(self, tmp_path, capsys, monkeypatch, command, interval):
+        """A window that opens no step would guide nothing: every command
+        that reads it rejects it before sampling."""
+        forbid_sampling(monkeypatch)
+        cfg = write_config(tmp_path, extra=self.GUIDED + f"guidance.interval = {interval}\n")
+        grid = ("--grid", "1:1") if command == "sweep" else ()
+        out = str(tmp_path / "out")
+        assert run_cli(command, "--config", cfg, *grid, "--out", out) == 3
+        want = f"guidance.interval = {interval} must be t_start:t_end with 0 <= t_end < t_start <= 1 and open a step"
+        assert f"error [config]: {want} of sample.steps = 6" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_sweep_points_keep_the_gate(self, tmp_path):
+        """Each sweep point replaces the scales of the gated guidance: its row
+        is that of the gated run, not of the ungated one."""
+        rows = {}
+        for name, extra in (("gated", "guidance.interval = 0.8:0.3\n"), ("ungated", "")):
+            cfg = write_config(tmp_path, extra=self.GUIDED + "sweep.samples = 4\n" + extra, name=f"{name}.cfg")
+            out = str(tmp_path / f"{name}.csv")
+            assert run_cli("sweep", "--config", cfg, "--grid", "1:1,3:2", "--out", out) == 0
+            with open(out, newline="") as fh:
+                rows[name] = list(csv.reader(fh))[1:]
+        assert rows["gated"][0] == rows["ungated"][0]  # unit scales: the gate changes nothing
+        assert rows["gated"][1] != rows["ungated"][1]
 
 
 class TestSweep:
@@ -1000,6 +1103,9 @@ class TestFileModes:
         assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in outputs} == {p.name: want for p in outputs}
 
 
+HUGE_SIGMAS = ("--set", "schedule.sigma_max=1e160", "--set", "schedule.sigma_min=1e150")
+
+
 class TestProcessBoundary:
     def test_module_invocation_matches_in_process(self, tmp_path):
         d_c = Tensor4(rng.uniform(-2, 2, (1, 1, 16, 16)))
@@ -1032,27 +1138,31 @@ class TestProcessBoundary:
             assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
             assert not (tmp_path / "x.fqg").exists()
 
-    def test_infinite_sigma_max_is_domain_error(self, tmp_path):
+    def test_infinite_sigma_max_is_config_error(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "freqguide", "sample", "--config", write_config(tmp_path),
              "--set", "schedule.sigma_max=inf", "--out", str(tmp_path / "x.fqg")],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 6, proc.stderr
-        assert "error [domain]" in proc.stderr
+        assert proc.returncode == 3, proc.stderr
+        assert "error [config]: schedule.kind = karras, schedule.rho = 7, schedule.sigma_max = inf" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "x.fqg").exists()
 
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            # the component step: ‖z‖² of noise at σ = 1e160 overflows
-            (("sample", "--set", "schedule.sigma_max=1e160"), 6, "|z|^2 overflows float64 at sigma=1e+160"),
-            (("sweep", "--grid", "1:1", "--set", "schedule.sigma_max=1e160"), 6, "|z|^2 overflows"),
+            # the component step: ‖z‖² of noise at σ = 1e160 overflows (a sigma_min
+            # of 0.02 would round to 0 in the karras grid, which repeats a sigma)
+            (("sample", *HUGE_SIGMAS), 6, "|z|^2 overflows float64 at sigma=1e+160"),
+            (("sweep", "--grid", "1:1", *HUGE_SIGMAS), 6, "|z|^2 overflows"),
             # parallel weights take the band path
-            (("sample", "--set", "schedule.sigma_max=1e160", "--set", "guidance.parallel_weights=0.5,1"), 6,
+            (("sample", *HUGE_SIGMAS, "--set", "guidance.parallel_weights=0.5,1"), 6,
              "|z|^2 overflows float64 at sigma=1e+160"),
-            (("sample", "--set", "schedule.sigma_max=1e308"), 6, "overflows float64 at sigma_max=1e+308"),
+            (("sample", "--set", "schedule.sigma_max=1e308", "--set", "schedule.sigma_min=1e300"), 6,
+             "overflows float64 at sigma_max=1e+308"),
+            (("sample", "--set", "schedule.sigma_max=1e160"), 3,
+             "schedule.sigma_max = 1e160, schedule.sigma_min = 0.02: the karras grid of 6 steps repeats a sigma"),
             # d_c = d_u: every norm would be zero
             (("analyze-norms", "--set", "sample.condition=null"), 3, "analyze-norms needs a class in sample.condition"),
             # the degraded model's seed keys a Philox stream
@@ -1063,7 +1173,8 @@ class TestProcessBoundary:
             ),
         ],
         ids=[
-            "sample-1e160", "sweep-1e160", "band-path-1e160", "sample-1e308", "analyze-norms-null-condition",
+            "sample-1e160", "sweep-1e160", "band-path-1e160", "sample-1e308", "sample-1e160-repeated-grid",
+            "analyze-norms-null-condition",
             "sample-autoguide-seed", "sweep-autoguide-seed", "analyze-norms-autoguide-seed",
         ],
     )

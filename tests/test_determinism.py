@@ -125,9 +125,11 @@ from freqguide import *
 from freqguide.span import Span
 spec = {spec!r}
 pair = make_denoiser_pair(blob_mixture_from_spec(spec), class_labels(spec))
-cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(0.8, 0.3))
+cfg = GuidanceConfig(transform=TransformKind.pyramid(3), scales=(3.0, 2.0, 1.5, 1.0), interval=(20.0, 0.5))
 run = SampleRunConfig(steps=8, schedule=NoiseSchedule.karras(0.02, 80.0), seed=5, batch={batch}, shape=spec.image_shape,
                       guidance=cfg, condition=0, sampler="heun")
+gates = [cfg.active_at(s) for s in run.schedule.grid(run.steps)[:-1]]
+assert any(gates) and not all(gates)  # the window stays a gate
 walked = sample(pair, run).data.tobytes()
 Span.item_values = 3 * 32 * 32  # the span walked one image block at a time
 print(hashlib.sha256(walked).hexdigest(), walked == sample(pair, run).data.tobytes())

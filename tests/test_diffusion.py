@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, per_block, three_blocks
+from conftest import ACCEPTANCE_SCHEDULE, acceptance_spec, assert_partly_gated, per_block, three_blocks
 
 from freqguide import (
     DenoiserPair,
@@ -64,6 +64,20 @@ class TestSchedules:
             assert grid[-1] == 0.0
             assert np.all(np.diff(grid) < 0)
             assert grid[0] == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "schedule, steps",
+        [
+            (NoiseSchedule.karras(1.0, 1.0000000000000002), 50),  # 49 of its steps do not decrease
+            (NoiseSchedule.karras(0.02, 1e160), 6),  # sigma_min rounds to 0 against 1e160
+            (NoiseSchedule.linear(5e-324), 2),  # half the least subnormal rounds to 0
+        ],
+        ids=["karras-narrow", "karras-wide", "linear-subnormal"],
+    )
+    def test_grid_that_repeats_a_sigma_is_domain_error(self, schedule, steps):
+        """A gate reads sigma, so the grid must tell every step apart."""
+        with pytest.raises(DomainError, match=f"the {schedule.kind} grid of {steps} steps repeats a sigma"):
+            schedule.grid(steps)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -234,13 +248,12 @@ class TestSampler:
             log.append("uncond")
             return pair.uncond(z, sigma)
 
-        guidance = GuidanceConfig(
-            transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.7, 0.3)
-        )
+        guidance = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(3.5, 1.5))
         run = SampleRunConfig(
             steps=10, schedule=NoiseSchedule.linear(5.0), seed=1, batch=2, shape=(1, 4, 4),
             guidance=guidance, condition=0, sampler="heun",
         )
+        assert_partly_gated(run)
         sample(DenoiserPair(cond=cond, uncond=uncond), run)
         # heun: two evaluations per step, one on the last; each is one call
         # of ``cond``, then one of ``uncond`` when the gate is open
@@ -379,13 +392,16 @@ class TestGuidedEndpoint:
 
         z(0) = m_c + Mδ + (z_T − m_c − Mδ)·s/√(s² + σ_max²).
 
-    Under an interval gate it holds piecewise: on a segment from σ_j to σ
+    Under a guidance window it holds piecewise: on a segment from σ_j to σ
     with the gate fixed, z(σ) = a_j + (z(σ_j) − a_j)·√((s² + σ²)/(s² + σ_j²))
     with a_j = m_c + M_j·δ, M_j = 0 while the gate is shut."""
 
     SHAPE = (3, 16, 16)
     S, SIGMA_MAX = 0.5, 20.0
     SCHEDULE = NoiseSchedule.karras(0.002, 20.0, 7.0)
+    # (σ_hi, σ_lo): a step at either end that the gate shifts by one moves the
+    # endpoint by at least 100 times the gated Heun error at 128 and 256 steps
+    WINDOW = (5.0, 0.5)
     CONFIGS = {
         "pyramid2": GuidanceConfig(transform=TransformKind.pyramid(2), scales=(3.0, 1.5, 0.5)),
         "haar": GuidanceConfig(transform=TransformKind.haar(), scales=(4.0, 1.0)),
@@ -400,28 +416,29 @@ class TestGuidedEndpoint:
 
         self.pair = DenoiserPair(cond=posterior(self.m_c), uncond=posterior(self.m_u))
 
-    def error(self, guidance, sampler, steps, piecewise=False, shift=0):
-        """Relative error of the sampled endpoint against the exact one; with
-        ``shift``, against the piecewise endpoint whose gate switches that
-        many steps later."""
+    def error(self, guidance, sampler, steps, segments=None, schedule=SCHEDULE):
+        """Relative error of the sampled endpoint against the exact one, or
+        against the endpoint carried exactly over ``segments``, each a
+        (σ_from, σ_to, gate open)."""
         run = SampleRunConfig(
-            steps=steps, schedule=self.SCHEDULE, seed=3, batch=8, shape=self.SHAPE,
-            guidance=guidance, sampler=sampler,
+            steps=steps, schedule=schedule, seed=3, batch=8, shape=self.SHAPE, guidance=guidance, sampler=sampler,
         )
         out = sample(self.pair, run).data
         delta = (self.m_c - self.m_u)[None]
         m_delta = freqcfg_combine(delta, np.zeros_like(delta), guidance)[0] - delta[0]
-        sigmas = self.SCHEDULE.grid(steps)
-        # the sampler's step i runs from sigma_i to sigma_{i+1} with the gate at t = 1 - i/steps
-        gates = [guidance.active_at(1.0 - (i - shift) / steps) if piecewise else True for i in range(steps)]
         z = initial_noise(3, 8, self.SHAPE, self.SIGMA_MAX).data
-        start = 0
-        for i in range(1, steps + 1):
-            if i == steps or gates[i] != gates[start]:
-                a = self.m_c + (m_delta if gates[start] else 0.0)
-                z = a + (z - a) * np.sqrt((self.S**2 + sigmas[i] ** 2) / (self.S**2 + sigmas[start] ** 2))
-                start = i
+        for s_from, s_to, gate in segments or [(self.SIGMA_MAX, 0.0, True)]:
+            a = self.m_c + (m_delta if gate else 0.0)
+            z = a + (z - a) * np.sqrt((self.S**2 + s_to**2) / (self.S**2 + s_from**2))
         return float(np.linalg.norm(out - z) / np.linalg.norm(z))
+
+    def steps_of(self, guidance, steps, shift=0):
+        """The sampler's steps as segments: step i runs from σ_i to σ_{i+1}
+        under the gate of its start σ_i, or with ``shift`` under that of
+        step i - shift (shut where there is none)."""
+        sigmas = self.SCHEDULE.grid(steps)
+        gates = [0 <= i - shift < steps and guidance.active_at(sigmas[i - shift]) for i in range(steps)]
+        return [(sigmas[i], sigmas[i + 1], gates[i]) for i in range(steps)]
 
     @pytest.mark.parametrize("guidance", CONFIGS.values(), ids=CONFIGS)
     def test_heun_second_order_euler_first_order(self, guidance):
@@ -432,11 +449,20 @@ class TestGuidedEndpoint:
         assert 0.18 <= heun64 / heun32 <= 0.33
         assert 0.4 <= euler_ratio <= 0.6
 
+    def gated(self, guidance, steps=(64, 128, 256)):
+        """``guidance`` under ``WINDOW``, which leaves steps at both ends of
+        each of these ``SCHEDULE`` runs shut."""
+        gated = GuidanceConfig(transform=guidance.transform, scales=guidance.scales, interval=self.WINDOW)
+        for n in steps:
+            run = SampleRunConfig(steps=n, schedule=self.SCHEDULE, seed=3, batch=8, shape=self.SHAPE, guidance=gated)
+            assert_partly_gated(run)
+        return gated
+
     @pytest.mark.parametrize("guidance", CONFIGS.values(), ids=CONFIGS)
     def test_interval_gate_piecewise_endpoint(self, guidance):
         # shut, open, shut: the euler step keeps the gate of its start for the whole step
-        gated = GuidanceConfig(transform=guidance.transform, scales=guidance.scales, interval=(0.75, 0.3))
-        errors = [self.error(gated, "euler", steps, piecewise=True) for steps in (64, 128)]
+        gated = self.gated(guidance)
+        errors = [self.error(gated, "euler", steps, self.steps_of(gated, steps)) for steps in (64, 128)]
         assert 0.4 <= errors[1] / errors[0] <= 0.6
         # the ungated endpoint is no limit of the gated run
         assert self.error(gated, "euler", 128) > 10 * errors[1]
@@ -446,13 +472,32 @@ class TestGuidedEndpoint:
         """Predictor and corrector of a step read the gate at its start, so the
         gated Heun run converges at second order to the piecewise endpoint
         with the real boundaries, not to one with a boundary a step off."""
-        gated = GuidanceConfig(transform=guidance.transform, scales=guidance.scales, interval=(0.75, 0.3))
-        errors = {steps: self.error(gated, "heun", steps, piecewise=True) for steps in (64, 128, 256)}
+        gated = self.gated(guidance)
+        errors = {steps: self.error(gated, "heun", steps, self.steps_of(gated, steps)) for steps in (64, 128, 256)}
         assert 0.18 <= errors[128] / errors[64] <= 0.33
         assert 0.18 <= errors[256] / errors[128] <= 0.33
         for steps in (128, 256):
             for shift in (-1, 1):
-                assert self.error(gated, "heun", steps, piecewise=True, shift=shift) >= 1.5 * errors[steps]
+                assert self.error(gated, "heun", steps, self.steps_of(gated, steps, shift)) >= 1.5 * errors[steps]
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE, NoiseSchedule.linear(SIGMA_MAX)], ids=["karras", "linear"])
+    def test_one_sigma_window_gives_one_limit(self, schedule):
+        """Under either schedule, gated Euler runs converge at first order to
+        the one endpoint whose gate switches at σ_hi and σ_lo.  The grids
+        do not meet the window's ends, so how far a step's gate lags behind
+        σ_hi or σ_lo swings between none and one step as the grid is
+        refined: error × steps stays within a band instead of halving
+        exactly (0.75 to 2.2 under karras, 4.8 to 6.8 under linear)."""
+        sigma_hi, sigma_lo = self.WINDOW
+        segments = [(self.SIGMA_MAX, sigma_hi, False), (sigma_hi, sigma_lo, True), (sigma_lo, 0.0, False)]
+        steps = (64, 128, 256, 512)
+        for guidance in self.CONFIGS.values():
+            gated = replace(guidance, interval=self.WINDOW)
+            scaled = [m * self.error(gated, "euler", m, segments, schedule) for m in steps]
+            assert max(scaled) <= 4 * min(scaled)
+            assert scaled[-1] / steps[-1] < scaled[0] / steps[0] / 4
+            # the ungated endpoint is no limit of the gated runs
+            assert self.error(gated, "euler", 512, schedule=schedule) > 4 * scaled[-1] / 512
 
 
 def blob_model(factored: bool):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from freqguide import (
     DenoiserPair,
     DomainError,
     GuidanceConfig,
+    NoiseSchedule,
     NormRecorder,
+    SampleRunConfig,
     ShapeError,
     Tensor4,
     TransformKind,
@@ -22,6 +25,7 @@ from freqguide import (
     guided_denoise,
     inverse_bands,
     project,
+    sample,
     transform_bands,
 )
 from freqguide.frequency import low_pass_chain, low_pass_operators, step_matrices, up_step
@@ -39,7 +43,7 @@ def rand4(dims=(2, 3, 32, 32)):
 
 def make_records(low, high):
     return [
-        BandNormRecord(step=i, t=1.0 - i / len(low), sigma=1.0, low_norm=lo, high_norm=hi)
+        BandNormRecord(step=i, sigma=1.0 - i / len(low), low_norm=lo, high_norm=hi)
         for i, (lo, hi) in enumerate(zip(low, high))
     ]
 
@@ -384,33 +388,39 @@ class FixedPair:
         return DenoiserPair(cond=cond, uncond=uncond)
 
 
+def gated_run(cfg, sampler="euler", batch=2, shape=(3, 32, 32)) -> SampleRunConfig:
+    """Ten steps of a linear schedule from 5: sigma_i = 5 - i/2."""
+    return SampleRunConfig(
+        steps=10, schedule=NoiseSchedule.linear(5.0), seed=0, batch=batch, shape=shape, guidance=cfg, sampler=sampler
+    )
+
+
 class TestGuidedDenoise:
     def test_gate_closed_returns_conditional_exactly(self):
-        d_c, d_u = rand(), rand()
-        fixture = FixedPair(d_c, d_u)
-        cfg = GuidanceConfig(
-            transform=TransformKind.haar(), scales=(3.0, 3.0), interval=(0.8, 0.2)
-        )
-        out = guided_denoise(rand(), 1.0, 0.9, fixture.pair(), cfg)
-        assert out is d_c
-        assert fixture.uncond_calls == 0
+        """A step whose gate is closed calls ``cond`` alone: a run whose
+        window opens no step never calls ``uncond`` and gives the bytes of
+        the unguided run."""
+        fixture = FixedPair(rand((2, 1, 4, 4)), rand((2, 1, 4, 4)))
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(3.0, 3.0), interval=(100.0, 50.0))
+        run = gated_run(cfg, "heun", shape=(1, 4, 4))
+        out = sample(fixture.pair(), run).data
+        assert fixture.uncond_calls == 0 and fixture.cond_calls == 19
+        assert out.tobytes() == sample(fixture.pair(), replace(run, guidance=None)).data.tobytes()
 
-    def test_no_interval_matches_freqcfg(self):
+    def test_matches_freqcfg_whatever_the_interval(self):
+        """``guided_denoise`` guides; reading the gate is its caller's work."""
         d_c, d_u = rand(), rand()
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 0.5))
-        out = guided_denoise(rand(), 1.0, 0.5, FixedPair(d_c, d_u).pair(), cfg)
         ref = freqcfg_combine(d_c, d_u, cfg)
-        assert np.array_equal(out, ref)
+        for interval in (None, (0.2, 0.1)):
+            out = guided_denoise(rand(), 1.0, FixedPair(d_c, d_u).pair(), replace(cfg, interval=interval))
+            assert np.array_equal(out, ref)
 
     def test_gate_boundaries_inclusive(self):
-        d_c, d_u = rand(), rand()
-        cfg = GuidanceConfig(
-            transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.8, 0.2)
-        )
-        for t, active in ((0.8, True), (0.2, True), (0.81, False), (0.19, False)):
-            fixture = FixedPair(d_c, d_u)
-            guided_denoise(rand(), 1.0, t, fixture.pair(), cfg)
-            assert (fixture.uncond_calls == 1) is active
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.8, 0.2))
+        for sigma, active in ((0.8, True), (0.2, True), (0.5, True), (0.81, False), (0.19, False), (0.0, False)):
+            assert cfg.active_at(sigma) is active
+        assert replace(cfg, interval=None).active_at(0.0) and replace(cfg, interval=(0.5, 0.5)).active_at(0.5)
 
     def test_default_guided_is_cond_then_uncond(self):
         """``DenoiserPair.guided`` hands z, σ and the condition to ``cond``
@@ -426,38 +436,44 @@ class TestGuidedDenoise:
         assert calls == [("cond", (z, 0.7, 3)), ("uncond", (z, 0.7))]
         assert np.array_equal(got, freqcfg_combine(d_c, d_u, cfg))
 
-    def test_cond_then_uncond_per_open_gate_and_cond_only_when_closed(self):
+    @pytest.mark.parametrize("sampler", ["euler", "heun"])
+    def test_cond_then_uncond_per_open_gate_and_cond_only_when_closed(self, sampler):
+        """``sample`` reads the gate at sigma_i, the start of step i; the Heun
+        corrector of step i, at sigma_{i+1}, keeps that gate."""
         d_c, d_u = rand(), rand()
         log = []
         pair = DenoiserPair(
-            cond=lambda z, sigma, condition=None: log.append("cond") or d_c,
-            uncond=lambda z, sigma: log.append("uncond") or d_u,
+            cond=lambda z, sigma, condition=None: log.append(("cond", sigma)) or d_c,
+            uncond=lambda z, sigma: log.append(("uncond", sigma)) or d_u,
         )
-        cfg = GuidanceConfig(
-            transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(0.8, 0.2)
-        )
-        ts = [1.0 - i / 10 for i in range(11)]
-        for t in ts:
-            log.clear()
-            guided_denoise(rand(), 1.0, t, pair, cfg)
-            assert log == (["cond", "uncond"] if cfg.active_at(t) else ["cond"])
+        cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0), interval=(3.5, 1.5))
+        run = gated_run(cfg, sampler)
+        sample(pair, run)
+        sigmas = [float(s) for s in run.schedule.grid(run.steps)]
+        gates = [cfg.active_at(s) for s in sigmas[:-1]]
+        assert gates == [False] * 3 + [True] * 5 + [False] * 2
+        want = []
+        for i, gate in enumerate(gates):
+            at = [sigmas[i]] + ([sigmas[i + 1]] if sampler == "heun" and sigmas[i + 1] > 0 else [])
+            want += [(name, s) for s in at for name in (("cond", "uncond") if gate else ("cond",))]
+        assert log == want
 
     def test_sigma_must_be_positive(self):
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0))
         with pytest.raises(Exception, match="sigma"):
-            guided_denoise(rand(), 0.0, 0.5, FixedPair(rand(), rand()).pair(), cfg)
+            guided_denoise(rand(), 0.0, FixedPair(rand(), rand()).pair(), cfg)
 
-    def test_recorder_counts_and_t_sequence(self):
+    def test_recorder_counts_and_sigma_sequence(self):
         d_c, d_u = rand((1, 1, 8, 8)), rand((1, 1, 8, 8))
         cfg = GuidanceConfig(transform=TransformKind.haar(), scales=(2.0, 2.0))
         recorder = NormRecorder()
-        ts = [1.0 - i / 10 for i in range(10)]
-        for i, t in enumerate(ts):
+        sigmas = [1.0 - i / 10 for i in range(10)]
+        for i, sigma in enumerate(sigmas):
             pair = FixedPair(d_c, d_u).pair()
-            guided_denoise(rand((1, 1, 8, 8)), 1.0, t, pair, cfg, recorder=recorder, step=i)
+            guided_denoise(rand((1, 1, 8, 8)), sigma, pair, cfg, recorder=recorder, step=i)
         assert len(recorder.records) == 10
         assert [r.step for r in recorder.records] == list(range(10))
-        assert [r.t for r in recorder.records] == ts
+        assert [r.sigma for r in recorder.records] == sigmas
         # Haar is orthonormal: the band norms split ||d_c - d_u|| exactly
         delta = d_c - d_u
         detail, ll = transform_bands(Tensor4(delta), cfg.transform)
@@ -493,14 +509,12 @@ class TestCrossover:
 
 class TestGuidanceConfigValidation:
     def test_interval_ordering(self):
-        with pytest.raises(UsageError):
-            GuidanceConfig(
-                transform=TransformKind.haar(), scales=(1.0, 1.0), interval=(0.2, 0.8)
-            )
-        with pytest.raises(UsageError):
-            GuidanceConfig(
-                transform=TransformKind.haar(), scales=(1.0, 1.0), interval=(1.2, 0.1)
-            )
+        """``interval`` is (sigma_hi, sigma_lo) with 0 <= sigma_lo <= sigma_hi < inf."""
+        for interval in [(0.2, 0.8), (np.inf, 0.1), (1.0, -0.1), (np.nan, 0.1), (1.0, np.nan)]:
+            with pytest.raises(UsageError, match="sigma_lo <= sigma_hi"):
+                GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0), interval=interval)
+        for interval in [(80.0, 0.0), (0.5, 0.5), (1.2, 0.1)]:
+            GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0), interval=interval)
         for interval in [(1.0, 0.5, 0.2), (0.5,), ("a", 0.2)]:
             with pytest.raises(UsageError, match="interval"):
                 GuidanceConfig(transform=TransformKind.haar(), scales=(1.0, 1.0), interval=interval)
